@@ -14,9 +14,9 @@ from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity
 from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
                      LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
-                     NoOpMutation, NoSuchStatement, ParseError, PathExplosion, RtgError,
-                     TermExplosion, UnboundVariable, Uncoverable, UndefinedVariable,
-                     UnsupportedOperation)
+                     NonFiniteValue, NoOpMutation, NoSuchStatement, ParseError,
+                     PathExplosion, RtgError, TermExplosion, UnboundVariable, Uncoverable,
+                     UndefinedVariable, UnsupportedOperation, UsageError)
 from .fdt import (FaultDetectionTable, ResponseVector, TableRow, attach_response,
                   build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
                   render_table, table_from_json, table_to_json)

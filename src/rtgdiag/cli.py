@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import diagnosis, fdt, frontend, rtg, simulator, testsynth
-from .errors import NoFailures, RtgError
+from .errors import NoFailures, RtgError, UsageError
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -51,9 +51,14 @@ def _caps_from_env() -> dict[str, int]:
     for part in raw.split(","):
         if not part.strip():
             continue
-        key, _, value = part.partition("=")
-        if key.strip() in names:
-            out[names[key.strip()]] = int(value)
+        key, _, value = (x.strip() for x in part.partition("="))
+        if key not in names:
+            raise UsageError(f"RTGDIAG_CAPS: unknown cap {key!r}; "
+                             f"expected one of {', '.join(names)}")
+        if not value.isdecimal():
+            raise UsageError(f"RTGDIAG_CAPS: {key} needs a non-negative integer, "
+                             f"got {value!r}")
+        out[names[key]] = int(value)
     return out
 
 
@@ -123,18 +128,22 @@ def _parse_fault(spec: str) -> simulator.FaultSpec:
     raise RtgError(f"bad fault spec {spec!r}; expected FRAG:ORDINAL:op=N or FRAG:ORDINAL:const=V")
 
 
-def _stimuli_for(g: rtg.RTGraph, items, stimuli_path: str | None) -> dict[str, simulator.Stimulus]:
+def _stimuli_for(g: rtg.RTGraph, suite: testsynth.TestSuite,
+                 stimuli_path: str | None) -> dict[str, simulator.Stimulus]:
     given: dict[str, dict] = {}
     if stimuli_path:
         with open(stimuli_path, encoding="utf-8") as fh:
             given = json.load(fh)
-    out: dict[str, simulator.Stimulus] = {}
-    for label, path in items:
-        if label in given:
-            out[label] = simulator.Stimulus(
-                env={k: float(v) for k, v in given[label].items()}, label=label)
-        else:
-            out[label] = simulator.pick_stimulus(g, path)
+    if not isinstance(given, dict) or not all(isinstance(e, dict) for e in given.values()):
+        raise RtgError(f"{stimuli_path}: expected {{term label: {{variable: value}}}}")
+    out = simulator.default_stimuli(g, suite)
+    for label, env in given.items():
+        if label in out:
+            try:
+                out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()},
+                                                label=label)
+            except (TypeError, ValueError):
+                raise RtgError(f"{stimuli_path}: non-numeric value for term {label}") from None
     return out
 
 
@@ -226,6 +235,8 @@ def cmd_cover(args, cfg: RunConfig) -> int:
 
 
 def cmd_fdt(args, cfg: RunConfig) -> int:
+    if args.response and args.response.strip("01"):
+        raise UsageError(f"--response needs a string of 0s and 1s, got {args.response!r}")
     g, _ = _load_graph(args, cfg)
     _validate_or_fail(g)
     paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
@@ -234,7 +245,7 @@ def cmd_fdt(args, cfg: RunConfig) -> int:
     else:
         table = fdt.build_extended_fdt(g, _suite_for(g, cfg, "complete"))
     if args.response:
-        bits = tuple(int(b) for b in args.response if b in "01")
+        bits = tuple(int(b) for b in args.response)
         table = fdt.attach_response(table, fdt.ResponseVector(bits))
     if cfg.fmt == "json":
         _emit(args, fdt.dumps_table(table))
@@ -268,7 +279,7 @@ def cmd_run(args, cfg: RunConfig) -> int:
     else:
         raise RtgError("run needs --mutant or --fault")
     suite = _suite_for(golden, cfg, args.suite)
-    stimuli = _stimuli_for(golden, [(t.label, t.path) for t in suite.terms], args.stimuli)
+    stimuli = _stimuli_for(golden, suite, args.stimuli)
     v = simulator.run_suite(golden, mutant, suite, stimuli,
                             tolerance=cfg.tolerance, permissive=cfg.permissive)
     if args.table_out:
@@ -377,7 +388,7 @@ def cmd_all(args, cfg: RunConfig) -> int:
         return EXIT_OK
     mutant = simulator.inject_fault(g, fault)
     report.append(f"injected fault {fault}")
-    stimuli = _stimuli_for(g, [(t.label, t.path) for t in suite.terms], args.stimuli)
+    stimuli = _stimuli_for(g, suite, args.stimuli)
     v = simulator.run_suite(g, mutant, suite, stimuli,
                             tolerance=cfg.tolerance, permissive=cfg.permissive)
     table = fdt.attach_response(table, v)
@@ -500,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, _config(args))
     except (RtgError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"rtgdiag {args.command}: {e}\n")
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":  # pragma: no cover

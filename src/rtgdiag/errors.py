@@ -51,6 +51,10 @@ class Uncoverable(RtgError):
         super().__init__(f"element {element} is covered by no candidate")
 
 
+class UsageError(RtgError):
+    """A command-line flag or environment setting is malformed."""
+
+
 class LengthMismatch(RtgError):
     """A response vector's length differs from the table's row count."""
 
@@ -61,6 +65,10 @@ class ExecutionError(RtgError):
 
 class DivisionByZero(ExecutionError):
     """Division by zero during statement or expression evaluation."""
+
+
+class NonFiniteValue(ExecutionError):
+    """An operation outside its domain received an infinite or NaN operand."""
 
 
 class UnboundVariable(ExecutionError):

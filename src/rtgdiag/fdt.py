@@ -18,7 +18,7 @@ from .rtg import RTGraph, StatementId
 from .testsynth import Path, TestSuite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseVector:
     bits: tuple[int, ...]
 
@@ -29,7 +29,7 @@ class ResponseVector:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     label: str
     path: str
@@ -37,7 +37,7 @@ class TableRow:
     v: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultDetectionTable:
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]

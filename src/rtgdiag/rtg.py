@@ -36,7 +36,7 @@ def natural_key(s: str):
     return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpCode:
     code: int
     name: str
@@ -57,7 +57,7 @@ OP_ALPHABET: dict[int, OpCode] = {
 Operand = Union[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One three-address operation on a rib.
 
@@ -74,7 +74,7 @@ class Statement:
         return tuple(o for o in self.operands if isinstance(o, str))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatementId:
     """Identity of a statement: fragment plus ordinal, displayed by opcode.
 
@@ -96,7 +96,7 @@ class StatementId:
         return (natural_key(self.fragment), self.opcode, self.ordinal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rib:
     """A directed edge carrying a non-empty statement sequence."""
 
@@ -116,13 +116,13 @@ class Rib:
         return tuple(sorted({s.opcode for s in self.statements}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     name: str
     role: str  # "input" | "internal" | "output"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One invariant violation found by validate_graph."""
 

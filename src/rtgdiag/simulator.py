@@ -4,20 +4,23 @@ A response vector is produced by running the same stimuli through a golden
 graph and a mutant graph and comparing the value observed at the output
 node, one bit per test term (1 = the outputs differ beyond tolerance).
 Path execution is guard-oblivious: a term's path is executed as written,
-which also allows paths that the concrete program can never take.
+which also allows paths that the concrete program can never take.  A term's
+selection therefore never changes its output, so each bit is computed once
+per distinct (path, inputs) pair and shared by every term with that pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import frontend
 from .errors import (ArityMismatch, DivisionByZero, ExecutionError, GraphMismatch,
-                     InfeasiblePath, InvalidMutation, MissingStimulus, NoOpMutation,
-                     NoSuchStatement, UnboundVariable)
+                     InfeasiblePath, InvalidMutation, MissingStimulus, NonFiniteValue,
+                     NoOpMutation, NoSuchStatement, UnboundVariable)
 from .fdt import ResponseVector
 from .frontend import Assignment, Guard, Program, SourceMap
 from .intervals import IntervalSet
@@ -31,7 +34,7 @@ class DefaultedVariableWarning(UserWarning):
     """Raised (as a warning) when permissive execution defaults free variables."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stimulus:
     """Input bindings for one execution."""
 
@@ -39,7 +42,7 @@ class Stimulus:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationTrace:
     """Values observed at each monitoring point along one execution."""
 
@@ -57,7 +60,7 @@ class ObservationTrace:
         return dict(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultSpec:
     """A single-statement mutation: opcode substitution of equal arity, or
     perturbation of one constant operand."""
@@ -74,6 +77,14 @@ class FaultSpec:
         return f"{self.fragment}:{self.ordinal}:const={self.constant}"
 
 
+def _sin(x: float, where: str) -> float:
+    # math.sin raises a bare ValueError on inf and passes NaN through; both
+    # mean an earlier overflow, reported as a typed failure instead.
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"sin of non-finite value {x} in {where}")
+    return math.sin(x)
+
+
 def _apply_op(opcode: int, values: Sequence[float], where: str) -> float:
     if opcode == 1:
         return values[0] + values[1]
@@ -86,7 +97,7 @@ def _apply_op(opcode: int, values: Sequence[float], where: str) -> float:
             raise DivisionByZero(f"division by zero in {where}")
         return values[0] / values[1]
     if opcode == 5:
-        return math.sin(values[0])
+        return _sin(values[0], where)
     raise ExecutionError(f"unknown opcode {opcode} in {where}")
 
 
@@ -102,7 +113,7 @@ def _eval_expr(e: frontend.Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, frontend.Neg):
         return -_eval_expr(e.operand, env)
     if isinstance(e, frontend.Sin):
-        return math.sin(_eval_expr(e.operand, env))
+        return _sin(_eval_expr(e.operand, env), f"line {e.line}")
     if isinstance(e, frontend.BinOp):
         a = _eval_expr(e.lhs, env)
         b = _eval_expr(e.rhs, env)
@@ -304,29 +315,41 @@ def _differs(gv: float, mv: float, tolerance: float) -> bool:
 def _run_items(golden: RTGraph, mutant: RTGraph, items: Sequence[tuple[str, Path]],
                stimuli: Mapping[str, Stimulus], tolerance: float,
                permissive: bool) -> ResponseVector:
+    """One bit per item; golden and mutant run once per distinct (path,
+    inputs) pair, and later items with the same pair reuse its bit."""
     _check_topology(golden, mutant)
     mutant_rib = {r.key: r for r in mutant.ribs}
+    seen: dict[tuple, int] = {}
     bits = []
     for label, path in items:
         stim = stimuli.get(label)
         if stim is None:
             raise MissingStimulus(f"no stimulus for {label}")
-        mpath = Path(label=path.label,
-                     edges=tuple(mutant_rib[r.key] for r in path.edges))
-        try:
-            gv = execute_path(golden, path, stim, permissive).output
-            mv = execute_path(mutant, mpath, stim, permissive).output
-        except ExecutionError as e:
-            e.args = (f"term {label}: {e}",)
-            raise
-        bits.append(1 if _differs(gv, mv, tolerance) else 0)
+        keys = tuple(r.key for r in path.edges)
+        pair = (keys, tuple(sorted(stim.env.items())))
+        bit = seen.get(pair)
+        if bit is None:
+            mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
+            try:
+                gv = execute_path(golden, path, stim, permissive).output
+                mv = execute_path(mutant, mpath, stim, permissive).output
+            except ExecutionError as e:
+                e.args = (f"term {label}: {e}",)
+                raise
+            bit = seen[pair] = 1 if _differs(gv, mv, tolerance) else 0
+        bits.append(bit)
     return ResponseVector(tuple(bits))
 
 
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
               stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
               permissive: bool = False) -> ResponseVector:
-    """Golden-versus-mutant comparison at the output node, one bit per term."""
+    """Golden-versus-mutant comparison at the output node, one bit per term.
+
+    The bit is computed once per distinct (path, inputs) pair: terms of one
+    path that share a stimulus share the path's bit, while terms given
+    different inputs are run separately.
+    """
     return _run_items(golden, mutant, [(t.label, t.path) for t in suite.terms],
                       stimuli, tolerance, permissive)
 
@@ -368,9 +391,20 @@ def pick_stimulus(g: RTGraph, p: Path,
     return Stimulus(env=env, label=p.label)
 
 
+def _per_path(suite: TestSuite, pick: Callable[[Path], Stimulus]) -> dict[str, Stimulus]:
+    # A term's stimulus depends only on its path: pick once per run of
+    # consecutive terms on one path and share the object across them.
+    out: dict[str, Stimulus] = {}
+    for path, terms in itertools.groupby(suite.terms, key=lambda t: t.path):
+        stim = pick(path)
+        for t in terms:
+            out[t.label] = stim
+    return out
+
+
 def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:
     """Guard-oblivious stimuli for every term: input 1.0, free variables 0.0."""
-    return {t.label: pick_stimulus(g, t.path) for t in suite.terms}
+    return _per_path(suite, lambda p: pick_stimulus(g, p))
 
 
 def default_path_stimuli(g: RTGraph, paths: Sequence[Path]) -> dict[str, Stimulus]:
@@ -379,8 +413,7 @@ def default_path_stimuli(g: RTGraph, paths: Sequence[Path]) -> dict[str, Stimulu
 
 def guard_aware_stimuli(g: RTGraph, suite: TestSuite, smap: SourceMap) -> dict[str, Stimulus]:
     """Stimuli satisfying each term's path constraints where those are known."""
-    return {t.label: pick_stimulus(g, t.path, smap.path_constraints(t.path.fragments))
-            for t in suite.terms}
+    return _per_path(suite, lambda p: pick_stimulus(g, p, smap.path_constraints(p.fragments)))
 
 
 def supported_assignments(p: Program) -> list[Assignment]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PathExplosion, TermExplosion, Uncoverable
@@ -23,7 +23,7 @@ DEFAULT_TERM_CAP = 10 ** 6
 DEFAULT_EXACT_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A simple input-to-output path, labelled by its monitor sequence
     (internal nodes contribute their digits: X -> R1 -> R4 -> Y is X14Y)."""
@@ -40,7 +40,7 @@ class Path:
         return tuple(r.fragment for r in self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivationFormula:
     """Per-rib brackets for one path.
 
@@ -61,7 +61,7 @@ class ActivationFormula:
         return "[" + "".join(parts) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestTerm:
     """One statement selection per rib along a path."""
 
@@ -80,7 +80,7 @@ class TestTerm:
         return frozenset(self.selection)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestSuite:
     __test__ = False  # pytest: not a test class
 
@@ -175,17 +175,17 @@ def _finalize_labels(terms: list[TestTerm]) -> list[TestTerm]:
     # Terms on paths with three or more ribs always carry an occurrence
     # subscript (rows from overlapping long paths stay distinct at a glance);
     # short-path terms are subscripted only when their opcode string collides.
-    counts = Counter(t.base_label for t in terms)
+    bases = [t.base_label for t in terms]
+    counts = Counter(bases)
     occurrence: Counter = Counter()
     out = []
-    for t in terms:
-        base = t.base_label
+    for t, base in zip(terms, bases):
         occurrence[base] += 1
         if counts[base] > 1 or len(t.path.edges) >= 3:
             label = base + subscript(occurrence[base])
         else:
             label = base
-        out.append(replace(t, label=label))
+        out.append(TestTerm(path=t.path, selection=t.selection, label=label))
     return out
 
 
@@ -196,7 +196,7 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
         paths = enumerate_paths(g)
     terms: list[TestTerm] = []
     for p in paths:
-        terms.extend(expand_terms(activation_formula(g, p), existing=terms, term_cap=term_cap))
+        terms.extend(expand_terms(activation_formula(g, p), term_cap=term_cap))
     return TestSuite(terms=tuple(_finalize_labels(terms)), origin="complete")
 
 

@@ -123,6 +123,24 @@ def random_dag_model(rng: Random, max_internal: int = 3, max_fragments: int = 6,
     return RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))
 
 
+def ladder_model(k: int) -> RTGraph:
+    """A k-stage ladder X -> R1 -> ... -> Y: two parallel ribs of two
+    statements per stage, so 2^k paths and 4^k complete-test terms."""
+    names = ["X"] + [f"R{i}" for i in range(1, k)] + ["Y"]
+    nodes = [Node("X", "input")]
+    nodes += [Node(n, "internal") for n in names[1:-1]]
+    nodes.append(Node("Y", "output"))
+    ribs = []
+    for i in range(1, k + 1):
+        inflow = "x" if i == 1 else "acc"
+        src, dst = names[i - 1], names[i]
+        ribs.append(make_rib(f"I{2 * i - 1}", src, dst,
+                             [(1, "t1", (inflow, i + 0.5)), (2, "acc", ("t1", 2.0))]))
+        ribs.append(make_rib(f"I{2 * i}", src, dst,
+                             [(2, "t1", (inflow, i + 1.5)), (4, "acc", ("t1", 4.0))]))
+    return RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))
+
+
 def random_mutation(rng: Random, g: RTGraph) -> FaultSpec | None:
     """A single-statement mutation: opcode swap within {1,3} or {2,4}, or a
     constant perturbation.  None when the graph offers no mutable statement."""

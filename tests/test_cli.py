@@ -202,3 +202,49 @@ def test_caps_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "terms", "--graph", FIG1)
     assert code == 3
     assert "terms" in err
+
+
+def test_malformed_caps_are_usage_errors(capsys, monkeypatch):
+    for caps in ("paths=abc", "terms=-3", "path=5"):
+        monkeypatch.setenv("RTGDIAG_CAPS", caps)
+        code, out, err = run_cli(capsys, "paths", "--graph", FIG1)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("rtgdiag paths: RTGDIAG_CAPS: ")
+        assert err.count("\n") == 1
+
+
+def test_non_binary_response_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "fdt", "--graph", FIG1, "--kind", "generalized",
+                             "--response", "01x1")
+    assert code == 2
+    assert out == ""
+    assert err == "rtgdiag fdt: --response needs a string of 0s and 1s, got '01x1'\n"
+
+
+def test_sin_overflow_exits_3(capsys, tmp_path):
+    rib = {"fragment": "I1", "src": "X", "dst": "Y", "statements": [
+        {"ordinal": 1, "opcode": 2, "target": "t1",
+         "operands": [{"var": "x"}, {"const": 1e300}]},
+        {"ordinal": 2, "opcode": 2, "target": "t2",
+         "operands": [{"var": "t1"}, {"const": 1e300}]},
+        {"ordinal": 3, "opcode": 5, "target": "acc", "operands": [{"var": "t2"}]}]}
+    graph = tmp_path / "overflow.rtg.json"
+    graph.write_text(json.dumps({"nodes": [{"name": "X", "role": "input"},
+                                           {"name": "Y", "role": "output"}],
+                                 "ribs": [rib]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "all", "--graph", str(graph), "--fault", "I1:1:const=2")
+    assert code == 3
+    assert err.startswith("rtgdiag all: term ")
+    assert "sin of non-finite value inf in fragment I1 statement 3" in err
+    assert err.count("\n") == 1
+
+
+def test_malformed_stimuli_file_exits_3(capsys, tmp_path):
+    spath = tmp_path / "stim.json"
+    for doc in ([1, 2], {"21₁": 3.0}, {"21₁": {"x": "abc"}}):
+        spath.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--graph", FIG1, "--fault", "I5:3:op=3",
+                               "--stimuli", str(spath))
+        assert code == 3
+        assert err.startswith("rtgdiag run: ") and err.count("\n") == 1

@@ -4,10 +4,11 @@ from random import Random
 import pytest
 
 from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
-                     InvalidMutation, NoOpMutation, NoSuchStatement, Stimulus,
-                     UnboundVariable, build_complete_test, build_rtg, default_stimuli,
-                     enumerate_paths, execute_path, execute_program, inject_fault,
-                     parse_program, pick_stimulus, run_paths, run_suite)
+                     InvalidMutation, Node, NonFiniteValue, NoOpMutation, NoSuchStatement,
+                     RTGraph, Stimulus, UnboundVariable, build_complete_test, build_rtg,
+                     default_stimuli, enumerate_paths, execute_path, execute_program,
+                     inject_fault, make_rib, parse_program, pick_stimulus, run_paths,
+                     run_suite)
 from rtgdiag.intervals import IntervalSet
 from rtgdiag.simulator import DefaultedVariableWarning, guard_aware_stimuli
 from rtgdiag.testsynth import TestSuite
@@ -237,3 +238,29 @@ def test_guard_aware_stimuli_on_feasible_suite(source):
         for regions in smap.path_constraints(term.path.fragments):
             for var, region in regions.items():
                 assert region.contains(env[var])
+
+
+def _overflow_then_sin(last):
+    # x * 1e300 * 1e300 overflows to inf; *last* builds sin's operand from it
+    rib = make_rib("I1", "X", "Y", [(2, "t1", ("x", 1e300)), (2, "t2", ("t1", 1e300)),
+                                    last, (5, "acc", ("t3",))])
+    return RTGraph(nodes=(Node("X", "input"), Node("Y", "output")), ribs=(rib,))
+
+
+@pytest.mark.parametrize("last", [(1, "t3", ("t2", 1.0)), (3, "t3", ("t2", "t2"))],
+                         ids=["inf", "nan"])
+def test_sin_of_non_finite_value_is_typed(last):
+    graph = _overflow_then_sin(last)
+    path = enumerate_paths(graph)[0]
+    with pytest.raises(NonFiniteValue, match="fragment I1 statement 4"):
+        execute_path(graph, path, Stimulus(env={"x": 10.0}))
+    suite = build_complete_test(graph)
+    mutant = inject_fault(graph, FaultSpec(fragment="I1", ordinal=1, constant=2e300))
+    with pytest.raises(NonFiniteValue, match="term "):
+        run_suite(graph, mutant, suite, default_stimuli(graph, suite))
+
+
+def test_program_sin_of_non_finite_value_is_typed():
+    program = parse_program("input x; f = sin(x * x); output f;")
+    with pytest.raises(NonFiniteValue, match="line 1"):
+        execute_program(program, Stimulus(env={"x": 1e300}))
