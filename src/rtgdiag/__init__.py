@@ -15,8 +15,8 @@ from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDia
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
                      LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
                      NonFiniteValue, NoOpMutation, NoSuchStatement, ParseError,
-                     PathExplosion, RtgError, TermExplosion, UnboundVariable, Uncoverable,
-                     UndefinedVariable, UnsupportedOperation, UsageError)
+                     PathExplosion, RtgError, SchemaError, TermExplosion, UnboundVariable,
+                     Uncoverable, UndefinedVariable, UnsupportedOperation, UsageError)
 from .fdt import (FaultDetectionTable, ResponseVector, TableRow, attach_response,
                   build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
                   render_table, table_from_json, table_to_json)

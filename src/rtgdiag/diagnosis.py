@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures
+from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, RtgError
 from .fdt import FaultDetectionTable
 from .rtg import RTGraph, StatementId, natural_key
 from .testsynth import Path
@@ -279,9 +279,9 @@ def recommend_observation_points(g: RTGraph, target: int,
     result = sorted(((f, c) for f, cc in cuts.items() for c in cc),
                     key=lambda fc: (natural_key(fc[0]), fc[1]))
     if exact:
-        if sum(len(g.statements_of(f)) for f in g.fragments) <= 12:
-            assert verify_minimal_insertions(g, target, len(result), paths), \
-                "greedy insertion set is not minimal"
+        if (sum(len(g.statements_of(f)) for f in g.fragments) <= 12
+                and not verify_minimal_insertions(g, target, len(result), paths)):
+            raise RtgError("greedy insertion set is not minimal")
     return result
 
 

@@ -51,6 +51,10 @@ class Uncoverable(RtgError):
         super().__init__(f"element {element} is covered by no candidate")
 
 
+class SchemaError(RtgError):
+    """A graph or table JSON document lacks a key or names an unknown label."""
+
+
 class UsageError(RtgError):
     """A command-line flag or environment setting is malformed."""
 

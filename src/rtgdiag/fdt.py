@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, SchemaError
 from .rtg import RTGraph, StatementId
 from .testsynth import Path, TestSuite
 
@@ -82,6 +82,10 @@ def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetec
 # --- rendering ---------------------------------------------------------------
 
 def table_to_json(t: FaultDetectionTable) -> dict:
+    rank: dict[str, int] = {}
+    for i, c in enumerate(t.columns):
+        rank.setdefault(c.label, i)
+    unknown = len(t.columns)
     return {
         "kind": t.kind,
         "columns": [
@@ -90,30 +94,31 @@ def table_to_json(t: FaultDetectionTable) -> dict:
         ],
         "rows": [
             {"label": r.label, "path": r.path,
-             "marks": sorted((m.label for m in r.marks), key=lambda l: _col_rank(t, l)),
+             "marks": sorted((m.label for m in r.marks), key=lambda l: rank.get(l, unknown)),
              "v": r.v}
             for r in t.rows
         ],
     }
 
 
-def _col_rank(t: FaultDetectionTable, label: str) -> int:
-    for i, c in enumerate(t.columns):
-        if c.label == label:
-            return i
-    return len(t.columns)
-
-
 def table_from_json(doc: dict) -> FaultDetectionTable:
-    columns = tuple(StatementId(c["fragment"], c["opcode"], c["ordinal"], c["label"])
-                    for c in doc["columns"])
-    by_label = {c.label: c for c in columns}
-    rows = tuple(
-        TableRow(label=r["label"], path=r["path"],
-                 marks=frozenset(by_label[m] for m in r["marks"]), v=r["v"])
-        for r in doc["rows"]
-    )
-    return FaultDetectionTable(kind=doc["kind"], columns=columns, rows=rows)
+    """Inverse of table_to_json; raises SchemaError naming a missing key or
+    a mark label that names no column."""
+    try:
+        columns = tuple(StatementId(c["fragment"], c["opcode"], c["ordinal"], c["label"])
+                        for c in doc["columns"])
+        by_label = {c.label: c for c in columns}
+        rows = []
+        for r in doc["rows"]:
+            unknown = [m for m in r["marks"] if m not in by_label]
+            if unknown:
+                raise SchemaError(f"table JSON: row {r['label']!r} marks {unknown[0]!r}, "
+                                  "which names no column")
+            rows.append(TableRow(label=r["label"], path=r["path"],
+                                 marks=frozenset(by_label[m] for m in r["marks"]), v=r["v"]))
+        return FaultDetectionTable(kind=doc["kind"], columns=columns, rows=tuple(rows))
+    except KeyError as e:
+        raise SchemaError(f"table JSON: missing key {e.args[0]!r}") from None
 
 
 def dumps_table(t: FaultDetectionTable) -> str:

@@ -16,14 +16,14 @@ Constant subexpressions are folded at parse time unless folding is disabled
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import ParseError, UndefinedVariable, UnsupportedOperation
 from .intervals import IntervalSet
-from .rtg import Node, Rib, RTGraph, Statement, make_statements, merge_equivalent_ribs
+from .rtg import (Node, Rib, RTGraph, Statement, finite_sin, make_statements,
+                  merge_equivalent_ribs)
 
 PI_VALUE = 3.14159
 
@@ -308,7 +308,8 @@ class _Parser:
             inner = self.expression()
             self.eat("RPAREN")
             if self.fold and isinstance(inner, Num):
-                return Num(math.sin(inner.value), tok.line, tok.col)
+                return Num(finite_sin(inner.value, f"line {tok.line}, column {tok.col}"),
+                           tok.line, tok.col)
             return Sin(inner, tok.line, tok.col)
         if tok.kind == "ID":
             self.pos += 1
@@ -534,7 +535,7 @@ def _const_eval(e: Expr) -> float | None:
         return None if v is None else -v
     if isinstance(e, Sin):
         v = _const_eval(e.operand)
-        return None if v is None else math.sin(v)
+        return None if v is None else finite_sin(v, f"line {e.line}, column {e.col}")
     if isinstance(e, BinOp):
         a, b = _const_eval(e.lhs), _const_eval(e.rhs)
         if a is None or b is None:

@@ -13,12 +13,13 @@ Everything here is an immutable value; operations return new graphs.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Union
 
-from .errors import MergeConflict
+from .errors import MergeConflict, NonFiniteValue, SchemaError
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -52,6 +53,17 @@ OP_ALPHABET: dict[int, OpCode] = {
     4: OpCode(4, "div", 2),
     5: OpCode(5, "sin", 1),
 }
+
+def finite_sin(x: float, where: str) -> float:
+    """Opcode 5 on one value, wherever it is evaluated or constant-folded.
+
+    math.sin raises a bare ValueError on inf and passes NaN through; both
+    mean an earlier overflow, reported as NonFiniteValue naming *where*.
+    """
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"sin of non-finite value {x} in {where}")
+    return math.sin(x)
+
 
 #: An operand is a variable name or a numeric constant.
 Operand = Union[str, float]
@@ -182,9 +194,16 @@ class RTGraph:
     def output_node(self) -> str:
         return self.output_nodes[0]
 
+    @cached_property
+    def _out_index(self) -> dict[str, tuple[Rib, ...]]:
+        by_src: dict[str, list[Rib]] = {}
+        for r in sorted(self.ribs, key=lambda r: (natural_key(r.fragment), natural_key(r.dst))):
+            by_src.setdefault(r.src, []).append(r)
+        return {src: tuple(ribs) for src, ribs in by_src.items()}
+
     def out_ribs(self, node: str) -> tuple[Rib, ...]:
-        return tuple(sorted((r for r in self.ribs if r.src == node),
-                            key=lambda r: (natural_key(r.fragment), natural_key(r.dst))))
+        """Ribs leaving *node*, ordered naturally by fragment then destination."""
+        return self._out_index.get(node, ())
 
     @cached_property
     def fragments(self) -> tuple[str, ...]:
@@ -344,13 +363,15 @@ def validate_graph(g: RTGraph) -> list[Violation]:
 
 
 def _reachable(g: RTGraph, start: str, forward: bool) -> set[str]:
+    step: dict[str, list[str]] = {}
+    for r in g.ribs:
+        a, b = (r.src, r.dst) if forward else (r.dst, r.src)
+        step.setdefault(a, []).append(b)
     seen = {start}
     frontier = [start]
     while frontier:
-        n = frontier.pop()
-        for r in g.ribs:
-            nxt = r.dst if forward and r.src == n else (r.src if not forward and r.dst == n else None)
-            if nxt is not None and nxt not in seen:
+        for nxt in step.get(frontier.pop(), ()):
+            if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
@@ -370,10 +391,14 @@ def merge_equivalent_ribs(g: RTGraph, source_keys: Mapping[str, object] | None =
     naturally smallest member id.  Raises MergeConflict when ribs already
     share a fragment id but differ in statements.
     """
+    first: dict[str, Rib] = {}
+    conflicting: set[str] = set()
     for r in g.ribs:
-        for other in g.ribs:
-            if r.fragment == other.fragment and r.statements != other.statements:
-                raise MergeConflict(f"ribs sharing fragment {r.fragment} differ in statements")
+        if first.setdefault(r.fragment, r).statements != r.statements:
+            conflicting.add(r.fragment)
+    if conflicting:
+        fragment = next(f for f in first if f in conflicting)
+        raise MergeConflict(f"ribs sharing fragment {fragment} differ in statements")
 
     groups: dict[tuple, list[Rib]] = {}
     for r in g.ribs:
@@ -454,24 +479,28 @@ def graph_to_json(g: RTGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> RTGraph:
-    nodes = tuple(Node(d["name"], d["role"]) for d in doc["nodes"])
-    ribs = tuple(
-        Rib(
-            fragment=d["fragment"],
-            src=d["src"],
-            dst=d["dst"],
-            statements=tuple(
-                Statement(
-                    ordinal=s["ordinal"],
-                    opcode=s["opcode"],
-                    target=s["target"],
-                    operands=tuple(_operand_from_json(o) for o in s["operands"]),
-                )
-                for s in d["statements"]
-            ),
+    """Inverse of graph_to_json; raises SchemaError naming a missing key."""
+    try:
+        nodes = tuple(Node(d["name"], d["role"]) for d in doc["nodes"])
+        ribs = tuple(
+            Rib(
+                fragment=d["fragment"],
+                src=d["src"],
+                dst=d["dst"],
+                statements=tuple(
+                    Statement(
+                        ordinal=s["ordinal"],
+                        opcode=s["opcode"],
+                        target=s["target"],
+                        operands=tuple(_operand_from_json(o) for o in s["operands"]),
+                    )
+                    for s in d["statements"]
+                ),
+            )
+            for d in doc["ribs"]
         )
-        for d in doc["ribs"]
-    )
+    except KeyError as e:
+        raise SchemaError(f"graph JSON: missing key {e.args[0]!r}") from None
     return RTGraph(nodes=nodes, ribs=ribs)
 
 

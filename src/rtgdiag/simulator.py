@@ -19,12 +19,12 @@ from typing import Callable, Mapping, Sequence
 
 from . import frontend
 from .errors import (ArityMismatch, DivisionByZero, ExecutionError, GraphMismatch,
-                     InfeasiblePath, InvalidMutation, MissingStimulus, NonFiniteValue,
-                     NoOpMutation, NoSuchStatement, UnboundVariable)
+                     InfeasiblePath, InvalidMutation, MissingStimulus, NoOpMutation,
+                     NoSuchStatement, UnboundVariable)
 from .fdt import ResponseVector
 from .frontend import Assignment, Guard, Program, SourceMap
 from .intervals import IntervalSet
-from .rtg import OP_ALPHABET, RTGraph
+from .rtg import OP_ALPHABET, RTGraph, finite_sin
 from .testsynth import Path, TestSuite
 
 DEFAULT_TOLERANCE = 1e-9
@@ -77,14 +77,6 @@ class FaultSpec:
         return f"{self.fragment}:{self.ordinal}:const={self.constant}"
 
 
-def _sin(x: float, where: str) -> float:
-    # math.sin raises a bare ValueError on inf and passes NaN through; both
-    # mean an earlier overflow, reported as a typed failure instead.
-    if not math.isfinite(x):
-        raise NonFiniteValue(f"sin of non-finite value {x} in {where}")
-    return math.sin(x)
-
-
 def _apply_op(opcode: int, values: Sequence[float], where: str) -> float:
     if opcode == 1:
         return values[0] + values[1]
@@ -97,7 +89,7 @@ def _apply_op(opcode: int, values: Sequence[float], where: str) -> float:
             raise DivisionByZero(f"division by zero in {where}")
         return values[0] / values[1]
     if opcode == 5:
-        return _sin(values[0], where)
+        return finite_sin(values[0], where)
     raise ExecutionError(f"unknown opcode {opcode} in {where}")
 
 
@@ -113,7 +105,7 @@ def _eval_expr(e: frontend.Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, frontend.Neg):
         return -_eval_expr(e.operand, env)
     if isinstance(e, frontend.Sin):
-        return _sin(_eval_expr(e.operand, env), f"line {e.line}")
+        return finite_sin(_eval_expr(e.operand, env), f"line {e.line}")
     if isinstance(e, frontend.BinOp):
         a = _eval_expr(e.lhs, env)
         b = _eval_expr(e.rhs, env)

@@ -10,6 +10,7 @@ at least one term.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -94,9 +95,8 @@ class TestSuite:
         return {t.label: t for t in self.terms}
 
 
-def _node_short(g: RTGraph, name: str) -> str:
-    node = g.node_by_name[name]
-    if node.role != "internal":
+def _node_short(name: str, role: str) -> str:
+    if role != "internal":
         return name
     digits = "".join(ch for ch in name if ch.isdigit())
     return digits if digits else name
@@ -124,12 +124,11 @@ def enumerate_paths(g: RTGraph, path_cap: int = DEFAULT_PATH_CAP) -> list[Path]:
             visited.remove(rib.dst)
 
     walk(start, {start}, [])
-    found.sort(key=lambda edges: tuple(natural_key(r.fragment) for r in edges))
+    frag_key = {r.fragment: natural_key(r.fragment) for r in g.ribs}
+    found.sort(key=lambda edges: tuple(frag_key[r.fragment] for r in edges))
 
-    labels = []
-    for edges in found:
-        nodes = (edges[0].src,) + tuple(r.dst for r in edges)
-        labels.append("".join(_node_short(g, n) for n in nodes))
+    short = {n.name: _node_short(n.name, n.role) for n in g.nodes}
+    labels = [short[edges[0].src] + "".join(short[r.dst] for r in edges) for edges in found]
     counts = Counter(labels)
     occurrence: Counter = Counter()
     paths = []
@@ -203,18 +202,32 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
 # --- covering problems -------------------------------------------------------
 
 def _greedy_cover(universe: frozenset, candidates: list[tuple[str, frozenset]]) -> list[str]:
+    """Repeatedly take the candidate covering the most uncovered elements;
+    ties go to the naturally smallest label, then to the earlier candidate.
+
+    A lazy max-gain heap keyed (-gain, rank): gains only shrink as coverage
+    grows, so an entry whose refreshed key still beats the heap top is the
+    exact minimum over all remaining candidates.
+    """
+    by_label = dict(candidates)
+    labels = sorted(by_label, key=natural_key)
+    heap = [(-len(by_label[label]), rank) for rank, label in enumerate(labels)]
+    heapq.heapify(heap)
     chosen: list[str] = []
     covered: set = set()
-    remaining = dict(candidates)
     while covered != universe:
-        label, items = min(remaining.items(),
-                           key=lambda kv: (-len(kv[1] - covered), natural_key(kv[0])))
-        if not items - covered:
+        gain = 0
+        while heap:
+            _, rank = heapq.heappop(heap)
+            gain = len(by_label[labels[rank]] - covered)
+            if not heap or (-gain, rank) <= heap[0]:
+                break
+            heapq.heappush(heap, (-gain, rank))
+        if not gain:
             missing = sorted(universe - covered, key=str)[0]
             raise Uncoverable(missing)
-        chosen.append(label)
-        covered |= items
-        del remaining[label]
+        chosen.append(labels[rank])
+        covered |= by_label[labels[rank]]
     return chosen
 
 

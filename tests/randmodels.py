@@ -164,3 +164,30 @@ def random_mutation(rng: Random, g: RTGraph) -> FaultSpec | None:
     delta = rng.choice((1.0, 2.0, 0.75))
     return FaultSpec(fragment=fragment, ordinal=s.ordinal,
                      constant=float(s.operands[idx]) + delta, operand_index=idx)
+
+
+def if_chain_program(shape: tuple[int, ...] = (5, 5, 5, 5), seed: int = 0) -> str:
+    """``.swl`` source of consecutive if-chains guarded on x, chain c having
+    ``shape[c]`` arms of one to three statements, then ``F = a<last> * 2``.
+
+    Lowered, every arm is a fragment and the paths are the product of the
+    arm counts (625 for the default shape).
+    """
+    rng = Random(seed)
+    lines = ["input x;"]
+    for c, arms in enumerate(shape, start=1):
+        inflow = "x" if c == 1 else f"a{c - 1}"
+        cuts = [i * 10 // arms for i in range(1, arms)]
+        for a in range(arms):
+            expr = inflow
+            for _ in range(rng.randint(1, 3)):
+                expr = f"({expr} {rng.choice('+-*/')} {rng.choice(_CONSTANTS)})"
+            body = f"{{ a{c} = {expr}; }}"
+            if a == 0:
+                lines.append(f"if (x < {cuts[0]}) {body}")
+            elif a == arms - 1:
+                lines.append(f"else {body}")
+            else:
+                lines.append(f"else if (x >= {cuts[a - 1]} && x < {cuts[a]}) {body}")
+    lines += [f"F = a{len(shape)} * 2;", "output F;", ""]
+    return "\n".join(lines)

@@ -248,3 +248,47 @@ def test_malformed_stimuli_file_exits_3(capsys, tmp_path):
                                "--stimuli", str(spath))
         assert code == 3
         assert err.startswith("rtgdiag run: ") and err.count("\n") == 1
+
+
+def test_graph_without_ribs_exits_3(capsys, tmp_path):
+    graph = tmp_path / "noribs.rtg.json"
+    graph.write_text(json.dumps({"nodes": [{"name": "X", "role": "input"}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "paths", "--graph", str(graph))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag paths: graph JSON: missing key 'ribs'\n"
+
+
+def _fig1_table(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    code, _, _ = run_cli(capsys, "fdt", "--graph", FIG1, "--response", "0001110000",
+                         "--format", "json", "--out", str(table))
+    assert code == 0
+    return table, json.loads(table.read_text(encoding="utf-8"))
+
+
+def test_table_row_without_v_exits_3(capsys, tmp_path):
+    table, doc = _fig1_table(capsys, tmp_path)
+    del doc["rows"][4]["v"]
+    table.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag diagnose: table JSON: missing key 'v'\n"
+
+
+def test_table_mark_naming_no_column_exits_3(capsys, tmp_path):
+    table, doc = _fig1_table(capsys, tmp_path)
+    doc["rows"][0]["marks"].append("I99")
+    table.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err == ("rtgdiag diagnose: table JSON: row '111₁' marks 'I99', "
+                   "which names no column\n")
+
+
+def test_folded_sin_overflow_exits_3(capsys, tmp_path):
+    program = tmp_path / "overflow.swl"
+    factors = " * ".join(["99999999999999999999"] * 17)
+    program.write_text(f"input x;\ny = sin({factors}) + x;\noutput y;\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", "--program", str(program))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag graph: sin of non-finite value inf in line 2, column 5\n"

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, ResponseVector,
-                     RTGraph, ambiguity_groups, attach_response, build_cnf,
+                     RtgError, RTGraph, ambiguity_groups, attach_response, build_cnf,
                      build_generalized_fdt, cnf_to_min_dnf, diagnose, diagnose_generalized,
                      enumerate_paths, exoneration_set, make_rib,
                      recommend_observation_points, reduce_candidates,
@@ -190,6 +190,13 @@ def test_recommendation_for_target_one(g, paths):
     # verifier rejects an inflated claim (some 6-point subset does suffice)
     assert verify_minimal_insertions(g, 1, len(inserts), paths)
     assert not verify_minimal_insertions(g, 1, len(inserts) + 1, paths)
+
+
+def test_unverified_minimality_raises(g, paths, monkeypatch):
+    # a raised error, not an assert, so python -O keeps the check
+    monkeypatch.setattr("rtgdiag.diagnosis.verify_minimal_insertions", lambda *a: False)
+    with pytest.raises(RtgError, match="not minimal"):
+        recommend_observation_points(g, 1, paths, exact=True)
 
 
 def test_recommendation_for_loose_target(g, paths):

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from rtgdiag import (ParseError, Stimulus, UndefinedVariable, UnsupportedOperation,
-                     build_rtg, enumerate_paths, execute_path, execute_program,
+from rtgdiag import (NonFiniteValue, ParseError, Stimulus, UndefinedVariable,
+                     UnsupportedOperation, build_rtg, enumerate_paths, execute_path, execute_program,
                      lower_expression, parse_program, validate_graph)
 from rtgdiag.frontend import Assignment, IfChain
 
@@ -197,3 +197,15 @@ def test_source_map_constraints_cover_guarded_fragments(source):
     w_region = smap.constraints["I4"]["x"]
     assert w_region.contains(1.0)
     assert not w_region.contains(3.0)
+
+
+def test_constant_sin_of_overflow_is_typed():
+    # 17 factors of 1e20 overflow to inf before sin folds them
+    factors = " * ".join(["99999999999999999999"] * 17)
+    with pytest.raises(NonFiniteValue, match="in line 2, column 5$"):
+        parse_program(f"input x;\ny = sin({factors}) + x;\noutput y;")
+    # unfolded, the same constant reaches sin when a guard bound is evaluated
+    program = parse_program(f"input x;\nif (x < sin({factors})) {{ y = x + 1; }} "
+                            "else { y = x + 2; }\noutput y;", fold=False)
+    with pytest.raises(NonFiniteValue, match="in line 2, column 9$"):
+        build_rtg(program)

@@ -1,9 +1,12 @@
-"""Byte-level pins of CLI output on both fixtures and on a 3-stage ladder.
+"""Byte-level pins of CLI output on both fixtures, a 3-stage ladder and a
+625-path if-chain program.
 
 Each case runs one or more ``rtgdiag`` commands in order and compares the
 stdout of the last one, and its exit code, with a capture stored under
 ``tests/golden/``.  ``{table}`` in an argument stands for a table file the
-earlier commands of the case write; ``{ladder}`` for the ladder graph.
+earlier commands of the case write; ``{ladder}`` for the ladder graph;
+``{chain625}`` for the 5x5x5x5 if-chain program, whose 625 paths take the
+greedy route of both covers.
 """
 
 import os
@@ -13,7 +16,7 @@ import pytest
 from rtgdiag import dumps_graph
 from rtgdiag.cli import main
 
-from randmodels import ladder_model
+from randmodels import if_chain_program, ladder_model
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -57,12 +60,27 @@ CASES = {
     "ladder3_all.txt": (1, ("all", "--graph", "{ladder}", "--fault", "I3:1:op=3")),
 }
 
+CHAIN625 = ("--program", "{chain625}")
+COVER_AND_TESTABILITY = {
+    "cover_paths": ("cover", "--mode", "paths"),
+    "cover_diagnostic": ("cover", "--mode", "diagnostic"),
+    "testability_1": ("testability", "--target", "1"),
+    "testability_2": ("testability", "--target", "2"),
+}
+for _prefix, _source in (("fig1", FIG1), ("listing31", LISTING31), ("chain625", CHAIN625)):
+    for _stem, _argv in COVER_AND_TESTABILITY.items():
+        CASES[f"{_prefix}_{_stem}.txt"] = (0, (*_argv, *_source))
+        CASES[f"{_prefix}_{_stem}.json"] = (0, (*_argv, *_source, "--format", "json"))
+
 
 def run_case(name, tmp_path, capsys):
     """(exit code, stdout) of the last command of case *name*."""
     ladder = tmp_path / "ladder3.rtg.json"
     ladder.write_text(dumps_graph(ladder_model(3)), encoding="utf-8")
-    slots = {"{table}": str(tmp_path / "table.json"), "{ladder}": str(ladder)}
+    chain625 = tmp_path / "chain625.swl"
+    chain625.write_text(if_chain_program((5, 5, 5, 5)), encoding="utf-8")
+    slots = {"{table}": str(tmp_path / "table.json"), "{ladder}": str(ladder),
+             "{chain625}": str(chain625)}
     capsys.readouterr()
     for argv in CASES[name][1:]:
         code = main([slots.get(a, a) for a in argv])

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 from random import Random
 
@@ -5,8 +6,9 @@ import pytest
 
 from rtgdiag import (Node, PathExplosion, RTGraph, TermExplosion, Uncoverable, activation_formula,
                      build_complete_test, enumerate_paths, expand_terms, make_rib,
-                     minimal_diagnostic_test, minimal_path_cover)
-from rtgdiag.testsynth import TestSuite
+                     minimal_diagnostic_test, minimal_path_cover, validate_graph)
+from rtgdiag.rtg import natural_key, subscript
+from rtgdiag.testsynth import TestSuite, _greedy_cover
 
 from randmodels import brute_min_cover_size, random_dag_model
 
@@ -185,3 +187,139 @@ def test_greedy_forced_by_exact_cap(g, paths):
     for p in chosen:
         covered |= set(p.nodes) | {r.key for r in p.edges}
     assert covered == frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
+
+
+# --- oracles for the indexed routes -------------------------------------------
+
+
+def reference_greedy_cover(universe, candidates):
+    """Plain min-scan greedy: each round rescans every remaining candidate for
+    the most uncovered elements, ties to the naturally smallest label, then
+    to the earlier candidate."""
+    chosen, covered = [], set()
+    remaining = dict(candidates)
+    while covered != universe:
+        best = None
+        if remaining:
+            best = min(remaining.items(),
+                       key=lambda kv: (-len(kv[1] - covered), natural_key(kv[0])))
+        if best is None or not best[1] - covered:
+            raise Uncoverable(sorted(universe - covered, key=str)[0])
+        chosen.append(best[0])
+        covered |= best[1]
+        del remaining[best[0]]
+    return chosen
+
+
+def _cover_outcome(solver, universe, candidates):
+    try:
+        return solver(universe, candidates)
+    except Uncoverable as e:
+        return ("uncoverable", e.element)
+
+
+def test_greedy_cover_matches_min_scan_reference():
+    rng = Random(3107)
+    tallies = {"uncoverable": 0, "key-ties": 0}
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        universe = frozenset(range(n)) | (frozenset({"extra"}) if rng.random() < 0.15
+                                          else frozenset())
+        candidates = []
+        for _ in range(rng.randint(0, 40)):
+            k = rng.randint(0, 12)
+            # I1 and I01 share a natural key; small sets give many equal gains
+            label = rng.choice((f"I{k}", f"I{k:02d}", f"I{k}{subscript(rng.randint(1, 3))}",
+                                f"{k}", f"T{k}x{rng.randint(0, 2)}"))
+            candidates.append((label, frozenset(rng.sample(range(n), rng.randint(0, min(3, n))))))
+        # uncoverable families include ones that use up every candidate first
+        expected = _cover_outcome(reference_greedy_cover, universe, candidates)
+        assert _cover_outcome(_greedy_cover, universe, candidates) == expected
+        tallies["uncoverable"] += isinstance(expected, tuple)
+        keys = [natural_key(label) for label in dict(candidates)]
+        tallies["key-ties"] += len(set(keys)) < len(keys)
+    assert tallies["uncoverable"] > 50 and tallies["key-ties"] > 100
+
+
+def reference_paths(g):
+    """(label, edges) of every simple input-to-output path, by a DFS that
+    filters and sorts the ribs leaving a node at every visit."""
+    found = []
+
+    def walk(node, visited, edges):
+        if node == g.output_node:
+            found.append(tuple(edges))
+            return
+        outs = sorted((r for r in g.ribs if r.src == node),
+                      key=lambda r: (natural_key(r.fragment), natural_key(r.dst)))
+        for r in outs:
+            if r.dst not in visited:
+                walk(r.dst, visited | {r.dst}, edges + [r])
+
+    walk(g.input_node, {g.input_node}, [])
+    found.sort(key=lambda edges: [natural_key(r.fragment) for r in edges])
+    roles = {n.name: n.role for n in g.nodes}
+
+    def short(name):
+        digits = "".join(ch for ch in name if ch.isdigit())
+        return digits if roles[name] == "internal" and digits else name
+
+    labels = ["".join(short(n) for n in [e[0].src] + [r.dst for r in e]) for e in found]
+    out = []
+    for i, (label, edges) in enumerate(zip(labels, found)):
+        if labels.count(label) > 1:
+            label += subscript(labels[:i + 1].count(label))
+        out.append((label, edges))
+    return out
+
+
+def test_enumerate_paths_matches_resorting_dfs_on_random_models():
+    rng = Random(2203)
+    renamed = 0
+    for _ in range(150):
+        g = random_dag_model(rng, max_internal=5, max_fragments=10)
+        if rng.random() < 0.5:
+            # shared and naturally tied fragment ids (I1 vs I01), in shuffled
+            # rib order, make the destination and stable tie-breaks decide
+            pool = ("I1", "I01", "I2", "I10", "I3")
+            ribs = [dataclasses.replace(r, fragment=rng.choice(pool)) for r in g.ribs]
+            rng.shuffle(ribs)
+            g = g.with_ribs(ribs)
+            renamed += 1
+        assert [(p.label, p.edges) for p in enumerate_paths(g)] == reference_paths(g)
+    assert renamed > 50
+
+
+def _fixpoint_reach(g, start, forward):
+    seen = {start}
+    while True:
+        grown = seen | {(r.dst if forward else r.src) for r in g.ribs
+                        if (r.src if forward else r.dst) in seen}
+        if grown == seen:
+            return seen
+        seen = grown
+
+
+def test_validate_graph_reachability_matches_fixpoint():
+    rng = Random(4409)
+    tallies = {"dangling": 0, "unreachable": 0}
+    for _ in range(200):
+        g = random_dag_model(rng, max_internal=5, max_fragments=9)
+        ribs = [r for r in g.ribs if rng.random() < 0.8]
+        # a dead end after X and a node nothing reaches, feeding Y
+        nodes = g.nodes[:-1] + (Node("R8", "internal"), Node("R9", "internal"), g.nodes[-1])
+        ribs.append(make_rib("I20", "X", "R8", [(1, "acc", ("x", 1.0))]))
+        if rng.random() < 0.5:
+            ribs.append(make_rib("I21", "R9", "Y", [(1, "acc", ("x", 1.0))]))
+        g = RTGraph(nodes=nodes, ribs=tuple(ribs))
+        fwd = _fixpoint_reach(g, "X", True)
+        back = _fixpoint_reach(g, "Y", False)
+        violations = validate_graph(g)
+        dangling = [n.name for n in g.nodes
+                    if n.role == "internal" and not (n.name in fwd and n.name in back)]
+        assert [v.subject for v in violations if v.code == "dangling-node"] == dangling
+        assert any(v.code == "output-unreachable" for v in violations) == ("Y" not in fwd)
+        assert {v.code for v in violations} <= {"dangling-node", "output-unreachable"}
+        tallies["dangling"] += len(dangling) > 2
+        tallies["unreachable"] += "Y" not in fwd
+    assert tallies["dangling"] > 20 and tallies["unreachable"] > 5
