@@ -25,9 +25,9 @@ from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementI
                   Violation, dumps_graph, graph_from_json, graph_to_json, loads_graph,
                   make_rib, make_statements, merge_equivalent_ribs, validate_graph)
 from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimulus,
-                        default_path_stimuli, default_stimuli, execute_path,
-                        execute_program, guard_aware_stimuli, inject_fault,
-                        mutation_catalogue, pick_stimulus, run_paths, run_suite)
+                        default_stimuli, execute_path, execute_program,
+                        guard_aware_stimuli, inject_fault, mutation_catalogue,
+                        pick_stimulus, run_paths, run_suite)
 from .testsynth import (ActivationFormula, Path, TestSuite, TestTerm, activation_formula,
                         build_complete_test, enumerate_paths, expand_terms,
                         minimal_diagnostic_test, minimal_path_cover)

@@ -1,9 +1,12 @@
 """Command-line interface wiring the four-stage workflow.
 
 Subcommands: parse, graph, paths, terms, cover, fdt, inject, run, diagnose,
-testability, all.  Text output mirrors the reference table layout; JSON
-output (``--format json``) is the machine interface.  Outputs are
-byte-identical across runs with identical configuration.
+testability, all.  Each invocation builds one Pipeline whose stages (graph,
+paths, complete and diagnostic suites, extended table, response vector V,
+diagnosis) are computed at most once; every subcommand prints a projection
+of it.  Text output mirrors the reference table layout; JSON output
+(``--format json``) is the machine interface.  Outputs are byte-identical
+across runs with identical configuration.
 
 Exit codes: 0 success, 1 diagnosis findings, 2 usage errors, 3 data errors.
 The environment variable RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N")
@@ -17,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import diagnosis, fdt, frontend, rtg, simulator, testsynth
 from .errors import NoFailures, RtgError, UsageError
@@ -31,13 +35,11 @@ EXIT_DATA = 3
 class RunConfig:
     """Resolved knobs for one invocation; defaults are stable."""
 
-    subcommand: str
     fmt: str = "text"
     tolerance: float = simulator.DEFAULT_TOLERANCE
     mode: str = "strong"
     unfolded: bool = False
     permissive: bool = False
-    seed: int = 0
     path_cap: int = testsynth.DEFAULT_PATH_CAP
     term_cap: int = testsynth.DEFAULT_TERM_CAP
     dnf_cap: int = diagnosis.DEFAULT_DNF_CAP
@@ -65,13 +67,11 @@ def _caps_from_env() -> dict[str, int]:
 def _config(args: argparse.Namespace) -> RunConfig:
     caps = _caps_from_env()
     return RunConfig(
-        subcommand=args.command,
         fmt=getattr(args, "format", "text"),
         tolerance=getattr(args, "tolerance", simulator.DEFAULT_TOLERANCE),
         mode=getattr(args, "mode", "strong"),
         unfolded=getattr(args, "unfolded", False),
         permissive=getattr(args, "permissive", False),
-        seed=getattr(args, "seed", 0),
         **caps,
     )
 
@@ -89,22 +89,9 @@ def _json_dump(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _load_program(path: str, unfolded: bool) -> frontend.Program:
+def _read(path: str, load):
     with open(path, encoding="utf-8") as fh:
-        return frontend.parse_program(fh.read(), fold=not unfolded)
-
-
-def _load_graph(args: argparse.Namespace, cfg: RunConfig
-                ) -> tuple[rtg.RTGraph, frontend.SourceMap | None]:
-    graph_path = getattr(args, "graph", None)
-    program_path = getattr(args, "program", None)
-    if graph_path:
-        with open(graph_path, encoding="utf-8") as fh:
-            return rtg.loads_graph(fh.read()), None
-    if program_path:
-        g, smap = frontend.build_rtg(_load_program(program_path, cfg.unfolded))
-        return g, smap
-    raise RtgError("either --graph or --program is required")
+        return load(fh.read())
 
 
 def _validate_or_fail(g: rtg.RTGraph) -> None:
@@ -132,8 +119,7 @@ def _stimuli_for(g: rtg.RTGraph, suite: testsynth.TestSuite,
                  stimuli_path: str | None) -> dict[str, simulator.Stimulus]:
     given: dict[str, dict] = {}
     if stimuli_path:
-        with open(stimuli_path, encoding="utf-8") as fh:
-            given = json.load(fh)
+        given = _read(stimuli_path, json.loads)
     if not isinstance(given, dict) or not all(isinstance(e, dict) for e in given.values()):
         raise RtgError(f"{stimuli_path}: expected {{term label: {{variable: value}}}}")
     out = simulator.default_stimuli(g, suite)
@@ -147,115 +133,180 @@ def _stimuli_for(g: rtg.RTGraph, suite: testsynth.TestSuite,
     return out
 
 
-def _suite_for(g: rtg.RTGraph, cfg: RunConfig, which: str) -> testsynth.TestSuite:
-    paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
-    suite = testsynth.build_complete_test(g, paths, term_cap=cfg.term_cap)
-    if which == "diagnostic":
-        return testsynth.minimal_diagnostic_test(suite, g.statement_ids,
-                                                 exact_cap=cfg.exact_cap)
-    return suite
+class Pipeline:
+    """The stages of one invocation.
+
+    Each stage is computed on first use from the stages before it and kept
+    for the rest of the invocation only.  Stages call the layer functions
+    through their modules, so tracing those modules sees every call.
+    """
+
+    def __init__(self, args: argparse.Namespace, cfg: RunConfig):
+        self.args = args
+        self.cfg = cfg
+
+    @cached_property
+    def program(self) -> frontend.Program:
+        return _read(self.args.program,
+                     lambda text: frontend.parse_program(text, fold=not self.cfg.unfolded))
+
+    @cached_property
+    def graph(self) -> rtg.RTGraph:
+        """The ``--graph`` file, else the lowered ``--program``."""
+        if getattr(self.args, "graph", None):
+            return _read(self.args.graph, rtg.loads_graph)
+        if getattr(self.args, "program", None):
+            return frontend.build_rtg(self.program)[0]
+        raise RtgError("either --graph or --program is required")
+
+    @cached_property
+    def paths(self) -> list[testsynth.Path]:
+        return testsynth.enumerate_paths(self.graph, path_cap=self.cfg.path_cap)
+
+    @cached_property
+    def suite(self) -> testsynth.TestSuite:
+        """The complete test."""
+        return testsynth.build_complete_test(self.graph, self.paths, term_cap=self.cfg.term_cap)
+
+    @cached_property
+    def diagnostic_suite(self) -> testsynth.TestSuite:
+        return testsynth.minimal_diagnostic_test(self.suite, self.graph.statement_ids,
+                                                 exact_cap=self.cfg.exact_cap)
+
+    @cached_property
+    def tests(self) -> testsynth.TestSuite:
+        """The suite that is run: the diagnostic one under ``--suite
+        diagnostic``, the complete test otherwise."""
+        if getattr(self.args, "suite", "complete") == "diagnostic":
+            return self.diagnostic_suite
+        return self.suite
+
+    @cached_property
+    def table(self) -> fdt.FaultDetectionTable:
+        """The extended table of the tests."""
+        return fdt.build_extended_fdt(self.graph, self.tests)
+
+    @cached_property
+    def fault(self) -> simulator.FaultSpec | None:
+        return _parse_fault(self.args.fault) if self.args.fault else None
+
+    @cached_property
+    def mutant(self) -> rtg.RTGraph:
+        if getattr(self.args, "mutant", None):
+            return _read(self.args.mutant, rtg.loads_graph)
+        if self.fault is not None:
+            return simulator.inject_fault(self.graph, self.fault)
+        raise RtgError("run needs --mutant or --fault")
+
+    @cached_property
+    def response(self) -> fdt.ResponseVector:
+        """V: one bit per test, golden against mutant."""
+        return simulator.run_suite(
+            self.graph, self.mutant, self.tests,
+            _stimuli_for(self.graph, self.tests, self.args.stimuli),
+            tolerance=self.cfg.tolerance, permissive=self.cfg.permissive)
+
+    @cached_property
+    def responded(self) -> fdt.FaultDetectionTable:
+        """The ``--table`` file, else the extended table with V bound."""
+        if getattr(self.args, "table", None):
+            return _read(self.args.table, fdt.loads_table)
+        return fdt.attach_response(self.table, self.response)
+
+    @cached_property
+    def verdict(self) -> diagnosis.DiagnosisResult:
+        return diagnosis.diagnose(self.responded, mode=self.cfg.mode)
 
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_parse(args, cfg: RunConfig) -> int:
-    program = _load_program(args.program, cfg.unfolded)
-    chains = sum(1 for item in program.body if isinstance(item, frontend.IfChain))
-    assignments = len(simulator.supported_assignments(program))
+def cmd_parse(pl: Pipeline) -> int:
+    program = pl.program
+    chains = [item for item in program.body if isinstance(item, frontend.IfChain)]
+    assignments = (len(program.body) - len(chains)
+                   + sum(len(arm.body) for chain in chains for arm in chain.arms))
     doc = {"inputs": list(program.inputs), "output": program.output,
-           "if_chains": chains, "assignments": assignments}
-    if cfg.fmt == "json":
-        _emit(args, _json_dump(doc))
+           "if_chains": len(chains), "assignments": assignments}
+    if pl.cfg.fmt == "json":
+        _emit(pl.args, _json_dump(doc))
     else:
-        _emit(args, f"program: inputs={', '.join(program.inputs)} output={program.output} "
-                    f"if-chains={chains} assignments={assignments}\n")
+        _emit(pl.args, f"program: inputs={', '.join(program.inputs)} output={program.output} "
+                       f"if-chains={len(chains)} assignments={assignments}\n")
     return EXIT_OK
 
 
-def cmd_graph(args, cfg: RunConfig) -> int:
-    g, _ = _load_graph(args, cfg)
-    violations = rtg.validate_graph(g)
+def cmd_graph(pl: Pipeline) -> int:
+    violations = rtg.validate_graph(pl.graph)
     if violations:
         sys.stderr.write("\n".join(str(v) for v in violations) + "\n")
         return EXIT_DATA
-    _emit(args, rtg.dumps_graph(g))
+    _emit(pl.args, rtg.dumps_graph(pl.graph))
     return EXIT_OK
 
 
-def cmd_paths(args, cfg: RunConfig) -> int:
-    g, _ = _load_graph(args, cfg)
-    _validate_or_fail(g)
-    paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
-    if cfg.fmt == "json":
+def cmd_paths(pl: Pipeline) -> int:
+    _validate_or_fail(pl.graph)
+    if pl.cfg.fmt == "json":
         doc = [{"label": p.label, "fragments": list(p.fragments), "nodes": list(p.nodes)}
-               for p in paths]
-        _emit(args, _json_dump(doc))
+               for p in pl.paths]
+        _emit(pl.args, _json_dump(doc))
     else:
         lines = [f"{p.label}: " + " ".join(p.fragments) + "   "
-                 + str(testsynth.activation_formula(g, p)) for p in paths]
-        _emit(args, "\n".join(lines) + "\n")
+                 + str(testsynth.activation_formula(pl.graph, p)) for p in pl.paths]
+        _emit(pl.args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_terms(args, cfg: RunConfig) -> int:
-    g, _ = _load_graph(args, cfg)
-    _validate_or_fail(g)
-    suite = _suite_for(g, cfg, "complete")
-    if cfg.fmt == "json":
+def cmd_terms(pl: Pipeline) -> int:
+    _validate_or_fail(pl.graph)
+    if pl.cfg.fmt == "json":
         doc = [{"label": t.label, "path": t.path.label,
-                "marks": [s.label for s in t.selection]} for t in suite.terms]
-        _emit(args, _json_dump(doc))
+                "marks": [s.label for s in t.selection]} for t in pl.suite.terms]
+        _emit(pl.args, _json_dump(doc))
     else:
         lines = [f"{t.label}: " + " ".join(s.label for s in t.selection)
-                 + f"   (path {t.path.label})" for t in suite.terms]
-        _emit(args, "\n".join(lines) + "\n")
+                 + f"   (path {t.path.label})" for t in pl.suite.terms]
+        _emit(pl.args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_cover(args, cfg: RunConfig) -> int:
-    g, _ = _load_graph(args, cfg)
-    _validate_or_fail(g)
-    paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
-    if args.cover_mode == "paths":
-        chosen = testsynth.minimal_path_cover(g, paths, exact_cap=cfg.exact_cap)
+def cmd_cover(pl: Pipeline) -> int:
+    _validate_or_fail(pl.graph)
+    mode = pl.args.cover_mode
+    if mode == "paths":
+        candidates = pl.paths
+        chosen = testsynth.minimal_path_cover(pl.graph, pl.paths, exact_cap=pl.cfg.exact_cap)
         labels = [p.label for p in chosen]
-        exact = len(paths) <= cfg.exact_cap
     else:
-        suite = _suite_for(g, cfg, "complete")
-        minimal = testsynth.minimal_diagnostic_test(suite, g.statement_ids,
-                                                    exact_cap=cfg.exact_cap)
-        labels = list(minimal.labels())
-        exact = len(suite.terms) <= cfg.exact_cap
-    if cfg.fmt == "json":
-        _emit(args, _json_dump({"mode": args.cover_mode, "selected": labels, "exact": exact}))
+        candidates = pl.suite.terms
+        labels = list(pl.diagnostic_suite.labels())
+    if pl.cfg.fmt == "json":
+        exact = testsynth.cover_is_exact(len(candidates), pl.cfg.exact_cap)
+        _emit(pl.args, _json_dump({"mode": mode, "selected": labels, "exact": exact}))
     else:
-        _emit(args, f"minimal {args.cover_mode} cover ({len(labels)}): "
-                    + " ".join(labels) + "\n")
+        _emit(pl.args, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n")
     return EXIT_OK
 
 
-def cmd_fdt(args, cfg: RunConfig) -> int:
+def cmd_fdt(pl: Pipeline) -> int:
+    args = pl.args
     if args.response and args.response.strip("01"):
         raise UsageError(f"--response needs a string of 0s and 1s, got {args.response!r}")
-    g, _ = _load_graph(args, cfg)
-    _validate_or_fail(g)
-    paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
+    _validate_or_fail(pl.graph)
     if args.kind == "generalized":
-        table = fdt.build_generalized_fdt(g, paths)
+        table = fdt.build_generalized_fdt(pl.graph, pl.paths)
     else:
-        table = fdt.build_extended_fdt(g, _suite_for(g, cfg, "complete"))
+        table = pl.table
     if args.response:
         bits = tuple(int(b) for b in args.response)
         table = fdt.attach_response(table, fdt.ResponseVector(bits))
-    if cfg.fmt == "json":
-        _emit(args, fdt.dumps_table(table))
-    else:
-        _emit(args, fdt.render_table(table))
+    _emit(args, fdt.dumps_table(table) if pl.cfg.fmt == "json" else fdt.render_table(table))
     return EXIT_OK
 
 
-def cmd_inject(args, cfg: RunConfig) -> int:
-    g, _ = _load_graph(args, cfg)
+def cmd_inject(pl: Pipeline) -> int:
+    args = pl.args
+    g = pl.graph
     if args.op is not None:
         fault = simulator.FaultSpec(fragment=args.fragment, ordinal=args.ordinal,
                                     opcode=args.op)
@@ -268,28 +319,16 @@ def cmd_inject(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(args, cfg: RunConfig) -> int:
-    golden, _ = _load_graph(args, cfg)
-    _validate_or_fail(golden)
-    if args.mutant:
-        with open(args.mutant, encoding="utf-8") as fh:
-            mutant = rtg.loads_graph(fh.read())
-    elif args.fault:
-        mutant = simulator.inject_fault(golden, _parse_fault(args.fault))
+def cmd_run(pl: Pipeline) -> int:
+    _validate_or_fail(pl.graph)
+    v = pl.response
+    if pl.args.table_out:
+        with open(pl.args.table_out, "w", encoding="utf-8") as fh:
+            fh.write(fdt.dumps_table(pl.responded))
+    if pl.cfg.fmt == "json":
+        _emit(pl.args, _json_dump({"labels": list(pl.tests.labels()), "bits": list(v.bits)}))
     else:
-        raise RtgError("run needs --mutant or --fault")
-    suite = _suite_for(golden, cfg, args.suite)
-    stimuli = _stimuli_for(golden, suite, args.stimuli)
-    v = simulator.run_suite(golden, mutant, suite, stimuli,
-                            tolerance=cfg.tolerance, permissive=cfg.permissive)
-    if args.table_out:
-        table = fdt.attach_response(fdt.build_extended_fdt(golden, suite), v)
-        with open(args.table_out, "w", encoding="utf-8") as fh:
-            fh.write(fdt.dumps_table(table))
-    if cfg.fmt == "json":
-        _emit(args, _json_dump({"labels": list(suite.labels()), "bits": list(v.bits)}))
-    else:
-        _emit(args, f"V = {v}\n")
+        _emit(pl.args, f"V = {v}\n")
     return EXIT_OK
 
 
@@ -315,95 +354,77 @@ def _diagnosis_json(result: diagnosis.DiagnosisResult) -> dict:
     }
 
 
-def cmd_diagnose(args, cfg: RunConfig) -> int:
-    with open(args.table, encoding="utf-8") as fh:
-        table = fdt.loads_table(fh.read())
+def cmd_diagnose(pl: Pipeline) -> int:
+    args, table = pl.args, pl.responded
     try:
         if table.kind == "generalized":
             suspects = diagnosis.diagnose_generalized(table)
-            if cfg.fmt == "json":
+            if pl.cfg.fmt == "json":
                 _emit(args, _json_dump({"suspects": sorted(s.label for s in suspects)}))
             else:
                 _emit(args, fdt.render_table(table, suspects=suspects)
                       + "Faults = {" + ", ".join(sorted(s.label for s in suspects)) + "}\n")
             return EXIT_FINDINGS
-        result = diagnosis.diagnose(table, mode=cfg.mode)
+        result = pl.verdict
     except NoFailures:
-        _emit(args, _json_dump({"suspects": []}) if cfg.fmt == "json"
+        _emit(args, _json_dump({"suspects": []}) if pl.cfg.fmt == "json"
               else "no fault detected\n")
         return EXIT_OK
-    _emit(args, _json_dump(_diagnosis_json(result)) if cfg.fmt == "json"
+    _emit(args, _json_dump(_diagnosis_json(result)) if pl.cfg.fmt == "json"
           else _diagnosis_text(result))
     return EXIT_FINDINGS
 
 
-def cmd_testability(args, cfg: RunConfig) -> int:
-    g, _ = _load_graph(args, cfg)
-    _validate_or_fail(g)
-    paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
-    groups = diagnosis.ambiguity_groups(g, paths)
-    inserts = diagnosis.recommend_observation_points(g, args.target, paths)
-    if cfg.fmt == "json":
+def cmd_testability(pl: Pipeline) -> int:
+    _validate_or_fail(pl.graph)
+    target = pl.args.target
+    groups = diagnosis.ambiguity_groups(pl.graph, pl.paths)
+    inserts = diagnosis.recommend_observation_points(pl.graph, target, pl.paths)
+    if pl.cfg.fmt == "json":
         doc = {
             "groups": [[s.label for s in gr.sorted_members()] for gr in groups],
-            "target": args.target,
+            "target": target,
             "insertions": [{"fragment": f, "after_ordinal": k} for f, k in inserts],
         }
-        _emit(args, _json_dump(doc))
+        _emit(pl.args, _json_dump(doc))
     else:
         lines = ["ambiguity groups:"]
         lines += ["  {" + ", ".join(s.label for s in gr.sorted_members()) + "}" for gr in groups]
-        lines.append(f"insertions for target {args.target}:")
+        lines.append(f"insertions for target {target}:")
         lines += [f"  {f}: after statement {k}" for f, k in inserts] or ["  (none needed)"]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(pl.args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_all(args, cfg: RunConfig) -> int:
-    report: list[str] = []
-    smap = None
-    if args.program:
-        program = _load_program(args.program, cfg.unfolded)
-        report.append(f"parsed program: inputs={', '.join(program.inputs)} "
-                      f"output={program.output}")
-        g, smap = frontend.build_rtg(program)
-    if args.graph:
-        with open(args.graph, encoding="utf-8") as fh:
-            g = rtg.loads_graph(fh.read())
-        report.append(f"graph loaded from {os.path.basename(args.graph)}")
+def cmd_all(pl: Pipeline) -> int:
+    args = pl.args
     if args.program is None and args.graph is None:
         raise RtgError("all needs --program and/or --graph")
-    _validate_or_fail(g)
+    report: list[str] = []
+    if args.program:
+        report.append(f"parsed program: inputs={', '.join(pl.program.inputs)} "
+                      f"output={pl.program.output}")
+        if args.graph:  # the program must still lower, though the graph file replaces it
+            frontend.build_rtg(pl.program)
+    if args.graph:
+        report.append(f"graph loaded from {os.path.basename(args.graph)}")
+    _validate_or_fail(pl.graph)
 
-    paths = testsynth.enumerate_paths(g, path_cap=cfg.path_cap)
-    report.append("paths: " + " ∨ ".join(p.label for p in paths))
-    suite = testsynth.build_complete_test(g, paths, term_cap=cfg.term_cap)
-    report.append("complete test: " + " ".join(suite.labels()))
-    table = fdt.build_extended_fdt(g, suite)
-
-    fault = _parse_fault(args.fault) if args.fault else None
-    if fault is None:
+    report.append("paths: " + " ∨ ".join(p.label for p in pl.paths))
+    report.append("complete test: " + " ".join(pl.suite.labels()))
+    code = EXIT_OK
+    if pl.fault is None:
         report.append("no fault injected; nothing to run")
-        _emit(args, "\n".join(report) + "\n")
-        return EXIT_OK
-    mutant = simulator.inject_fault(g, fault)
-    report.append(f"injected fault {fault}")
-    stimuli = _stimuli_for(g, suite, args.stimuli)
-    v = simulator.run_suite(g, mutant, suite, stimuli,
-                            tolerance=cfg.tolerance, permissive=cfg.permissive)
-    table = fdt.attach_response(table, v)
-    report.append("")
-    report.append(fdt.render_table(table).rstrip("\n"))
-    report.append("")
-    try:
-        result = diagnosis.diagnose(table, mode=cfg.mode)
-    except NoFailures:
-        report.append("no fault detected")
-        _emit(args, "\n".join(report) + "\n")
-        return EXIT_OK
-    report.append(_diagnosis_text(result).rstrip("\n"))
+    else:
+        report.append(f"injected fault {pl.fault}")
+        report += ["", fdt.render_table(pl.responded).rstrip("\n"), ""]
+        try:
+            report.append(_diagnosis_text(pl.verdict).rstrip("\n"))
+            code = EXIT_FINDINGS
+        except NoFailures:
+            report.append("no fault detected")
     _emit(args, "\n".join(report) + "\n")
-    return EXIT_FINDINGS
+    return code
 
 
 # --- argument parsing ------------------------------------------------------------
@@ -423,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtgdiag",
         description="Fault localization over register-transfer graph models")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed reserved for randomized workloads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a program and report its shape")
@@ -508,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _config(args))
+        return _COMMANDS[args.command](Pipeline(args, _config(args)))
     except (RtgError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"rtgdiag {args.command}: {e}\n")
         return EXIT_USAGE if isinstance(e, UsageError) else EXIT_DATA

@@ -10,7 +10,9 @@ passing rows form the exoneration set H; removing candidates touched by H
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, RtgError
@@ -147,6 +149,16 @@ def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
     return CandidateDNF(terms=frozenset(kept))
 
 
+def _group_by_signature(sig: dict[StatementId, Iterable[str]]) -> list[AmbiguityGroup]:
+    """Statements with equal path-label signatures, one group each, ordered
+    by their first member."""
+    by_sig: dict[frozenset, set[StatementId]] = {}
+    for sid, labels in sig.items():
+        by_sig.setdefault(frozenset(labels), set()).add(sid)
+    groups = [AmbiguityGroup(members=frozenset(v), signature=k) for k, v in by_sig.items()]
+    return sorted(groups, key=lambda g: g.sorted_members()[0].sort_key())
+
+
 def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     # Path-level signature: the set of path labels whose rows mark the
     # statement.  Exact for generalized tables and for complete-test
@@ -155,11 +167,7 @@ def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     for r in t.rows:
         for m in r.marks:
             sig[m].add(r.path)
-    by_sig: dict[frozenset, set[StatementId]] = {}
-    for c, s in sig.items():
-        by_sig.setdefault(frozenset(s), set()).add(c)
-    groups = [AmbiguityGroup(members=frozenset(v), signature=k) for k, v in by_sig.items()]
-    return sorted(groups, key=lambda g: g.sorted_members()[0].sort_key())
+    return _group_by_signature(sig)
 
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong") -> DiagnosisResult:
@@ -208,15 +216,18 @@ def ambiguity_groups(g: RTGraph, paths: Sequence[Path]) -> list[AmbiguityGroup]:
     for p in paths:
         for rib in p.edges:
             covering.setdefault(rib.fragment, set()).add(p.label)
-    by_sig: dict[frozenset, set[StatementId]] = {}
-    for sid in g.statement_ids:
-        sig = frozenset(covering.get(sid.fragment, ()))
-        by_sig.setdefault(sig, set()).add(sid)
-    groups = [AmbiguityGroup(members=frozenset(v), signature=k) for k, v in by_sig.items()]
-    return sorted(groups, key=lambda gr: gr.sorted_members()[0].sort_key())
+    return _group_by_signature({sid: covering.get(sid.fragment, ()) for sid in g.statement_ids})
 
 
 # --- observation-point recommendation -----------------------------------------
+
+def _blocks(g: RTGraph) -> Counter[str]:
+    """Statement count per fragment.  All statements of a fragment share its
+    covering paths, hence one ambiguity group, and the monitors standing
+    between fragments already separate a group's fragments: every group
+    splits into these per-fragment blocks, whatever the paths."""
+    return Counter(sid.fragment for sid in g.statement_ids)
+
 
 def _segments(n_statements: int, cuts: frozenset[int]) -> list[int]:
     """Segment sizes of a rib with *n_statements* split after each ordinal
@@ -239,28 +250,19 @@ def recommend_observation_points(g: RTGraph, target: int,
     point inside its rib, placed to bisect the group as evenly as possible
     (earlier position on ties).  Returns (fragment, insert-after-ordinal)
     pairs.  Statements on different fragments are separable by the monitor
-    already standing between them, so splitting works fragment by fragment.
+    already standing between them, so splitting works fragment by fragment
+    and the plan does not depend on *paths* (see _blocks).
 
     With ``exact=True`` (graphs up to 12 statements) the result's minimality
     is verified by exhaustive search over insertion subsets.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    from .testsynth import enumerate_paths
-    if paths is None:
-        paths = enumerate_paths(g)
-
-    blocks: list[tuple[str, int]] = []  # (fragment, statement count)
-    for group in ambiguity_groups(g, paths):
-        per_fragment: dict[str, int] = {}
-        for sid in group.members:
-            per_fragment[sid.fragment] = per_fragment.get(sid.fragment, 0) + 1
-        blocks.extend(per_fragment.items())
-
+    blocks = _blocks(g)
     cuts: dict[str, set[int]] = {}
     while True:
         worst = None  # (size, fragment key, fragment, segment bounds)
-        for fragment, n in blocks:
+        for fragment, n in blocks.items():
             prev = 0
             for c in sorted(cuts.get(fragment, set())) + [n]:
                 size = c - prev
@@ -279,7 +281,7 @@ def recommend_observation_points(g: RTGraph, target: int,
     result = sorted(((f, c) for f, cc in cuts.items() for c in cc),
                     key=lambda fc: (natural_key(fc[0]), fc[1]))
     if exact:
-        if (sum(len(g.statements_of(f)) for f in g.fragments) <= 12
+        if (sum(blocks.values()) <= 12
                 and not verify_minimal_insertions(g, target, len(result), paths)):
             raise RtgError("greedy insertion set is not minimal")
     return result
@@ -287,21 +289,10 @@ def recommend_observation_points(g: RTGraph, target: int,
 
 def verify_minimal_insertions(g: RTGraph, target: int, proposed_count: int,
                               paths: Sequence[Path] | None = None) -> bool:
-    """Exhaustively check that no smaller insertion set reaches *target*."""
-    from itertools import combinations
-
-    from .testsynth import enumerate_paths
-    if paths is None:
-        paths = enumerate_paths(g)
-    positions: list[tuple[str, int]] = []
-    sizes: dict[str, int] = {}
-    for group in ambiguity_groups(g, paths):
-        per_fragment: dict[str, int] = {}
-        for sid in group.members:
-            per_fragment[sid.fragment] = per_fragment.get(sid.fragment, 0) + 1
-        for fragment, n in per_fragment.items():
-            sizes[fragment] = n
-            positions.extend((fragment, k) for k in range(1, n))
+    """Exhaustively check that no smaller insertion set reaches *target*
+    (*paths* does not change the answer, see _blocks)."""
+    sizes = _blocks(g)
+    positions = [(fragment, k) for fragment, n in sizes.items() for k in range(1, n)]
 
     def achieves(subset: tuple[tuple[str, int], ...]) -> bool:
         chosen: dict[str, set[int]] = {}

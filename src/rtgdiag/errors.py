@@ -52,7 +52,22 @@ class Uncoverable(RtgError):
 
 
 class SchemaError(RtgError):
-    """A graph or table JSON document lacks a key or names an unknown label."""
+    """A graph or table JSON document lacks a key, holds a value of the
+    wrong type, or names an unknown label."""
+
+    @classmethod
+    def field(cls, doc: str, obj, key: str, *kinds: type):
+        """``obj[key]`` when *obj* is an object whose *key* holds one of
+        *kinds* (never a bool); *doc* names the document in the message."""
+        if not isinstance(obj, dict):
+            raise cls(f"{doc}: expected an object with key {key!r}, got {type(obj).__name__}")
+        if key not in obj:
+            raise cls(f"{doc}: missing key {key!r}")
+        value = obj[key]
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise cls(f"{doc}: {key!r} holds {type(value).__name__}, expected {expected}")
+        return value
 
 
 class UsageError(RtgError):
@@ -65,6 +80,11 @@ class LengthMismatch(RtgError):
 
 class ExecutionError(RtgError):
     """Base class for runtime evaluation failures."""
+
+    def at(self, where: str) -> "ExecutionError":
+        """This error, its message completed with the location *where*."""
+        self.args = (f"{self} in {where}",)
+        return self
 
 
 class DivisionByZero(ExecutionError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 from .errors import LengthMismatch, SchemaError
@@ -102,23 +103,24 @@ def table_to_json(t: FaultDetectionTable) -> dict:
 
 
 def table_from_json(doc: dict) -> FaultDetectionTable:
-    """Inverse of table_to_json; raises SchemaError naming a missing key or
-    a mark label that names no column."""
-    try:
-        columns = tuple(StatementId(c["fragment"], c["opcode"], c["ordinal"], c["label"])
-                        for c in doc["columns"])
-        by_label = {c.label: c for c in columns}
-        rows = []
-        for r in doc["rows"]:
-            unknown = [m for m in r["marks"] if m not in by_label]
-            if unknown:
-                raise SchemaError(f"table JSON: row {r['label']!r} marks {unknown[0]!r}, "
-                                  "which names no column")
-            rows.append(TableRow(label=r["label"], path=r["path"],
-                                 marks=frozenset(by_label[m] for m in r["marks"]), v=r["v"]))
-        return FaultDetectionTable(kind=doc["kind"], columns=columns, rows=tuple(rows))
-    except KeyError as e:
-        raise SchemaError(f"table JSON: missing key {e.args[0]!r}") from None
+    """Inverse of table_to_json; raises SchemaError naming a missing key, a
+    value of the wrong type, or a mark label that names no column."""
+    get = partial(SchemaError.field, "table JSON")
+    columns = tuple(StatementId(get(c, "fragment", str), get(c, "opcode", int),
+                                get(c, "ordinal", int), get(c, "label", str))
+                    for c in get(doc, "columns", list))
+    by_label = {c.label: c for c in columns}
+    rows = []
+    for r in get(doc, "rows", list):
+        marks = get(r, "marks", list)
+        unknown = [m for m in marks if not isinstance(m, str) or m not in by_label]
+        if unknown:
+            raise SchemaError(f"table JSON: row {get(r, 'label', str)!r} marks {unknown[0]!r}, "
+                              "which names no column")
+        rows.append(TableRow(label=get(r, "label", str), path=get(r, "path", str),
+                             marks=frozenset(by_label[m] for m in marks),
+                             v=get(r, "v", int, type(None))))
+    return FaultDetectionTable(kind=get(doc, "kind", str), columns=columns, rows=tuple(rows))
 
 
 def dumps_table(t: FaultDetectionTable) -> str:

@@ -12,11 +12,9 @@ Run ``python -m rtgdiag.fixtures OUTDIR`` to write both fixture files.
 
 from __future__ import annotations
 
+from .frontend import PI_VALUE
 from .rtg import Node, RTGraph, make_rib
 from .simulator import FaultSpec
-
-#: The constant used by the fixture program (deliberately low precision).
-PI_FIXTURE = 3.14159
 
 
 def fig1_graph() -> RTGraph:
@@ -38,11 +36,11 @@ def fig1_graph() -> RTGraph:
         # f = -3*x + 7
         make_rib("I3", "X", "R3", [(2, "t1", ("x", -3.0)), (1, "f", ("t1", 7.0))]),
         # w = sin(x + PI/3), PI/3 kept as a division statement
-        make_rib("I4", "R1", "R4", [(4, "t1", (PI_FIXTURE, 3.0)),
+        make_rib("I4", "R1", "R4", [(4, "t1", (PI_VALUE, 3.0)),
                                     (1, "t2", ("x", "t1")),
                                     (5, "w", ("t2",))]),
         # w = sin(PI*x) + 2
-        make_rib("I5", "R1", "R5", [(2, "t1", ("x", PI_FIXTURE)),
+        make_rib("I5", "R1", "R5", [(2, "t1", ("x", PI_VALUE)),
                                     (5, "t2", ("t1",)),
                                     (1, "w", ("t2", 2.0))]),
         # F = f + w, one fragment on four converging edges

@@ -16,16 +16,30 @@ Constant subexpressions are folded at parse time unless folding is disabled
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
-from .errors import ParseError, UndefinedVariable, UnsupportedOperation
+from .errors import (DivisionByZero, ExecutionError, ParseError, UndefinedVariable,
+                     UnsupportedOperation)
 from .intervals import IntervalSet
-from .rtg import (Node, Rib, RTGraph, Statement, finite_sin, make_statements,
-                  merge_equivalent_ribs)
+from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
+                  make_statements, merge_equivalent_ribs)
 
 PI_VALUE = 3.14159
+
+
+class Relation(NamedTuple):
+    holds: Callable[[float, float], bool]
+    mirror: str  # the same comparison with its sides swapped
+
+
+#: The relational operators of guards, by source symbol.
+RELATIONS: dict[str, Relation] = {
+    "<": Relation(operator.lt, ">"), "<=": Relation(operator.le, ">="),
+    ">": Relation(operator.gt, "<"), ">=": Relation(operator.ge, "<="),
+}
 
 
 # --- AST ---------------------------------------------------------------------
@@ -44,6 +58,9 @@ class Var:
     col: int = 0
 
 
+# Operation nodes name their alphabet opcode and operands; every evaluator
+# (folding, guard bounds, program execution) and lowering goes through them.
+
 @dataclass(frozen=True)
 class BinOp:
     op: str  # one of + - * /
@@ -52,12 +69,18 @@ class BinOp:
     line: int = 0
     col: int = 0
 
+    def operation(self) -> tuple[OpCode, tuple["Expr", ...]]:
+        return BINARY_OPS[self.op], (self.lhs, self.rhs)
+
 
 @dataclass(frozen=True)
 class Neg:
     operand: "Expr"
     line: int = 0
     col: int = 0
+
+    def operation(self) -> tuple[OpCode, tuple["Expr", ...]]:
+        return OP_ALPHABET[2], (self.operand, _MINUS_ONE)  # x * -1
 
 
 @dataclass(frozen=True)
@@ -66,8 +89,12 @@ class Sin:
     line: int = 0
     col: int = 0
 
+    def operation(self) -> tuple[OpCode, tuple["Expr", ...]]:
+        return OP_ALPHABET[5], (self.operand,)
+
 
 Expr = Union[Num, Var, BinOp, Neg, Sin]
+_MINUS_ONE = Num(-1.0)
 
 
 @dataclass(frozen=True)
@@ -264,21 +291,19 @@ class _Parser:
     def comparison(self) -> Comparison:
         lhs = self.expression()
         tok = self.cur
-        relops = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
-        if tok.kind not in relops:
+        if tok.text not in RELATIONS:
             raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
-                             expected=tuple(relops.values()))
+                             expected=tuple(RELATIONS))
         self.pos += 1
         rhs = self.expression()
-        return Comparison(lhs=lhs, relop=relops[tok.kind], rhs=rhs)
+        return Comparison(lhs=lhs, relop=tok.text, rhs=rhs)
 
     def expression(self) -> Expr:
         node = self.term()
         while self.cur.kind in ("PLUS", "MINUS"):
             tok = self.cur
             self.pos += 1
-            node = self._fold_binop(BinOp("+" if tok.kind == "PLUS" else "-",
-                                          node, self.term(), tok.line, tok.col))
+            node = self._fold(BinOp(tok.text, node, self.term(), tok.line, tok.col))
         return node
 
     def term(self) -> Expr:
@@ -286,8 +311,7 @@ class _Parser:
         while self.cur.kind in ("STAR", "SLASH"):
             tok = self.cur
             self.pos += 1
-            node = self._fold_binop(BinOp("*" if tok.kind == "STAR" else "/",
-                                          node, self.factor(), tok.line, tok.col))
+            node = self._fold(BinOp(tok.text, node, self.factor(), tok.line, tok.col))
         return node
 
     def factor(self) -> Expr:
@@ -307,10 +331,7 @@ class _Parser:
             self.eat("LPAREN")
             inner = self.expression()
             self.eat("RPAREN")
-            if self.fold and isinstance(inner, Num):
-                return Num(finite_sin(inner.value, f"line {tok.line}, column {tok.col}"),
-                           tok.line, tok.col)
-            return Sin(inner, tok.line, tok.col)
+            return self._fold(Sin(inner, tok.line, tok.col))
         if tok.kind == "ID":
             self.pos += 1
             if tok.text == "PI":
@@ -324,14 +345,16 @@ class _Parser:
         raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
                          expected=("number", "identifier", "sin", "("))
 
-    def _fold_binop(self, node: BinOp) -> Expr:
-        if self.fold and isinstance(node.lhs, Num) and isinstance(node.rhs, Num):
-            a, b = node.lhs.value, node.rhs.value
-            if node.op == "/" and b == 0.0:
-                raise ParseError("constant division by zero", node.line, node.col)
-            value = {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else 0.0}[node.op]
-            return Num(value, node.line, node.col)
-        return node
+    def _fold(self, node: Union[BinOp, Sin]) -> Expr:
+        op, operands = node.operation()
+        if not self.fold or not all(isinstance(o, Num) for o in operands):
+            return node
+        try:
+            return Num(op.fn(*(o.value for o in operands)), node.line, node.col)
+        except DivisionByZero:
+            raise ParseError("constant division by zero", node.line, node.col) from None
+        except ExecutionError as err:
+            raise err.at(f"line {node.line}, column {node.col}")
 
 
 def parse_program(text: str, fold: bool = True) -> Program:
@@ -351,15 +374,9 @@ def parse_program(text: str, fold: bool = True) -> Program:
 def _expr_vars(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, (Neg, Sin)):
-        return _expr_vars(e.operand)
-    if isinstance(e, BinOp):
-        return _expr_vars(e.lhs) | _expr_vars(e.rhs)
-    return set()
-
-
-def _expr_pos(e: Expr) -> tuple[int, int]:
-    return (getattr(e, "line", 0), getattr(e, "col", 0))
+    if isinstance(e, Num):
+        return set()
+    return set().union(*(_expr_vars(o) for o in e.operation()[1]))
 
 
 def _check_defined(p: Program) -> None:
@@ -367,8 +384,7 @@ def _check_defined(p: Program) -> None:
 
     def check_expr(e: Expr, local: set[str]):
         for name in sorted(_expr_vars(e) - local):
-            line, _ = _expr_pos(e)
-            raise UndefinedVariable(name, line)
+            raise UndefinedVariable(name, e.line)
 
     for item in p.body:
         if isinstance(item, Assignment):
@@ -392,9 +408,6 @@ def _check_defined(p: Program) -> None:
 
 
 # --- lowering ----------------------------------------------------------------
-
-_OPCODE_OF = {"+": 1, "*": 2, "-": 3, "/": 4}
-
 
 def fresh_names(used: set[str]) -> Iterator[str]:
     """Temporary-name supply t1, t2, ... skipping names the program uses."""
@@ -427,26 +440,13 @@ def _lower(e: Expr, fresh: Iterator[str], specs: list) -> "str | float":
         return e.value
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Neg):
-        v = _lower(e.operand, fresh, specs)
-        t = next(fresh)
-        specs.append((2, t, (v, -1.0)))
-        return t
-    if isinstance(e, Sin):
-        v = _lower(e.operand, fresh, specs)
-        t = next(fresh)
-        specs.append((5, t, (v,)))
-        return t
-    if isinstance(e, BinOp):
-        a = _lower(e.lhs, fresh, specs)
-        b = _lower(e.rhs, fresh, specs)
-        opcode = _OPCODE_OF[e.op]
-        if opcode in (1, 2) and isinstance(a, float) and isinstance(b, str):
-            a, b = b, a
-        t = next(fresh)
-        specs.append((opcode, t, (a, b)))
-        return t
-    raise UnsupportedOperation(f"cannot lower expression node {type(e).__name__}")
+    op, operands = e.operation()
+    args = [_lower(o, fresh, specs) for o in operands]
+    if op.code in (1, 2) and isinstance(args[0], float) and isinstance(args[1], str):
+        args.reverse()
+    t = next(fresh)
+    specs.append((op.code, t, tuple(args)))
+    return t
 
 
 def lower_assignment(a: Assignment, fresh: Iterator[str]) -> list[tuple[int, str, tuple]]:
@@ -528,29 +528,28 @@ def layout(p: Program) -> list[tuple]:
 
 
 def _const_eval(e: Expr) -> float | None:
+    """The value of a constant expression; None when it reads a variable or
+    divides by zero (a guard bound that is not representable)."""
     if isinstance(e, Num):
         return e.value
-    if isinstance(e, Neg):
-        v = _const_eval(e.operand)
-        return None if v is None else -v
-    if isinstance(e, Sin):
-        v = _const_eval(e.operand)
-        return None if v is None else finite_sin(v, f"line {e.line}, column {e.col}")
-    if isinstance(e, BinOp):
-        a, b = _const_eval(e.lhs), _const_eval(e.rhs)
-        if a is None or b is None:
-            return None
-        if e.op == "/" and b == 0.0:
-            return None
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else 0.0}[e.op]
-    return None
+    if isinstance(e, Var):
+        return None
+    op, operands = e.operation()
+    values = [_const_eval(o) for o in operands]
+    if None in values:
+        return None
+    try:
+        return op.fn(*values)
+    except DivisionByZero:
+        return None
+    except ExecutionError as err:
+        raise err.at(f"line {e.line}, column {e.col}")
 
 
 def _guard_regions(guard: Guard) -> dict[str, IntervalSet] | None:
     """Guard as per-variable interval regions; None when not representable
     (only var-versus-constant comparisons are)."""
     regions: dict[str, IntervalSet] = {}
-    mirror = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
     for cmp_ in guard.comparisons:
         if isinstance(cmp_.lhs, Var):
             bound = _const_eval(cmp_.rhs)
@@ -561,7 +560,7 @@ def _guard_regions(guard: Guard) -> dict[str, IntervalSet] | None:
             bound = _const_eval(cmp_.lhs)
             if bound is None:
                 return None
-            var, relop = cmp_.rhs.name, mirror[cmp_.relop]
+            var, relop = cmp_.rhs.name, RELATIONS[cmp_.relop].mirror
         else:
             return None
         region = IntervalSet.from_comparison(relop, bound)

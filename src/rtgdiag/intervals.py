@@ -41,10 +41,6 @@ class IntervalSet:
         return IntervalSet((FULL,))
 
     @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet(())
-
-    @staticmethod
     def from_comparison(relop: str, bound: float) -> "IntervalSet":
         if relop == "<":
             return IntervalSet((Interval(-INF, True, bound, True),))

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Mapping, Union
+from functools import cached_property, partial
+from typing import Callable, Iterable, Mapping, Union
 
-from .errors import MergeConflict, NonFiniteValue, SchemaError
+from .errors import DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -39,30 +40,50 @@ def natural_key(s: str):
 
 @dataclass(frozen=True, slots=True)
 class OpCode:
+    """One operation: its code, name, arity, source symbol, the opcode a
+    mutation swaps it for (None when it has no partner of equal arity), and
+    its evaluation function.  The program, the lowered graph and constant
+    folding all evaluate through ``fn``, so they compute the same values."""
+
     code: int
     name: str
     arity: int
+    symbol: str
+    swap: int | None
+    fn: Callable[..., float]
+
+
+def finite_sin(x: float) -> float:
+    """Opcode 5 on one value.
+
+    math.sin raises a bare ValueError on inf and passes NaN through; both
+    mean an earlier overflow, reported as NonFiniteValue.
+    """
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"sin of non-finite value {x}")
+    return math.sin(x)
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DivisionByZero("division by zero")
+    return a / b
 
 
 #: The registered operation alphabet.  Codes are single digits so that test
-#: term labels can concatenate them.
+#: term labels can concatenate them.  Evaluation errors are ExecutionErrors
+#: without a location; each caller adds its own (see ExecutionError.at).
 OP_ALPHABET: dict[int, OpCode] = {
-    1: OpCode(1, "sum", 2),
-    2: OpCode(2, "mul", 2),
-    3: OpCode(3, "sub", 2),
-    4: OpCode(4, "div", 2),
-    5: OpCode(5, "sin", 1),
+    1: OpCode(1, "sum", 2, "+", 3, operator.add),
+    2: OpCode(2, "mul", 2, "*", 4, operator.mul),
+    3: OpCode(3, "sub", 2, "-", 1, operator.sub),
+    4: OpCode(4, "div", 2, "/", 2, _divide),
+    5: OpCode(5, "sin", 1, "sin", None, finite_sin),
 }
 
-def finite_sin(x: float, where: str) -> float:
-    """Opcode 5 on one value, wherever it is evaluated or constant-folded.
-
-    math.sin raises a bare ValueError on inf and passes NaN through; both
-    mean an earlier overflow, reported as NonFiniteValue naming *where*.
-    """
-    if not math.isfinite(x):
-        raise NonFiniteValue(f"sin of non-finite value {x} in {where}")
-    return math.sin(x)
+#: The binary operations by source symbol.
+BINARY_OPS: dict[str, OpCode] = {op.symbol: op for op in OP_ALPHABET.values()
+                                 if op.arity == 2}
 
 
 #: An operand is a variable name or a numeric constant.
@@ -121,12 +142,6 @@ class Rib:
     def key(self) -> tuple[str, str, str]:
         return (self.fragment, self.src, self.dst)
 
-    def opcode_multiset(self) -> tuple[int, ...]:
-        return tuple(s.opcode for s in self.statements)
-
-    def opcode_set(self) -> tuple[int, ...]:
-        return tuple(sorted({s.opcode for s in self.statements}))
-
 
 @dataclass(frozen=True, slots=True)
 class Node:
@@ -173,10 +188,6 @@ class RTGraph:
 
     nodes: tuple[Node, ...]
     ribs: tuple[Rib, ...]
-
-    @cached_property
-    def node_by_name(self) -> dict[str, Node]:
-        return {n.name: n for n in self.nodes}
 
     @cached_property
     def input_nodes(self) -> tuple[str, ...]:
@@ -255,15 +266,6 @@ class RTGraph:
         for fragment in self.fragments:
             out.extend(self.fragment_sids(fragment))
         return tuple(out)
-
-    @cached_property
-    def variables(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for r in self.ribs:
-            for s in r.statements:
-                seen.add(s.target)
-                seen.update(s.read_variables())
-        return tuple(sorted(seen))
 
     def try_topo_order(self) -> tuple[tuple[str, ...], bool]:
         """Kahn's algorithm with natural-name tie-break.
@@ -449,10 +451,10 @@ def _operand_to_json(o: Operand) -> dict:
     return {"var": o} if isinstance(o, str) else {"const": o}
 
 
-def _operand_from_json(d: dict) -> Operand:
-    if "var" in d:
-        return d["var"]
-    return float(d["const"])
+def _operand_from_json(d) -> Operand:
+    if isinstance(d, dict) and "var" in d:
+        return SchemaError.field("graph JSON", d, "var", str)
+    return float(SchemaError.field("graph JSON", d, "const", int, float))
 
 
 def graph_to_json(g: RTGraph) -> dict:
@@ -479,28 +481,28 @@ def graph_to_json(g: RTGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> RTGraph:
-    """Inverse of graph_to_json; raises SchemaError naming a missing key."""
-    try:
-        nodes = tuple(Node(d["name"], d["role"]) for d in doc["nodes"])
-        ribs = tuple(
-            Rib(
-                fragment=d["fragment"],
-                src=d["src"],
-                dst=d["dst"],
-                statements=tuple(
-                    Statement(
-                        ordinal=s["ordinal"],
-                        opcode=s["opcode"],
-                        target=s["target"],
-                        operands=tuple(_operand_from_json(o) for o in s["operands"]),
-                    )
-                    for s in d["statements"]
-                ),
-            )
-            for d in doc["ribs"]
+    """Inverse of graph_to_json; raises SchemaError naming a missing key or
+    a value of the wrong type."""
+    get = partial(SchemaError.field, "graph JSON")
+    nodes = tuple(Node(get(d, "name", str), get(d, "role", str))
+                  for d in get(doc, "nodes", list))
+    ribs = tuple(
+        Rib(
+            fragment=get(d, "fragment", str),
+            src=get(d, "src", str),
+            dst=get(d, "dst", str),
+            statements=tuple(
+                Statement(
+                    ordinal=get(s, "ordinal", int),
+                    opcode=get(s, "opcode", int),
+                    target=get(s, "target", str),
+                    operands=tuple(_operand_from_json(o) for o in get(s, "operands", list)),
+                )
+                for s in get(d, "statements", list)
+            ),
         )
-    except KeyError as e:
-        raise SchemaError(f"graph JSON: missing key {e.args[0]!r}") from None
+        for d in get(doc, "ribs", list)
+    )
     return RTGraph(nodes=nodes, ribs=ribs)
 
 

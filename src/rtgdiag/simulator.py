@@ -18,13 +18,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from . import frontend
-from .errors import (ArityMismatch, DivisionByZero, ExecutionError, GraphMismatch,
-                     InfeasiblePath, InvalidMutation, MissingStimulus, NoOpMutation,
-                     NoSuchStatement, UnboundVariable)
+from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePath,
+                     InvalidMutation, MissingStimulus, NoOpMutation, NoSuchStatement,
+                     UnboundVariable)
 from .fdt import ResponseVector
-from .frontend import Assignment, Guard, Program, SourceMap
+from .frontend import Guard, Program, SourceMap
 from .intervals import IntervalSet
-from .rtg import OP_ALPHABET, RTGraph, finite_sin
+from .rtg import OP_ALPHABET, RTGraph
 from .testsynth import Path, TestSuite
 
 DEFAULT_TOLERANCE = 1e-9
@@ -50,12 +50,6 @@ class ObservationTrace:
     output: float
     defaulted: tuple[str, ...] = ()
 
-    def value_at(self, node: str) -> float:
-        for name, value in self.points:
-            if name == node:
-                return value
-        raise KeyError(node)
-
     def as_dict(self) -> dict[str, float]:
         return dict(self.points)
 
@@ -77,22 +71,6 @@ class FaultSpec:
         return f"{self.fragment}:{self.ordinal}:const={self.constant}"
 
 
-def _apply_op(opcode: int, values: Sequence[float], where: str) -> float:
-    if opcode == 1:
-        return values[0] + values[1]
-    if opcode == 2:
-        return values[0] * values[1]
-    if opcode == 3:
-        return values[0] - values[1]
-    if opcode == 4:
-        if values[1] == 0.0:
-            raise DivisionByZero(f"division by zero in {where}")
-        return values[0] / values[1]
-    if opcode == 5:
-        return finite_sin(values[0], where)
-    raise ExecutionError(f"unknown opcode {opcode} in {where}")
-
-
 # --- program execution --------------------------------------------------------
 
 def _eval_expr(e: frontend.Expr, env: Mapping[str, float]) -> float:
@@ -102,25 +80,18 @@ def _eval_expr(e: frontend.Expr, env: Mapping[str, float]) -> float:
         if e.name not in env:
             raise UnboundVariable(e.name)
         return env[e.name]
-    if isinstance(e, frontend.Neg):
-        return -_eval_expr(e.operand, env)
-    if isinstance(e, frontend.Sin):
-        return finite_sin(_eval_expr(e.operand, env), f"line {e.line}")
-    if isinstance(e, frontend.BinOp):
-        a = _eval_expr(e.lhs, env)
-        b = _eval_expr(e.rhs, env)
-        if e.op == "/" and b == 0.0:
-            raise DivisionByZero(f"division by zero at line {e.line}")
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else 0.0}[e.op]
-    raise ExecutionError(f"cannot evaluate {type(e).__name__}")
+    op, operands = e.operation()
+    values = [_eval_expr(o, env) for o in operands]
+    try:
+        return op.fn(*values)
+    except ExecutionError as err:
+        raise err.at(f"line {e.line}, column {e.col}")
 
 
 def _guard_holds(guard: Guard | None, env: Mapping[str, float]) -> bool:
     if guard is None:
         return True
-    ops = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-           ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
-    return all(ops[c.relop](_eval_expr(c.lhs, env), _eval_expr(c.rhs, env))
+    return all(frontend.RELATIONS[c.relop].holds(_eval_expr(c.lhs, env), _eval_expr(c.rhs, env))
                for c in guard.comparisons)
 
 
@@ -204,13 +175,16 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
     points: list[tuple[str, float]] = []
     if first_reads:
         points.append((p.edges[0].src, env[first_reads[0]]))
-    value = math.nan
     for rib in p.edges:
         for stmt in sorted(rib.statements, key=lambda st: st.ordinal):
             operands = [env[o] if isinstance(o, str) else o for o in stmt.operands]
-            value = _apply_op(stmt.opcode, operands,
-                              f"fragment {rib.fragment} statement {stmt.ordinal}")
-            env[stmt.target] = value
+            try:
+                env[stmt.target] = OP_ALPHABET[stmt.opcode].fn(*operands)
+            except KeyError:
+                raise ExecutionError(f"unknown opcode {stmt.opcode} in fragment {rib.fragment} "
+                                     f"statement {stmt.ordinal}") from None
+            except ExecutionError as err:
+                raise err.at(f"fragment {rib.fragment} statement {stmt.ordinal}")
         points.append((rib.dst, env[rib.statements[-1].target]))
     return ObservationTrace(points=tuple(points), output=points[-1][1], defaulted=defaulted)
 
@@ -265,23 +239,19 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
                        for r in g.ribs)
 
 
-#: Arity-preserving opcode substitutions in the standard catalogue.
-OPCODE_SWAPS = {1: 3, 3: 1, 2: 4, 4: 2}
-
-
 def mutation_catalogue(g: RTGraph, constant_delta: float = 1.0) -> list[FaultSpec]:
     """Every single-statement mutation in the standard catalogue.
 
-    Opcode substitutions stay within the arity classes {1,3} and {2,4}
-    (sine has no partner); each constant operand additionally yields one
-    perturbation by *constant_delta*.
+    Each opcode is swapped for its ``OpCode.swap`` partner: within the
+    arity classes {1,3} and {2,4} (sine has no partner); each constant
+    operand additionally yields one perturbation by *constant_delta*.
     """
     out: list[FaultSpec] = []
     for fragment in g.fragments:
         for s in g.statements_of(fragment):
-            if s.opcode in OPCODE_SWAPS:
-                out.append(FaultSpec(fragment=fragment, ordinal=s.ordinal,
-                                     opcode=OPCODE_SWAPS[s.opcode]))
+            swap = OP_ALPHABET[s.opcode].swap if s.opcode in OP_ALPHABET else None
+            if swap is not None:
+                out.append(FaultSpec(fragment=fragment, ordinal=s.ordinal, opcode=swap))
             for i, operand in enumerate(s.operands):
                 if not isinstance(operand, str):
                     out.append(FaultSpec(fragment=fragment, ordinal=s.ordinal,
@@ -399,22 +369,7 @@ def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:
     return _per_path(suite, lambda p: pick_stimulus(g, p))
 
 
-def default_path_stimuli(g: RTGraph, paths: Sequence[Path]) -> dict[str, Stimulus]:
-    return {p.label: pick_stimulus(g, p) for p in paths}
-
-
 def guard_aware_stimuli(g: RTGraph, suite: TestSuite, smap: SourceMap) -> dict[str, Stimulus]:
     """Stimuli satisfying each term's path constraints where those are known."""
     return _per_path(suite, lambda p: pick_stimulus(g, p, smap.path_constraints(p.fragments)))
 
-
-def supported_assignments(p: Program) -> list[Assignment]:
-    """Flat view of every assignment in a program, arms included."""
-    out: list[Assignment] = []
-    for item in p.body:
-        if isinstance(item, Assignment):
-            out.append(item)
-        else:
-            for arm in item.arms:
-                out.extend(arm.body)
-    return out

@@ -91,9 +91,6 @@ class TestSuite:
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.terms)
 
-    def by_label(self) -> dict[str, TestTerm]:
-        return {t.label: t for t in self.terms}
-
 
 def _node_short(name: str, role: str) -> str:
     if role != "internal":
@@ -107,23 +104,25 @@ def enumerate_paths(g: RTGraph, path_cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     fragment sequence.  Raises PathExplosion past *path_cap* paths."""
     start, goal = g.input_node, g.output_node
     found: list[tuple[Rib, ...]] = []
-
-    def walk(node: str, visited: set[str], edges: list[Rib]):
-        if node == goal:
-            found.append(tuple(edges))
+    # Depth-first with an explicit stack: one iterator over the out-ribs of
+    # the end node of each prefix of *edges*, so long paths need no frames.
+    edges: list[Rib] = []
+    visited = {start}
+    stack = [iter(g.out_ribs(start))]
+    while stack:
+        rib = next(stack[-1], None)
+        if rib is None:
+            stack.pop()
+            if edges:
+                visited.remove(edges.pop().dst)
+        elif rib.dst == goal:
+            found.append((*edges, rib))
             if len(found) > path_cap:
                 raise PathExplosion(f"more than {path_cap} paths")
-            return
-        for rib in g.out_ribs(node):
-            if rib.dst in visited:
-                continue
+        elif rib.dst not in visited:
             visited.add(rib.dst)
             edges.append(rib)
-            walk(rib.dst, visited, edges)
-            edges.pop()
-            visited.remove(rib.dst)
-
-    walk(start, {start}, [])
+            stack.append(iter(g.out_ribs(rib.dst)))
     frag_key = {r.fragment: natural_key(r.fragment) for r in g.ribs}
     found.sort(key=lambda edges: tuple(frag_key[r.fragment] for r in edges))
 
@@ -279,11 +278,17 @@ def _exact_cover(universe: frozenset, candidates: list[tuple[str, frozenset]]) -
     return best
 
 
+def cover_is_exact(candidates: int, exact_cap: int, method: str = "auto") -> bool:
+    """Whether a covering problem over *candidates* candidate sets is solved
+    exactly (branch and bound) rather than greedily."""
+    return method != "greedy" and not (method == "auto" and candidates > exact_cap)
+
+
 def _solve_cover(universe: frozenset, candidates: list[tuple[str, frozenset]],
-                 exact_cap: int, method: str) -> tuple[list[str], bool]:
-    if method == "greedy" or (method == "auto" and len(candidates) > exact_cap):
-        return _greedy_cover(universe, candidates), False
-    return _exact_cover(universe, candidates), True
+                 exact_cap: int, method: str) -> list[str]:
+    if cover_is_exact(len(candidates), exact_cap, method):
+        return _exact_cover(universe, candidates)
+    return _greedy_cover(universe, candidates)
 
 
 def minimal_path_cover(g: RTGraph, paths: Sequence[Path],
@@ -298,8 +303,7 @@ def minimal_path_cover(g: RTGraph, paths: Sequence[Path],
     universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
     candidates = [(p.label, frozenset(p.nodes) | frozenset(r.key for r in p.edges))
                   for p in paths]
-    chosen, _ = _solve_cover(universe, candidates, exact_cap, method)
-    keep = set(chosen)
+    keep = set(_solve_cover(universe, candidates, exact_cap, method))
     return [p for p in paths if p.label in keep]
 
 
@@ -312,7 +316,6 @@ def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
     """
     universe = frozenset(columns)
     candidates = [(t.label, frozenset(t.selection) & universe) for t in suite.terms]
-    chosen, _ = _solve_cover(universe, candidates, exact_cap, method)
-    keep = set(chosen)
+    keep = set(_solve_cover(universe, candidates, exact_cap, method))
     terms = tuple(t for t in suite.terms if t.label in keep)
     return TestSuite(terms=terms, origin="minimal-diagnostic")

@@ -191,3 +191,78 @@ def if_chain_program(shape: tuple[int, ...] = (5, 5, 5, 5), seed: int = 0) -> st
                 lines.append(f"else if (x >= {cuts[a - 1]} && x < {cuts[a]}) {body}")
     lines += [f"F = a{len(shape)} * 2;", "output F;", ""]
     return "\n".join(lines)
+
+
+def _constant_form(rng: Random, c: int) -> str:
+    """*c* written as a constant expression that evaluates to exactly c."""
+    return rng.choice((f"{c}", f"({2 * c} / 2)", f"({c + 3} - 3)", f"(sin(0) + {c})",
+                       f"({c} * 1)", f"-(-{c})"))
+
+
+def _rich_expression(rng: Random, inflow: str) -> str:
+    """An expression reading *inflow* once, built from binary operations
+    with constants on either side, unary minus, sin(...) and constant
+    subexpressions.  Divisors are always nonzero constants."""
+    expr = inflow
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice(_CONSTANTS)
+        form = rng.randrange(6)
+        if form == 0:
+            expr = f"({expr} {rng.choice('+-*/')} {k})"
+        elif form == 1:
+            expr = f"({k} {rng.choice('+-*')} {expr})"
+        elif form == 2:
+            expr = f"-{expr}" if expr[0] == "(" else f"-({expr})"
+        elif form == 3:
+            expr = f"sin({expr})"
+        elif form == 4:
+            expr = f"({expr} {rng.choice('+-*/')} ({k} {rng.choice('+*')} {rng.choice(_CONSTANTS)}))"
+        else:
+            expr = f"({expr} {rng.choice('+-')} sin({k}))"
+    return expr
+
+
+def expression_chain_program(shape: tuple[int, ...] = (3, 4), seed: int = 0) -> str:
+    """``.swl`` source shaped like :func:`if_chain_program` (chain c has
+    ``shape[c]`` arms, each at least 2, guarded on x at the integer cuts
+    ``i * 10 // arms``), whose arm bodies also use unary minus, ``sin(...)``
+    and constant subexpressions, and whose guard bounds are constant
+    expressions, some compared with x on the right.
+
+    Every arm writes ``a<c>`` from ``a<c-1>`` (x for the first chain) and a
+    final segment writes the output, so each path has its own node sequence.
+    """
+    rng = Random(seed)
+
+    def below(c: int) -> str:
+        bound = _constant_form(rng, c)
+        return f"x < {bound}" if rng.random() < 0.5 else f"{bound} > x"
+
+    def at_least(c: int) -> str:
+        bound = _constant_form(rng, c)
+        return f"x >= {bound}" if rng.random() < 0.5 else f"{bound} <= x"
+
+    lines = ["input x;"]
+    for c, arms in enumerate(shape, start=1):
+        inflow = "x" if c == 1 else f"a{c - 1}"
+        cuts = [i * 10 // arms for i in range(1, arms)]
+        for a in range(arms):
+            body = f"{{ a{c} = {_rich_expression(rng, inflow)}; }}"
+            if a == 0:
+                lines.append(f"if ({below(cuts[0])}) {body}")
+            elif a == arms - 1:
+                lines.append(f"else {body}")
+            else:
+                lines.append(f"else if ({at_least(cuts[a - 1])} && {below(cuts[a])}) {body}")
+    lines += [f"F = a{len(shape)} * 2;", "output F;", ""]
+    return "\n".join(lines)
+
+
+def chain_model(n: int) -> RTGraph:
+    """A single path X -> R1 -> ... -> Y of *n* one-statement ribs."""
+    names = ["X"] + [f"R{i}" for i in range(1, n)] + ["Y"]
+    nodes = [Node("X", "input")] + [Node(m, "internal") for m in names[1:-1]]
+    nodes.append(Node("Y", "output"))
+    ribs = [make_rib(f"I{i}", names[i - 1], names[i],
+                     [(1, "acc", ("x" if i == 1 else "acc", 1.0))]) for i in range(1, n + 1)]
+    return RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))

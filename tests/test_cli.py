@@ -1,9 +1,13 @@
 import json
 import os
 
-from rtgdiag import loads_graph
+import pytest
+
+from rtgdiag import dumps_graph, loads_graph
 from rtgdiag.cli import main
 from rtgdiag.fixtures import LISTING31_SOURCE
+
+from randmodels import chain_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FIG1 = os.path.join(FIXTURES, "fig1.rtg.json")
@@ -292,3 +296,77 @@ def test_folded_sin_overflow_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "graph", "--program", str(program))
     assert (code, out) == (3, "")
     assert err == "rtgdiag graph: sin of non-finite value inf in line 2, column 5\n"
+
+
+def test_paths_of_a_long_chain(capsys, tmp_path):
+    graph = tmp_path / "chain.rtg.json"
+    graph.write_text(dumps_graph(chain_model(1200)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "paths", "--graph", str(graph), "--format", "json")
+    assert (code, err) == (0, "")
+    (path,) = json.loads(out)
+    assert len(path["fragments"]) == 1200
+
+
+def _fig1_doc():
+    with open(FIG1, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _reshaped(doc, edit):
+    edit(doc)
+    return doc
+
+
+GRAPH_SHAPES = {
+    "document": lambda: [1],
+    "nodes": lambda: {"nodes": 5, "ribs": []},
+    "node": lambda: _reshaped(_fig1_doc(), lambda d: d["nodes"].__setitem__(0, "X")),
+    "name": lambda: _reshaped(_fig1_doc(), lambda d: d["nodes"][0].__setitem__("name", ["X"])),
+    "ribs": lambda: _reshaped(_fig1_doc(), lambda d: d.__setitem__("ribs", "I1")),
+    "rib": lambda: _reshaped(_fig1_doc(), lambda d: d["ribs"].__setitem__(0, [1])),
+    "fragment": lambda: _reshaped(_fig1_doc(), lambda d: d["ribs"][0].__setitem__("fragment", 1)),
+    "statements": lambda: _reshaped(_fig1_doc(),
+                                    lambda d: d["ribs"][0].__setitem__("statements", 3)),
+    "statement": lambda: _reshaped(_fig1_doc(),
+                                   lambda d: d["ribs"][0]["statements"].__setitem__(0, 3)),
+    "opcode": lambda: _reshaped(_fig1_doc(),
+                                lambda d: d["ribs"][0]["statements"][0].__setitem__("opcode", [1])),
+    "operands": lambda: _reshaped(
+        _fig1_doc(), lambda d: d["ribs"][0]["statements"][0].__setitem__("operands", None)),
+    "operand": lambda: _reshaped(
+        _fig1_doc(), lambda d: d["ribs"][0]["statements"][0]["operands"].__setitem__(0, "x")),
+    "const": lambda: _reshaped(
+        _fig1_doc(),
+        lambda d: d["ribs"][0]["statements"][0]["operands"].__setitem__(1, {"const": [3]})),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
+@pytest.mark.parametrize("command", ("paths", "graph"))
+def test_graph_of_the_wrong_shape_exits_3(capsys, tmp_path, command, shape):
+    graph = tmp_path / "bad.rtg.json"
+    graph.write_text(json.dumps(GRAPH_SHAPES[shape]()), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--graph", str(graph))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"rtgdiag {command}: graph JSON: ") and err.count("\n") == 1
+
+
+TABLE_SHAPES = {
+    "document": lambda d: [1],
+    "columns": lambda d: {**d, "columns": 5},
+    "column": lambda d: {**d, "columns": ["I11"] + d["columns"][1:]},
+    "rows": lambda d: {**d, "rows": 7},
+    "row": lambda d: {**d, "rows": [[1]] + d["rows"][1:]},
+    "marks": lambda d: {**d, "rows": [{**d["rows"][0], "marks": 5}] + d["rows"][1:]},
+    "mark": lambda d: {**d, "rows": [{**d["rows"][0], "marks": [["I11"]]}] + d["rows"][1:]},
+    "v": lambda d: {**d, "rows": [{**d["rows"][0], "v": [1]}] + d["rows"][1:]},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TABLE_SHAPES))
+def test_table_of_the_wrong_shape_exits_3(capsys, tmp_path, shape):
+    table, doc = _fig1_table(capsys, tmp_path)
+    table.write_text(json.dumps(TABLE_SHAPES[shape](doc)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err.startswith("rtgdiag diagnose: table JSON: ") and err.count("\n") == 1

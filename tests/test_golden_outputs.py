@@ -1,5 +1,5 @@
 """Byte-level pins of CLI output on both fixtures, a 3-stage ladder and a
-625-path if-chain program.
+625-path if-chain program, covering every subcommand.
 
 Each case runs one or more ``rtgdiag`` commands in order and compares the
 stdout of the last one, and its exit code, with a capture stored under
@@ -58,6 +58,14 @@ CASES = {
     "listing31_diagnose.json": (1, ("run", *LISTING31, *FAULT, "--table-out", "{table}"),
                                 ("diagnose", "--table", "{table}", "--format", "json")),
     "ladder3_all.txt": (1, ("all", "--graph", "{ladder}", "--fault", "I3:1:op=3")),
+    "listing31_all_clean.txt": (0, ("all", *LISTING31)),
+    # given both, `all` parses and lowers the program but runs the graph file
+    "listing31_fig1_all.txt": (1, ("all", *LISTING31, *FIG1, *FAULT)),
+    "listing31_run_diagnostic.txt": (0, ("run", *LISTING31, *FAULT, "--suite", "diagnostic")),
+    "listing31_run_diagnostic.json": (0, ("run", *LISTING31, *FAULT, "--suite", "diagnostic",
+                                          "--format", "json")),
+    "listing31_parse.txt": (0, ("parse", *LISTING31)),
+    "listing31_parse.json": (0, ("parse", *LISTING31, "--format", "json")),
 }
 
 CHAIN625 = ("--program", "{chain625}")
@@ -67,6 +75,14 @@ COVER_AND_TESTABILITY = {
     "testability_1": ("testability", "--target", "1"),
     "testability_2": ("testability", "--target", "2"),
 }
+INJECT = ("inject", "--fragment", "I5", "--ordinal", "3", "--op", "3")
+for _prefix, _source in (("fig1", FIG1), ("listing31", LISTING31)):
+    # `graph` and `inject` always print graph JSON; --format does not change it
+    CASES[f"{_prefix}_graph.json"] = (0, ("graph", *_source))
+    CASES[f"{_prefix}_inject.json"] = (0, (*INJECT, *_source))
+    for _stem in ("paths", "terms"):
+        CASES[f"{_prefix}_{_stem}.txt"] = (0, (_stem, *_source))
+        CASES[f"{_prefix}_{_stem}.json"] = (0, (_stem, *_source, "--format", "json"))
 for _prefix, _source in (("fig1", FIG1), ("listing31", LISTING31), ("chain625", CHAIN625)):
     for _stem, _argv in COVER_AND_TESTABILITY.items():
         CASES[f"{_prefix}_{_stem}.txt"] = (0, (*_argv, *_source))

@@ -10,7 +10,7 @@ from rtgdiag import (Node, PathExplosion, RTGraph, TermExplosion, Uncoverable, a
 from rtgdiag.rtg import natural_key, subscript
 from rtgdiag.testsynth import TestSuite, _greedy_cover
 
-from randmodels import brute_min_cover_size, random_dag_model
+from randmodels import brute_min_cover_size, chain_model, random_dag_model
 
 PAPER_LABELS = ["111₁", "141₁", "151₁", "111₂", "121₁",
                 "151₂", "21₁", "31", "11", "21₂"]
@@ -45,6 +45,14 @@ def test_parallel_ribs_give_two_paths():
     labels = [p.label for p in enumerate_paths(diamond_graph())]
     assert len(labels) == 2
     assert len(set(labels)) == 2
+
+
+def test_long_chain_is_one_path():
+    # one rib more than the interpreter's default recursion limit allows frames
+    g = chain_model(1200)
+    (path,) = enumerate_paths(g)
+    assert path.edges == g.ribs
+    assert path.label == "X" + "".join(str(i) for i in range(1, 1200)) + "Y"
 
 
 def test_activation_formulas(g, paths):
