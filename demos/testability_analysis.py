@@ -34,14 +34,14 @@ for group in ambiguity_groups(g, paths):
 
 print("\n== observation points for finer resolution ==")
 for target in (3, 2, 1):
-    inserts = recommend_observation_points(g, target, paths)
+    inserts = recommend_observation_points(g, target)
     if not inserts:
         print(f"  target {target}: already satisfied")
         continue
     plan = "; ".join(f"{f} after statement {k}" for f, k in inserts)
     print(f"  target {target}: insert {len(inserts)} point(s): {plan}")
 
-inserts = recommend_observation_points(g, 1, paths)
-assert verify_minimal_insertions(g, 1, len(inserts), paths)
+inserts = recommend_observation_points(g, 1)
+assert verify_minimal_insertions(g, 1, len(inserts))
 print(f"\nexhaustive search confirms {len(inserts)} points are the minimum "
       "for statement-level resolution (2 of them inside I5)")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -66,9 +67,12 @@ def _caps_from_env() -> dict[str, int]:
 
 def _config(args: argparse.Namespace) -> RunConfig:
     caps = _caps_from_env()
+    tolerance = getattr(args, "tolerance", simulator.DEFAULT_TOLERANCE)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise UsageError(f"--tolerance needs a finite non-negative number, got {tolerance}")
     return RunConfig(
         fmt=getattr(args, "format", "text"),
-        tolerance=getattr(args, "tolerance", simulator.DEFAULT_TOLERANCE),
+        tolerance=tolerance,
         mode=getattr(args, "mode", "strong"),
         unfolded=getattr(args, "unfolded", False),
         permissive=getattr(args, "permissive", False),
@@ -215,7 +219,7 @@ class Pipeline:
 
     @cached_property
     def verdict(self) -> diagnosis.DiagnosisResult:
-        return diagnosis.diagnose(self.responded, mode=self.cfg.mode)
+        return diagnosis.diagnose(self.responded, mode=self.cfg.mode, cap=self.cfg.dnf_cap)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -376,10 +380,12 @@ def cmd_diagnose(pl: Pipeline) -> int:
 
 
 def cmd_testability(pl: Pipeline) -> int:
-    _validate_or_fail(pl.graph)
     target = pl.args.target
+    if target < 1:
+        raise UsageError(f"--target needs a positive integer, got {target}")
+    _validate_or_fail(pl.graph)
     groups = diagnosis.ambiguity_groups(pl.graph, pl.paths)
-    inserts = diagnosis.recommend_observation_points(pl.graph, target, pl.paths)
+    inserts = diagnosis.recommend_observation_points(pl.graph, target)
     if pl.cfg.fmt == "json":
         doc = {
             "groups": [[s.label for s in gr.sorted_members()] for gr in groups],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, RtgError
+from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures
 from .fdt import FaultDetectionTable
 from .rtg import RTGraph, StatementId, natural_key
 from .testsynth import Path
@@ -113,7 +113,7 @@ def cnf_to_min_dnf(clauses: Sequence[Clause], cap: int = DEFAULT_DNF_CAP) -> Can
                     grown.add(term | {literal})
         partial = _absorb(grown)
         if len(partial) > cap:
-            raise CandidateExplosion(f"candidate DNF exceeds {cap} terms")
+            raise CandidateExplosion(f"candidate DNF exceeds the cap of {cap} terms")
     return CandidateDNF(terms=frozenset(partial))
 
 
@@ -170,13 +170,15 @@ def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     return _group_by_signature(sig)
 
 
-def diagnose(t: FaultDetectionTable, mode: str = "strong") -> DiagnosisResult:
-    """Full pipeline: CNF, minimal DNF, exoneration, reduction.
+def diagnose(t: FaultDetectionTable, mode: str = "strong",
+             cap: int = DEFAULT_DNF_CAP) -> DiagnosisResult:
+    """Full pipeline: CNF, minimal DNF (at most *cap* terms), exoneration,
+    reduction.
 
     Attaches the ambiguity group(s) containing the surviving statements.
     """
     clauses = build_cnf(t)
-    f = cnf_to_min_dnf(clauses)
+    f = cnf_to_min_dnf(clauses, cap=cap)
     h = exoneration_set(t)
     reduced = reduce_candidates(f, h, mode=mode)
     survivors = set()
@@ -241,56 +243,40 @@ def _segments(n_statements: int, cuts: frozenset[int]) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-def recommend_observation_points(g: RTGraph, target: int,
-                                 paths: Sequence[Path] | None = None,
-                                 exact: bool = False) -> list[tuple[str, int]]:
+def _plan_cuts(lo: int, size: int, target: int) -> list[int]:
+    """Cuts splitting the segment of *size* statements after ordinal *lo*
+    into its ceil(size / target) blocks of at most *target*, in order.
+
+    A segment needing k blocks is cut once, into floor(k/2) and ceil(k/2)
+    blocks, at the cut nearest its middle that allows this, and each half
+    is planned alone.  That makes k - 1 cuts, and no fewer cuts leave every
+    block at most *target*.
+    """
+    k = -(-size // target)
+    if k <= 1:
+        return []
+    left = min(max(size // 2, size - (k - k // 2) * target), (k // 2) * target)
+    return (_plan_cuts(lo, left, target) + [lo + left]
+            + _plan_cuts(lo + left, size - left, target))
+
+
+def recommend_observation_points(g: RTGraph, target: int) -> list[tuple[str, int]]:
     """Insertion points that shrink every ambiguity group to *target*.
 
-    Greedy: repeatedly split the largest oversized group by one observation
-    point inside its rib, placed to bisect the group as evenly as possible
-    (earlier position on ties).  Returns (fragment, insert-after-ordinal)
-    pairs.  Statements on different fragments are separable by the monitor
-    already standing between them, so splitting works fragment by fragment
-    and the plan does not depend on *paths* (see _blocks).
-
-    With ``exact=True`` (graphs up to 12 statements) the result's minimality
-    is verified by exhaustive search over insertion subsets.
+    Returns (fragment, insert-after-ordinal) pairs, ceil(n / target) - 1 of
+    them for a fragment of n statements, which is the minimum: statements
+    on different fragments are separable by the monitor already standing
+    between them, so every fragment is planned alone (see _blocks).
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    blocks = _blocks(g)
-    cuts: dict[str, set[int]] = {}
-    while True:
-        worst = None  # (size, fragment key, fragment, segment bounds)
-        for fragment, n in blocks.items():
-            prev = 0
-            for c in sorted(cuts.get(fragment, set())) + [n]:
-                size = c - prev
-                if size > target:
-                    cand = (-size, natural_key(fragment), prev)
-                    if worst is None or cand < worst[0]:
-                        worst = (cand, fragment, prev, c)
-                prev = c
-        if worst is None:
-            break
-        _, fragment, lo, hi = worst
-        size = hi - lo
-        # even bisection: size 2k splits k|k, size 2k+1 splits k|k+1
-        cuts.setdefault(fragment, set()).add(lo + size // 2)
-
-    result = sorted(((f, c) for f, cc in cuts.items() for c in cc),
-                    key=lambda fc: (natural_key(fc[0]), fc[1]))
-    if exact:
-        if (sum(blocks.values()) <= 12
-                and not verify_minimal_insertions(g, target, len(result), paths)):
-            raise RtgError("greedy insertion set is not minimal")
-    return result
+    return sorted(((fragment, cut) for fragment, n in _blocks(g).items()
+                   for cut in _plan_cuts(0, n, target)),
+                  key=lambda fc: (natural_key(fc[0]), fc[1]))
 
 
-def verify_minimal_insertions(g: RTGraph, target: int, proposed_count: int,
-                              paths: Sequence[Path] | None = None) -> bool:
-    """Exhaustively check that no smaller insertion set reaches *target*
-    (*paths* does not change the answer, see _blocks)."""
+def verify_minimal_insertions(g: RTGraph, target: int, proposed_count: int) -> bool:
+    """Exhaustively check that no smaller insertion set reaches *target*."""
     sizes = _blocks(g)
     positions = [(fragment, k) for fragment, n in sizes.items() for k in range(1, n)]
 

@@ -269,8 +269,10 @@ def _check_topology(golden: RTGraph, mutant: RTGraph) -> None:
 
 
 def _differs(gv: float, mv: float, tolerance: float) -> bool:
-    if math.isnan(gv) or math.isnan(mv):
-        return math.isnan(gv) != math.isnan(mv)
+    """Relative comparison of finite outputs; a non-finite output differs
+    from everything but the same infinity or, for NaN, another NaN."""
+    if not (math.isfinite(gv) and math.isfinite(mv)):
+        return gv != mv and not (math.isnan(gv) and math.isnan(mv))
     return abs(gv - mv) > tolerance * max(1.0, abs(gv))
 
 

@@ -278,44 +278,43 @@ def _exact_cover(universe: frozenset, candidates: list[tuple[str, frozenset]]) -
     return best
 
 
-def cover_is_exact(candidates: int, exact_cap: int, method: str = "auto") -> bool:
+def cover_is_exact(candidates: int, exact_cap: int) -> bool:
     """Whether a covering problem over *candidates* candidate sets is solved
     exactly (branch and bound) rather than greedily."""
-    return method != "greedy" and not (method == "auto" and candidates > exact_cap)
+    return candidates <= exact_cap
 
 
 def _solve_cover(universe: frozenset, candidates: list[tuple[str, frozenset]],
-                 exact_cap: int, method: str) -> list[str]:
-    if cover_is_exact(len(candidates), exact_cap, method):
+                 exact_cap: int) -> list[str]:
+    if cover_is_exact(len(candidates), exact_cap):
         return _exact_cover(universe, candidates)
     return _greedy_cover(universe, candidates)
 
 
 def minimal_path_cover(g: RTGraph, paths: Sequence[Path],
-                       exact_cap: int = DEFAULT_EXACT_CAP,
-                       method: str = "auto") -> list[Path]:
+                       exact_cap: int = DEFAULT_EXACT_CAP) -> list[Path]:
     """A minimum-cardinality path subset covering all nodes and all edges.
 
-    Exact (branch and bound) up to *exact_cap* paths, greedy beyond; pass
-    ``method="greedy"`` or ``"exact"`` to force one.  Ties break toward
-    naturally smaller path labels.
+    Exact (branch and bound) up to *exact_cap* paths, greedy beyond, so
+    ``exact_cap=0`` forces greedy and ``exact_cap=len(paths)`` exact.  Ties
+    break toward naturally smaller path labels.
     """
     universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
     candidates = [(p.label, frozenset(p.nodes) | frozenset(r.key for r in p.edges))
                   for p in paths]
-    keep = set(_solve_cover(universe, candidates, exact_cap, method))
+    keep = set(_solve_cover(universe, candidates, exact_cap))
     return [p for p in paths if p.label in keep]
 
 
 def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
-                            exact_cap: int = DEFAULT_EXACT_CAP,
-                            method: str = "auto") -> TestSuite:
-    """Minimum term subset whose selections cover every statement id.
+                            exact_cap: int = DEFAULT_EXACT_CAP) -> TestSuite:
+    """Minimum term subset whose selections cover every statement id, exact
+    up to *exact_cap* terms and greedy beyond.
 
     Raises Uncoverable when some statement id is selected by no term.
     """
     universe = frozenset(columns)
     candidates = [(t.label, frozenset(t.selection) & universe) for t in suite.terms]
-    keep = set(_solve_cover(universe, candidates, exact_cap, method))
+    keep = set(_solve_cover(universe, candidates, exact_cap))
     terms = tuple(t for t in suite.terms if t.label in keep)
     return TestSuite(terms=terms, origin="minimal-diagnostic")

@@ -175,14 +175,15 @@ def test_criterion_08_covering_optimality():
             r.key for r in graph.ribs)
         expected = brute_min_cover_size(
             runiverse, [set(p.nodes) | {r.key for r in p.edges} for p in rpaths])
-        exact = minimal_path_cover(graph, rpaths, method="exact")
-        greedy = minimal_path_cover(graph, rpaths, method="greedy")
+        exact = minimal_path_cover(graph, rpaths, exact_cap=len(rpaths))
+        greedy = minimal_path_cover(graph, rpaths, exact_cap=0)
         ok = ok and len(exact) == expected <= len(greedy)
 
         expected_t = brute_min_cover_size(set(graph.statement_ids),
                                           [t.selection for t in rsuite.terms])
-        exact_t = minimal_diagnostic_test(rsuite, graph.statement_ids, method="exact")
-        greedy_t = minimal_diagnostic_test(rsuite, graph.statement_ids, method="greedy")
+        exact_t = minimal_diagnostic_test(rsuite, graph.statement_ids,
+                                          exact_cap=len(rsuite.terms))
+        greedy_t = minimal_diagnostic_test(rsuite, graph.statement_ids, exact_cap=0)
         ok = ok and len(exact_t.terms) == expected_t <= len(greedy_t.terms)
     report(8, ok, "covers match brute-force optimum on the fixture and 100 random models")
 
@@ -210,11 +211,11 @@ def test_criterion_10_testability():
               for gr in ambiguity_groups(g, paths)]
     ok = groups == [("I11",), ("I22", "I23"), ("I31", "I32"),
                     ("I41", "I44", "I45"), ("I51", "I52", "I55"), ("I61",)]
-    inserts = recommend_observation_points(g, 1, paths, exact=True)
+    inserts = recommend_observation_points(g, 1)
     i5 = [k for f, k in inserts if f == "I5"]
     ok = ok and i5 == [1, 2]
     # exhaustive check: with fewer points than recommended, some group of
     # size > 1 always survives
-    ok = ok and verify_minimal_insertions(g, 1, len(inserts), paths)
+    ok = ok and verify_minimal_insertions(g, 1, len(inserts))
     report(10, ok, "ambiguity groups match and target-1 resolution of I5 "
                    "needs exactly 2 inserted points")

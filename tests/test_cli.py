@@ -370,3 +370,66 @@ def test_table_of_the_wrong_shape_exits_3(capsys, tmp_path, shape):
     code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
     assert (code, out) == (3, "")
     assert err.startswith("rtgdiag diagnose: table JSON: ") and err.count("\n") == 1
+
+
+SIX_STATEMENTS = """input x;
+a = x + 1;
+b = a * 2;
+c = b - 3;
+d = c + 4;
+e = d * 5;
+f = e - 6;
+output f;
+"""
+
+
+def test_testability_plan_is_minimal(capsys, tmp_path):
+    program = tmp_path / "six.swl"
+    program.write_text(SIX_STATEMENTS, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "testability", "--program", str(program), "--target", "2")
+    assert code == 0
+    assert out == ("ambiguity groups:\n"
+                   "  {I11₁, I11₂, I12₁, I12₂, I13₁, I13₂}\n"
+                   "insertions for target 2:\n"
+                   "  I1: after statement 2\n"
+                   "  I1: after statement 4\n")
+
+
+@pytest.mark.parametrize("target", ["0", "-3"])
+def test_target_below_one_is_a_usage_error(capsys, target):
+    code, out, err = run_cli(capsys, "testability", "--graph", FIG1, "--target", target)
+    assert code == 2
+    assert out == ""
+    assert err == f"rtgdiag testability: --target needs a positive integer, got {target}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "all"])
+@pytest.mark.parametrize("tolerance", ["-0.001", "nan", "inf"])
+def test_malformed_tolerance_is_a_usage_error(capsys, command, tolerance):
+    code, out, err = run_cli(capsys, command, "--graph", FIG1, "--fault", "I5:3:op=3",
+                             "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"rtgdiag {command}: --tolerance needs a finite non-negative number")
+    assert err.count("\n") == 1
+
+
+def test_dnf_cap_reaches_the_diagnosis(capsys, monkeypatch):
+    monkeypatch.setenv("RTGDIAG_CAPS", "dnf=1")
+    code, out, err = run_cli(capsys, "all", "--graph", FIG1, "--fault", "I5:3:op=3")
+    assert code == 3
+    assert out == ""
+    assert err == "rtgdiag all: candidate DNF exceeds the cap of 1 terms\n"
+
+
+def test_infinite_golden_output_is_detected(capsys, tmp_path):
+    # x * 10^206 * 10^206 overflows to inf; the mutant's x * 10^206 + 10^206
+    # stays finite, and that difference is a failing test
+    big = "1" + "0" * 206
+    program = tmp_path / "overflow.swl"
+    program.write_text(f"input x;\ny = x * {big};\nz = y * {big};\noutput z;\n",
+                       encoding="utf-8")
+    code, out, _ = run_cli(capsys, "all", "--program", str(program), "--fault", "I1:2:op=1")
+    assert code == 1
+    assert "no fault detected" not in out
+    assert "F' = I12₁ I12₂" in out

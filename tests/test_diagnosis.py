@@ -3,14 +3,14 @@ from random import Random
 import pytest
 
 from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, ResponseVector,
-                     RtgError, RTGraph, ambiguity_groups, attach_response, build_cnf,
+                     RTGraph, ambiguity_groups, attach_response, build_cnf,
                      build_generalized_fdt, cnf_to_min_dnf, diagnose, diagnose_generalized,
                      enumerate_paths, exoneration_set, make_rib,
                      recommend_observation_points, reduce_candidates,
                      verify_minimal_insertions)
 from rtgdiag.diagnosis import CandidateDNF
 
-from randmodels import brute_min_hitting_sets, random_clause_family
+from randmodels import brute_min_hitting_sets, random_clause_family, random_dag_model
 
 PAPER_V = ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0))
 
@@ -182,28 +182,76 @@ def test_same_rib_statements_always_group_together():
     assert len(groups[0].members) == 2
 
 
-def test_recommendation_for_target_one(g, paths):
-    inserts = recommend_observation_points(g, 1, paths, exact=True)
+def test_recommendation_for_target_one(g):
+    inserts = recommend_observation_points(g, 1)
     for_i5 = [k for f, k in inserts if f == "I5"]
     assert for_i5 == [1, 2]
     # exhaustive check: no smaller insertion set reaches target 1, and the
     # verifier rejects an inflated claim (some 6-point subset does suffice)
-    assert verify_minimal_insertions(g, 1, len(inserts), paths)
-    assert not verify_minimal_insertions(g, 1, len(inserts) + 1, paths)
+    assert verify_minimal_insertions(g, 1, len(inserts))
+    assert not verify_minimal_insertions(g, 1, len(inserts) + 1)
 
 
-def test_unverified_minimality_raises(g, paths, monkeypatch):
-    # a raised error, not an assert, so python -O keeps the check
-    monkeypatch.setattr("rtgdiag.diagnosis.verify_minimal_insertions", lambda *a: False)
-    with pytest.raises(RtgError, match="not minimal"):
-        recommend_observation_points(g, 1, paths, exact=True)
-
-
-def test_recommendation_for_loose_target(g, paths):
-    assert recommend_observation_points(g, 3, paths) == []
+def test_recommendation_for_loose_target(g):
+    assert recommend_observation_points(g, 3) == []
 
 
 def test_recommendation_single_statement_rib():
     from test_testsynth import single_rib_graph
     g = single_rib_graph()
     assert recommend_observation_points(g, 1) == []
+
+
+def rib_graph(n):
+    """One rib of *n* chained statements from X to Y."""
+    specs = [(1, f"v{i}", ("x" if i == 0 else f"v{i - 1}", 1.0)) for i in range(n)]
+    return RTGraph(nodes=(Node("X", "input"), Node("Y", "output")),
+                   ribs=(make_rib("I1", "X", "Y", specs),))
+
+
+def largest_block(g, inserts):
+    """The most statements left between two monitors on any fragment."""
+    worst = 0
+    for fragment in g.fragments:
+        n = len(g.statements_of(fragment))
+        cuts = [k for f, k in inserts if f == fragment]
+        worst = max(worst, *(b - a for a, b in zip([0] + cuts, cuts + [n])))
+    return worst
+
+
+def test_six_statement_rib_at_target_two():
+    assert recommend_observation_points(rib_graph(6), 2) == [("I1", 2), ("I1", 4)]
+
+
+def test_plan_has_ceil_n_over_t_minus_one_points():
+    for n in range(1, 61):
+        g = rib_graph(n)
+        for t in range(1, 13):
+            inserts = recommend_observation_points(g, t)
+            assert len(inserts) == -(-n // t) - 1, (n, t)
+            assert largest_block(g, inserts) <= t, (n, t)
+
+
+def test_plan_is_minimal_on_random_models():
+    rng = Random(20_261_018)
+    checked = 0
+    while checked < 40:
+        g = random_dag_model(rng, max_statements=6)
+        if len(g.statement_ids) > 12:
+            continue
+        checked += 1
+        for target in range(1, 5):
+            inserts = recommend_observation_points(g, target)
+            assert largest_block(g, inserts) <= target
+            assert verify_minimal_insertions(g, target, len(inserts))
+
+
+def test_recommendation_rejects_target_zero(g):
+    with pytest.raises(ValueError):
+        recommend_observation_points(g, 0)
+
+
+def test_diagnose_passes_the_dnf_cap_on(responded):
+    assert len(diagnose(responded, cap=3).candidates.terms) == 3
+    with pytest.raises(CandidateExplosion):
+        diagnose(responded, cap=2)

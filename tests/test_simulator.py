@@ -10,7 +10,8 @@ from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
                      inject_fault, make_rib, parse_program, pick_stimulus, run_paths,
                      run_suite)
 from rtgdiag.intervals import IntervalSet
-from rtgdiag.simulator import DefaultedVariableWarning, guard_aware_stimuli
+from rtgdiag.simulator import (DEFAULT_TOLERANCE, DefaultedVariableWarning, _differs,
+                                guard_aware_stimuli)
 from rtgdiag.testsynth import TestSuite
 
 from randmodels import random_dag_model, random_mutation
@@ -264,3 +265,26 @@ def test_program_sin_of_non_finite_value_is_typed():
     program = parse_program("input x; f = sin(x * x); output f;")
     with pytest.raises(NonFiniteValue, match="line 1"):
         execute_program(program, Stimulus(env={"x": 1e300}))
+
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("a, b, bit", [
+    (INF, 2e206, 1), (INF, -INF, 1), (INF, NAN, 1), (NAN, 2.0, 1), (2.0, 2.1, 1),
+    (INF, INF, 0), (-INF, -INF, 0), (NAN, NAN, 0), (2.0, 2.0 + 1e-12, 0)])
+def test_output_comparison_is_symmetric(a, b, bit):
+    assert _differs(a, b, DEFAULT_TOLERANCE) == _differs(b, a, DEFAULT_TOLERANCE) == bit
+
+
+def test_infinite_output_against_finite_one_fails():
+    # golden x * 1e206 * 1e206 overflows to inf; the mutant's
+    # x * 1e206 + 1e206 stays finite, whichever side is the golden one
+    rib = make_rib("I1", "X", "Y", [(2, "y", ("x", 1e206)), (2, "acc", ("y", 1e206))])
+    graph = RTGraph(nodes=(Node("X", "input"), Node("Y", "output")), ribs=(rib,))
+    mutant = inject_fault(graph, FaultSpec(fragment="I1", ordinal=2, opcode=1))
+    for golden, other in ((graph, mutant), (mutant, graph)):
+        suite = build_complete_test(golden)
+        stimuli = {t.label: Stimulus(env={"x": 1.0}) for t in suite.terms}
+        assert run_suite(golden, other, suite, stimuli).bits == (1, 1)

@@ -183,8 +183,8 @@ def test_exact_cover_matches_brute_force_on_random_models():
         universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
         expected = brute_min_cover_size(
             universe, [set(p.nodes) | {r.key for r in p.edges} for p in paths])
-        exact = minimal_path_cover(g, paths, method="exact")
-        greedy = minimal_path_cover(g, paths, method="greedy")
+        exact = minimal_path_cover(g, paths, exact_cap=len(paths))
+        greedy = minimal_path_cover(g, paths, exact_cap=0)
         assert len(exact) == expected
         assert len(greedy) >= expected
 
