@@ -9,8 +9,8 @@ statement by Boolean CNF-to-DNF diagnosis with exoneration.
 
 from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity_groups,
                         build_cnf, cnf_to_min_dnf, diagnose, diagnose_generalized,
-                        exoneration_set, recommend_observation_points, reduce_candidates,
-                        verify_minimal_insertions)
+                        exoneration_set, factor_clauses, recommend_observation_points,
+                        reduce_candidates, verify_minimal_insertions)
 from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
                      LengthMismatch, MergeConflict, MissingStimulus, NoFailures,

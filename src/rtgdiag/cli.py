@@ -514,6 +514,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options taking a float, which may be dash-led (``-1e-9``, ``-inf``).
+_FLOAT_OPTIONS = ("--tolerance", "--const")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_float_values(argv: list[str]) -> list[str]:
+    """``--tolerance -1e-9`` as ``--tolerance=-1e-9``.
+
+    argparse reads a dash-led value that is not a plain negative number as
+    an option and stops with its usage text; glued, the value reaches the
+    option's own checks."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 _COMMANDS = {
     "parse": cmd_parse,
     "graph": cmd_graph,
@@ -531,7 +558,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](Pipeline(args, _config(args)))
     except (RtgError, OSError, json.JSONDecodeError) as e:

@@ -1,11 +1,15 @@
 """Diagnosis from a responded fault detection table.
 
 Failing rows become CNF clauses (each row's marks read as a disjunction of
-suspects).  The clause family is turned into its minimal DNF, i.e. the
-antichain of minimal hitting sets, by incremental distribution with
-idempotence and absorption applied on the fly.  Statements exercised by
-passing rows form the exoneration set H; removing candidates touched by H
-("strong" mode, the single-fault reading) leaves the reduced diagnosis F'.
+suspects).  Rows that together form a full product of per-fragment brackets,
+as all terms of a failing path do, are factored into one clause whose
+literals are the brackets.  The clause family is turned into its minimal
+DNF, i.e. the antichain of minimal hitting sets, by incremental
+distribution with idempotence and absorption applied on the fly.  On a
+path-uniform table (every term of a path gets the path's bit) that costs a
+polynomial in the failing paths, not in their terms.  Statements exercised
+by passing rows form the exoneration set H; removing candidates touched by
+H ("strong" mode, the single-fault reading) leaves the reduced diagnosis F'.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures
@@ -22,7 +27,7 @@ from .testsynth import Path
 
 DEFAULT_DNF_CAP = 10 ** 5
 
-Clause = frozenset  # of StatementId
+Clause = frozenset  # of literals: a StatementId, or a bracket (a frozenset of them)
 Term = frozenset  # of StatementId
 
 
@@ -84,6 +89,33 @@ def build_cnf(t: FaultDetectionTable) -> list[Clause]:
     return clauses
 
 
+def factor_clauses(clauses: Sequence[Clause]) -> list[Clause]:
+    """The clause family with every full product of rows folded into one
+    clause of bracket literals.
+
+    Clauses are grouped by the fragments they touch.  A group is the
+    product B1 x ... x Bm of its per-fragment brackets (the statements its
+    rows mark on each fragment) when each row marks one statement per
+    fragment and the distinct rows number |B1| * ... * |Bm|.  A set hits
+    every row of that product iff it contains some whole Bi, so the group
+    becomes the one clause {B1, ..., Bm}.  Other groups keep their rows.
+    Exact for any table; the order of first appearance is kept.
+    """
+    groups: dict[frozenset[str], dict[Clause, None]] = {}
+    for clause in clauses:
+        groups.setdefault(frozenset(s.fragment for s in clause), {})[clause] = None
+    out: list[Clause] = []
+    for fragments, rows in groups.items():
+        marked = frozenset().union(*rows)
+        if (all(len(row) == len(fragments) for row in rows)
+                and len(rows) == prod(Counter(s.fragment for s in marked).values())):
+            out.append(Clause(frozenset(s for s in marked if s.fragment == f)
+                              for f in fragments))
+        else:
+            out.extend(rows)
+    return out
+
+
 def _absorb(terms: Iterable[Term]) -> set[Term]:
     kept: list[Term] = []
     for t in sorted(set(terms), key=len):
@@ -95,22 +127,25 @@ def _absorb(terms: Iterable[Term]) -> set[Term]:
 def cnf_to_min_dnf(clauses: Sequence[Clause], cap: int = DEFAULT_DNF_CAP) -> CandidateDNF:
     """Minimal DNF of a clause conjunction: all minimal hitting sets.
 
-    Distributes one clause at a time; terms already hitting the clause pass
-    through, others are extended by each clause literal, and absorption
+    A literal is a single statement, or a bracket (a frozenset, see
+    factor_clauses) that stands for all of its statements.  Distributes
+    one clause at a time; terms containing one of the clause's literals
+    pass through, others are extended by each literal, and absorption
     prunes supersets after every step, which keeps the intermediate family
-    an antichain instead of letting the raw product blow up.
+    an antichain instead of letting the raw product blow up.  More than
+    *cap* terms after any clause raises CandidateExplosion.
     """
     if not clauses:
         raise NoFailures("empty clause family")
     partial: set[Term] = {Term()}
     for clause in clauses:
+        literals = [lit if isinstance(lit, frozenset) else Term((lit,)) for lit in clause]
         grown: set[Term] = set()
         for term in partial:
-            if term & clause:
+            if any(lit <= term for lit in literals):
                 grown.add(term)
             else:
-                for literal in clause:
-                    grown.add(term | {literal})
+                grown.update(term | lit for lit in literals)
         partial = _absorb(grown)
         if len(partial) > cap:
             raise CandidateExplosion(f"candidate DNF exceeds the cap of {cap} terms")
@@ -163,22 +198,24 @@ def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     # Path-level signature: the set of path labels whose rows mark the
     # statement.  Exact for generalized tables and for complete-test
     # extended tables (a path's terms jointly mark everything on the path).
-    sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
+    marked: dict[str, set[StatementId]] = {}
     for r in t.rows:
-        for m in r.marks:
-            sig[m].add(r.path)
+        marked.setdefault(r.path, set()).update(r.marks)
+    sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
+    for path, marks in marked.items():
+        for m in marks:
+            sig[m].add(path)
     return _group_by_signature(sig)
 
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong",
              cap: int = DEFAULT_DNF_CAP) -> DiagnosisResult:
-    """Full pipeline: CNF, minimal DNF (at most *cap* terms), exoneration,
-    reduction.
+    """Full pipeline: CNF, factored clauses, minimal DNF (at most *cap*
+    terms after each factored clause), exoneration, reduction.
 
     Attaches the ambiguity group(s) containing the surviving statements.
     """
-    clauses = build_cnf(t)
-    f = cnf_to_min_dnf(clauses, cap=cap)
+    f = cnf_to_min_dnf(factor_clauses(build_cnf(t)), cap=cap)
     h = exoneration_set(t)
     reduced = reduce_candidates(f, h, mode=mode)
     survivors = set()

@@ -10,9 +10,9 @@ expected one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import LengthMismatch, SchemaError
 from .rtg import RTGraph, StatementId
@@ -76,8 +76,8 @@ def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetec
     """Bind a response vector; returns a new table (immutable update)."""
     if len(v) != len(table.rows):
         raise LengthMismatch(f"response has {len(v)} bits for {len(table.rows)} rows")
-    rows = tuple(replace(row, v=bit) for row, bit in zip(table.rows, v.bits))
-    return replace(table, rows=rows)
+    rows = tuple(TableRow(r.label, r.path, r.marks, bit) for r, bit in zip(table.rows, v.bits))
+    return FaultDetectionTable(table.kind, table.columns, rows)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -134,29 +134,34 @@ def loads_table(text: str) -> FaultDetectionTable:
 def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None = None) -> str:
     """Fixed-width text table; cell content mirrors the reference layout.
 
+    Each column's centred "1" and empty cells are built once; a row starts
+    from the empty cells and takes the "1" of every column its marks name
+    (all copies of a duplicated column, none for a mark naming no column).
     With *suspects* a trailing "Faults" row marks the suspect statements.
     """
+    corner = "Ti\\Ij"
     has_v = any(r.v is not None for r in t.rows)
-    headers = ["Ti\\Ij"] + [c.label for c in t.columns] + (["V"] if has_v else [])
-    label_w = max(len(headers[0]), *(len(r.label) for r in t.rows), 6)
+    label_w = max(len(corner), *(len(r.label) for r in t.rows), 6)
     col_ws = [max(len(c.label), 3) for c in t.columns]
+    blank = ["".center(w) for w in col_ws]
+    one = ["1".center(w) for w in col_ws]
+    where: dict[StatementId, list[int]] = {}
+    for i, c in enumerate(t.columns):
+        where.setdefault(c, []).append(i)
 
-    def fmt_row(cells: list[str]) -> str:
-        out = [cells[0].ljust(label_w)]
-        for w, cell in zip(col_ws, cells[1:len(col_ws) + 1]):
-            out.append(cell.center(w))
-        out.extend(cells[len(col_ws) + 1:])
-        return "  ".join(out)
+    def line(label: str, marks: Iterable[StatementId], tail: list[str]) -> str:
+        cells = blank.copy()
+        for m in marks:
+            for i in where.get(m, ()):
+                cells[i] = one[i]
+        return "  ".join([label.ljust(label_w), *cells, *tail])
 
-    lines = [fmt_row(headers)]
+    v_header = ["V"] if has_v else []
+    lines = ["  ".join([corner.ljust(label_w)]
+                       + [c.label.center(w) for c, w in zip(t.columns, col_ws)] + v_header)]
     for r in t.rows:
-        cells = [r.label] + ["1" if c in r.marks else "" for c in t.columns]
-        if has_v:
-            cells.append(str(r.v) if r.v is not None else "")
-        lines.append(fmt_row(cells))
+        lines.append(line(r.label, r.marks,
+                          [str(r.v) if r.v is not None else ""] if has_v else []))
     if suspects is not None:
-        cells = ["Faults"] + ["1" if c in suspects else "" for c in t.columns]
-        if has_v:
-            cells.append("")
-        lines.append(fmt_row(cells))
+        lines.append(line("Faults", suspects, [""] if has_v else []))
     return "\n".join(lines) + "\n"

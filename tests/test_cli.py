@@ -414,6 +414,28 @@ def test_malformed_tolerance_is_a_usage_error(capsys, command, tolerance):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "all"])
+@pytest.mark.parametrize("spelling", [("--tolerance", "-1e-9"), ("--tolerance=-1e-9",)])
+def test_exponent_tolerance_is_a_one_line_usage_error(capsys, command, spelling):
+    # argparse alone reads a dash-led exponent as an option and prints usage
+    code, out, err = run_cli(capsys, command, "--graph", FIG1, "--fault", "I5:3:op=3",
+                             *spelling)
+    assert code == 2
+    assert out == ""
+    assert err == (f"rtgdiag {command}: --tolerance needs a finite non-negative number, "
+                   "got -1e-09\n")
+
+
+def test_dash_led_constant_reaches_inject(capsys, tmp_path):
+    out_path = tmp_path / "mutant.json"
+    code, _, _ = run_cli(capsys, "inject", "--graph", FIG1, "--fragment", "I1",
+                         "--ordinal", "1", "--const", "-2.5e-3", "--operand", "1",
+                         "--out", str(out_path))
+    assert code == 0
+    mutant = loads_graph(out_path.read_text(encoding="utf-8"))
+    assert mutant.statements_of("I1")[0].operands == ("x", -2.5e-3)
+
+
 def test_dnf_cap_reaches_the_diagnosis(capsys, monkeypatch):
     monkeypatch.setenv("RTGDIAG_CAPS", "dnf=1")
     code, out, err = run_cli(capsys, "all", "--graph", FIG1, "--fault", "I5:3:op=3")

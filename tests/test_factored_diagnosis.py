@@ -1,0 +1,211 @@
+"""The factored clause family gives the same F as row-level distribution.
+
+``diagnose`` distributes ``factor_clauses(build_cnf(t))``, where a group of
+failing rows forming a full product of per-fragment brackets is one clause
+of bracket literals.  The reference here is the row-level route:
+``cnf_to_min_dnf`` over the plain clauses of ``build_cnf``, and, on small
+tables, the exhaustive ``brute_min_hitting_sets``.  Tables come from the
+mutation catalogue of the fixtures and of seeded random models, from the
+same tables with seeded bit flips (not path-uniform), from ladders whose
+stimuli split paths, and from hand-built groups.
+"""
+
+from random import Random
+
+import pytest
+
+from rtgdiag import (EmptyDiagnosis, FaultSpec, Node, ResponseVector, RTGraph, Stimulus,
+                     StatementId, attach_response, build_cnf, build_complete_test,
+                     build_extended_fdt, build_rtg, cnf_to_min_dnf, default_stimuli, diagnose,
+                     enumerate_paths, factor_clauses, inject_fault, make_rib,
+                     mutation_catalogue, parse_program, run_suite, validate_graph)
+from rtgdiag.fixtures import fig1_graph, listing31_source
+
+from randmodels import brute_min_hitting_sets, ladder_model, random_dag_model
+
+#: Largest clause universe handed to the exhaustive oracle.
+BRUTE_UNIVERSE = 8
+
+
+def responded_tables(g, stimuli_for=default_stimuli):
+    """Responded extended table of every detected catalogue mutant of *g*."""
+    suite = build_complete_test(g, enumerate_paths(g))
+    table = build_extended_fdt(g, suite)
+    stimuli = stimuli_for(g, suite)
+    for fault in mutation_catalogue(g):
+        v = run_suite(g, inject_fault(g, fault), suite, stimuli)
+        if any(v.bits):
+            yield attach_response(table, v)
+
+
+def check_factored(t) -> None:
+    """Assert the factored F equals the row-level references on table *t*."""
+    clauses = build_cnf(t)
+    factored = factor_clauses(clauses)
+    reference = cnf_to_min_dnf(clauses)
+    assert cnf_to_min_dnf(factored) == reference
+    try:
+        assert diagnose(t, mode="weak").candidates == reference
+    except EmptyDiagnosis:  # every candidate lies inside H; F is not returned
+        pass
+    if len(frozenset().union(*clauses)) <= BRUTE_UNIVERSE:
+        assert reference.terms == frozenset(brute_min_hitting_sets(clauses))
+
+
+def path_uniform(t) -> bool:
+    bits: dict[str, set[int]] = {}
+    for r in t.rows:
+        bits.setdefault(r.path, set()).add(r.v)
+    return all(len(b) == 1 for b in bits.values())
+
+
+def flipped(t, rng: Random):
+    """*t* with one to three seeded row bits flipped, or None when that
+    leaves no failing row."""
+    bits = [r.v for r in t.rows]
+    for i in rng.sample(range(len(bits)), min(len(bits), rng.randint(1, 3))):
+        bits[i] = 1 - bits[i]
+    return attach_response(t, ResponseVector(tuple(bits))) if any(bits) else None
+
+
+def lowered_listing31():
+    return build_rtg(parse_program(listing31_source(), fold=False))[0]
+
+
+@pytest.mark.parametrize("make", [fig1_graph, lowered_listing31], ids=["fig1", "listing31"])
+def test_fixture_catalogue(make):
+    tables = list(responded_tables(make()))
+    assert tables
+    for t in tables:
+        check_factored(t)
+
+
+def test_random_models_and_flipped_bits():
+    rng = Random(20_261_018)
+    flips = Random(20_261_019)
+    models = mutants = uneven = 0
+    while models < 100:
+        g = random_dag_model(rng, max_internal=3, max_fragments=6, max_statements=3)
+        models += 1
+        for t in responded_tables(g):
+            mutants += 1
+            check_factored(t)
+            f = flipped(t, flips)
+            if f is not None:
+                uneven += not path_uniform(f)
+                check_factored(f)
+    assert mutants >= 1000
+    assert uneven >= 900
+
+
+def every_fifth_term_at(x: float):
+    def stimuli_for(g, suite):
+        out = default_stimuli(g, suite)
+        for t in suite.terms[::5]:
+            out[t.label] = Stimulus(env={"x": x}, label=t.label)
+        return out
+    return stimuli_for
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_ladders_with_split_paths(k):
+    # x = 3 masks the stage-1 fault I1:1:op=2 (3 + 1.5 = 3 * 1.5), so every
+    # fifth term of a path through I1 passes while the rest of the path fails
+    g = ladder_model(k)
+    suite = build_complete_test(g, enumerate_paths(g))
+    stimuli = every_fifth_term_at(3.0)(g, suite)
+    table = build_extended_fdt(g, suite)
+    split = 0
+    for fault in [FaultSpec("I1", 1, opcode=2)] + mutation_catalogue(g)[:3]:
+        t = attach_response(table, run_suite(g, inject_fault(g, fault), suite, stimuli))
+        if any(r.v for r in t.rows):
+            split += not path_uniform(t)
+            check_factored(t)
+    assert split >= 1
+
+
+def sid(fragment: str, ordinal: int) -> StatementId:
+    return StatementId(fragment, 1, ordinal, f"{fragment}{ordinal}")
+
+
+A1, A2, B1, B2, C1 = sid("A", 1), sid("A", 2), sid("B", 1), sid("B", 2), sid("C", 1)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # sub-product: only A1 of bracket A fails, so the brackets are {A1} and {B1, B2}
+    ([{A1, B1}, {A1, B2}], [frozenset({frozenset({A1}), frozenset({B1, B2})})]),
+    # the full product, duplicated rows included
+    ([{A1, B1}, {A2, B2}, {A1, B2}, {A2, B1}, {A1, B1}],
+     [frozenset({frozenset({A1, A2}), frozenset({B1, B2})})]),
+    # three of the four rows of {A1, A2} x {B1, B2}: not a product
+    ([{A1, B1}, {A1, B2}, {A2, B1}], [{A1, B1}, {A1, B2}, {A2, B1}]),
+    # two statements of one fragment in a row: not a product
+    ([{A1, A2, B1}, {A1, B1}], [{A1, A2, B1}, {A1, B1}]),
+    # groups are factored one by one, in order of first appearance
+    ([{C1}, {A1, B1}, {A2, B1}],
+     [frozenset({frozenset({C1})}), frozenset({frozenset({A1, A2}), frozenset({B1})})]),
+])
+def test_hand_built_groups(rows, expected):
+    clauses = [frozenset(r) for r in rows]
+    factored = factor_clauses(clauses)
+    assert factored == [frozenset(c) for c in expected]
+    assert cnf_to_min_dnf(factored) == cnf_to_min_dnf(clauses)
+    assert cnf_to_min_dnf(factored).terms == frozenset(brute_min_hitting_sets(clauses))
+
+
+def two_rib_fragment_graph() -> RTGraph:
+    """X -I1-> R -I1-> Y plus X -I2-> Y: the path through R runs fragment
+    I1's two statements on both of its ribs."""
+    specs = [(1, "t1", ("x", 1.5)), (2, "x", ("t1", 2.0))]
+    return RTGraph(nodes=(Node("X", "input"), Node("R", "internal"), Node("Y", "output")),
+                   ribs=(make_rib("I1", "X", "R", specs), make_rib("I1", "R", "Y", specs),
+                         make_rib("I2", "X", "Y", [(3, "x", ("x", 0.5))])))
+
+
+def test_path_through_two_ribs_of_one_fragment():
+    g = two_rib_fragment_graph()
+    assert validate_graph(g) == []
+    [twice] = [p for p in enumerate_paths(g) if p.fragments == ("I1", "I1")]
+    tables = list(responded_tables(g))
+    assert tables
+    for t in tables:
+        failing = [r.marks for r in t.rows if r.v == 1 and r.path == twice.label]
+        if {len(m) for m in failing} == {1, 2}:
+            # the group mixes one- and two-statement rows: it keeps its rows
+            assert set(failing) <= set(factor_clauses(build_cnf(t)))
+        check_factored(t)
+
+
+def test_one_clause_per_failing_path_on_a_path_uniform_ladder():
+    # complexity guard: on a path-uniform table the factored family has one
+    # clause per failing path, whatever the number of terms per path
+    g = ladder_model(5)
+    suite = build_complete_test(g, enumerate_paths(g))
+    table = build_extended_fdt(g, suite)
+    stimuli = default_stimuli(g, suite)
+    for fault in mutation_catalogue(g)[::7]:
+        t = attach_response(table, run_suite(g, inject_fault(g, fault), suite, stimuli))
+        assert path_uniform(t)
+        failing_paths = {r.path for r in t.rows if r.v == 1}
+        assert failing_paths
+        assert len(factor_clauses(build_cnf(t))) == len(failing_paths)
+        assert len(build_cnf(t)) == 32 * len(failing_paths)
+
+
+def test_a_bracket_literal_counts_only_whole():
+    # {A1} alone does not hit the clause whose literal is the bracket {A1, A2}
+    f = cnf_to_min_dnf([frozenset({frozenset({A1, A2}), B1}), frozenset({A1})])
+    assert f.terms == frozenset({frozenset({A1, A2}), frozenset({A1, B1})})
+    assert f == cnf_to_min_dnf([frozenset({A1, B1}), frozenset({A2, B1}), frozenset({A1})])
+
+
+def test_flipped_fig1_table():
+    # fig1's V under I5:3:op=3 with the bit of 151₂ flipped: two of path
+    # X15Y's three terms fail, a sub-product with brackets {I11}, {I51, I52}, {I61}
+    g = fig1_graph()
+    t = attach_response(build_extended_fdt(g, build_complete_test(g, enumerate_paths(g))),
+                        ResponseVector((0, 0, 0, 1, 1, 0, 0, 0, 0, 0)))
+    assert not path_uniform(t)
+    assert len(factor_clauses(build_cnf(t))) == 1
+    check_factored(t)
+    assert str(diagnose(t).candidates) == "I11 ∨ I61 ∨ I51 I52"

@@ -6,7 +6,9 @@ stdout of the last one, and its exit code, with a capture stored under
 ``tests/golden/``.  ``{table}`` in an argument stands for a table file the
 earlier commands of the case write; ``{ladder}`` for the ladder graph;
 ``{chain625}`` for the 5x5x5x5 if-chain program, whose 625 paths take the
-greedy route of both covers.
+greedy route of both covers; ``{ladder4}`` for a 4-stage ladder and
+``{stimuli}`` for a stimuli file that masks its fault I1:1:op=2 on one term
+(x = 3 gives x + 1.5 = x * 1.5), so a failing path has a passing term.
 """
 
 import os
@@ -25,6 +27,10 @@ FIG1 = ("--graph", os.path.join(FIXTURES, "fig1.rtg.json"))
 LISTING31 = ("--program", os.path.join(FIXTURES, "listing31.swl"), "--unfolded")
 FAULT = ("--fault", "I5:3:op=3")
 LISTING31_V = "000111000000111111000000111111"
+# fig1's V under FAULT with the bit of 151₂ flipped: path X15Y fails on two
+# of its three terms
+FIG1_FLIPPED_V = "0001100000"
+LADDER4_SPLIT = ("--graph", "{ladder4}", "--fault", "I1:1:op=2", "--stimuli", "{stimuli}")
 
 CASES = {
     "fig1_all.txt": (1, ("all", *FIG1, *FAULT)),
@@ -57,7 +63,15 @@ CASES = {
                                ("diagnose", "--table", "{table}")),
     "listing31_diagnose.json": (1, ("run", *LISTING31, *FAULT, "--table-out", "{table}"),
                                 ("diagnose", "--table", "{table}", "--format", "json")),
+    "fig1_diagnose_flipped.txt": (1, ("fdt", *FIG1, "--response", FIG1_FLIPPED_V,
+                                      "--format", "json", "--out", "{table}"),
+                                  ("diagnose", "--table", "{table}")),
+    "fig1_diagnose_flipped.json": (1, ("fdt", *FIG1, "--response", FIG1_FLIPPED_V,
+                                       "--format", "json", "--out", "{table}"),
+                                   ("diagnose", "--table", "{table}", "--format", "json")),
     "ladder3_all.txt": (1, ("all", "--graph", "{ladder}", "--fault", "I3:1:op=3")),
+    # strong mode exonerates every candidate once a term of the faulty path passes
+    "ladder4_split_all.txt": (1, ("all", *LADDER4_SPLIT, "--mode", "weak")),
     "listing31_all_clean.txt": (0, ("all", *LISTING31)),
     # given both, `all` parses and lowers the program but runs the graph file
     "listing31_fig1_all.txt": (1, ("all", *LISTING31, *FIG1, *FAULT)),
@@ -93,10 +107,15 @@ def run_case(name, tmp_path, capsys):
     """(exit code, stdout) of the last command of case *name*."""
     ladder = tmp_path / "ladder3.rtg.json"
     ladder.write_text(dumps_graph(ladder_model(3)), encoding="utf-8")
+    ladder4 = tmp_path / "ladder4.rtg.json"
+    ladder4.write_text(dumps_graph(ladder_model(4)), encoding="utf-8")
+    stimuli = tmp_path / "stimuli.json"
+    stimuli.write_text('{"2111₁": {"x": 3.0}}', encoding="utf-8")
     chain625 = tmp_path / "chain625.swl"
     chain625.write_text(if_chain_program((5, 5, 5, 5)), encoding="utf-8")
     slots = {"{table}": str(tmp_path / "table.json"), "{ladder}": str(ladder),
-             "{chain625}": str(chain625)}
+             "{chain625}": str(chain625), "{ladder4}": str(ladder4),
+             "{stimuli}": str(stimuli)}
     capsys.readouterr()
     for argv in CASES[name][1:]:
         code = main([slots.get(a, a) for a in argv])
