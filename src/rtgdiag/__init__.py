@@ -14,9 +14,10 @@ from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity
 from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
                      LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
-                     NonFiniteValue, NoOpMutation, NoSuchStatement, ParseError,
-                     PathExplosion, RtgError, SchemaError, TermExplosion, UnboundVariable,
-                     Uncoverable, UndefinedVariable, UnsupportedOperation, UsageError)
+                     NonFiniteValue, NoOpMutation, NoResponse, NoSuchStatement,
+                     ParseError, PathExplosion, RtgError, SchemaError, TermExplosion,
+                     UnboundVariable, Uncoverable, UndefinedVariable, UnsupportedOperation,
+                     UsageError)
 from .fdt import (FaultDetectionTable, ResponseVector, TableRow, attach_response,
                   build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
                   render_table, table_from_json, table_to_json)
@@ -27,7 +28,7 @@ from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementI
 from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimulus,
                         default_stimuli, execute_path, execute_program,
                         guard_aware_stimuli, inject_fault, mutation_catalogue,
-                        pick_stimulus, run_paths, run_suite)
+                        pick_stimulus, run_suite)
 from .testsynth import (ActivationFormula, Path, TestSuite, TestTerm, activation_formula,
                         build_complete_test, enumerate_paths, expand_terms,
                         minimal_diagnostic_test, minimal_path_cover)

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Sequence
 
-from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures
+from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, NoResponse
 from .fdt import FaultDetectionTable
 from .rtg import RTGraph, StatementId, natural_key
 from .testsynth import Path
@@ -72,9 +72,17 @@ class DiagnosisResult:
         return frozenset(out)
 
 
-def _require_response(t: FaultDetectionTable) -> None:
-    if any(r.v is None for r in t.rows):
-        raise NoFailures("table has no bound response vector")
+def _marks_by_verdict(t: FaultDetectionTable) -> tuple[list[Clause], list[Clause]]:
+    """The marks of the failing rows (bit 1) and of the passing rows (bit 0),
+    each in row order.  Raises NoResponse when the table has no response
+    vector V."""
+    if t.response is None:
+        raise NoResponse("the table has no response vector V to diagnose from")
+    failing: list[Clause] = []
+    passing: list[Clause] = []
+    for r, bit in zip(t.rows, t.response.bits):
+        (failing if bit else passing).append(r.marks)
+    return failing, passing
 
 
 def build_cnf(t: FaultDetectionTable) -> list[Clause]:
@@ -82,8 +90,7 @@ def build_cnf(t: FaultDetectionTable) -> list[Clause]:
 
     Raises NoFailures when the response is all-zero: nothing to diagnose.
     """
-    _require_response(t)
-    clauses = [Clause(r.marks) for r in t.rows if r.v == 1]
+    clauses = _marks_by_verdict(t)[0]
     if not clauses:
         raise NoFailures("response vector is all-zero; no fault detected")
     return clauses
@@ -155,12 +162,7 @@ def cnf_to_min_dnf(clauses: Sequence[Clause], cap: int = DEFAULT_DNF_CAP) -> Can
 def exoneration_set(t: FaultDetectionTable) -> frozenset[StatementId]:
     """Statements exercised by passing rows (bit 0): observed to transform
     data correctly at least once."""
-    _require_response(t)
-    out: set[StatementId] = set()
-    for r in t.rows:
-        if r.v == 0:
-            out |= r.marks
-    return frozenset(out)
+    return frozenset().union(*_marks_by_verdict(t)[1])
 
 
 def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
@@ -231,17 +233,7 @@ def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
     union of passing rows' marks."""
     if t.kind != "generalized":
         raise ValueError("diagnose_generalized needs a generalized table")
-    _require_response(t)
-    failing = [r.marks for r in t.rows if r.v == 1]
-    if not failing:
-        raise NoFailures("response vector is all-zero; no fault detected")
-    suspects = set(failing[0])
-    for marks in failing[1:]:
-        suspects &= marks
-    for r in t.rows:
-        if r.v == 0:
-            suspects -= r.marks
-    return frozenset(suspects)
+    return frozenset.intersection(*build_cnf(t)) - exoneration_set(t)
 
 
 def ambiguity_groups(g: RTGraph, paths: Sequence[Path]) -> list[AmbiguityGroup]:

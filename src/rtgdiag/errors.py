@@ -133,6 +133,10 @@ class InfeasiblePath(RtgError):
     """A path's guard constraints have an empty solution set."""
 
 
+class NoResponse(RtgError):
+    """A table that is diagnosed has no response vector bound."""
+
+
 class NoFailures(RtgError):
     """The response vector is all-zero: no fault was detected."""
 

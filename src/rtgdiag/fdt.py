@@ -2,16 +2,20 @@
 
 The generalized table has one row per path, marking every statement on the
 path's ribs.  The extended table has one row per test term, marking only the
-selected statements.  A response vector V (one pass/fail bit per row) can be
-attached for diagnosis; bit 1 means the observed output differed from the
-expected one.
+selected statements.  A table holds at most one response vector V, one
+pass/fail bit per row in row order; bit 1 means the observed output differed
+from the expected one.  The table checks at construction that V has one bit
+per row, and ``attach_response`` binds V without touching the rows.  In
+table JSON each row carries its bit as ``v``: 0 or 1 on every row, or null
+on every row when no V is bound; ``table_from_json`` rejects anything else.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import LengthMismatch, SchemaError
@@ -35,7 +39,6 @@ class TableRow:
     label: str
     path: str
     marks: frozenset[StatementId]
-    v: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,12 +46,12 @@ class FaultDetectionTable:
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]
     rows: tuple[TableRow, ...]
+    response: ResponseVector | None = None  # V, one bit per row
 
-    @property
-    def response(self) -> ResponseVector | None:
-        if any(r.v is None for r in self.rows):
-            return None
-        return ResponseVector(tuple(r.v for r in self.rows))
+    def __post_init__(self) -> None:
+        if self.response is not None and len(self.response) != len(self.rows):
+            raise LengthMismatch(f"response has {len(self.response)} bits "
+                                 f"for {len(self.rows)} rows")
 
     def row_labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.rows)
@@ -73,11 +76,11 @@ def build_extended_fdt(g: RTGraph, suite: TestSuite) -> FaultDetectionTable:
 
 
 def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetectionTable:
-    """Bind a response vector; returns a new table (immutable update)."""
-    if len(v) != len(table.rows):
-        raise LengthMismatch(f"response has {len(v)} bits for {len(table.rows)} rows")
-    rows = tuple(TableRow(r.label, r.path, r.marks, bit) for r, bit in zip(table.rows, v.bits))
-    return FaultDetectionTable(table.kind, table.columns, rows)
+    """The table with *v* bound as its response; the rows are shared.
+
+    Raises LengthMismatch unless *v* has one bit per row.
+    """
+    return replace(table, response=v)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -96,31 +99,42 @@ def table_to_json(t: FaultDetectionTable) -> dict:
         "rows": [
             {"label": r.label, "path": r.path,
              "marks": sorted((m.label for m in r.marks), key=lambda l: rank.get(l, unknown)),
-             "v": r.v}
-            for r in t.rows
+             "v": v}
+            for r, v in zip(t.rows, t.response.bits if t.response is not None else repeat(None))
         ],
     }
 
 
 def table_from_json(doc: dict) -> FaultDetectionTable:
     """Inverse of table_to_json; raises SchemaError naming a missing key, a
-    value of the wrong type, or a mark label that names no column."""
+    value of the wrong type, a mark label that names no column, or a ``v``
+    that is neither 0/1 on every row nor null on every row."""
     get = partial(SchemaError.field, "table JSON")
     columns = tuple(StatementId(get(c, "fragment", str), get(c, "opcode", int),
                                 get(c, "ordinal", int), get(c, "label", str))
                     for c in get(doc, "columns", list))
     by_label = {c.label: c for c in columns}
     rows = []
+    bits = []
     for r in get(doc, "rows", list):
         marks = get(r, "marks", list)
+        label = get(r, "label", str)
         unknown = [m for m in marks if not isinstance(m, str) or m not in by_label]
         if unknown:
-            raise SchemaError(f"table JSON: row {get(r, 'label', str)!r} marks {unknown[0]!r}, "
+            raise SchemaError(f"table JSON: row {label!r} marks {unknown[0]!r}, "
                               "which names no column")
-        rows.append(TableRow(label=get(r, "label", str), path=get(r, "path", str),
-                             marks=frozenset(by_label[m] for m in marks),
-                             v=get(r, "v", int, type(None))))
-    return FaultDetectionTable(kind=get(doc, "kind", str), columns=columns, rows=tuple(rows))
+        rows.append(TableRow(label=label, path=get(r, "path", str),
+                             marks=frozenset(by_label[m] for m in marks)))
+        v = get(r, "v", int, type(None))
+        if v not in (0, 1, None):
+            raise SchemaError(f"table JSON: row {label!r} has v = {v}, expected 0 or 1")
+        bits.append(v)
+    if None in bits and set(bits) != {None}:
+        raise SchemaError("table JSON: v is null on some rows only; give 0 or 1 on "
+                          "every row, or null on every row")
+    response = ResponseVector(tuple(bits)) if bits and None not in bits else None
+    return FaultDetectionTable(kind=get(doc, "kind", str), columns=columns, rows=tuple(rows),
+                               response=response)
 
 
 def dumps_table(t: FaultDetectionTable) -> str:
@@ -140,7 +154,7 @@ def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None
     With *suspects* a trailing "Faults" row marks the suspect statements.
     """
     corner = "Ti\\Ij"
-    has_v = any(r.v is not None for r in t.rows)
+    has_v = t.response is not None
     label_w = max(len(corner), *(len(r.label) for r in t.rows), 6)
     col_ws = [max(len(c.label), 3) for c in t.columns]
     blank = ["".center(w) for w in col_ws]
@@ -159,9 +173,9 @@ def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None
     v_header = ["V"] if has_v else []
     lines = ["  ".join([corner.ljust(label_w)]
                        + [c.label.center(w) for c, w in zip(t.columns, col_ws)] + v_header)]
-    for r in t.rows:
-        lines.append(line(r.label, r.marks,
-                          [str(r.v) if r.v is not None else ""] if has_v else []))
+    tails = ([str(b)] for b in t.response.bits) if has_v else repeat([])
+    for r, tail in zip(t.rows, tails):
+        lines.append(line(r.label, r.marks, tail))
     if suspects is not None:
         lines.append(line("Faults", suspects, [""] if has_v else []))
     return "\n".join(lines) + "\n"

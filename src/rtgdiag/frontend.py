@@ -19,10 +19,10 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import (DivisionByZero, ExecutionError, ParseError, UndefinedVariable,
-                     UnsupportedOperation)
+from .errors import (DivisionByZero, ExecutionError, ParseError, UnboundVariable,
+                     UndefinedVariable, UnsupportedOperation)
 from .intervals import IntervalSet
 from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
                   make_statements, merge_equivalent_ribs)
@@ -58,8 +58,8 @@ class Var:
     col: int = 0
 
 
-# Operation nodes name their alphabet opcode and operands; every evaluator
-# (folding, guard bounds, program execution) and lowering goes through them.
+# Operation nodes name their alphabet opcode and operands; parse-time folding,
+# ``evaluate`` (guard bounds, program execution) and lowering go through them.
 
 @dataclass(frozen=True)
 class BinOp:
@@ -135,6 +135,26 @@ class Program:
     inputs: tuple[str, ...]
     body: tuple[Union[Assignment, IfChain], ...]
     output: str
+
+
+def evaluate(e: Expr, env: Mapping[str, float]) -> float:
+    """The value of *e* with its variables read from *env*.
+
+    Raises UnboundVariable for a variable *env* lacks, and an operation's
+    ExecutionError completed with the operation's source location.
+    """
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise UnboundVariable(e.name)
+        return env[e.name]
+    op, operands = e.operation()
+    values = [evaluate(o, env) for o in operands]
+    try:
+        return op.fn(*values)
+    except ExecutionError as err:
+        raise err.at(f"line {e.line}, column {e.col}")
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -346,15 +366,12 @@ class _Parser:
                          expected=("number", "identifier", "sin", "("))
 
     def _fold(self, node: Union[BinOp, Sin]) -> Expr:
-        op, operands = node.operation()
-        if not self.fold or not all(isinstance(o, Num) for o in operands):
+        if not self.fold or not all(isinstance(o, Num) for o in node.operation()[1]):
             return node
         try:
-            return Num(op.fn(*(o.value for o in operands)), node.line, node.col)
+            return Num(evaluate(node, {}), node.line, node.col)
         except DivisionByZero:
             raise ParseError("constant division by zero", node.line, node.col) from None
-        except ExecutionError as err:
-            raise err.at(f"line {node.line}, column {node.col}")
 
 
 def parse_program(text: str, fold: bool = True) -> Program:
@@ -530,20 +547,10 @@ def layout(p: Program) -> list[tuple]:
 def _const_eval(e: Expr) -> float | None:
     """The value of a constant expression; None when it reads a variable or
     divides by zero (a guard bound that is not representable)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return None
-    op, operands = e.operation()
-    values = [_const_eval(o) for o in operands]
-    if None in values:
-        return None
     try:
-        return op.fn(*values)
-    except DivisionByZero:
+        return evaluate(e, {})
+    except (UnboundVariable, DivisionByZero):
         return None
-    except ExecutionError as err:
-        raise err.at(f"line {e.line}, column {e.col}")
 
 
 def _guard_regions(guard: Guard) -> dict[str, IntervalSet] | None:
@@ -591,7 +598,7 @@ def _effective_constraints(chain: IfChain) -> list[dict[str, IntervalSet] | None
                 have = effective.get(var, IntervalSet.full())
                 effective[var] = have.intersect(region.complement())
         out.append(effective)
-        priors.append(_guard_regions(arm.guard) if arm.guard is not None else {})
+        priors.append(own)
     return out
 
 

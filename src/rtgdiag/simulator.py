@@ -22,7 +22,7 @@ from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePat
                      InvalidMutation, MissingStimulus, NoOpMutation, NoSuchStatement,
                      UnboundVariable)
 from .fdt import ResponseVector
-from .frontend import Guard, Program, SourceMap
+from .frontend import Guard, Program, SourceMap, evaluate
 from .intervals import IntervalSet
 from .rtg import OP_ALPHABET, RTGraph
 from .testsynth import Path, TestSuite
@@ -73,25 +73,10 @@ class FaultSpec:
 
 # --- program execution --------------------------------------------------------
 
-def _eval_expr(e: frontend.Expr, env: Mapping[str, float]) -> float:
-    if isinstance(e, frontend.Num):
-        return e.value
-    if isinstance(e, frontend.Var):
-        if e.name not in env:
-            raise UnboundVariable(e.name)
-        return env[e.name]
-    op, operands = e.operation()
-    values = [_eval_expr(o, env) for o in operands]
-    try:
-        return op.fn(*values)
-    except ExecutionError as err:
-        raise err.at(f"line {e.line}, column {e.col}")
-
-
 def _guard_holds(guard: Guard | None, env: Mapping[str, float]) -> bool:
     if guard is None:
         return True
-    return all(frontend.RELATIONS[c.relop].holds(_eval_expr(c.lhs, env), _eval_expr(c.rhs, env))
+    return all(frontend.RELATIONS[c.relop].holds(evaluate(c.lhs, env), evaluate(c.rhs, env))
                for c in guard.comparisons)
 
 
@@ -114,7 +99,7 @@ def execute_program(p: Program, s: Stimulus) -> ObservationTrace:
         if ev[0] == "segment":
             _, assignments, dst = ev
             for a in assignments:
-                env[a.target] = _eval_expr(a.expr, env)
+                env[a.target] = evaluate(a.expr, env)
             if dst != "Y":
                 points.append((dst, env[assignments[-1].target]))
         else:
@@ -122,7 +107,7 @@ def execute_program(p: Program, s: Stimulus) -> ObservationTrace:
             for arm, dst in zip(chain.arms, dsts):
                 if _guard_holds(arm.guard, env):
                     for a in arm.body:
-                        env[a.target] = _eval_expr(a.expr, env)
+                        env[a.target] = evaluate(a.expr, env)
                     if dst != "Y":
                         points.append((dst, env[arm.body[-1].target]))
                     break
@@ -276,35 +261,6 @@ def _differs(gv: float, mv: float, tolerance: float) -> bool:
     return abs(gv - mv) > tolerance * max(1.0, abs(gv))
 
 
-def _run_items(golden: RTGraph, mutant: RTGraph, items: Sequence[tuple[str, Path]],
-               stimuli: Mapping[str, Stimulus], tolerance: float,
-               permissive: bool) -> ResponseVector:
-    """One bit per item; golden and mutant run once per distinct (path,
-    inputs) pair, and later items with the same pair reuse its bit."""
-    _check_topology(golden, mutant)
-    mutant_rib = {r.key: r for r in mutant.ribs}
-    seen: dict[tuple, int] = {}
-    bits = []
-    for label, path in items:
-        stim = stimuli.get(label)
-        if stim is None:
-            raise MissingStimulus(f"no stimulus for {label}")
-        keys = tuple(r.key for r in path.edges)
-        pair = (keys, tuple(sorted(stim.env.items())))
-        bit = seen.get(pair)
-        if bit is None:
-            mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
-            try:
-                gv = execute_path(golden, path, stim, permissive).output
-                mv = execute_path(mutant, mpath, stim, permissive).output
-            except ExecutionError as e:
-                e.args = (f"term {label}: {e}",)
-                raise
-            bit = seen[pair] = 1 if _differs(gv, mv, tolerance) else 0
-        bits.append(bit)
-    return ResponseVector(tuple(bits))
-
-
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
               stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
               permissive: bool = False) -> ResponseVector:
@@ -314,16 +270,29 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
     path that share a stimulus share the path's bit, while terms given
     different inputs are run separately.
     """
-    return _run_items(golden, mutant, [(t.label, t.path) for t in suite.terms],
-                      stimuli, tolerance, permissive)
-
-
-def run_paths(golden: RTGraph, mutant: RTGraph, paths: Sequence[Path],
-              stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
-              permissive: bool = False) -> ResponseVector:
-    """Like run_suite, but one bit per path (for the generalized table)."""
-    return _run_items(golden, mutant, [(p.label, p) for p in paths],
-                      stimuli, tolerance, permissive)
+    _check_topology(golden, mutant)
+    mutant_rib = {r.key: r for r in mutant.ribs}
+    seen: dict[tuple, int] = {}
+    bits = []
+    for term in suite.terms:
+        stim = stimuli.get(term.label)
+        if stim is None:
+            raise MissingStimulus(f"no stimulus for {term.label}")
+        path = term.path
+        keys = tuple(r.key for r in path.edges)
+        pair = (keys, tuple(sorted(stim.env.items())))
+        bit = seen.get(pair)
+        if bit is None:
+            mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
+            try:
+                gv = execute_path(golden, path, stim, permissive).output
+                mv = execute_path(mutant, mpath, stim, permissive).output
+            except ExecutionError as e:
+                e.args = (f"term {term.label}: {e}",)
+                raise
+            bit = seen[pair] = 1 if _differs(gv, mv, tolerance) else 0
+        bits.append(bit)
+    return ResponseVector(tuple(bits))
 
 
 # --- stimulus selection -----------------------------------------------------------

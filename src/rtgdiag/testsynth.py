@@ -145,13 +145,12 @@ def activation_formula(g: RTGraph, p: Path) -> ActivationFormula:
     return ActivationFormula(path=p, brackets=brackets)
 
 
-def expand_terms(f: ActivationFormula, existing: Sequence[TestTerm] = (),
-                 term_cap: int = DEFAULT_TERM_CAP) -> list[TestTerm]:
+def expand_terms(f: ActivationFormula, term_cap: int = DEFAULT_TERM_CAP) -> list[TestTerm]:
     """Remove the brackets: the Cartesian product of the selection lists.
 
-    Labels concatenate the chosen opcode digits; a label already used by
-    *existing* terms (or earlier in this expansion) gets an occurrence
-    subscript.  Suite-level labelling is finalized by build_complete_test.
+    Labels concatenate the chosen opcode digits; a label used earlier in
+    this expansion gets an occurrence subscript.  Suite-level labelling is
+    finalized by build_complete_test.
     """
     total = 1
     for b in f.brackets:
@@ -159,7 +158,7 @@ def expand_terms(f: ActivationFormula, existing: Sequence[TestTerm] = (),
     if total > term_cap:
         raise TermExplosion(f"expansion of {f.path.label} has {total} terms (cap {term_cap})")
 
-    used = Counter(t.base_label for t in existing)
+    used: Counter = Counter()
     out: list[TestTerm] = []
     for selection in itertools.product(*f.brackets):
         base = "".join(str(s.opcode) for s in selection)

@@ -128,7 +128,8 @@ def test_criterion_07_single_fault_soundness():
         expected_bits = tuple(1 if fault.fragment in t.path.fragments else 0
                               for t in suite.terms)
         passing_marks = frozenset().union(
-            frozenset(), *(r.marks for r in table.rows if r.v == 0))
+            frozenset(), *(r.marks for r, bit in zip(table.rows, table.response.bits)
+                                if bit == 0))
         others_marked = all(sid in passing_marks for sid in graph.statement_ids
                             if sid.fragment != fault.fragment)
         if v.bits != expected_bits or not others_marked:

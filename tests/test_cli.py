@@ -372,6 +372,37 @@ def test_table_of_the_wrong_shape_exits_3(capsys, tmp_path, shape):
     assert err.startswith("rtgdiag diagnose: table JSON: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["extended", "generalized"])
+def test_diagnosing_a_table_without_response_exits_3(capsys, tmp_path, kind):
+    table = tmp_path / "table.json"
+    code, _, _ = run_cli(capsys, "fdt", "--graph", FIG1, "--kind", kind,
+                         "--format", "json", "--out", str(table))
+    assert code == 0
+    code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag diagnose: the table has no response vector V to diagnose from\n"
+
+
+def test_table_bit_other_than_0_or_1_exits_3(capsys, tmp_path):
+    table, doc = _fig1_table(capsys, tmp_path)
+    for i, row in enumerate(doc["rows"]):
+        row["v"] = 2 if i == 3 else 0
+    table.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag diagnose: table JSON: row '111₂' has v = 2, expected 0 or 1\n"
+
+
+def test_table_with_one_null_bit_exits_3(capsys, tmp_path):
+    table, doc = _fig1_table(capsys, tmp_path)
+    doc["rows"][4]["v"] = None
+    table.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagnose", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err == ("rtgdiag diagnose: table JSON: v is null on some rows only; "
+                   "give 0 or 1 on every row, or null on every row\n")
+
+
 SIX_STATEMENTS = """input x;
 a = x + 1;
 b = a * 2;

@@ -2,8 +2,8 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, ResponseVector,
-                     RTGraph, ambiguity_groups, attach_response, build_cnf,
+from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, NoResponse,
+                     ResponseVector, RTGraph, ambiguity_groups, attach_response, build_cnf,
                      build_generalized_fdt, cnf_to_min_dnf, diagnose, diagnose_generalized,
                      enumerate_paths, exoneration_set, make_rib,
                      recommend_observation_points, reduce_candidates,
@@ -33,6 +33,15 @@ def test_build_cnf_rejects_all_zero(extended):
     table = attach_response(extended, ResponseVector((0,) * 10))
     with pytest.raises(NoFailures):
         build_cnf(table)
+
+
+def test_a_table_without_response_is_not_diagnosed(g, paths, extended):
+    for table, step in ((extended, build_cnf), (extended, exoneration_set),
+                        (extended, diagnose),
+                        (build_generalized_fdt(g, paths), diagnose_generalized)):
+        with pytest.raises(NoResponse) as raised:
+            step(table)
+        assert not isinstance(raised.value, NoFailures)
 
 
 def test_min_dnf_of_reference_clauses(responded):
@@ -127,7 +136,9 @@ def test_diagnose_reference_scenario(responded):
 
 def test_diagnose_row_order_invariance(responded):
     import dataclasses
-    reversed_table = dataclasses.replace(responded, rows=tuple(reversed(responded.rows)))
+    reversed_table = dataclasses.replace(
+        responded, rows=tuple(reversed(responded.rows)),
+        response=ResponseVector(tuple(reversed(responded.response.bits))))
     a, b = diagnose(responded), diagnose(reversed_table)
     assert a.candidates == b.candidates
     assert a.exonerated == b.exonerated

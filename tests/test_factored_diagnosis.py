@@ -54,15 +54,15 @@ def check_factored(t) -> None:
 
 def path_uniform(t) -> bool:
     bits: dict[str, set[int]] = {}
-    for r in t.rows:
-        bits.setdefault(r.path, set()).add(r.v)
+    for r, bit in zip(t.rows, t.response.bits):
+        bits.setdefault(r.path, set()).add(bit)
     return all(len(b) == 1 for b in bits.values())
 
 
 def flipped(t, rng: Random):
     """*t* with one to three seeded row bits flipped, or None when that
     leaves no failing row."""
-    bits = [r.v for r in t.rows]
+    bits = list(t.response.bits)
     for i in rng.sample(range(len(bits)), min(len(bits), rng.randint(1, 3))):
         bits[i] = 1 - bits[i]
     return attach_response(t, ResponseVector(tuple(bits))) if any(bits) else None
@@ -118,7 +118,7 @@ def test_ladders_with_split_paths(k):
     split = 0
     for fault in [FaultSpec("I1", 1, opcode=2)] + mutation_catalogue(g)[:3]:
         t = attach_response(table, run_suite(g, inject_fault(g, fault), suite, stimuli))
-        if any(r.v for r in t.rows):
+        if any(t.response.bits):
             split += not path_uniform(t)
             check_factored(t)
     assert split >= 1
@@ -169,7 +169,8 @@ def test_path_through_two_ribs_of_one_fragment():
     tables = list(responded_tables(g))
     assert tables
     for t in tables:
-        failing = [r.marks for r in t.rows if r.v == 1 and r.path == twice.label]
+        failing = [r.marks for r, bit in zip(t.rows, t.response.bits)
+                   if bit == 1 and r.path == twice.label]
         if {len(m) for m in failing} == {1, 2}:
             # the group mixes one- and two-statement rows: it keeps its rows
             assert set(failing) <= set(factor_clauses(build_cnf(t)))
@@ -186,7 +187,7 @@ def test_one_clause_per_failing_path_on_a_path_uniform_ladder():
     for fault in mutation_catalogue(g)[::7]:
         t = attach_response(table, run_suite(g, inject_fault(g, fault), suite, stimuli))
         assert path_uniform(t)
-        failing_paths = {r.path for r in t.rows if r.v == 1}
+        failing_paths = {r.path for r, bit in zip(t.rows, t.response.bits) if bit == 1}
         assert failing_paths
         assert len(factor_clauses(build_cnf(t))) == len(failing_paths)
         assert len(build_cnf(t)) == 32 * len(failing_paths)

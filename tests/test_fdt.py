@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from rtgdiag import (LengthMismatch, ResponseVector, attach_response, build_extended_fdt,
-                     build_generalized_fdt, dumps_table, loads_table, render_table)
+from rtgdiag import (FaultDetectionTable, LengthMismatch, ResponseVector, attach_response,
+                     build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
+                     render_table)
 from rtgdiag.testsynth import build_complete_test
 
 GENERALIZED_MARKS = {
@@ -69,7 +72,8 @@ def test_attach_response(extended):
 def test_attach_response_generalized(g, paths):
     table = build_generalized_fdt(g, paths)
     bound = attach_response(table, ResponseVector((0, 1, 0, 0)))
-    assert [r.v for r in bound.rows] == [0, 1, 0, 0]
+    assert bound.response.bits == (0, 1, 0, 0)
+    assert bound.rows is table.rows
 
 
 def test_attach_response_length_mismatch(extended):
@@ -78,9 +82,21 @@ def test_attach_response_length_mismatch(extended):
 
 
 def test_json_round_trip(g, paths, extended):
-    for table in (build_generalized_fdt(g, paths),
+    generalized = build_generalized_fdt(g, paths)
+    for table in (generalized, attach_response(generalized, ResponseVector((0, 1, 0, 0))),
+                  extended,
                   attach_response(extended, ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0)))):
-        assert loads_table(dumps_table(table)) == table
+        assert loads_table(dumps_table(table)) == table  # the response is a field
+    assert loads_table(dumps_table(extended)).response is None
+
+
+@pytest.mark.parametrize("bits", [(), (0, 1), (0,) * 11])
+def test_table_rejects_a_response_of_the_wrong_length(extended, bits):
+    with pytest.raises(LengthMismatch, match=f"response has {len(bits)} bits for 10 rows"):
+        FaultDetectionTable(extended.kind, extended.columns, extended.rows, ResponseVector(bits))
+    with pytest.raises(LengthMismatch):
+        dataclasses.replace(extended, rows=extended.rows[:-1],
+                            response=ResponseVector((0,) * 10))
 
 
 def test_render_cell_content(extended):

@@ -3,23 +3,22 @@
 The reference below builds every cell with ``c in r.marks`` and
 ``str.center``; the library builds each column's cells once.  Both must give
 the same bytes on seeded tables, including duplicated columns, marks that
-name no column, tables without V or with some bits unset, and the
-``Faults`` suspects row.
+name no column, tables with and without V, and the ``Faults`` suspects row.
 """
 
 from random import Random
 
 import pytest
 
-from rtgdiag import (StatementId, TableRow, build_complete_test, build_extended_fdt,
-                     build_generalized_fdt, enumerate_paths, render_table)
+from rtgdiag import (ResponseVector, StatementId, TableRow, build_complete_test,
+                     build_extended_fdt, build_generalized_fdt, enumerate_paths, render_table)
 from rtgdiag.fdt import FaultDetectionTable
 
 from randmodels import random_dag_model
 
 
 def reference_render(t, suspects=None) -> str:
-    has_v = any(r.v is not None for r in t.rows)
+    has_v = t.response is not None
     headers = ["Ti\\Ij"] + [c.label for c in t.columns] + (["V"] if has_v else [])
     label_w = max(len(headers[0]), *(len(r.label) for r in t.rows), 6)
     col_ws = [max(len(c.label), 3) for c in t.columns]
@@ -32,10 +31,10 @@ def reference_render(t, suspects=None) -> str:
         return "  ".join(out)
 
     lines = [fmt_row(headers)]
-    for r in t.rows:
+    for i, r in enumerate(t.rows):
         cells = [r.label] + ["1" if c in r.marks else "" for c in t.columns]
         if has_v:
-            cells.append(str(r.v) if r.v is not None else "")
+            cells.append(str(t.response.bits[i]))
         lines.append(fmt_row(cells))
     if suspects is not None:
         cells = ["Faults"] + ["1" if c in suspects else "" for c in t.columns]
@@ -60,14 +59,15 @@ def seeded_tables(seed: int):
         if rng.random() < 0.5:  # duplicated columns
             for c in rng.sample(columns, rng.randint(1, len(columns))):
                 columns.insert(rng.randrange(len(columns) + 1), c)
-        v_mode = rng.choice(("none", "all", "some"))
+        has_v = rng.random() < 0.5
         rows = []
+        bits = []
         for r in t.rows:
             marks = r.marks | {STRAY} if rng.random() < 0.3 else r.marks
-            v = None if v_mode == "none" or (v_mode == "some" and rng.random() < 0.3) \
-                else rng.randint(0, 1)
-            rows.append(TableRow(r.label, r.path, marks, v))
-        table = FaultDetectionTable(t.kind, tuple(columns), tuple(rows))
+            rows.append(TableRow(r.label, r.path, marks))
+            bits.append(rng.randint(0, 1))
+        table = FaultDetectionTable(t.kind, tuple(columns), tuple(rows),
+                                    ResponseVector(tuple(bits)) if has_v else None)
         suspects = frozenset(rng.sample(columns, rng.randint(0, len(columns))))
         for s in (None, suspects, suspects | {STRAY}):
             yield table, s
@@ -82,7 +82,8 @@ def test_render_matches_the_per_cell_reference(seed):
 def test_duplicate_columns_are_all_marked():
     a = StatementId("I1", 1, 1, "I11")
     b = StatementId("I2", 1, 1, "I21")
-    t = FaultDetectionTable("extended", (a, b, a), (TableRow("t1", "p", frozenset({a}), 1),))
+    t = FaultDetectionTable("extended", (a, b, a), (TableRow("t1", "p", frozenset({a})),),
+                            ResponseVector((1,)))
     assert render_table(t) == reference_render(t)
     assert render_table(t).splitlines()[1].split() == ["t1", "1", "1", "1"]
 

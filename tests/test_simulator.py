@@ -7,8 +7,7 @@ from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
                      InvalidMutation, Node, NonFiniteValue, NoOpMutation, NoSuchStatement,
                      RTGraph, Stimulus, UnboundVariable, build_complete_test, build_rtg,
                      default_stimuli, enumerate_paths, execute_path, execute_program,
-                     inject_fault, make_rib, parse_program, pick_stimulus, run_paths,
-                     run_suite)
+                     inject_fault, make_rib, parse_program, pick_stimulus, run_suite)
 from rtgdiag.intervals import IntervalSet
 from rtgdiag.simulator import (DEFAULT_TOLERANCE, DefaultedVariableWarning, _differs,
                                 guard_aware_stimuli)
@@ -125,10 +124,14 @@ def test_run_suite_reproduces_reference_vector(g, suite, fault):
     assert v.bits == PAPER_V
 
 
-def test_run_paths_reproduces_generalized_vector(g, paths, fault):
-    mutant = inject_fault(g, fault)
-    stimuli = {p.label: pick_stimulus(g, p) for p in paths}
-    assert run_paths(g, mutant, paths, stimuli).bits == (0, 1, 0, 0)
+def test_run_suite_per_path_gives_generalized_vector(g, paths, suite, fault):
+    # every term of a path runs the path's stimulus, so the terms of a path
+    # share one bit, and those bits in path order are the generalized V
+    v = run_suite(g, inject_fault(g, fault), suite, default_stimuli(g, suite))
+    per_path: dict[str, set[int]] = {}
+    for t, bit in zip(suite.terms, v.bits):
+        per_path.setdefault(t.path.label, set()).add(bit)
+    assert [per_path[p.label] for p in paths] == [{0}, {1}, {0}, {0}]
 
 
 def test_identical_graphs_give_all_zero_vector(g, suite):

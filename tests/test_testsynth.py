@@ -71,12 +71,6 @@ def test_expand_single_formula_in_isolation(g, paths):
     assert [t.label for t in terms] == ["21", "31"]
 
 
-def test_expand_subscripts_against_existing(g, paths):
-    first = expand_terms(activation_formula(g, paths[0]))
-    second = expand_terms(activation_formula(g, paths[1]), existing=first)
-    assert [t.label for t in second] == ["111₂", "121", "151₂"]
-
-
 def test_expansion_count_is_bracket_product(g, paths):
     for p in paths:
         f = activation_formula(g, p)
