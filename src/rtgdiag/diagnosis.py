@@ -1,22 +1,26 @@
 """Diagnosis from a responded fault detection table.
 
-Failing rows become CNF clauses (each row's marks read as a disjunction of
-suspects).  Rows that together form a full product of per-fragment brackets,
-as all terms of a failing path do, are factored into one clause whose
-literals are the brackets.  The clause family is turned into its minimal
-DNF, i.e. the antichain of minimal hitting sets, by incremental
-distribution with idempotence and absorption applied on the fly.  On a
-path-uniform table (every term of a path gets the path's bit) that costs a
-polynomial in the failing paths, not in their terms.  Statements exercised
-by passing rows form the exoneration set H; removing candidates touched by
-H ("strong" mode, the single-fault reading) leaves the reduced diagnosis F'.
+The unit is the path block of the table.  The rows of a block are the
+product B1 x ... x Bm of its brackets, and a set hits every row of that
+product iff it contains some whole Bi (Reiter 1987), so a block whose rows
+all fail is one CNF clause whose literals are its brackets, and a block
+whose rows all pass adds its brackets to the exoneration set H.  Any other
+row (a row given on its own, or a row of a block whose bits differ) is a
+clause of its own marks, read as a disjunction of suspects, and rows that
+together form a full product of per-fragment brackets are factored into
+one bracket clause.  The clause family is turned into its minimal DNF, i.e.
+the antichain of minimal hitting sets, by incremental distribution with
+idempotence and absorption applied on the fly.  On a path-uniform table
+(every term of a path gets the path's bit) that costs a polynomial in the
+failing paths, not in their terms.  Removing candidates touched by H
+("strong" mode, the single-fault reading) leaves the reduced diagnosis F'.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -72,25 +76,55 @@ class DiagnosisResult:
         return frozenset(out)
 
 
-def _marks_by_verdict(t: FaultDetectionTable) -> tuple[list[Clause], list[Clause]]:
-    """The marks of the failing rows (bit 1) and of the passing rows (bit 0),
-    each in row order.  Raises NoResponse when the table has no response
-    vector V."""
+#: Brackets whose product is some rows of a table, all under one verdict:
+#: a whole block, or one row as a tuple of singleton brackets.
+Part = tuple
+
+
+def _bits(t: FaultDetectionTable) -> tuple[int, ...]:
     if t.response is None:
         raise NoResponse("the table has no response vector V to diagnose from")
-    failing: list[Clause] = []
-    passing: list[Clause] = []
-    for r, bit in zip(t.rows, t.response.bits):
-        (failing if bit else passing).append(r.marks)
+    return t.response.bits
+
+
+def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
+    """The failing parts (bit 1) and the passing parts (bit 0), each in row
+    order.  A block whose rows share one bit, each bracket on one fragment,
+    is one part; each row of any other block is a part of its own.  Raises
+    NoResponse when the table has no response vector V."""
+    _bits(t)
+    failing: list[Part] = []
+    passing: list[Part] = []
+    for block, bits in t.block_bits():
+        if bits and bits.count(bits[0]) == len(bits) \
+                and all(len({s.fragment for s in b}) == 1 for b in block.brackets):
+            (failing if bits[0] else passing).append(block.brackets)
+        else:
+            for selection, bit in zip(product(*block.brackets), bits):
+                (failing if bit else passing).append(tuple(zip(selection)))
     return failing, passing
 
 
+def _diagnosable(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
+    """_parts_by_verdict, raising NoFailures when no row fails."""
+    failing, passing = _parts_by_verdict(t)
+    if not failing:
+        raise NoFailures("response vector is all-zero; no fault detected")
+    return failing, passing
+
+
+def _marked(part: Part) -> frozenset[StatementId]:
+    """Every statement some row of the part marks."""
+    return frozenset(chain.from_iterable(part))
+
+
 def build_cnf(t: FaultDetectionTable) -> list[Clause]:
-    """One clause per failing row (bit 1), in row order.
+    """One clause per failing row (bit 1), in row order: the row-level
+    family that ``diagnose`` reads block by block.
 
     Raises NoFailures when the response is all-zero: nothing to diagnose.
     """
-    clauses = _marks_by_verdict(t)[0]
+    clauses = [r.marks for r, bit in zip(t.rows, _bits(t)) if bit]
     if not clauses:
         raise NoFailures("response vector is all-zero; no fault detected")
     return clauses
@@ -120,6 +154,29 @@ def factor_clauses(clauses: Sequence[Clause]) -> list[Clause]:
                               for f in fragments))
         else:
             out.extend(rows)
+    return out
+
+
+def _block_clauses(failing: Sequence[Part]) -> list[Clause]:
+    """The factored clause family of the failing parts: the clauses that
+    ``factor_clauses`` gives for their rows, with each group of rows that
+    comes from copies of one part read as that part's bracket clause.
+
+    Parts are grouped by the fragments their rows touch, in order of first
+    appearance, as factor_clauses groups rows.  A group made of one part
+    (or of copies of it) is the one clause of its brackets, exact by the
+    product rule; any other group is factored from its rows.
+    """
+    groups: dict[frozenset[str], list[Part]] = {}
+    for part in failing:
+        groups.setdefault(frozenset(b[0].fragment for b in part), []).append(part)
+    out: list[Clause] = []
+    for parts in groups.values():
+        clauses = {Clause(map(frozenset, p)) for p in parts}
+        if len(clauses) == 1:
+            out.append(clauses.pop())
+        else:
+            out.extend(factor_clauses([frozenset(row) for p in parts for row in product(*p)]))
     return out
 
 
@@ -162,7 +219,7 @@ def cnf_to_min_dnf(clauses: Sequence[Clause], cap: int = DEFAULT_DNF_CAP) -> Can
 def exoneration_set(t: FaultDetectionTable) -> frozenset[StatementId]:
     """Statements exercised by passing rows (bit 0): observed to transform
     data correctly at least once."""
-    return frozenset().union(*_marks_by_verdict(t)[1])
+    return frozenset().union(*map(_marked, _parts_by_verdict(t)[1]))
 
 
 def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
@@ -201,8 +258,9 @@ def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     # statement.  Exact for generalized tables and for complete-test
     # extended tables (a path's terms jointly mark everything on the path).
     marked: dict[str, set[StatementId]] = {}
-    for r in t.rows:
-        marked.setdefault(r.path, set()).update(r.marks)
+    for block in t.blocks:
+        if len(block):
+            marked.setdefault(block.path, set()).update(*block.brackets)
     sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
     for path, marks in marked.items():
         for m in marks:
@@ -212,13 +270,14 @@ def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong",
              cap: int = DEFAULT_DNF_CAP) -> DiagnosisResult:
-    """Full pipeline: CNF, factored clauses, minimal DNF (at most *cap*
-    terms after each factored clause), exoneration, reduction.
+    """Full pipeline: block clauses, minimal DNF (at most *cap* terms after
+    each clause), exoneration, reduction.
 
     Attaches the ambiguity group(s) containing the surviving statements.
     """
-    f = cnf_to_min_dnf(factor_clauses(build_cnf(t)), cap=cap)
-    h = exoneration_set(t)
+    failing, passing = _diagnosable(t)
+    f = cnf_to_min_dnf(_block_clauses(failing), cap=cap)
+    h = frozenset().union(*map(_marked, passing))
     reduced = reduce_candidates(f, h, mode=mode)
     survivors = set()
     for term in reduced.terms:
@@ -230,10 +289,14 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
 
 def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
     """Per-path diagnosis: intersection of failing rows' marks minus the
-    union of passing rows' marks."""
+    union of passing rows' marks.  The rows of a block all mark exactly
+    the members of its one-statement brackets."""
     if t.kind != "generalized":
         raise ValueError("diagnose_generalized needs a generalized table")
-    return frozenset.intersection(*build_cnf(t)) - exoneration_set(t)
+    failing, passing = _diagnosable(t)
+    common = [frozenset(chain.from_iterable(b for b in p if len(set(b)) == 1))
+              for p in failing]
+    return frozenset.intersection(*common) - frozenset().union(*map(_marked, passing))
 
 
 def ambiguity_groups(g: RTGraph, paths: Sequence[Path]) -> list[AmbiguityGroup]:

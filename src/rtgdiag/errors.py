@@ -53,7 +53,8 @@ class Uncoverable(RtgError):
 
 class SchemaError(RtgError):
     """A graph or table JSON document lacks a key, holds a value of the
-    wrong type, or names an unknown label."""
+    wrong type, or names an unknown label; or a response vector holds a
+    bit that is not 0 or 1."""
 
     @classmethod
     def field(cls, doc: str, obj, key: str, *kinds: type):
@@ -75,7 +76,8 @@ class UsageError(RtgError):
 
 
 class LengthMismatch(RtgError):
-    """A response vector's length differs from the table's row count."""
+    """A response vector's length differs from the table's row count, or a
+    block's labels from the size of its bracket product."""
 
 
 class ExecutionError(RtgError):

@@ -2,12 +2,19 @@
 
 The generalized table has one row per path, marking every statement on the
 path's ribs.  The extended table has one row per test term, marking only the
-selected statements.  A table holds at most one response vector V, one
-pass/fail bit per row in row order; bit 1 means the observed output differed
-from the expected one.  The table checks at construction that V has one bit
-per row, and ``attach_response`` binds V without touching the rows.  In
-table JSON each row carries its bit as ``v``: 0 or 1 on every row, or null
-on every row when no V is bound; ``table_from_json`` rejects anything else.
+selected statements.  A table holds its rows as path blocks: a block is a
+path label, its brackets and the labels of the rows that form the bracket
+product.  The extended table of a suite has one block per block of the
+suite; a row given on its own (a loaded row, a generalized row, a term of
+the diagnostic suite) is a block of singleton brackets.  ``table.rows`` is
+a view that builds the ``TableRow`` objects only when they are read.
+
+A table holds at most one response vector V, one pass/fail bit per row in
+row order; bit 1 means the observed output differed from the expected one.
+The table checks at construction that V has one bit per row, and
+``attach_response`` binds V without touching the rows.  In table JSON each
+row carries its bit as ``v``: 0 or 1 on every row, or null on every row
+when no V is bound; ``table_from_json`` rejects anything else.
 """
 
 from __future__ import annotations
@@ -15,17 +22,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import chain, product, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, SchemaError
 from .rtg import RTGraph, StatementId
-from .testsynth import Path, TestSuite
+from .testsynth import BlockView, Path, TestSuite
 
 
 @dataclass(frozen=True, slots=True)
 class ResponseVector:
+    """V: one bit per row, each 0 (pass) or 1 (fail)."""
+
     bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not (set(map(type, self.bits)) <= {int} and set(self.bits) <= {0, 1}):
+            i, b = next((i, b) for i, b in enumerate(self.bits)
+                        if type(b) is not int or b not in (0, 1))
+            raise SchemaError(f"response vector: bit {i} is {b!r}, expected 0 or 1")
 
     def __str__(self) -> str:
         return "(" + "".join(str(b) for b in self.bits) + ")"
@@ -42,19 +57,61 @@ class TableRow:
 
 
 @dataclass(frozen=True, slots=True)
+class RowBlock:
+    """The rows of one path that form the product of its brackets: row i
+    marks the statements of the i-th tuple of ``itertools.product(*brackets)``
+    and is labelled ``labels[i]``."""
+
+    path: str
+    brackets: tuple[tuple[StatementId, ...], ...]
+    labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, row: TableRow) -> "RowBlock":
+        """One row as a block of singleton brackets."""
+        return cls(row.path, tuple((m,) for m in row.marks), (row.label,))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def expand(self) -> Iterator[TableRow]:
+        return map(TableRow, self.labels, repeat(self.path),
+                   map(frozenset, product(*self.brackets)))
+
+
+@dataclass(frozen=True, slots=True)
 class FaultDetectionTable:
+    """Rows over statement columns, held as row blocks.  *rows* may be given
+    as any sequence of ``TableRow``: each becomes a block of its own."""
+
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]
-    rows: tuple[TableRow, ...]
+    rows: BlockView  # of TableRow
     response: ResponseVector | None = None  # V, one bit per row
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rows, BlockView):
+            object.__setattr__(self, "rows", BlockView(map(RowBlock.of, self.rows)))
         if self.response is not None and len(self.response) != len(self.rows):
             raise LengthMismatch(f"response has {len(self.response)} bits "
                                  f"for {len(self.rows)} rows")
 
+    @property
+    def blocks(self) -> tuple[RowBlock, ...]:
+        return self.rows.blocks
+
     def row_labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
+        return self.rows.labels()
+
+    def block_bits(self) -> Iterator[tuple[RowBlock, Sequence[int | None]]]:
+        """Each block with the bits of its rows (None for each row when no
+        response is bound)."""
+        start = 0
+        for block in self.blocks:
+            n = len(block)
+            yield block, (self.response.bits[start:start + n] if self.response is not None
+                          else (None,) * n)
+            start += n
 
 
 def build_generalized_fdt(g: RTGraph, paths: Sequence[Path]) -> FaultDetectionTable:
@@ -69,9 +126,9 @@ def build_generalized_fdt(g: RTGraph, paths: Sequence[Path]) -> FaultDetectionTa
 
 
 def build_extended_fdt(g: RTGraph, suite: TestSuite) -> FaultDetectionTable:
-    """One row per term in suite order; marks are the selected statements."""
-    rows = tuple(TableRow(label=t.label, path=t.path.label, marks=t.marks)
-                 for t in suite.terms)
+    """One row per term in suite order, one block per block of the suite;
+    marks are the selected statements."""
+    rows = BlockView(RowBlock(b.path.label, b.brackets, b.labels) for b in suite.blocks)
     return FaultDetectionTable(kind="extended", columns=g.statement_ids, rows=rows)
 
 
@@ -86,22 +143,26 @@ def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetec
 # --- rendering ---------------------------------------------------------------
 
 def table_to_json(t: FaultDetectionTable) -> dict:
+    """Each row's marks are its distinct mark labels in column order (the
+    first column of a label counts; labels naming no column sort last, by
+    label).  Bracket members are ranked once per block."""
     rank: dict[str, int] = {}
     for i, c in enumerate(t.columns):
         rank.setdefault(c.label, i)
     unknown = len(t.columns)
+    rows = []
+    for block, bits in t.block_bits():
+        ranked = [[(rank.get(s.label, unknown), s.label) for s in b] for b in block.brackets]
+        rows += [{"label": label, "path": block.path,
+                  "marks": [m for _, m in sorted(set(selection))], "v": v}
+                 for label, selection, v in zip(block.labels, product(*ranked), bits)]
     return {
         "kind": t.kind,
         "columns": [
             {"label": c.label, "fragment": c.fragment, "opcode": c.opcode, "ordinal": c.ordinal}
             for c in t.columns
         ],
-        "rows": [
-            {"label": r.label, "path": r.path,
-             "marks": sorted((m.label for m in r.marks), key=lambda l: rank.get(l, unknown)),
-             "v": v}
-            for r, v in zip(t.rows, t.response.bits if t.response is not None else repeat(None))
-        ],
+        "rows": rows,
     }
 
 
@@ -114,7 +175,7 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
                                 get(c, "ordinal", int), get(c, "label", str))
                     for c in get(doc, "columns", list))
     by_label = {c.label: c for c in columns}
-    rows = []
+    blocks = []
     bits = []
     for r in get(doc, "rows", list):
         marks = get(r, "marks", list)
@@ -123,8 +184,8 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
         if unknown:
             raise SchemaError(f"table JSON: row {label!r} marks {unknown[0]!r}, "
                               "which names no column")
-        rows.append(TableRow(label=label, path=get(r, "path", str),
-                             marks=frozenset(by_label[m] for m in marks)))
+        blocks.append(RowBlock(get(r, "path", str), tuple((by_label[m],) for m in marks),
+                               (label,)))
         v = get(r, "v", int, type(None))
         if v not in (0, 1, None):
             raise SchemaError(f"table JSON: row {label!r} has v = {v}, expected 0 or 1")
@@ -133,8 +194,8 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
         raise SchemaError("table JSON: v is null on some rows only; give 0 or 1 on "
                           "every row, or null on every row")
     response = ResponseVector(tuple(bits)) if bits and None not in bits else None
-    return FaultDetectionTable(kind=get(doc, "kind", str), columns=columns, rows=tuple(rows),
-                               response=response)
+    return FaultDetectionTable(kind=get(doc, "kind", str), columns=columns,
+                               rows=BlockView(blocks), response=response)
 
 
 def dumps_table(t: FaultDetectionTable) -> str:
@@ -145,17 +206,27 @@ def loads_table(text: str) -> FaultDetectionTable:
     return table_from_json(json.loads(text))
 
 
+def _ordered(spans: list[tuple[int, int]]) -> bool:
+    """Whether the (low, high) spans are non-empty, disjoint and ascending,
+    one after the other in the given order."""
+    return all(lo <= hi for lo, hi in spans) and all(
+        a[1] < b[0] for a, b in zip(spans, spans[1:]))
+
+
 def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None = None) -> str:
     """Fixed-width text table; cell content mirrors the reference layout.
 
-    Each column's centred "1" and empty cells are built once; a row starts
-    from the empty cells and takes the "1" of every column its marks name
+    Each column's centred "1" and empty cells are built once, and each
+    bracket member is looked up once per block, as the columns it names
     (all copies of a duplicated column, none for a mark naming no column).
+    When a block's brackets own disjoint column spans in bracket order, its
+    rows are the product of per-bracket span strings; otherwise each row
+    starts from the empty cells and takes the "1" of its marks' columns.
     With *suspects* a trailing "Faults" row marks the suspect statements.
     """
     corner = "Ti\\Ij"
     has_v = t.response is not None
-    label_w = max(len(corner), *(len(r.label) for r in t.rows), 6)
+    label_w = max(len(corner), 6, *map(len, t.row_labels()))
     col_ws = [max(len(c.label), 3) for c in t.columns]
     blank = ["".center(w) for w in col_ws]
     one = ["1".center(w) for w in col_ws]
@@ -163,19 +234,42 @@ def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None
     for i, c in enumerate(t.columns):
         where.setdefault(c, []).append(i)
 
-    def line(label: str, marks: Iterable[StatementId], tail: list[str]) -> str:
-        cells = blank.copy()
-        for m in marks:
-            for i in where.get(m, ()):
-                cells[i] = one[i]
-        return "  ".join([label.ljust(label_w), *cells, *tail])
+    def cells(columns: Iterable[Iterable[int]], lo: int = 0, hi: int = len(blank)) -> str:
+        """Columns lo..hi-1, "1" where *columns* name them, "  "-joined."""
+        out = blank[lo:hi]
+        for i in chain.from_iterable(columns):
+            out[i - lo] = one[i]
+        return "  ".join(out)
 
-    v_header = ["V"] if has_v else []
+    # A row is its padded label, then "  " and its cells (when the table has
+    # columns), then "  " and its bit (when V is bound).
     lines = ["  ".join([corner.ljust(label_w)]
-                       + [c.label.center(w) for c, w in zip(t.columns, col_ws)] + v_header)]
-    tails = ([str(b)] for b in t.response.bits) if has_v else repeat([])
-    for r, tail in zip(t.rows, tails):
-        lines.append(line(r.label, r.marks, tail))
+                       + [c.label.center(w) for c, w in zip(t.columns, col_ws)]
+                       + (["V"] if has_v else []))]
+    for block, bits in t.block_bits():
+        cols = [[where.get(s, ()) for s in b] for b in block.brackets]
+        spans = [(min(chain.from_iterable(c), default=1), max(chain.from_iterable(c), default=0))
+                 for c in cols]
+        if not blank:
+            bodies: Iterable[str] = repeat("")
+        elif _ordered(spans):
+            parts = [["  "]]
+            end = 0
+            for (lo, hi), c in zip(spans, cols):
+                if lo > end:
+                    parts.append([cells((), end, lo) + "  "])
+                sep = "  " if hi + 1 < len(blank) else ""
+                parts.append([cells([ids], lo, hi + 1) + sep for ids in c])
+                end = hi + 1
+            if end < len(blank):
+                parts.append([cells((), end)])
+            bodies = map("".join, product(*parts))
+        else:
+            bodies = ("  " + cells(choice) for choice in product(*cols))
+        tails = map("  ".__add__, map(str, bits)) if has_v else repeat("")
+        lines += map("".join, zip(map(str.ljust, block.labels, repeat(label_w)), bodies, tails))
     if suspects is not None:
-        lines.append(line("Faults", suspects, [""] if has_v else []))
+        lines.append("Faults".ljust(label_w)
+                     + ("  " + cells(where.get(m, ()) for m in suspects) if blank else "")
+                     + ("  " if has_v else ""))
     return "\n".join(lines) + "\n"

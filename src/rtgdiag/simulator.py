@@ -7,14 +7,20 @@ Path execution is guard-oblivious: a term's path is executed as written,
 which also allows paths that the concrete program can never take.  A term's
 selection therefore never changes its output, so each bit is computed once
 per distinct (path, inputs) pair and shared by every term with that pair.
+
+The unit of a run is the path block of the suite: the default stimuli give
+every term of a block one shared stimulus, so a block takes one stimulus
+key and at most one golden/mutant pair of executions.  A block is split
+only into the runs of consecutive terms that share a stimulus object, as
+when a stimuli file gives some of its terms other inputs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 from . import frontend
@@ -261,37 +267,58 @@ def _differs(gv: float, mv: float, tolerance: float) -> bool:
     return abs(gv - mv) > tolerance * max(1.0, abs(gv))
 
 
+def _stimulus_key(stim: Stimulus) -> tuple:
+    return tuple(sorted(stim.env.items()))
+
+
+def _runs(labels: Sequence[str], stimuli: Mapping[str, Stimulus]) -> list[list]:
+    """[first label, stimulus, length] of each run of consecutive terms that
+    share one stimulus object; raises MissingStimulus for the first label
+    with none."""
+    stims = list(map(stimuli.get, labels))
+    if stims and stims[0] is not None and stims.count(stims[0]) == len(stims):
+        return [[labels[0], stims[0], len(stims)]]
+    runs: list[list] = []
+    for label, stim in zip(labels, stims):
+        if stim is None:
+            raise MissingStimulus(f"no stimulus for {label}")
+        if runs and runs[-1][1] is stim:
+            runs[-1][2] += 1
+        else:
+            runs.append([label, stim, 1])
+    return runs
+
+
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
               stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
               permissive: bool = False) -> ResponseVector:
     """Golden-versus-mutant comparison at the output node, one bit per term.
 
-    The bit is computed once per distinct (path, inputs) pair: terms of one
-    path that share a stimulus share the path's bit, while terms given
-    different inputs are run separately.
+    The bit is computed once per distinct (path, inputs) pair: the terms of
+    a block that share a stimulus share the path's bit, while terms given
+    different inputs are run separately.  An ExecutionError names the first
+    term of the run that raised it.
     """
     _check_topology(golden, mutant)
     mutant_rib = {r.key: r for r in mutant.ribs}
     seen: dict[tuple, int] = {}
-    bits = []
-    for term in suite.terms:
-        stim = stimuli.get(term.label)
-        if stim is None:
-            raise MissingStimulus(f"no stimulus for {term.label}")
-        path = term.path
+    bits: list[int] = []
+    for block in suite.blocks:
+        path = block.path
         keys = tuple(r.key for r in path.edges)
-        pair = (keys, tuple(sorted(stim.env.items())))
-        bit = seen.get(pair)
-        if bit is None:
-            mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
-            try:
-                gv = execute_path(golden, path, stim, permissive).output
-                mv = execute_path(mutant, mpath, stim, permissive).output
-            except ExecutionError as e:
-                e.args = (f"term {term.label}: {e}",)
-                raise
-            bit = seen[pair] = 1 if _differs(gv, mv, tolerance) else 0
-        bits.append(bit)
+        for label, stim, n in _runs(block.labels, stimuli):
+            pair = (keys, _stimulus_key(stim))
+            bit = seen.get(pair)
+            if bit is None:
+                mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
+                try:
+                    gv = execute_path(golden, path, stim, permissive).output
+                    mv = execute_path(mutant, mpath, stim, permissive).output
+                except ExecutionError as e:
+                    e.args = (f"term {label}: {e}",)
+                    raise
+                bit = seen[pair] = 1 if _differs(gv, mv, tolerance) else 0
+            bits.extend(repeat(bit, n))
     return ResponseVector(tuple(bits))
 
 
@@ -326,12 +353,13 @@ def pick_stimulus(g: RTGraph, p: Path,
 
 def _per_path(suite: TestSuite, pick: Callable[[Path], Stimulus]) -> dict[str, Stimulus]:
     # A term's stimulus depends only on its path: pick once per run of
-    # consecutive terms on one path and share the object across them.
+    # consecutive blocks on one path and share the object across their terms.
     out: dict[str, Stimulus] = {}
-    for path, terms in itertools.groupby(suite.terms, key=lambda t: t.path):
-        stim = pick(path)
-        for t in terms:
-            out[t.label] = stim
+    path = stim = None
+    for block in suite.blocks:
+        if block.path is not path:
+            path, stim = block.path, pick(block.path)
+        out.update(zip(block.labels, repeat(stim)))
     return out
 
 

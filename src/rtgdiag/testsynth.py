@@ -6,17 +6,25 @@ formula holds one bracket per rib listing that rib's opcodes.  Removing the
 brackets (a Cartesian expansion that picks one statement per rib) yields the
 complete test: every statement id of the graph is the selected statement of
 at least one term.
+
+The unit of a suite is the path block: a path, its brackets and the labels
+of the terms that form the bracket product, in ``itertools.product`` order.
+The complete test holds one block per path; a term given on its own is a
+block of singleton brackets.  ``TestSuite.terms`` is a view that builds the
+``TestTerm`` objects only when they are read.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, product, repeat
+from math import prod
+from typing import Iterable, Iterator
 
-from .errors import PathExplosion, TermExplosion, Uncoverable
+from .errors import LengthMismatch, PathExplosion, TermExplosion, Uncoverable
 from .rtg import RTGraph, Rib, StatementId, natural_key, subscript
 
 DEFAULT_PATH_CAP = 10 ** 6
@@ -72,24 +80,99 @@ class TestTerm:
     selection: tuple[StatementId, ...]
     label: str
 
-    @property
-    def base_label(self) -> str:
-        return "".join(str(s.opcode) for s in self.selection)
 
-    @property
-    def marks(self) -> frozenset[StatementId]:
-        return frozenset(self.selection)
+@dataclass(frozen=True, slots=True)
+class TermBlock:
+    """The terms of one path that form the product of its brackets: term i
+    selects the i-th tuple of ``itertools.product(*brackets)`` and is
+    labelled ``labels[i]``."""
+
+    path: Path
+    brackets: tuple[tuple[StatementId, ...], ...]
+    labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, term: TestTerm) -> "TermBlock":
+        """One term as a block of singleton brackets."""
+        return cls(term.path, tuple((s,) for s in term.selection), (term.label,))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def expand(self) -> Iterator[TestTerm]:
+        return map(TestTerm, repeat(self.path), product(*self.brackets), self.labels)
+
+
+class BlockView(Sequence):
+    """An immutable sequence held as path blocks (``TermBlock`` or
+    ``fdt.RowBlock``), each expanding to one item per label through
+    ``block.expand()``.  The length is known without expanding; the items
+    are built on first access and kept.  Raises LengthMismatch unless every
+    block has one label per tuple of its bracket product."""
+
+    __slots__ = ("blocks", "_len", "_items")
+
+    def __init__(self, blocks: Iterable):
+        self.blocks = tuple(blocks)
+        for b in self.blocks:
+            if prod(map(len, b.brackets)) != len(b.labels):
+                raise LengthMismatch(f"a block has {len(b.labels)} labels for a product "
+                                     f"of {prod(map(len, b.brackets))} selections")
+        self._len = sum(map(len, self.blocks))
+        self._items: tuple | None = None
+
+    def _expanded(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(chain.from_iterable(b.expand() for b in self.blocks))
+        return self._items
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._expanded()[i]
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BlockView):
+            return self.blocks == other.blocks or self._expanded() == other._expanded()
+        if isinstance(other, tuple):
+            return self._expanded() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._expanded())
+
+    def __repr__(self) -> str:
+        return f"BlockView({len(self.blocks)} blocks, {self._len} items)"
+
+    def labels(self) -> tuple[str, ...]:
+        """The label of every item, in order, without expanding."""
+        return tuple(chain.from_iterable(b.labels for b in self.blocks))
 
 
 @dataclass(frozen=True, slots=True)
 class TestSuite:
+    """Test terms in run order, held as path blocks.  *terms* may be given
+    as any sequence of ``TestTerm``: each becomes a block of its own."""
+
     __test__ = False  # pytest: not a test class
 
-    terms: tuple[TestTerm, ...]
+    terms: BlockView  # of TestTerm
     origin: str  # "complete" | "minimal-cover" | "minimal-diagnostic"
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.terms, BlockView):
+            object.__setattr__(self, "terms", BlockView(map(TermBlock.of, self.terms)))
+
+    @property
+    def blocks(self) -> tuple[TermBlock, ...]:
+        return self.terms.blocks
+
     def labels(self) -> tuple[str, ...]:
-        return tuple(t.label for t in self.terms)
+        return self.terms.labels()
 
 
 def _node_short(name: str, role: str) -> str:
@@ -145,56 +228,40 @@ def activation_formula(g: RTGraph, p: Path) -> ActivationFormula:
     return ActivationFormula(path=p, brackets=brackets)
 
 
-def expand_terms(f: ActivationFormula, term_cap: int = DEFAULT_TERM_CAP) -> list[TestTerm]:
-    """Remove the brackets: the Cartesian product of the selection lists.
-
-    Labels concatenate the chosen opcode digits; a label used earlier in
-    this expansion gets an occurrence subscript.  Suite-level labelling is
-    finalized by build_complete_test.
-    """
-    total = 1
-    for b in f.brackets:
-        total *= len(b)
-    if total > term_cap:
-        raise TermExplosion(f"expansion of {f.path.label} has {total} terms (cap {term_cap})")
-
-    used: Counter = Counter()
-    out: list[TestTerm] = []
-    for selection in itertools.product(*f.brackets):
-        base = "".join(str(s.opcode) for s in selection)
-        used[base] += 1
-        label = base if used[base] == 1 else base + subscript(used[base])
-        out.append(TestTerm(path=f.path, selection=tuple(selection), label=label))
-    return out
-
-
-def _finalize_labels(terms: list[TestTerm]) -> list[TestTerm]:
-    # Terms on paths with three or more ribs always carry an occurrence
-    # subscript (rows from overlapping long paths stay distinct at a glance);
-    # short-path terms are subscripted only when their opcode string collides.
-    bases = [t.base_label for t in terms]
-    counts = Counter(bases)
-    occurrence: Counter = Counter()
-    out = []
-    for t, base in zip(terms, bases):
-        occurrence[base] += 1
-        if counts[base] > 1 or len(t.path.edges) >= 3:
-            label = base + subscript(occurrence[base])
-        else:
-            label = base
-        out.append(TestTerm(path=t.path, selection=t.selection, label=label))
-    return out
-
-
 def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
                         term_cap: int = DEFAULT_TERM_CAP) -> TestSuite:
-    """The complete test: every activation formula fully expanded."""
+    """The complete test: every activation formula fully expanded, one block
+    per path.  Raises TermExplosion naming the first path whose expansion
+    has more than *term_cap* terms.
+
+    A term's label concatenates its opcode digits.  Terms on paths with
+    three or more ribs always carry an occurrence subscript (rows from
+    overlapping long paths stay distinct at a glance); short-path terms are
+    subscripted only when their opcode string collides within the suite.
+    """
     if paths is None:
         paths = enumerate_paths(g)
-    terms: list[TestTerm] = []
-    for p in paths:
-        terms.extend(expand_terms(activation_formula(g, p), term_cap=term_cap))
-    return TestSuite(terms=tuple(_finalize_labels(terms)), origin="complete")
+    formulas = [activation_formula(g, p) for p in paths]
+    bases = []
+    for f in formulas:
+        total = prod(map(len, f.brackets))
+        if total > term_cap:
+            raise TermExplosion(f"expansion of {f.path.label} has {total} terms "
+                                f"(cap {term_cap})")
+        digits = [[str(s.opcode) for s in b] for b in f.brackets]
+        bases.append(list(map("".join, product(*digits))))
+    counts = Counter(chain.from_iterable(bases))
+    subs = [subscript(n) for n in range(max(counts.values(), default=0) + 1)]
+    occurrence: dict[str, int] = {}
+    blocks = []
+    for f, path_bases in zip(formulas, bases):
+        always = len(f.path.edges) >= 3
+        labels = []
+        for base in path_bases:
+            n = occurrence[base] = occurrence.get(base, 0) + 1
+            labels.append(base + subs[n] if always or counts[base] > 1 else base)
+        blocks.append(TermBlock(f.path, f.brackets, tuple(labels)))
+    return TestSuite(terms=BlockView(blocks), origin="complete")
 
 
 # --- covering problems -------------------------------------------------------

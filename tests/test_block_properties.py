@@ -1,0 +1,126 @@
+"""Property tests: the block-level route gives the row-level answer.
+
+Tables come from seeded ``random_dag_model`` graphs, fig1, and a graph
+whose path runs two ribs of one fragment, each with one catalogue fault.
+A drawn table may carry stimuli that split paths (some terms of a path get
+other inputs), one to three flipped bits, the diagnostic suite instead of
+the complete test (single-row blocks), and a JSON round trip.
+
+The reference works on the materialized rows only: V from two
+``execute_path`` calls per term, F = ``cnf_to_min_dnf(build_cnf(rows))``
+(and ``brute_min_hitting_sets`` when the failing rows mark at most 8
+statements), H the union of the passing rows' marks, F' the terms of F
+that H leaves alone (strong) or does not contain (weak), and ambiguity
+groups from per-path unions of row marks.
+"""
+
+from random import Random
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from rtgdiag import (EmptyDiagnosis, FaultDetectionTable, NoFailures, ResponseVector, Stimulus,
+                     attach_response, build_cnf, build_complete_test, build_extended_fdt,
+                     cnf_to_min_dnf, default_stimuli, diagnose, dumps_table, enumerate_paths,
+                     exoneration_set, inject_fault, loads_table, minimal_diagnostic_test,
+                     mutation_catalogue, render_table, run_suite, table_to_json)
+from rtgdiag.fixtures import fig1_graph
+
+from randmodels import brute_min_hitting_sets, random_dag_model
+from test_factored_diagnosis import two_rib_fragment_graph
+from test_per_path_run import reference_v
+
+BRUTE_UNIVERSE = 8
+
+
+def model(seed: int):
+    if seed == 0:
+        return fig1_graph()
+    if seed == 1:
+        return two_rib_fragment_graph()
+    return random_dag_model(Random(seed), max_internal=3, max_fragments=6, max_statements=3)
+
+
+@st.composite
+def responded_tables(draw):
+    """A responded extended table for one catalogue fault."""
+    g = model(draw(st.integers(0, 400)))
+    suite = build_complete_test(g, enumerate_paths(g))
+    if draw(st.booleans()):
+        suite = minimal_diagnostic_test(suite, g.statement_ids)
+    stimuli = default_stimuli(g, suite)
+    labels = suite.labels()
+    for i in draw(st.sets(st.integers(0, len(labels) - 1), max_size=3)):
+        # other inputs for one term: its path is split when it has more terms
+        env = dict(stimuli[labels[i]].env)
+        env[next(iter(env))] = draw(st.sampled_from((-2.0, 0.5, 3.0)))
+        stimuli[labels[i]] = Stimulus(env=env, label=labels[i])
+    catalogue = mutation_catalogue(g)
+    assume(catalogue)
+    fault = catalogue[draw(st.integers(0, len(catalogue) - 1))]
+    mutant = inject_fault(g, fault)
+    v = run_suite(g, mutant, suite, stimuli)
+    reference, error = reference_v(g, mutant, suite, stimuli)
+    assert error is None and v.bits == reference
+    bits = list(v.bits)
+    for i in draw(st.sets(st.integers(0, len(bits) - 1), max_size=3)):
+        bits[i] = 1 - bits[i]
+    table = attach_response(build_extended_fdt(g, suite), ResponseVector(tuple(bits)))
+    if draw(st.booleans()):
+        loaded = loads_table(dumps_table(table))
+        assert loaded == table
+        assert dumps_table(loaded) == dumps_table(table)
+        assert render_table(loaded) == render_table(table)
+        table = loaded
+    return table
+
+
+def row_level(t: FaultDetectionTable) -> FaultDetectionTable:
+    """The same table with every row a block of its own."""
+    return FaultDetectionTable(t.kind, t.columns, tuple(t.rows), t.response)
+
+
+def reference_groups(t: FaultDetectionTable) -> list[frozenset]:
+    marked: dict[str, set] = {}
+    for r in t.rows:
+        marked.setdefault(r.path, set()).update(r.marks)
+    sig: dict = {c: frozenset(p for p, m in marked.items() if c in m) for c in t.columns}
+    groups: dict[frozenset, set] = {}
+    for c, s in sig.items():
+        groups.setdefault(s, set()).add(c)
+    return [frozenset(m) for m in groups.values()]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(responded_tables(), st.sampled_from(("strong", "weak")))
+def test_block_diagnosis_equals_row_level_reference(t, mode):
+    rows = list(zip(t.rows, t.response.bits))
+    failing = [r.marks for r, bit in rows if bit]
+    h = frozenset().union(*(r.marks for r, bit in rows if not bit))
+    assert exoneration_set(t) == h
+    assert table_to_json(t) == table_to_json(row_level(t))
+    assert render_table(t) == render_table(row_level(t))
+    if not failing:
+        try:
+            diagnose(t, mode=mode)
+        except NoFailures:
+            return
+        raise AssertionError("an all-zero V must end as NoFailures")
+    f = cnf_to_min_dnf(build_cnf(t))
+    assert build_cnf(t) == failing
+    if len(frozenset().union(*failing)) <= BRUTE_UNIVERSE:
+        assert f.terms == frozenset(brute_min_hitting_sets(failing))
+    keep = (lambda term: not term & h) if mode == "strong" else (lambda term: not term <= h)
+    reduced = frozenset(term for term in f.terms if keep(term))
+    try:
+        result = diagnose(t, mode=mode)
+    except EmptyDiagnosis:
+        assert not reduced
+        return
+    assert result.candidates == f
+    assert result.exonerated == h
+    assert result.reduced.terms == reduced
+    survivors = frozenset().union(*reduced)
+    assert {g.members for g in result.ambiguity} == {
+        m for m in reference_groups(t) if m & survivors}
+    assert diagnose(row_level(t), mode=mode) == result

@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from rtgdiag import (FaultDetectionTable, LengthMismatch, ResponseVector, attach_response,
-                     build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
-                     render_table)
+from rtgdiag import (BlockView, FaultDetectionTable, LengthMismatch, ResponseVector, RowBlock,
+                     SchemaError, attach_response, build_extended_fdt, build_generalized_fdt,
+                     dumps_table, loads_table, render_table)
 from rtgdiag.testsynth import build_complete_test
 
 GENERALIZED_MARKS = {
@@ -90,6 +90,19 @@ def test_json_round_trip(g, paths, extended):
     assert loads_table(dumps_table(extended)).response is None
 
 
+def test_response_bits_are_checked(g, suite):
+    # a bit of 2 would read as a failing row in diagnosis while the table's
+    # own JSON could not be loaded back
+    with pytest.raises(SchemaError, match="bit 3 is 2, expected 0 or 1"):
+        attach_response(build_extended_fdt(g, suite),
+                        ResponseVector((0, 0, 0, 2, 0, 0, 0, 0, 0, 0)))
+    for bad in ((0, -1), (None,), (True, 0), (0, 1.0)):
+        with pytest.raises(SchemaError):
+            ResponseVector(bad)
+    assert ResponseVector((0, 1, 1)).bits == (0, 1, 1)
+    assert ResponseVector(()).bits == ()
+
+
 @pytest.mark.parametrize("bits", [(), (0, 1), (0,) * 11])
 def test_table_rejects_a_response_of_the_wrong_length(extended, bits):
     with pytest.raises(LengthMismatch, match=f"response has {len(bits)} bits for 10 rows"):
@@ -120,3 +133,11 @@ def test_complete_test_rows_follow_suite_order(g):
     suite = build_complete_test(g)
     table = build_extended_fdt(g, suite)
     assert table.row_labels() == suite.labels()
+
+
+def test_a_block_has_one_label_per_selection(g):
+    a, b = g.statement_ids[:2]
+    rows = BlockView([RowBlock("p", ((a, b), (a,)), ("r1", "r2"))])
+    assert [r.marks for r in rows] == [frozenset({a}), frozenset({a, b})]
+    with pytest.raises(LengthMismatch, match="1 labels for a product of 2 selections"):
+        BlockView([RowBlock("p", ((a, b),), ("r1",))])

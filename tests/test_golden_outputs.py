@@ -8,7 +8,8 @@ earlier commands of the case write; ``{ladder}`` for the ladder graph;
 ``{chain625}`` for the 5x5x5x5 if-chain program, whose 625 paths take the
 greedy route of both covers; ``{ladder4}`` for a 4-stage ladder and
 ``{stimuli}`` for a stimuli file that masks its fault I1:1:op=2 on one term
-(x = 3 gives x + 1.5 = x * 1.5), so a failing path has a passing term.
+(x = 3 gives x + 1.5 = x * 1.5), so a failing path has a passing term;
+``{ladder5}`` for a 5-stage ladder (32 paths, 1,024 rows).
 """
 
 import os
@@ -80,6 +81,14 @@ CASES = {
                                           "--format", "json")),
     "listing31_parse.txt": (0, ("parse", *LISTING31)),
     "listing31_parse.json": (0, ("parse", *LISTING31, "--format", "json")),
+    "ladder5_all.txt": (1, ("all", "--graph", "{ladder5}", "--fault", "I4:2:op=2")),
+    "ladder4_diagnostic_run.json": (1, ("run", "--graph", "{ladder4}", "--fault", "I3:1:op=3",
+                                        "--suite", "diagnostic", "--format", "json",
+                                        "--table-out", "{table}"),
+                                    ("diagnose", "--table", "{table}", "--format", "json")),
+    # the mark order of every row in table JSON
+    "ladder4_fdt.json": (0, ("fdt", "--graph", "{ladder4}", "--format", "json",
+                             "--response", "0110" * 64)),
 }
 
 CHAIN625 = ("--program", "{chain625}")
@@ -109,12 +118,15 @@ def run_case(name, tmp_path, capsys):
     ladder.write_text(dumps_graph(ladder_model(3)), encoding="utf-8")
     ladder4 = tmp_path / "ladder4.rtg.json"
     ladder4.write_text(dumps_graph(ladder_model(4)), encoding="utf-8")
+    ladder5 = tmp_path / "ladder5.rtg.json"
+    ladder5.write_text(dumps_graph(ladder_model(5)), encoding="utf-8")
     stimuli = tmp_path / "stimuli.json"
     stimuli.write_text('{"2111₁": {"x": 3.0}}', encoding="utf-8")
     chain625 = tmp_path / "chain625.swl"
     chain625.write_text(if_chain_program((5, 5, 5, 5)), encoding="utf-8")
     slots = {"{table}": str(tmp_path / "table.json"), "{ladder}": str(ladder),
              "{chain625}": str(chain625), "{ladder4}": str(ladder4),
+             "{ladder5}": str(ladder5),
              "{stimuli}": str(stimuli)}
     capsys.readouterr()
     for argv in CASES[name][1:]:

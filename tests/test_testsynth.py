@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from rtgdiag import (Node, PathExplosion, RTGraph, TermExplosion, Uncoverable, activation_formula,
-                     build_complete_test, enumerate_paths, expand_terms, make_rib,
+                     build_complete_test, enumerate_paths, make_rib,
                      minimal_diagnostic_test, minimal_path_cover, validate_graph)
 from rtgdiag.rtg import natural_key, subscript
 from rtgdiag.testsynth import TestSuite, _greedy_cover
@@ -64,27 +64,22 @@ def test_activation_formulas(g, paths):
     assert formulas[3].opcode_sets() == ((1, 2), (1,))
 
 
-def test_expand_single_formula_in_isolation(g, paths):
-    terms = expand_terms(activation_formula(g, paths[0]))
-    assert [t.label for t in terms] == ["111", "141", "151"]
-    terms = expand_terms(activation_formula(g, paths[2]))
-    assert [t.label for t in terms] == ["21", "31"]
-
-
 def test_expansion_count_is_bracket_product(g, paths):
+    suite = build_complete_test(g, paths)
     for p in paths:
         f = activation_formula(g, p)
         expected = 1
         for b in f.brackets:
             expected *= len(b)
-        terms = expand_terms(f)
+        terms = [t for t in suite.terms if t.path == p]
         assert len(terms) == expected
         assert len({t.selection for t in terms}) == expected
 
 
 def test_term_cap_raises(g, paths):
-    with pytest.raises(TermExplosion):
-        expand_terms(activation_formula(g, paths[0]), term_cap=2)
+    # the first path, X14Y, expands to three terms
+    with pytest.raises(TermExplosion, match="expansion of X14Y has 3 terms"):
+        build_complete_test(g, paths, term_cap=2)
 
 
 def test_path_cap_raises(g):
