@@ -37,7 +37,7 @@ print("paths of the program-faithful graph:", " ".join(p.label for p in paths))
 print("\n== guard-aware stimulus selection ==")
 for p in paths:
     try:
-        stim = pick_stimulus(g, p, smap.path_constraints(p.fragments))
+        stim = pick_stimulus(p, smap.path_constraints(p.fragments))
         print(f"  {p.label}: x = {stim.env['x']:g}")
     except InfeasiblePath:
         print(f"  {p.label}: infeasible (its guards contradict each other)")

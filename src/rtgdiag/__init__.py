@@ -18,7 +18,7 @@ from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDia
                      ParseError, PathExplosion, RtgError, SchemaError, TermExplosion,
                      UnboundVariable, Uncoverable, UndefinedVariable, UnsupportedOperation,
                      UsageError)
-from .fdt import (FaultDetectionTable, ResponseVector, RowBlock, TableRow, attach_response,
+from .fdt import (FaultDetectionTable, ResponseVector, TableRow, attach_response,
                   build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
                   render_table, table_from_json, table_to_json)
 from .frontend import (Program, SourceMap, build_rtg, lower_expression, parse_program)
@@ -29,7 +29,7 @@ from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, S
                         default_stimuli, execute_path, execute_program,
                         guard_aware_stimuli, inject_fault, mutation_catalogue,
                         pick_stimulus, run_suite)
-from .testsynth import (ActivationFormula, BlockView, Path, TermBlock, TestSuite, TestTerm,
+from .testsynth import (ActivationFormula, Block, BlockView, Path, TestSuite, TestTerm,
                         activation_formula, build_complete_test, enumerate_paths,
                         minimal_diagnostic_test, minimal_path_cover)
 

@@ -94,8 +94,15 @@ def _json_dump(doc) -> str:
 
 
 def _read(path: str, load):
-    with open(path, encoding="utf-8") as fh:
-        return load(fh.read())
+    """*load* of the UTF-8 text of *path*; text that is not UTF-8, or nested
+    too deeply for *load*, raises RtgError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load(fh.read())
+    except UnicodeDecodeError as e:
+        raise RtgError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    except RecursionError:
+        raise RtgError(f"{path}: nested too deeply to read") from None
 
 
 def _validate_or_fail(g: rtg.RTGraph) -> None:
@@ -283,7 +290,7 @@ def cmd_cover(pl: Pipeline) -> int:
         labels = [p.label for p in chosen]
     else:
         candidates = pl.suite.terms
-        labels = list(pl.diagnostic_suite.labels())
+        labels = list(pl.diagnostic_suite.terms.labels())
     if pl.cfg.fmt == "json":
         exact = testsynth.cover_is_exact(len(candidates), pl.cfg.exact_cap)
         _emit(pl.args, _json_dump({"mode": mode, "selected": labels, "exact": exact}))
@@ -330,7 +337,7 @@ def cmd_run(pl: Pipeline) -> int:
         with open(pl.args.table_out, "w", encoding="utf-8") as fh:
             fh.write(fdt.dumps_table(pl.responded))
     if pl.cfg.fmt == "json":
-        _emit(pl.args, _json_dump({"labels": list(pl.tests.labels()), "bits": list(v.bits)}))
+        _emit(pl.args, _json_dump({"labels": list(pl.tests.terms.labels()), "bits": list(v.bits)}))
     else:
         _emit(pl.args, f"V = {v}\n")
     return EXIT_OK
@@ -417,7 +424,7 @@ def cmd_all(pl: Pipeline) -> int:
     _validate_or_fail(pl.graph)
 
     report.append("paths: " + " ∨ ".join(p.label for p in pl.paths))
-    report.append("complete test: " + " ".join(pl.suite.labels()))
+    report.append("complete test: " + " ".join(pl.suite.terms.labels()))
     code = EXIT_OK
     if pl.fault is None:
         report.append("no fault injected; nothing to run")

@@ -1,19 +1,21 @@
 """Diagnosis from a responded fault detection table.
 
-The unit is the path block of the table.  The rows of a block are the
-product B1 x ... x Bm of its brackets, and a set hits every row of that
-product iff it contains some whole Bi (Reiter 1987), so a block whose rows
-all fail is one CNF clause whose literals are its brackets, and a block
-whose rows all pass adds its brackets to the exoneration set H.  Any other
-row (a row given on its own, or a row of a block whose bits differ) is a
-clause of its own marks, read as a disjunction of suspects, and rows that
-together form a full product of per-fragment brackets are factored into
-one bracket clause.  The clause family is turned into its minimal DNF, i.e.
-the antichain of minimal hitting sets, by incremental distribution with
-idempotence and absorption applied on the fly.  On a path-uniform table
-(every term of a path gets the path's bit) that costs a polynomial in the
-failing paths, not in their terms.  Removing candidates touched by H
-("strong" mode, the single-fault reading) leaves the reduced diagnosis F'.
+The unit is the ``testsynth.Block`` path block of the table.  The rows of a
+block are the product B1 x ... x Bm of its brackets, and a set hits every
+row of that product iff it contains some whole Bi (Reiter 1987), so a
+block whose rows all fail is one failing part, and a block whose rows all
+pass adds its brackets to the exoneration set H.  Any other row (a row
+given on its own, or a row of a block whose bits differ) is a part of its
+own.  ``factor_clauses`` is the one builder of CNF clauses from the
+failing parts: a part is one clause whose literals are its brackets, and
+rows that together form a full product of per-fragment brackets are
+factored into one bracket clause.  The clause family is turned into its
+minimal DNF, i.e. the antichain of minimal hitting sets, by incremental
+distribution with idempotence and absorption applied on the fly.  On a
+path-uniform table (every term of a path gets the path's bit) that costs a
+polynomial in the failing paths, not in their terms.  Removing candidates
+touched by H ("strong" mode, the single-fault reading) leaves the reduced
+diagnosis F'.
 """
 
 from __future__ import annotations
@@ -130,23 +132,31 @@ def build_cnf(t: FaultDetectionTable) -> list[Clause]:
     return clauses
 
 
-def factor_clauses(clauses: Sequence[Clause]) -> list[Clause]:
-    """The clause family with every full product of rows folded into one
+def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
+    """The CNF clauses of the failing *parts* (whole blocks and single rows,
+    as tuples of brackets), each full product of rows folded into one
     clause of bracket literals.
 
-    Clauses are grouped by the fragments they touch.  A group is the
-    product B1 x ... x Bm of its per-fragment brackets (the statements its
-    rows mark on each fragment) when each row marks one statement per
-    fragment and the distinct rows number |B1| * ... * |Bm|.  A set hits
-    every row of that product iff it contains some whole Bi, so the group
-    becomes the one clause {B1, ..., Bm}.  Other groups keep their rows.
-    Exact for any table; the order of first appearance is kept.
+    Parts are grouped by the fragments they touch, keyed by each bracket's
+    first member, in order of first appearance.  A group of one distinct
+    part is the one clause of its brackets: a set hits every row of the
+    product B1 x ... x Bm iff it contains some whole Bi.  Any other group is
+    read from its distinct rows.  They are the product of their
+    per-fragment brackets (the statements they mark on each fragment) when
+    each row marks one statement per fragment and the rows number
+    |B1| * ... * |Bm|; the group is then the one clause {B1, ..., Bm}, and
+    otherwise each row is a clause of its own.  Exact for any table.
     """
-    groups: dict[frozenset[str], dict[Clause, None]] = {}
-    for clause in clauses:
-        groups.setdefault(frozenset(s.fragment for s in clause), {})[clause] = None
+    groups: dict[frozenset[str], list[Part]] = {}
+    for part in parts:
+        groups.setdefault(frozenset(b[0].fragment for b in part), []).append(part)
     out: list[Clause] = []
-    for fragments, rows in groups.items():
+    for fragments, group in groups.items():
+        clauses = {Clause(map(frozenset, p)) for p in group}
+        if len(clauses) == 1:
+            out.append(clauses.pop())
+            continue
+        rows = dict.fromkeys(frozenset(row) for p in group for row in product(*p))
         marked = frozenset().union(*rows)
         if (all(len(row) == len(fragments) for row in rows)
                 and len(rows) == prod(Counter(s.fragment for s in marked).values())):
@@ -154,29 +164,6 @@ def factor_clauses(clauses: Sequence[Clause]) -> list[Clause]:
                               for f in fragments))
         else:
             out.extend(rows)
-    return out
-
-
-def _block_clauses(failing: Sequence[Part]) -> list[Clause]:
-    """The factored clause family of the failing parts: the clauses that
-    ``factor_clauses`` gives for their rows, with each group of rows that
-    comes from copies of one part read as that part's bracket clause.
-
-    Parts are grouped by the fragments their rows touch, in order of first
-    appearance, as factor_clauses groups rows.  A group made of one part
-    (or of copies of it) is the one clause of its brackets, exact by the
-    product rule; any other group is factored from its rows.
-    """
-    groups: dict[frozenset[str], list[Part]] = {}
-    for part in failing:
-        groups.setdefault(frozenset(b[0].fragment for b in part), []).append(part)
-    out: list[Clause] = []
-    for parts in groups.values():
-        clauses = {Clause(map(frozenset, p)) for p in parts}
-        if len(clauses) == 1:
-            out.append(clauses.pop())
-        else:
-            out.extend(factor_clauses([frozenset(row) for p in parts for row in product(*p)]))
     return out
 
 
@@ -257,26 +244,23 @@ def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     # Path-level signature: the set of path labels whose rows mark the
     # statement.  Exact for generalized tables and for complete-test
     # extended tables (a path's terms jointly mark everything on the path).
-    marked: dict[str, set[StatementId]] = {}
+    sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
     for block in t.blocks:
         if len(block):
-            marked.setdefault(block.path, set()).update(*block.brackets)
-    sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
-    for path, marks in marked.items():
-        for m in marks:
-            sig[m].add(path)
+            for m in chain.from_iterable(block.brackets):
+                sig[m].add(block.path.label)
     return _group_by_signature(sig)
 
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong",
              cap: int = DEFAULT_DNF_CAP) -> DiagnosisResult:
-    """Full pipeline: block clauses, minimal DNF (at most *cap* terms after
+    """Full pipeline: factored clauses, minimal DNF (at most *cap* terms after
     each clause), exoneration, reduction.
 
     Attaches the ambiguity group(s) containing the surviving statements.
     """
     failing, passing = _diagnosable(t)
-    f = cnf_to_min_dnf(_block_clauses(failing), cap=cap)
+    f = cnf_to_min_dnf(factor_clauses(failing), cap=cap)
     h = frozenset().union(*map(_marked, passing))
     reduced = reduce_candidates(f, h, mode=mode)
     survivors = set()

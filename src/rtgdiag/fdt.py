@@ -2,12 +2,12 @@
 
 The generalized table has one row per path, marking every statement on the
 path's ribs.  The extended table has one row per test term, marking only the
-selected statements.  A table holds its rows as path blocks: a block is a
-path label, its brackets and the labels of the rows that form the bracket
-product.  The extended table of a suite has one block per block of the
-suite; a row given on its own (a loaded row, a generalized row, a term of
-the diagnostic suite) is a block of singleton brackets.  ``table.rows`` is
-a view that builds the ``TableRow`` objects only when they are read.
+selected statements.  A table holds its rows as ``testsynth.Block`` path
+blocks; the extended table of a suite holds the suite's own blocks.  A row
+given on its own (a generalized row, a loaded row) is ``Block.of`` its
+path, marks and label, the path of a loaded row being ``Path(label, ())``.
+``table.rows`` is a view that builds the ``TableRow`` objects only when
+they are read.
 
 A table holds at most one response vector V, one pass/fail bit per row in
 row order; bit 1 means the observed output differed from the expected one.
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, SchemaError
 from .rtg import RTGraph, StatementId
-from .testsynth import BlockView, Path, TestSuite
+from .testsynth import Block, BlockView, Path, TestSuite
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,34 +55,17 @@ class TableRow:
     path: str
     marks: frozenset[StatementId]
 
-
-@dataclass(frozen=True, slots=True)
-class RowBlock:
-    """The rows of one path that form the product of its brackets: row i
-    marks the statements of the i-th tuple of ``itertools.product(*brackets)``
-    and is labelled ``labels[i]``."""
-
-    path: str
-    brackets: tuple[tuple[StatementId, ...], ...]
-    labels: tuple[str, ...]
-
     @classmethod
-    def of(cls, row: TableRow) -> "RowBlock":
-        """One row as a block of singleton brackets."""
-        return cls(row.path, tuple((m,) for m in row.marks), (row.label,))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def expand(self) -> Iterator[TableRow]:
-        return map(TableRow, self.labels, repeat(self.path),
-                   map(frozenset, product(*self.brackets)))
+    def of(cls, path: Path, selection: Iterable[StatementId], label: str) -> "TableRow":
+        """The row of a block item: its path label, and its selection as marks."""
+        return cls(label, path.label, frozenset(selection))
 
 
 @dataclass(frozen=True, slots=True)
 class FaultDetectionTable:
-    """Rows over statement columns, held as row blocks.  *rows* may be given
-    as any sequence of ``TableRow``: each becomes a block of its own."""
+    """Rows over statement columns, held as path blocks.  *rows* may be
+    given as any sequence of ``TableRow``: each becomes ``Block.of`` its
+    label-only path, marks and label."""
 
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]
@@ -91,19 +74,17 @@ class FaultDetectionTable:
 
     def __post_init__(self) -> None:
         if not isinstance(self.rows, BlockView):
-            object.__setattr__(self, "rows", BlockView(map(RowBlock.of, self.rows)))
+            object.__setattr__(self, "rows", BlockView(
+                (Block.of(Path(r.path, ()), r.marks, r.label) for r in self.rows), TableRow.of))
         if self.response is not None and len(self.response) != len(self.rows):
             raise LengthMismatch(f"response has {len(self.response)} bits "
                                  f"for {len(self.rows)} rows")
 
     @property
-    def blocks(self) -> tuple[RowBlock, ...]:
+    def blocks(self) -> tuple[Block, ...]:
         return self.rows.blocks
 
-    def row_labels(self) -> tuple[str, ...]:
-        return self.rows.labels()
-
-    def block_bits(self) -> Iterator[tuple[RowBlock, Sequence[int | None]]]:
+    def block_bits(self) -> Iterator[tuple[Block, Sequence[int | None]]]:
         """Each block with the bits of its rows (None for each row when no
         response is bound)."""
         start = 0
@@ -116,20 +97,19 @@ class FaultDetectionTable:
 
 def build_generalized_fdt(g: RTGraph, paths: Sequence[Path]) -> FaultDetectionTable:
     """One row per path; marks are all statement ids on the path's ribs."""
-    rows = []
+    blocks = []
     for p in paths:
-        marks: set[StatementId] = set()
-        for rib in p.edges:
-            marks.update(g.fragment_sids(rib.fragment))
-        rows.append(TableRow(label=p.label, path=p.label, marks=frozenset(marks)))
-    return FaultDetectionTable(kind="generalized", columns=g.statement_ids, rows=tuple(rows))
+        marks = dict.fromkeys(chain.from_iterable(g.fragment_sids(r.fragment) for r in p.edges))
+        blocks.append(Block.of(p, marks, p.label))
+    return FaultDetectionTable(kind="generalized", columns=g.statement_ids,
+                               rows=BlockView(blocks, TableRow.of))
 
 
 def build_extended_fdt(g: RTGraph, suite: TestSuite) -> FaultDetectionTable:
-    """One row per term in suite order, one block per block of the suite;
+    """One row per term in suite order, held in the suite's own blocks;
     marks are the selected statements."""
-    rows = BlockView(RowBlock(b.path.label, b.brackets, b.labels) for b in suite.blocks)
-    return FaultDetectionTable(kind="extended", columns=g.statement_ids, rows=rows)
+    return FaultDetectionTable(kind="extended", columns=g.statement_ids,
+                               rows=BlockView(suite.blocks, TableRow.of))
 
 
 def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetectionTable:
@@ -153,7 +133,7 @@ def table_to_json(t: FaultDetectionTable) -> dict:
     rows = []
     for block, bits in t.block_bits():
         ranked = [[(rank.get(s.label, unknown), s.label) for s in b] for b in block.brackets]
-        rows += [{"label": label, "path": block.path,
+        rows += [{"label": label, "path": block.path.label,
                   "marks": [m for _, m in sorted(set(selection))], "v": v}
                  for label, selection, v in zip(block.labels, product(*ranked), bits)]
     return {
@@ -168,8 +148,9 @@ def table_to_json(t: FaultDetectionTable) -> dict:
 
 def table_from_json(doc: dict) -> FaultDetectionTable:
     """Inverse of table_to_json; raises SchemaError naming a missing key, a
-    value of the wrong type, a mark label that names no column, or a ``v``
-    that is neither 0/1 on every row nor null on every row."""
+    value of the wrong type, a mark label that names no column, a ``v``
+    that is neither 0/1 on every row nor null on every row, or a kind other
+    than generalized or extended."""
     get = partial(SchemaError.field, "table JSON")
     columns = tuple(StatementId(get(c, "fragment", str), get(c, "opcode", int),
                                 get(c, "ordinal", int), get(c, "label", str))
@@ -184,8 +165,7 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
         if unknown:
             raise SchemaError(f"table JSON: row {label!r} marks {unknown[0]!r}, "
                               "which names no column")
-        blocks.append(RowBlock(get(r, "path", str), tuple((by_label[m],) for m in marks),
-                               (label,)))
+        blocks.append(Block.of(Path(get(r, "path", str), ()), map(by_label.get, marks), label))
         v = get(r, "v", int, type(None))
         if v not in (0, 1, None):
             raise SchemaError(f"table JSON: row {label!r} has v = {v}, expected 0 or 1")
@@ -194,8 +174,11 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
         raise SchemaError("table JSON: v is null on some rows only; give 0 or 1 on "
                           "every row, or null on every row")
     response = ResponseVector(tuple(bits)) if bits and None not in bits else None
-    return FaultDetectionTable(kind=get(doc, "kind", str), columns=columns,
-                               rows=BlockView(blocks), response=response)
+    kind = get(doc, "kind", str)
+    if kind not in ("generalized", "extended"):
+        raise SchemaError(f"table JSON: kind {kind!r}, expected 'generalized' or 'extended'")
+    return FaultDetectionTable(kind=kind, columns=columns,
+                               rows=BlockView(blocks, TableRow.of), response=response)
 
 
 def dumps_table(t: FaultDetectionTable) -> str:
@@ -226,7 +209,7 @@ def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None
     """
     corner = "Ti\\Ij"
     has_v = t.response is not None
-    label_w = max(len(corner), 6, *map(len, t.row_labels()))
+    label_w = max(len(corner), 6, *map(len, t.rows.labels()))
     col_ws = [max(len(c.label), 3) for c in t.columns]
     blank = ["".center(w) for w in col_ws]
     one = ["1".center(w) for w in col_ws]

@@ -436,8 +436,7 @@ def fresh_names(used: set[str]) -> Iterator[str]:
             yield name
 
 
-def lower_expression(e: Expr, fresh: Iterator[str] | None = None
-                     ) -> tuple[list[Statement], "str | float"]:
+def lower_expression(e: Expr) -> tuple[list[Statement], "str | float"]:
     """Lower an expression post-order to alphabet statements.
 
     Returns (statements, result operand); a bare literal or variable lowers
@@ -445,10 +444,8 @@ def lower_expression(e: Expr, fresh: Iterator[str] | None = None
     of a non-literal becomes multiplication by -1.  For commutative opcodes
     a constant left operand is swapped to the right.
     """
-    if fresh is None:
-        fresh = fresh_names(_expr_vars(e))
     specs: list[tuple[int, str, tuple]] = []
-    result = _lower(e, fresh, specs)
+    result = _lower(e, fresh_names(_expr_vars(e)), specs)
     return list(make_statements(specs)), result
 
 
@@ -486,7 +483,6 @@ class SourceMap:
     """Locations, guard regions, and merge keys for a lowered program."""
 
     statements: dict[tuple[str, int], tuple[int, int]] = field(default_factory=dict)
-    fragments: dict[str, tuple[int, int]] = field(default_factory=dict)
     constraints: dict[str, dict[str, IntervalSet]] = field(default_factory=dict)
     source_keys: dict[str, object] = field(default_factory=dict)
 
@@ -642,7 +638,6 @@ def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
         statements = make_statements(specs)
         for s, span in zip(statements, spans):
             smap.statements[(fid, s.ordinal)] = span
-        smap.fragments[fid] = spans[0]
         smap.source_keys[fid] = key
         if dst not in {n.name for n in nodes}:
             nodes.append(Node(dst, "output" if dst == "Y" else "internal"))

@@ -230,12 +230,12 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
                        for r in g.ribs)
 
 
-def mutation_catalogue(g: RTGraph, constant_delta: float = 1.0) -> list[FaultSpec]:
+def mutation_catalogue(g: RTGraph) -> list[FaultSpec]:
     """Every single-statement mutation in the standard catalogue.
 
     Each opcode is swapped for its ``OpCode.swap`` partner: within the
     arity classes {1,3} and {2,4} (sine has no partner); each constant
-    operand additionally yields one perturbation by *constant_delta*.
+    operand additionally yields one perturbation by +1.
     """
     out: list[FaultSpec] = []
     for fragment in g.fragments:
@@ -246,7 +246,7 @@ def mutation_catalogue(g: RTGraph, constant_delta: float = 1.0) -> list[FaultSpe
             for i, operand in enumerate(s.operands):
                 if not isinstance(operand, str):
                     out.append(FaultSpec(fragment=fragment, ordinal=s.ordinal,
-                                         constant=float(operand) + constant_delta,
+                                         constant=float(operand) + 1.0,
                                          operand_index=i))
     return out
 
@@ -324,7 +324,7 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
 
 # --- stimulus selection -----------------------------------------------------------
 
-def pick_stimulus(g: RTGraph, p: Path,
+def pick_stimulus(p: Path,
                   guards: Sequence[Mapping[str, IntervalSet]] | None = None) -> Stimulus:
     """Choose input values exercising a path.
 
@@ -365,10 +365,10 @@ def _per_path(suite: TestSuite, pick: Callable[[Path], Stimulus]) -> dict[str, S
 
 def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:
     """Guard-oblivious stimuli for every term: input 1.0, free variables 0.0."""
-    return _per_path(suite, lambda p: pick_stimulus(g, p))
+    return _per_path(suite, pick_stimulus)
 
 
-def guard_aware_stimuli(g: RTGraph, suite: TestSuite, smap: SourceMap) -> dict[str, Stimulus]:
+def guard_aware_stimuli(suite: TestSuite, smap: SourceMap) -> dict[str, Stimulus]:
     """Stimuli satisfying each term's path constraints where those are known."""
-    return _per_path(suite, lambda p: pick_stimulus(g, p, smap.path_constraints(p.fragments)))
+    return _per_path(suite, lambda p: pick_stimulus(p, smap.path_constraints(p.fragments)))
 

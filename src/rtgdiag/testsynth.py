@@ -7,11 +7,12 @@ brackets (a Cartesian expansion that picks one statement per rib) yields the
 complete test: every statement id of the graph is the selected statement of
 at least one term.
 
-The unit of a suite is the path block: a path, its brackets and the labels
-of the terms that form the bracket product, in ``itertools.product`` order.
-The complete test holds one block per path; a term given on its own is a
-block of singleton brackets.  ``TestSuite.terms`` is a view that builds the
-``TestTerm`` objects only when they are read.
+The one block type, of suites and tables alike, is ``Block``: a path, its
+brackets and the labels of the items that form the bracket product, in
+``itertools.product`` order.  The complete test holds one block per path,
+and its extended table holds the same blocks; an item given on its own is
+``Block.of`` its path, selection and label.  ``TestSuite.terms`` is a view
+that builds the ``TestTerm`` objects only when they are read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from math import prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import LengthMismatch, PathExplosion, TermExplosion, Uncoverable
 from .rtg import RTGraph, Rib, StatementId, natural_key, subscript
@@ -82,38 +83,37 @@ class TestTerm:
 
 
 @dataclass(frozen=True, slots=True)
-class TermBlock:
-    """The terms of one path that form the product of its brackets: term i
+class Block:
+    """The items of one path that form the product of its brackets: item i
     selects the i-th tuple of ``itertools.product(*brackets)`` and is
-    labelled ``labels[i]``."""
+    labelled ``labels[i]``.  A table that knows no ribs holds the path as
+    ``Path(label, ())``."""
 
     path: Path
     brackets: tuple[tuple[StatementId, ...], ...]
     labels: tuple[str, ...]
 
     @classmethod
-    def of(cls, term: TestTerm) -> "TermBlock":
-        """One term as a block of singleton brackets."""
-        return cls(term.path, tuple((s,) for s in term.selection), (term.label,))
+    def of(cls, path: Path, selection: Iterable[StatementId], label: str) -> "Block":
+        """One item, *selection* on *path*, as a block of singleton brackets."""
+        return cls(path, tuple((s,) for s in selection), (label,))
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def expand(self) -> Iterator[TestTerm]:
-        return map(TestTerm, repeat(self.path), product(*self.brackets), self.labels)
-
 
 class BlockView(Sequence):
-    """An immutable sequence held as path blocks (``TermBlock`` or
-    ``fdt.RowBlock``), each expanding to one item per label through
-    ``block.expand()``.  The length is known without expanding; the items
-    are built on first access and kept.  Raises LengthMismatch unless every
-    block has one label per tuple of its bracket product."""
+    """An immutable sequence held as path blocks, one ``item(path, selection,
+    label)`` per label: *item* is ``TestTerm`` or ``fdt.TableRow.of``.  The
+    length is known without expanding; the items are built on first access
+    and kept.  Raises LengthMismatch unless every block has one label per
+    tuple of its bracket product."""
 
-    __slots__ = ("blocks", "_len", "_items")
+    __slots__ = ("blocks", "_item", "_len", "_items")
 
-    def __init__(self, blocks: Iterable):
+    def __init__(self, blocks: Iterable[Block], item: Callable):
         self.blocks = tuple(blocks)
+        self._item = item
         for b in self.blocks:
             if prod(map(len, b.brackets)) != len(b.labels):
                 raise LengthMismatch(f"a block has {len(b.labels)} labels for a product "
@@ -123,7 +123,9 @@ class BlockView(Sequence):
 
     def _expanded(self) -> tuple:
         if self._items is None:
-            self._items = tuple(chain.from_iterable(b.expand() for b in self.blocks))
+            self._items = tuple(chain.from_iterable(
+                map(self._item, repeat(b.path), product(*b.brackets), b.labels)
+                for b in self.blocks))
         return self._items
 
     def __len__(self) -> int:
@@ -137,7 +139,8 @@ class BlockView(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BlockView):
-            return self.blocks == other.blocks or self._expanded() == other._expanded()
+            return (self._item == other._item and self.blocks == other.blocks
+                    or self._expanded() == other._expanded())
         if isinstance(other, tuple):
             return self._expanded() == other
         return NotImplemented
@@ -156,7 +159,7 @@ class BlockView(Sequence):
 @dataclass(frozen=True, slots=True)
 class TestSuite:
     """Test terms in run order, held as path blocks.  *terms* may be given
-    as any sequence of ``TestTerm``: each becomes a block of its own."""
+    as any sequence of ``TestTerm``: each becomes ``Block.of`` it."""
 
     __test__ = False  # pytest: not a test class
 
@@ -165,14 +168,12 @@ class TestSuite:
 
     def __post_init__(self) -> None:
         if not isinstance(self.terms, BlockView):
-            object.__setattr__(self, "terms", BlockView(map(TermBlock.of, self.terms)))
+            object.__setattr__(self, "terms", BlockView(
+                (Block.of(t.path, t.selection, t.label) for t in self.terms), TestTerm))
 
     @property
-    def blocks(self) -> tuple[TermBlock, ...]:
+    def blocks(self) -> tuple[Block, ...]:
         return self.terms.blocks
-
-    def labels(self) -> tuple[str, ...]:
-        return self.terms.labels()
 
 
 def _node_short(name: str, role: str) -> str:
@@ -260,8 +261,8 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
         for base in path_bases:
             n = occurrence[base] = occurrence.get(base, 0) + 1
             labels.append(base + subs[n] if always or counts[base] > 1 else base)
-        blocks.append(TermBlock(f.path, f.brackets, tuple(labels)))
-    return TestSuite(terms=BlockView(blocks), origin="complete")
+        blocks.append(Block(f.path, f.brackets, tuple(labels)))
+    return TestSuite(terms=BlockView(blocks, TestTerm), origin="complete")
 
 
 # --- covering problems -------------------------------------------------------

@@ -49,7 +49,7 @@ def responded_tables(draw):
     if draw(st.booleans()):
         suite = minimal_diagnostic_test(suite, g.statement_ids)
     stimuli = default_stimuli(g, suite)
-    labels = suite.labels()
+    labels = suite.terms.labels()
     for i in draw(st.sets(st.integers(0, len(labels) - 1), max_size=3)):
         # other inputs for one term: its path is split when it has more terms
         env = dict(stimuli[labels[i]].env)

@@ -254,6 +254,34 @@ def test_malformed_stimuli_file_exits_3(capsys, tmp_path):
         assert err.startswith("rtgdiag run: ") and err.count("\n") == 1
 
 
+#: Bytes no UTF-8 decoder accepts, and input nested past any recursion limit.
+BAD_INPUTS = {
+    "latin-1": "Gr\xfc\xdfe".encode("latin-1"),
+    "deep JSON": ("[" * 200_000 + "]" * 200_000).encode(),
+    "deep parentheses": f"input x;\ny = {'(' * 5000}x{')' * 5000};\noutput y;\n".encode(),
+    "deep unary minus": f"input x;\ny = {'-' * 5000}x;\noutput y;\n".encode(),
+}
+#: The command reading each file option, and the bad inputs it is given.
+READERS = {
+    "--table": (["diagnose"], ["latin-1", "deep JSON"]),
+    "--graph": (["paths"], ["latin-1", "deep JSON"]),
+    "--stimuli": (["run", "--graph", FIG1, "--fault", "I5:3:op=3"], ["latin-1", "deep JSON"]),
+    "--program": (["parse"], ["latin-1", "deep parentheses", "deep unary minus"]),
+}
+
+
+@pytest.mark.parametrize("option, bad", [(option, bad) for option, (_, bads) in READERS.items()
+                                         for bad in bads])
+def test_unreadable_input_exits_3(capsys, tmp_path, option, bad):
+    path = tmp_path / "input"
+    path.write_bytes(BAD_INPUTS[bad])
+    command = READERS[option][0]
+    code, out, err = run_cli(capsys, *command, option, str(path))
+    assert (code, out) == (3, "")
+    reason = "not UTF-8 text (byte 2)" if bad == "latin-1" else "nested too deeply to read"
+    assert err == f"rtgdiag {command[0]}: {path}: {reason}\n"
+
+
 def test_graph_without_ribs_exits_3(capsys, tmp_path):
     graph = tmp_path / "noribs.rtg.json"
     graph.write_text(json.dumps({"nodes": [{"name": "X", "role": "input"}]}), encoding="utf-8")
@@ -360,6 +388,7 @@ TABLE_SHAPES = {
     "marks": lambda d: {**d, "rows": [{**d["rows"][0], "marks": 5}] + d["rows"][1:]},
     "mark": lambda d: {**d, "rows": [{**d["rows"][0], "marks": [["I11"]]}] + d["rows"][1:]},
     "v": lambda d: {**d, "rows": [{**d["rows"][0], "v": [1]}] + d["rows"][1:]},
+    "kind": lambda d: {**d, "kind": "bogus"},
 }
 
 

@@ -1,8 +1,10 @@
 """The factored clause family gives the same F as row-level distribution.
 
-``diagnose`` distributes ``factor_clauses(build_cnf(t))``, where a group of
-failing rows forming a full product of per-fragment brackets is one clause
-of bracket literals.  The reference here is the row-level route:
+``factor_clauses`` reads failing parts, whole blocks and single rows; here
+each failing row of ``build_cnf`` is handed over as a part of its own,
+``[tuple(zip(c)) for c in build_cnf(t)]``, and a group of failing rows
+forming a full product of per-fragment brackets is one clause of bracket
+literals.  The reference here is the row-level route:
 ``cnf_to_min_dnf`` over the plain clauses of ``build_cnf``, and, on small
 tables, the exhaustive ``brute_min_hitting_sets``.  Tables come from the
 mutation catalogue of the fixtures and of seeded random models, from the
@@ -41,7 +43,7 @@ def responded_tables(g, stimuli_for=default_stimuli):
 def check_factored(t) -> None:
     """Assert the factored F equals the row-level references on table *t*."""
     clauses = build_cnf(t)
-    factored = factor_clauses(clauses)
+    factored = factor_clauses(row_parts(clauses))
     reference = cnf_to_min_dnf(clauses)
     assert cnf_to_min_dnf(factored) == reference
     try:
@@ -50,6 +52,11 @@ def check_factored(t) -> None:
         pass
     if len(frozenset().union(*clauses)) <= BRUTE_UNIVERSE:
         assert reference.terms == frozenset(brute_min_hitting_sets(clauses))
+
+
+def row_parts(clauses):
+    """Each row clause as a part of singleton brackets."""
+    return [tuple(zip(c)) for c in clauses]
 
 
 def path_uniform(t) -> bool:
@@ -147,7 +154,7 @@ A1, A2, B1, B2, C1 = sid("A", 1), sid("A", 2), sid("B", 1), sid("B", 2), sid("C"
 ])
 def test_hand_built_groups(rows, expected):
     clauses = [frozenset(r) for r in rows]
-    factored = factor_clauses(clauses)
+    factored = factor_clauses(row_parts(clauses))
     assert factored == [frozenset(c) for c in expected]
     assert cnf_to_min_dnf(factored) == cnf_to_min_dnf(clauses)
     assert cnf_to_min_dnf(factored).terms == frozenset(brute_min_hitting_sets(clauses))
@@ -173,7 +180,7 @@ def test_path_through_two_ribs_of_one_fragment():
                    if bit == 1 and r.path == twice.label]
         if {len(m) for m in failing} == {1, 2}:
             # the group mixes one- and two-statement rows: it keeps its rows
-            assert set(failing) <= set(factor_clauses(build_cnf(t)))
+            assert set(failing) <= set(factor_clauses(row_parts(build_cnf(t))))
         check_factored(t)
 
 
@@ -189,7 +196,7 @@ def test_one_clause_per_failing_path_on_a_path_uniform_ladder():
         assert path_uniform(t)
         failing_paths = {r.path for r, bit in zip(t.rows, t.response.bits) if bit == 1}
         assert failing_paths
-        assert len(factor_clauses(build_cnf(t))) == len(failing_paths)
+        assert len(factor_clauses(row_parts(build_cnf(t)))) == len(failing_paths)
         assert len(build_cnf(t)) == 32 * len(failing_paths)
 
 
@@ -207,6 +214,6 @@ def test_flipped_fig1_table():
     t = attach_response(build_extended_fdt(g, build_complete_test(g, enumerate_paths(g))),
                         ResponseVector((0, 0, 0, 1, 1, 0, 0, 0, 0, 0)))
     assert not path_uniform(t)
-    assert len(factor_clauses(build_cnf(t))) == 1
+    assert len(factor_clauses(row_parts(build_cnf(t)))) == 1
     check_factored(t)
     assert str(diagnose(t).candidates) == "I11 ∨ I61 ∨ I51 I52"

@@ -2,9 +2,10 @@ import dataclasses
 
 import pytest
 
-from rtgdiag import (BlockView, FaultDetectionTable, LengthMismatch, ResponseVector, RowBlock,
-                     SchemaError, attach_response, build_extended_fdt, build_generalized_fdt,
-                     dumps_table, loads_table, render_table)
+from rtgdiag import (Block, BlockView, FaultDetectionTable, LengthMismatch, Path,
+                     ResponseVector, SchemaError, TableRow, TestTerm, attach_response,
+                     build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
+                     render_table)
 from rtgdiag.testsynth import build_complete_test
 
 GENERALIZED_MARKS = {
@@ -38,7 +39,7 @@ def test_generalized_rows_match_reference(g, paths):
 def test_extended_rows_match_reference(extended):
     got = {r.label: {m.label for m in r.marks} for r in extended.rows}
     assert got == EXTENDED_MARKS
-    assert extended.row_labels() == tuple(EXTENDED_MARKS)
+    assert extended.rows.labels() == tuple(EXTENDED_MARKS)
 
 
 def test_single_rib_generalized_row():
@@ -132,12 +133,27 @@ def test_render_cell_content(extended):
 def test_complete_test_rows_follow_suite_order(g):
     suite = build_complete_test(g)
     table = build_extended_fdt(g, suite)
-    assert table.row_labels() == suite.labels()
+    assert table.rows.labels() == suite.terms.labels()
+
+
+def test_extended_table_holds_the_suite_blocks(suite, extended):
+    assert len(extended.blocks) == 4
+    assert all(ours is theirs for ours, theirs in zip(extended.blocks, suite.blocks, strict=True))
+
+
+def test_block_of_round_trips_a_term_and_a_row(suite):
+    term = suite.terms[4]
+    [back] = BlockView([Block.of(term.path, term.selection, term.label)], TestTerm)
+    assert back == term
+    row = TableRow(label="r", path="X15Y", marks=frozenset(term.selection))
+    [back] = BlockView([Block.of(Path(row.path, ()), row.marks, row.label)], TableRow.of)
+    assert back == row
 
 
 def test_a_block_has_one_label_per_selection(g):
     a, b = g.statement_ids[:2]
-    rows = BlockView([RowBlock("p", ((a, b), (a,)), ("r1", "r2"))])
+    rows = BlockView([Block(Path("p", ()), ((a, b), (a,)), ("r1", "r2"))], TableRow.of)
     assert [r.marks for r in rows] == [frozenset({a}), frozenset({a, b})]
+    assert [r.path for r in rows] == ["p", "p"]
     with pytest.raises(LengthMismatch, match="1 labels for a product of 2 selections"):
-        BlockView([RowBlock("p", ((a, b),), ("r1",))])
+        BlockView([Block(Path("p", ()), ((a, b),), ("r1",))], TableRow.of)

@@ -205,7 +205,7 @@ def test_interval_pick_rules():
 
 
 def test_pick_stimulus_defaults(g, paths):
-    stim = pick_stimulus(g, paths[2])
+    stim = pick_stimulus(paths[2])
     assert stim.env["x"] == 1.0
     assert stim.env["w"] == 0.0
     assert stim.label == "X2Y"
@@ -216,7 +216,7 @@ def test_pick_stimulus_respects_guards(source):
     graph, smap = build_rtg(program)
     by_label = {p.label: p for p in enumerate_paths(graph)}
     x24y = by_label["X24Y"]
-    stim = pick_stimulus(graph, x24y, smap.path_constraints(x24y.fragments))
+    stim = pick_stimulus(x24y, smap.path_constraints(x24y.fragments))
     x = stim.env["x"]
     assert 2.0 <= x < 2.0 / 3.0 * PI
 
@@ -227,7 +227,7 @@ def test_program_faithful_x15y_is_infeasible(source):
     by_label = {p.label: p for p in enumerate_paths(graph)}
     x15y = by_label["X15Y"]
     with pytest.raises(InfeasiblePath):
-        pick_stimulus(graph, x15y, smap.path_constraints(x15y.fragments))
+        pick_stimulus(x15y, smap.path_constraints(x15y.fragments))
 
 
 def test_guard_aware_stimuli_on_feasible_suite(source):
@@ -236,7 +236,7 @@ def test_guard_aware_stimuli_on_feasible_suite(source):
     paths = enumerate_paths(graph)
     feasible = [p for p in paths if p.label in ("X14Y", "X24Y", "X25Y", "X35Y")]
     suite = build_complete_test(graph, feasible)
-    stimuli = guard_aware_stimuli(graph, suite, smap)
+    stimuli = guard_aware_stimuli(suite, smap)
     for term in suite.terms:
         env = stimuli[term.label].env
         for regions in smap.path_constraints(term.path.fragments):

@@ -88,7 +88,7 @@ def test_path_cap_raises(g):
 
 
 def test_complete_test_labels_match_reference(suite):
-    assert list(suite.labels()) == PAPER_LABELS
+    assert list(suite.terms.labels()) == PAPER_LABELS
 
 
 def test_complete_test_selections_cover_all_statements(g, suite):
@@ -134,7 +134,7 @@ def test_fixture_diagnostic_test_is_irreducible(g, suite):
     for combo in combinations(suite.terms, len(suite.terms) - 1):
         assert {s for t in combo for s in t.selection} != universe
     minimal = minimal_diagnostic_test(suite, g.statement_ids)
-    assert list(minimal.labels()) == PAPER_LABELS
+    assert list(minimal.terms.labels()) == PAPER_LABELS
     assert minimal.origin == "minimal-diagnostic"
 
 
