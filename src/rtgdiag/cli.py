@@ -90,7 +90,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _json_dump(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _read(path: str, load):
@@ -118,7 +118,7 @@ def _parse_fault(spec: str) -> simulator.FaultSpec:
         if kind == "op":
             return simulator.FaultSpec(fragment=fragment, ordinal=int(ordinal),
                                        opcode=int(value))
-        if kind == "const":
+        if kind == "const" and math.isfinite(float(value)):
             return simulator.FaultSpec(fragment=fragment, ordinal=int(ordinal),
                                        constant=float(value))
     except ValueError:
@@ -322,6 +322,8 @@ def cmd_inject(pl: Pipeline) -> int:
         fault = simulator.FaultSpec(fragment=args.fragment, ordinal=args.ordinal,
                                     opcode=args.op)
     elif args.const is not None:
+        if not math.isfinite(args.const):
+            raise UsageError(f"--const needs a finite number, got {args.const}")
         fault = simulator.FaultSpec(fragment=args.fragment, ordinal=args.ordinal,
                                     constant=args.const, operand_index=args.operand)
     else:

@@ -94,7 +94,8 @@ class DivisionByZero(ExecutionError):
 
 
 class NonFiniteValue(ExecutionError):
-    """An operation outside its domain received an infinite or NaN operand."""
+    """An operation outside its domain received an infinite or NaN operand,
+    or a lowered statement would hold one as a constant."""
 
 
 class UnboundVariable(ExecutionError):

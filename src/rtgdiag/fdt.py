@@ -182,7 +182,7 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
 
 
 def dumps_table(t: FaultDetectionTable) -> str:
-    return json.dumps(table_to_json(t), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(table_to_json(t), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def loads_table(text: str) -> FaultDetectionTable:

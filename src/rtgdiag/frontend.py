@@ -6,23 +6,33 @@ numeric routine needs: ``input x;`` declarations, assignments over
 predefined constant ``PI`` (3.14159), if / else-if / else chains guarded by
 ``&&``-conjoined comparisons, and a final ``output F;``.
 
-Lowering produces three-address statements restricted to the registered
-opcode alphabet (unary minus becomes multiplication by -1).  Observation
-points are placed at the input node, after every if-chain arm, and at the
-output node; node names are X, R1, R2, ... and Y in creation order.
-Constant subexpressions are folded at parse time unless folding is disabled
-(the unfolded form keeps e.g. PI/3 as an explicit division statement).
+Expressions have one operation node, ``Op``, which names its alphabet
+opcode: ``a + b`` is ``Op(sum, (a, b))``, ``sin(e)`` is ``Op(sin, (e,))``
+and unary minus of a non-literal is ``Op(mul, (e, -1))``.  Constant
+subexpressions are folded at parse time unless folding is disabled (the
+unfolded form keeps e.g. PI/3 as an explicit division statement).
+
+A program runs as steps (``layout``): each if-chain is a step, and so is
+each maximal run of assignments, as a chain of one unguarded arm.  The
+use-before-assignment check, lowering and program execution walk the same
+steps.  Lowering produces three-address statements restricted to the
+registered opcode alphabet, whose constant operands must be finite.
+Observation points are placed at the input node, after every arm of a
+step, and at the output node; node names are X, R1, R2, ... and Y in
+creation order.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
+from itertools import count, groupby
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import (DivisionByZero, ExecutionError, ParseError, UnboundVariable,
-                     UndefinedVariable, UnsupportedOperation)
+from .errors import (DivisionByZero, ExecutionError, NonFiniteValue, ParseError,
+                     UnboundVariable, UndefinedVariable, UnsupportedOperation)
 from .intervals import IntervalSet
 from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
                   make_statements, merge_equivalent_ribs)
@@ -58,43 +68,18 @@ class Var:
     col: int = 0
 
 
-# Operation nodes name their alphabet opcode and operands; parse-time folding,
-# ``evaluate`` (guard bounds, program execution) and lowering go through them.
-
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    lhs: "Expr"
-    rhs: "Expr"
+class Op:
+    """An alphabet operation applied to its operands.  Parse-time folding,
+    ``evaluate`` (guard bounds, program execution) and lowering read it."""
+
+    code: OpCode
+    operands: tuple["Expr", ...]
     line: int = 0
     col: int = 0
 
-    def operation(self) -> tuple[OpCode, tuple["Expr", ...]]:
-        return BINARY_OPS[self.op], (self.lhs, self.rhs)
 
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    line: int = 0
-    col: int = 0
-
-    def operation(self) -> tuple[OpCode, tuple["Expr", ...]]:
-        return OP_ALPHABET[2], (self.operand, _MINUS_ONE)  # x * -1
-
-
-@dataclass(frozen=True)
-class Sin:
-    operand: "Expr"
-    line: int = 0
-    col: int = 0
-
-    def operation(self) -> tuple[OpCode, tuple["Expr", ...]]:
-        return OP_ALPHABET[5], (self.operand,)
-
-
-Expr = Union[Num, Var, BinOp, Neg, Sin]
-_MINUS_ONE = Num(-1.0)
+Expr = Union[Num, Var, Op]
 
 
 @dataclass(frozen=True)
@@ -102,11 +87,6 @@ class Comparison:
     lhs: Expr
     relop: str  # < <= > >=
     rhs: Expr
-
-
-@dataclass(frozen=True)
-class Guard:
-    comparisons: tuple[Comparison, ...]
 
 
 @dataclass(frozen=True)
@@ -119,9 +99,8 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Arm:
-    guard: Guard | None  # None for an else arm
+    guard: tuple[Comparison, ...] | None  # conjoined; None for an else arm
     body: tuple[Assignment, ...]
-    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,12 +128,32 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         if e.name not in env:
             raise UnboundVariable(e.name)
         return env[e.name]
-    op, operands = e.operation()
-    values = [evaluate(o, env) for o in operands]
+    values = [evaluate(o, env) for o in e.operands]
     try:
-        return op.fn(*values)
+        return e.code.fn(*values)
     except ExecutionError as err:
         raise err.at(f"line {e.line}, column {e.col}")
+
+
+def layout(p: Program) -> list[tuple[IfChain, list[str]]]:
+    """The program as steps: (chain, end node of each arm) pairs.
+
+    A maximal run of assignments is a chain of one unguarded arm.  End nodes
+    are named R1, R2, ... in construction order, except that every arm of
+    the last step ends at Y.  Program execution uses the same plan, so
+    traces and graph observations share node names.
+    """
+    names = (f"R{i}" for i in count(1))
+    steps: list[tuple[IfChain, list[str]]] = []
+    for kind, items in groupby(p.body, type):
+        if kind is Assignment:
+            run = tuple(items)
+            items = [IfChain(arms=(Arm(guard=None, body=run),), line=run[0].line)]
+        steps.extend((chain, [next(names) for _ in chain.arms]) for chain in items)
+    if steps:
+        chain, ends = steps[-1]
+        steps[-1] = (chain, ["Y"] * len(ends))
+    return steps
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -207,6 +206,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 # --- parser ------------------------------------------------------------------
+
+#: Binding level of each binary operator token; higher binds tighter.
+_LEVELS = {"PLUS": 0, "MINUS": 0, "STAR": 1, "SLASH": 1}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], fold: bool):
@@ -277,16 +280,15 @@ class _Parser:
                 self.eat("IF")
                 arms.append(self.guarded_arm())
             else:
-                arms.append(Arm(guard=None, body=self.arm_body(), line=self.cur.line))
+                arms.append(Arm(guard=None, body=self.arm_body()))
                 break
         return IfChain(arms=tuple(arms), line=first.line)
 
     def guarded_arm(self) -> Arm:
-        line = self.cur.line
         self.eat("LPAREN")
         guard = self.guard()
         self.eat("RPAREN")
-        return Arm(guard=guard, body=self.arm_body(), line=line)
+        return Arm(guard=guard, body=self.arm_body())
 
     def arm_body(self) -> tuple[Assignment, ...]:
         if self.cur.kind == "LBRACE":
@@ -301,12 +303,12 @@ class _Parser:
             return tuple(body)
         return (self.assignment(),)
 
-    def guard(self) -> Guard:
+    def guard(self) -> tuple[Comparison, ...]:
         comparisons = [self.comparison()]
         while self.cur.kind == "AND":
             self.eat("AND")
             comparisons.append(self.comparison())
-        return Guard(comparisons=tuple(comparisons))
+        return tuple(comparisons)
 
     def comparison(self) -> Comparison:
         lhs = self.expression()
@@ -318,20 +320,15 @@ class _Parser:
         rhs = self.expression()
         return Comparison(lhs=lhs, relop=tok.text, rhs=rhs)
 
-    def expression(self) -> Expr:
-        node = self.term()
-        while self.cur.kind in ("PLUS", "MINUS"):
-            tok = self.cur
-            self.pos += 1
-            node = self._fold(BinOp(tok.text, node, self.term(), tok.line, tok.col))
-        return node
-
-    def term(self) -> Expr:
+    def expression(self, level: int = 0) -> Expr:
+        """Precedence climbing: operators binding at *level* or tighter,
+        left-associative."""
         node = self.factor()
-        while self.cur.kind in ("STAR", "SLASH"):
+        while _LEVELS.get(self.cur.kind, -1) >= level:
             tok = self.cur
             self.pos += 1
-            node = self._fold(BinOp(tok.text, node, self.factor(), tok.line, tok.col))
+            rhs = self.expression(_LEVELS[tok.kind] + 1)
+            node = self._fold(Op(BINARY_OPS[tok.text], (node, rhs), tok.line, tok.col))
         return node
 
     def factor(self) -> Expr:
@@ -345,13 +342,13 @@ class _Parser:
             # a negated literal is just a negative constant, in either mode
             if isinstance(inner, Num):
                 return Num(-inner.value, tok.line, tok.col)
-            return Neg(inner, tok.line, tok.col)
+            return Op(BINARY_OPS["*"], (inner, Num(-1.0)), tok.line, tok.col)
         if tok.kind == "SIN":
             self.pos += 1
             self.eat("LPAREN")
             inner = self.expression()
             self.eat("RPAREN")
-            return self._fold(Sin(inner, tok.line, tok.col))
+            return self._fold(Op(OP_ALPHABET[5], (inner,), tok.line, tok.col))
         if tok.kind == "ID":
             self.pos += 1
             if tok.text == "PI":
@@ -365,8 +362,8 @@ class _Parser:
         raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
                          expected=("number", "identifier", "sin", "("))
 
-    def _fold(self, node: Union[BinOp, Sin]) -> Expr:
-        if not self.fold or not all(isinstance(o, Num) for o in node.operation()[1]):
+    def _fold(self, node: Op) -> Expr:
+        if not self.fold or not all(isinstance(o, Num) for o in node.operands):
             return node
         try:
             return Num(evaluate(node, {}), node.line, node.col)
@@ -393,7 +390,7 @@ def _expr_vars(e: Expr) -> set[str]:
         return {e.name}
     if isinstance(e, Num):
         return set()
-    return set().union(*(_expr_vars(o) for o in e.operation()[1]))
+    return set().union(*(_expr_vars(o) for o in e.operands))
 
 
 def _check_defined(p: Program) -> None:
@@ -403,23 +400,18 @@ def _check_defined(p: Program) -> None:
         for name in sorted(_expr_vars(e) - local):
             raise UndefinedVariable(name, e.line)
 
-    for item in p.body:
-        if isinstance(item, Assignment):
-            check_expr(item.expr, defined)
-            defined.add(item.target)
-        else:
-            assigned_by_some_arm: set[str] = set()
-            for arm in item.arms:
-                if arm.guard is not None:
-                    for cmp_ in arm.guard.comparisons:
-                        check_expr(cmp_.lhs, defined)
-                        check_expr(cmp_.rhs, defined)
-                local = set(defined)
-                for a in arm.body:
-                    check_expr(a.expr, local)
-                    local.add(a.target)
-                assigned_by_some_arm |= local - defined
-            defined |= assigned_by_some_arm
+    for chain, _ in layout(p):
+        assigned_by_some_arm: set[str] = set()
+        for arm in chain.arms:
+            for cmp_ in arm.guard or ():
+                check_expr(cmp_.lhs, defined)
+                check_expr(cmp_.rhs, defined)
+            local = set(defined)
+            for a in arm.body:
+                check_expr(a.expr, local)
+                local.add(a.target)
+            assigned_by_some_arm |= local - defined
+        defined |= assigned_by_some_arm
     if p.output not in defined:
         raise UndefinedVariable(p.output)
 
@@ -440,9 +432,9 @@ def lower_expression(e: Expr) -> tuple[list[Statement], "str | float"]:
     """Lower an expression post-order to alphabet statements.
 
     Returns (statements, result operand); a bare literal or variable lowers
-    to no statements, the operand being consumed by the parent.  Unary minus
-    of a non-literal becomes multiplication by -1.  For commutative opcodes
-    a constant left operand is swapped to the right.
+    to no statements, the operand being consumed by the parent.  For
+    commutative opcodes a constant left operand is swapped to the right.  A
+    non-finite constant operand raises NonFiniteValue naming its location.
     """
     specs: list[tuple[int, str, tuple]] = []
     result = _lower(e, fresh_names(_expr_vars(e)), specs)
@@ -454,8 +446,12 @@ def _lower(e: Expr, fresh: Iterator[str], specs: list) -> "str | float":
         return e.value
     if isinstance(e, Var):
         return e.name
-    op, operands = e.operation()
-    args = [_lower(o, fresh, specs) for o in operands]
+    args = [_lower(o, fresh, specs) for o in e.operands]
+    for o in e.operands:
+        if isinstance(o, Num) and not math.isfinite(o.value):
+            raise NonFiniteValue(f"non-finite constant {o.value}").at(
+                f"line {o.line}, column {o.col}")
+    op = e.code
     if op.code in (1, 2) and isinstance(args[0], float) and isinstance(args[1], str):
         args.reverse()
     t = next(fresh)
@@ -480,64 +476,14 @@ def lower_assignment(a: Assignment, fresh: Iterator[str]) -> list[tuple[int, str
 
 @dataclass
 class SourceMap:
-    """Locations, guard regions, and merge keys for a lowered program."""
+    """Guard regions and merge keys for a lowered program."""
 
-    statements: dict[tuple[str, int], tuple[int, int]] = field(default_factory=dict)
     constraints: dict[str, dict[str, IntervalSet]] = field(default_factory=dict)
     source_keys: dict[str, object] = field(default_factory=dict)
 
     def path_constraints(self, fragments: "tuple[str, ...] | list[str]"
                          ) -> list[dict[str, IntervalSet]]:
         return [self.constraints[f] for f in fragments if f in self.constraints]
-
-
-def _shape_events(p: Program) -> list[tuple]:
-    events: list[tuple] = []
-    pending: list[Assignment] = []
-    for item in p.body:
-        if isinstance(item, Assignment):
-            pending.append(item)
-        else:
-            if pending:
-                events.append(("segment", tuple(pending)))
-                pending = []
-            events.append(("chain", item))
-    if pending:
-        events.append(("segment", tuple(pending)))
-    return events
-
-
-def layout(p: Program) -> list[tuple]:
-    """Assign observation-point names to the program's shape.
-
-    Returns events ("segment", assignments, dst) and ("chain", chain, dsts)
-    where dst names follow the construction order R1, R2, ... with the final
-    event terminating at Y.  Program execution uses the same plan, so traces
-    and graph observations share node names.
-    """
-    events = _shape_events(p)
-    out: list[tuple] = []
-    node_i = 0
-    for idx, ev in enumerate(events):
-        last = idx == len(events) - 1
-        if ev[0] == "segment":
-            if last:
-                dst = "Y"
-            else:
-                node_i += 1
-                dst = f"R{node_i}"
-            out.append(("segment", ev[1], dst))
-        else:
-            chain: IfChain = ev[1]
-            dsts = []
-            for _arm in chain.arms:
-                if last:
-                    dsts.append("Y")
-                else:
-                    node_i += 1
-                    dsts.append(f"R{node_i}")
-            out.append(("chain", chain, dsts))
-    return out
 
 
 def _const_eval(e: Expr) -> float | None:
@@ -549,11 +495,11 @@ def _const_eval(e: Expr) -> float | None:
         return None
 
 
-def _guard_regions(guard: Guard) -> dict[str, IntervalSet] | None:
+def _guard_regions(guard: tuple[Comparison, ...]) -> dict[str, IntervalSet] | None:
     """Guard as per-variable interval regions; None when not representable
     (only var-versus-constant comparisons are)."""
     regions: dict[str, IntervalSet] = {}
-    for cmp_ in guard.comparisons:
+    for cmp_ in guard:
         if isinstance(cmp_.lhs, Var):
             bound = _const_eval(cmp_.rhs)
             if bound is None:
@@ -601,10 +547,10 @@ def _effective_constraints(chain: IfChain) -> list[dict[str, IntervalSet] | None
 def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
     """Lower a program to its register-transfer graph.
 
-    Each if-chain arm becomes one rib per predecessor node, all copies
-    sharing a fragment id and converging on the arm's end node; maximal
-    straight-line segments become single ribs; the final event terminates
-    at the output node.  The result is already in merged form and passes
+    Each arm of a step becomes one rib per predecessor node, all copies
+    sharing a fragment id and converging on the arm's end node, so a run of
+    assignments becomes a single rib; the last step terminates at the
+    output node.  The result is already in merged form and passes
     validate_graph.
     """
     plan = layout(p)
@@ -612,57 +558,34 @@ def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
         raise UnsupportedOperation("program body lowers to no statements")
 
     used = set(p.inputs) | {p.output}
-    for item in p.body:
-        for a in (item,) if isinstance(item, Assignment) else tuple(
-                x for arm in item.arms for x in arm.body):
-            used.add(a.target)
-            used |= _expr_vars(a.expr)
+    for chain, _ in plan:
+        for arm in chain.arms:
+            for a in arm.body:
+                used.add(a.target)
+                used |= _expr_vars(a.expr)
     fresh = fresh_names(used)
 
     smap = SourceMap()
     nodes: list[Node] = [Node("X", "input")]
     ribs: list[Rib] = []
     current = ["X"]
-    frag_i = 0
+    for si, (chain, ends) in enumerate(plan):
+        if chain.arms[-1].guard is not None:
+            raise UnsupportedOperation(
+                f"line {chain.line}: if-chain needs an else arm to lower to a graph")
+        constraints = _effective_constraints(chain)
+        for ai, (arm, dst) in enumerate(zip(chain.arms, ends)):
+            fid = f"I{len(smap.source_keys) + 1}"
+            smap.source_keys[fid] = (si, ai)
+            if constraints[ai]:
+                smap.constraints[fid] = constraints[ai]
+            statements = make_statements(spec for a in arm.body
+                                         for spec in lower_assignment(a, fresh))
+            if nodes[-1].name != dst:
+                nodes.append(Node(dst, "output" if dst == "Y" else "internal"))
+            ribs.extend(Rib(fragment=fid, src=src, dst=dst, statements=statements)
+                        for src in current)
+        current = list(dict.fromkeys(ends))
 
-    def add_fragment(assignments: tuple[Assignment, ...], dst: str, key: object) -> str:
-        nonlocal frag_i
-        frag_i += 1
-        fid = f"I{frag_i}"
-        specs: list[tuple[int, str, tuple]] = []
-        spans: list[tuple[int, int]] = []
-        for a in assignments:
-            stmts = lower_assignment(a, fresh)
-            specs.extend(stmts)
-            spans.extend([(a.line, a.col)] * len(stmts))
-        statements = make_statements(specs)
-        for s, span in zip(statements, spans):
-            smap.statements[(fid, s.ordinal)] = span
-        smap.source_keys[fid] = key
-        if dst not in {n.name for n in nodes}:
-            nodes.append(Node(dst, "output" if dst == "Y" else "internal"))
-        for src in current:
-            ribs.append(Rib(fragment=fid, src=src, dst=dst, statements=statements))
-        return fid
-
-    for idx, ev in enumerate(plan):
-        if ev[0] == "segment":
-            _, assignments, dst = ev
-            add_fragment(assignments, dst, ("segment", idx))
-            current = [dst]
-        else:
-            _, chain, dsts = ev
-            if chain.arms[-1].guard is not None:
-                raise UnsupportedOperation(
-                    f"line {chain.line}: if-chain needs an else arm to lower to a graph")
-            constraints = _effective_constraints(chain)
-            for ai, (arm, dst) in enumerate(zip(chain.arms, dsts)):
-                fid = add_fragment(arm.body, dst, ("arm", idx, ai))
-                if constraints[ai] is not None:
-                    smap.constraints[fid] = constraints[ai]
-            current = list(dict.fromkeys(dsts))
-
-    if "Y" not in {n.name for n in nodes}:
-        raise UnsupportedOperation("program never reaches the output node")
     g = RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))
     return merge_equivalent_ribs(g, smap.source_keys), smap

@@ -445,7 +445,7 @@ def _common_prefix(ids: list[str]) -> str:
 #
 # Schema: {"nodes": [{"name", "role"}], "ribs": [{"fragment", "src", "dst",
 # "statements": [{"ordinal", "opcode", "target", "operands"}]}]} where an
-# operand entry is {"var": name} or {"const": number}.
+# operand entry is {"var": name} or {"const": number}, the number finite.
 
 def _operand_to_json(o: Operand) -> dict:
     return {"var": o} if isinstance(o, str) else {"const": o}
@@ -454,7 +454,10 @@ def _operand_to_json(o: Operand) -> dict:
 def _operand_from_json(d) -> Operand:
     if isinstance(d, dict) and "var" in d:
         return SchemaError.field("graph JSON", d, "var", str)
-    return float(SchemaError.field("graph JSON", d, "const", int, float))
+    value = float(SchemaError.field("graph JSON", d, "const", int, float))
+    if not math.isfinite(value):
+        raise SchemaError(f"graph JSON: 'const' holds {value}, expected a finite number")
+    return value
 
 
 def graph_to_json(g: RTGraph) -> dict:
@@ -507,7 +510,7 @@ def graph_from_json(doc: dict) -> RTGraph:
 
 
 def dumps_graph(g: RTGraph) -> str:
-    return json.dumps(graph_to_json(g), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(graph_to_json(g), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def loads_graph(text: str) -> RTGraph:

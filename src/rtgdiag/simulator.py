@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
-from . import frontend
 from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePath,
                      InvalidMutation, MissingStimulus, NoOpMutation, NoSuchStatement,
                      UnboundVariable)
 from .fdt import ResponseVector
-from .frontend import Guard, Program, SourceMap, evaluate
+from .frontend import RELATIONS, Program, SourceMap, evaluate, layout
 from .intervals import IntervalSet
 from .rtg import OP_ALPHABET, RTGraph
 from .testsynth import Path, TestSuite
@@ -79,19 +78,14 @@ class FaultSpec:
 
 # --- program execution --------------------------------------------------------
 
-def _guard_holds(guard: Guard | None, env: Mapping[str, float]) -> bool:
-    if guard is None:
-        return True
-    return all(frontend.RELATIONS[c.relop].holds(evaluate(c.lhs, env), evaluate(c.rhs, env))
-               for c in guard.comparisons)
-
-
 def execute_program(p: Program, s: Stimulus) -> ObservationTrace:
     """Big-step evaluation of a program; guards are evaluated as written.
 
-    The trace records the input node X, each executed if-chain arm's end
-    node (value of the arm's final assignment), and the output node Y with
-    the output variable's value.  Node names match the lowered graph.
+    The program runs step by step (``frontend.layout``): the first arm of a
+    step whose guard holds executes.  The trace records the input node X,
+    the end node of each executed arm (value of the arm's final assignment),
+    and the output node Y with the output variable's value.  Node names
+    match the lowered graph.
     """
     missing = [v for v in p.inputs if v not in s.env]
     if missing:
@@ -101,22 +95,15 @@ def execute_program(p: Program, s: Stimulus) -> ObservationTrace:
     if p.inputs:
         points.append(("X", env[p.inputs[0]]))
 
-    for ev in frontend.layout(p):
-        if ev[0] == "segment":
-            _, assignments, dst = ev
-            for a in assignments:
-                env[a.target] = evaluate(a.expr, env)
-            if dst != "Y":
-                points.append((dst, env[assignments[-1].target]))
-        else:
-            _, chain, dsts = ev
-            for arm, dst in zip(chain.arms, dsts):
-                if _guard_holds(arm.guard, env):
-                    for a in arm.body:
-                        env[a.target] = evaluate(a.expr, env)
-                    if dst != "Y":
-                        points.append((dst, env[arm.body[-1].target]))
-                    break
+    for chain, ends in layout(p):
+        for arm, dst in zip(chain.arms, ends):
+            if all(RELATIONS[c.relop].holds(evaluate(c.lhs, env), evaluate(c.rhs, env))
+                   for c in arm.guard or ()):
+                for a in arm.body:
+                    env[a.target] = evaluate(a.expr, env)
+                if dst != "Y":
+                    points.append((dst, env[arm.body[-1].target]))
+                break
 
     if p.output not in env:
         raise UnboundVariable(p.output)

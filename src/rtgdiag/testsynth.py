@@ -43,7 +43,8 @@ class Path:
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        return (self.edges[0].src,) + tuple(r.dst for r in self.edges)
+        """The monitors passed, in order; () for a label-only path."""
+        return tuple(r.src for r in self.edges[:1]) + tuple(r.dst for r in self.edges)
 
     @property
     def fragments(self) -> tuple[str, ...]:

@@ -326,6 +326,63 @@ def test_folded_sin_overflow_exits_3(capsys, tmp_path):
     assert err == "rtgdiag graph: sin of non-finite value inf in line 2, column 5\n"
 
 
+NINES = "9" * 400  # a literal past the float range
+OVERFLOW = " * ".join(["99999999999999999999"] * 17)  # folds to inf
+
+
+def _fig1_with_const(spelling):
+    with open(FIG1, encoding="utf-8") as fh:
+        return fh.read().replace('"const": 3.0', f'"const": {spelling}', 1)
+
+
+#: Inputs that would put a non-finite constant into a statement: the command,
+#: the text of the file given as its last argument (if any), the exit code and
+#: the message.
+NON_FINITE = {
+    "long literal": (["graph", "--program"], f"input x;\ny = x + {NINES};\noutput y;\n", 3,
+                     "non-finite constant inf in line 2, column 9"),
+    "long literal, unfolded": (["graph", "--unfolded", "--program"],
+                               f"input x;\ny = x + {NINES};\noutput y;\n", 3,
+                               "non-finite constant inf in line 2, column 9"),
+    "folded overflow": (["graph", "--program"], f"input x;\ny = x + {OVERFLOW};\noutput y;\n",
+                        3, "non-finite constant inf in line 2, column 375"),
+    "folded NaN": (["all", "--program"],
+                   f"input x;\ny = x + ({OVERFLOW} - {OVERFLOW});\noutput y;\n", 3,
+                   "non-finite constant nan in line 2, column 399"),
+    "graph NaN": (["all", "--fault", "I1:1:op=3", "--graph"], _fig1_with_const("NaN"), 3,
+                  "graph JSON: 'const' holds nan, expected a finite number"),
+    "graph -Infinity": (["paths", "--graph"], _fig1_with_const("-Infinity"), 3,
+                        "graph JSON: 'const' holds -inf, expected a finite number"),
+    "inject inf": (["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",
+                    "--const", "inf"], None, 2, "--const needs a finite number, got inf"),
+    "inject -nan": (["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",
+                     "--const", "-nan"], None, 2, "--const needs a finite number, got nan"),
+    "fault inf": (["all", "--graph", FIG1, "--fault", "I1:1:const=inf"], None, 3,
+                  "bad fault spec 'I1:1:const=inf'; "
+                  "expected FRAG:ORDINAL:op=N or FRAG:ORDINAL:const=V"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_constant_is_rejected(capsys, tmp_path, case):
+    # a statement's constant is finite: no graph or JSON output may hold inf or NaN
+    argv, text, code, err = NON_FINITE[case]
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert run_cli(capsys, *argv) == (code, "", f"rtgdiag {argv[0]}: {err}\n")
+
+
+def test_all_reads_400_nested_parentheses(capsys, tmp_path):
+    program = tmp_path / "deep.swl"
+    program.write_text(f"input x;\ny = {'(' * 400}x + 1{')' * 400};\noutput y;\n",
+                       encoding="utf-8")
+    code, out, err = run_cli(capsys, "all", "--program", str(program), "--fault", "I1:1:op=3")
+    assert (code, err) == (1, "")
+    assert "F' = I11" in out
+
+
 def test_paths_of_a_long_chain(capsys, tmp_path):
     graph = tmp_path / "chain.rtg.json"
     graph.write_text(dumps_graph(chain_model(1200)), encoding="utf-8")

@@ -89,6 +89,8 @@ def test_json_round_trip(g, paths, extended):
                   attach_response(extended, ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0)))):
         assert loads_table(dumps_table(table)) == table  # the response is a field
     assert loads_table(dumps_table(extended)).response is None
+    # a loaded table's paths are labels only: they pass no known monitors
+    assert loads_table(dumps_table(extended)).blocks[0].path.nodes == ()
 
 
 def test_response_bits_are_checked(g, suite):
