@@ -240,16 +240,24 @@ def _group_by_signature(sig: dict[StatementId, Iterable[str]]) -> list[Ambiguity
     return sorted(groups, key=lambda g: g.sorted_members()[0].sort_key())
 
 
-def _groups_from_table(t: FaultDetectionTable) -> list[AmbiguityGroup]:
-    # Path-level signature: the set of path labels whose rows mark the
-    # statement.  Exact for generalized tables and for complete-test
-    # extended tables (a path's terms jointly mark everything on the path).
+def _groups_of(t: FaultDetectionTable, statements: Iterable[StatementId]) -> list[AmbiguityGroup]:
+    """The ambiguity groups of the table that hold any of *statements*,
+    ordered by their least member.
+
+    Path-level signature: the set of path labels whose rows mark the
+    statement.  Exact for generalized tables and for complete-test extended
+    tables (a path's terms jointly mark everything on the path).  Only the
+    groups asked for are built; the rest of the partition is never formed.
+    """
     sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
     for block in t.blocks:
         if len(block):
             for m in chain.from_iterable(block.brackets):
                 sig[m].add(block.path.label)
-    return _group_by_signature(sig)
+    groups = [AmbiguityGroup(members=frozenset(c for c, labels in sig.items() if labels == w),
+                             signature=w)
+              for w in {frozenset(sig[s]) for s in statements}]
+    return sorted(groups, key=lambda g: min(s.sort_key() for s in g.members))
 
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong",
@@ -263,10 +271,7 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
     f = cnf_to_min_dnf(factor_clauses(failing), cap=cap)
     h = frozenset().union(*map(_marked, passing))
     reduced = reduce_candidates(f, h, mode=mode)
-    survivors = set()
-    for term in reduced.terms:
-        survivors |= term
-    ambiguity = tuple(g for g in _groups_from_table(t) if g.members & survivors)
+    ambiguity = tuple(_groups_of(t, frozenset().union(*reduced.terms)))
     return DiagnosisResult(candidates=f, exonerated=h, reduced=reduced,
                            mode=mode, ambiguity=ambiguity)
 

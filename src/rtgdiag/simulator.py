@@ -13,6 +13,15 @@ every term of a block one shared stimulus, so a block takes one stimulus
 key and at most one golden/mutant pair of executions.  A block is split
 only into the runs of consecutive terms that share a stimulus object, as
 when a stimuli file gives some of its terms other inputs.
+
+Per mutant, only what the mutant changes is executed, in the manner of
+concurrent fault simulation (Ulrich & Baker 1973).  Golden outputs are kept
+per golden graph: a memo on the ``RTGraph`` instance, beside its cached
+views, maps (rib keys, inputs, permissive) to the output, so a campaign of
+mutants against one golden graph executes each golden path once per input
+binding.  The mutant is executed only on paths that cross a changed rib (a
+rib whose statements differ from the golden one); every other path runs the
+golden statements, and execution is deterministic, so its bit is 0.
 """
 
 from __future__ import annotations
@@ -206,6 +215,8 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
             idx = next((i for i, o in enumerate(old.operands) if not isinstance(o, str)), None)
             if idx is None:
                 raise InvalidMutation("statement has no constant operand")
+        if not math.isfinite(f.constant):
+            raise InvalidMutation(f"constant {f.constant} is not finite")
         if float(f.constant) == old.operands[idx]:
             raise NoOpMutation("perturbed constant equals the original")
         operands = list(old.operands)
@@ -240,9 +251,10 @@ def mutation_catalogue(g: RTGraph) -> list[FaultSpec]:
 
 # --- suite execution ------------------------------------------------------------
 
-def _check_topology(golden: RTGraph, mutant: RTGraph) -> None:
+def _check_topology(golden: RTGraph, mutant: RTGraph, golden_rib: Mapping,
+                    mutant_rib: Mapping) -> None:
     if {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes} \
-            or {r.key for r in golden.ribs} != {r.key for r in mutant.ribs}:
+            or golden_rib.keys() != mutant_rib.keys():
         raise GraphMismatch("golden and mutant graphs differ in topology")
 
 
@@ -276,35 +288,58 @@ def _runs(labels: Sequence[str], stimuli: Mapping[str, Stimulus]) -> list[list]:
     return runs
 
 
+def _golden_outputs(g: RTGraph) -> dict[tuple, float]:
+    """The memo of *g*'s outputs as a golden graph, held in the instance's
+    ``__dict__`` beside its cached views and dropped with it: (rib keys of
+    the path, stimulus key, permissive) -> output.  Errors are never kept."""
+    return g.__dict__.setdefault("_golden_outputs", {})
+
+
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
               stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
               permissive: bool = False) -> ResponseVector:
     """Golden-versus-mutant comparison at the output node, one bit per term.
 
-    The bit is computed once per distinct (path, inputs) pair: the terms of
-    a block that share a stimulus share the path's bit, while terms given
-    different inputs are run separately.  An ExecutionError names the first
-    term of the run that raised it.
+    A suite path names its ribs by key; each side runs its own graph's ribs
+    of those keys.  The bit is computed once per distinct (path, inputs)
+    pair: the terms of a block that share a stimulus share the path's bit,
+    while terms given different inputs are run separately.  The golden
+    output of a pair is executed once per golden graph and kept on it for
+    later calls.  The mutant is executed only on paths crossing a rib whose
+    statements differ from the golden one; any other path is the golden
+    path statement for statement, so its bit is 0.  An ExecutionError names
+    the first term of the run that raised it: a path that crosses no
+    changed rib can raise only where its golden side already does.
     """
-    _check_topology(golden, mutant)
+    golden_rib = {r.key: r for r in golden.ribs}
     mutant_rib = {r.key: r for r in mutant.ribs}
+    _check_topology(golden, mutant, golden_rib, mutant_rib)
+    changed = {k for k, r in mutant_rib.items() if r.statements != golden_rib[k].statements}
+    outputs = _golden_outputs(golden)
     seen: dict[tuple, int] = {}
     bits: list[int] = []
     for block in suite.blocks:
         path = block.path
         keys = tuple(r.key for r in path.edges)
+        crosses = not changed.isdisjoint(keys)
         for label, stim, n in _runs(block.labels, stimuli):
-            pair = (keys, _stimulus_key(stim))
+            pair = (keys, _stimulus_key(stim), permissive)
             bit = seen.get(pair)
             if bit is None:
-                mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
                 try:
-                    gv = execute_path(golden, path, stim, permissive).output
-                    mv = execute_path(mutant, mpath, stim, permissive).output
+                    gv = outputs.get(pair)
+                    if gv is None:
+                        gpath = Path(label=path.label, edges=tuple(golden_rib[k] for k in keys))
+                        gv = outputs[pair] = execute_path(golden, gpath, stim, permissive).output
+                    bit = 0
+                    if crosses:
+                        mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
+                        mv = execute_path(mutant, mpath, stim, permissive).output
+                        bit = 1 if _differs(gv, mv, tolerance) else 0
                 except ExecutionError as e:
                     e.args = (f"term {label}: {e}",)
                     raise
-                bit = seen[pair] = 1 if _differs(gv, mv, tolerance) else 0
+                seen[pair] = bit
             bits.extend(repeat(bit, n))
     return ResponseVector(tuple(bits))
 

@@ -27,7 +27,7 @@ from rtgdiag import (EmptyDiagnosis, FaultDetectionTable, NoFailures, ResponseVe
 from rtgdiag.fixtures import fig1_graph
 
 from randmodels import brute_min_hitting_sets, random_dag_model
-from test_factored_diagnosis import two_rib_fragment_graph
+from test_factored_diagnosis import check_ambiguity, two_rib_fragment_graph
 from test_per_path_run import reference_v
 
 BRUTE_UNIVERSE = 8
@@ -123,4 +123,5 @@ def test_block_diagnosis_equals_row_level_reference(t, mode):
     survivors = frozenset().union(*reduced)
     assert {g.members for g in result.ambiguity} == {
         m for m in reference_groups(t) if m & survivors}
+    check_ambiguity(t, result)
     assert diagnose(row_level(t), mode=mode) == result

@@ -9,9 +9,12 @@ literals.  The reference here is the row-level route:
 tables, the exhaustive ``brute_min_hitting_sets``.  Tables come from the
 mutation catalogue of the fixtures and of seeded random models, from the
 same tables with seeded bit flips (not path-uniform), from ladders whose
-stimuli split paths, and from hand-built groups.
+stimuli split paths, and from hand-built groups.  The ambiguity groups of
+each diagnosis are checked against the full partition of the table's
+columns by path-label signature, built with ``_group_by_signature``.
 """
 
+from itertools import chain
 from random import Random
 
 import pytest
@@ -21,6 +24,7 @@ from rtgdiag import (EmptyDiagnosis, FaultSpec, Node, ResponseVector, RTGraph, S
                      build_extended_fdt, build_rtg, cnf_to_min_dnf, default_stimuli, diagnose,
                      enumerate_paths, factor_clauses, inject_fault, make_rib,
                      mutation_catalogue, parse_program, run_suite, validate_graph)
+from rtgdiag.diagnosis import _group_by_signature
 from rtgdiag.fixtures import fig1_graph, listing31_source
 
 from randmodels import brute_min_hitting_sets, ladder_model, random_dag_model
@@ -41,17 +45,39 @@ def responded_tables(g, stimuli_for=default_stimuli):
 
 
 def check_factored(t) -> None:
-    """Assert the factored F equals the row-level references on table *t*."""
+    """Assert the factored F equals the row-level references on table *t*,
+    and the ambiguity groups of each mode's diagnosis the full partition's."""
     clauses = build_cnf(t)
     factored = factor_clauses(row_parts(clauses))
     reference = cnf_to_min_dnf(clauses)
     assert cnf_to_min_dnf(factored) == reference
-    try:
-        assert diagnose(t, mode="weak").candidates == reference
-    except EmptyDiagnosis:  # every candidate lies inside H; F is not returned
-        pass
+    for mode in ("weak", "strong"):
+        try:
+            result = diagnose(t, mode=mode)
+        except EmptyDiagnosis:  # no candidate survives H; F is not returned
+            continue
+        assert result.candidates == reference
+        check_ambiguity(t, result)
     if len(frozenset().union(*clauses)) <= BRUTE_UNIVERSE:
         assert reference.terms == frozenset(brute_min_hitting_sets(clauses))
+
+
+def full_partition(t):
+    """Every ambiguity group of table *t*: its columns partitioned by the
+    set of path labels whose rows mark them."""
+    sig = {c: set() for c in t.columns}
+    for block in t.blocks:
+        if len(block):
+            for m in chain.from_iterable(block.brackets):
+                sig[m].add(block.path.label)
+    return _group_by_signature(sig)
+
+
+def check_ambiguity(t, result) -> None:
+    """Assert the groups of a diagnosis are the full partition's groups that
+    hold an F' statement, in the partition's order."""
+    survivors = result.suspects()
+    assert result.ambiguity == tuple(g for g in full_partition(t) if g.members & survivors)
 
 
 def row_parts(clauses):
@@ -216,4 +242,6 @@ def test_flipped_fig1_table():
     assert not path_uniform(t)
     assert len(factor_clauses(row_parts(build_cnf(t)))) == 1
     check_factored(t)
-    assert str(diagnose(t).candidates) == "I11 ∨ I61 ∨ I51 I52"
+    result = diagnose(t)
+    assert str(result.candidates) == "I11 ∨ I61 ∨ I51 I52"
+    check_ambiguity(t, result)

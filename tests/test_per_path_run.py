@@ -1,12 +1,19 @@
 """The per-path run against a term-by-term reference.
 
-``run_suite`` runs golden and mutant once per distinct (path, inputs) pair.
-The reference below runs both for every term, so any term whose bit the
-shared run gets wrong, or any error reported for the wrong term, shows up
-as a difference.
+``run_suite`` runs the golden side once per distinct (path, inputs) pair
+and golden graph, keeping the output on the graph for later mutants, and
+the mutant only on paths that cross a changed rib.  The reference below
+runs both for every term, so any term whose bit the shared run gets wrong,
+or any error reported for the wrong term, shows up as a difference.
 """
 
+import gc
 import math
+import sys
+import threading
+import weakref
+from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -22,15 +29,18 @@ TOLERANCE = 1e-9
 
 
 def reference_v(golden, mutant, suite, stimuli):
-    """Two execute_path calls per term; (bits, None) or (None, (error type,
-    label of the first failing term))."""
+    """Two execute_path calls per term, each on its own graph's ribs of the
+    term's path; (bits, None) or (None, (error type, label of the first
+    failing term))."""
+    golden_rib = {r.key: r for r in golden.ribs}
     mutant_rib = {r.key: r for r in mutant.ribs}
     bits = []
     for t in suite.terms:
         stim = stimuli[t.label]
+        gpath = Path(label=t.path.label, edges=tuple(golden_rib[r.key] for r in t.path.edges))
         mpath = Path(label=t.path.label, edges=tuple(mutant_rib[r.key] for r in t.path.edges))
         try:
-            gv = execute_path(golden, t.path, stim).output
+            gv = execute_path(golden, gpath, stim).output
             mv = execute_path(mutant, mpath, stim).output
         except ExecutionError as e:
             return None, (type(e), t.label)
@@ -71,6 +81,17 @@ def count_calls(monkeypatch, *names):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(simulator, name, counted)
     return calls
+
+
+def count_runs(monkeypatch) -> Counter:
+    """id(graph) -> execute_path calls made on that graph."""
+    runs = Counter()
+
+    def counted(g, *args, _fn=simulator.execute_path, **kwargs):
+        runs[id(g)] += 1
+        return _fn(g, *args, **kwargs)
+    monkeypatch.setattr(simulator, "execute_path", counted)
+    return runs
 
 
 def campaign(seeds):
@@ -121,8 +142,9 @@ def test_split_inputs_run_separately(monkeypatch):
     stimuli = split_stimuli(suite, default_stimuli(g, suite))
     calls = count_calls(monkeypatch, "execute_path")
     run_suite(g, inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3)), suite, stimuli)
-    # 4 paths of 4 terms: each path runs its shared inputs and its moved term
-    assert calls["execute_path"] == 2 * 2 * 4
+    # 4 paths of 4 terms: each path runs its shared inputs and its moved
+    # term on the golden side, and the 2 paths through I1 on the mutant side
+    assert calls["execute_path"] == 2 * 4 + 2 * 2
 
 
 def test_ladder_runs_each_path_once(monkeypatch):
@@ -132,7 +154,8 @@ def test_ladder_runs_each_path_once(monkeypatch):
     calls = count_calls(monkeypatch, "execute_path", "pick_stimulus")
     stimuli = default_stimuli(g, suite)
     v = run_suite(g, inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1)), suite, stimuli)
-    assert calls == {"execute_path": 2 * 16, "pick_stimulus": 16}
+    # 16 golden paths, and the 8 through I3 on the mutant side
+    assert calls == {"execute_path": 16 + 8, "pick_stimulus": 16}
     assert len(v) == 256 and 0 < sum(v.bits) < 256
 
 
@@ -141,5 +164,138 @@ def test_cli_all_runs_each_path_once(monkeypatch, tmp_path, capsys):
     graph.write_text(dumps_graph(ladder_model(4)), encoding="utf-8")
     calls = count_calls(monkeypatch, "execute_path", "pick_stimulus")
     assert main(["all", "--graph", str(graph), "--fault", "I3:2:op=1"]) == 1
-    assert calls == {"execute_path": 2 * 16, "pick_stimulus": 16}
+    assert calls == {"execute_path": 16 + 8, "pick_stimulus": 16}
     assert "F' = I31 I32" in capsys.readouterr().out
+
+
+def divide_by_zero_graph(divider: str) -> RTGraph:
+    """Two ribs X -> R1 and one R1 -> Y.  Rib *divider* computes 2 / (x - 1),
+    which divides by zero at the default input x = 1; the other X -> R1 rib
+    adds 1."""
+    other = "I2" if divider == "I1" else "I1"
+    ribs = {divider: make_rib(divider, "X", "R1", [(3, "t1", ("x", 1.0)), (4, "acc", (2.0, "t1"))]),
+            other: make_rib(other, "X", "R1", [(1, "acc", ("x", 1.0))])}
+    return RTGraph(nodes=(Node("X", "input"), Node("R1", "internal"), Node("Y", "output")),
+                   ribs=(ribs["I1"], ribs["I2"],
+                         make_rib("I3", "R1", "Y", [(2, "acc", ("acc", 3.0))])))
+
+
+@pytest.mark.parametrize("divider", ["I1", "I2"], ids=["before-fault", "after-fault"])
+def test_golden_error_outside_the_fault_keeps_its_label(divider):
+    # the fault is on the rib that does not divide, so the path that raises
+    # crosses no changed rib: only its golden side runs, and it still raises
+    g = divide_by_zero_graph(divider)
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    mutant = inject_fault(g, simulator.FaultSpec("I2" if divider == "I1" else "I1", 1, opcode=3))
+    want = reference_v(g, mutant, suite, stimuli)
+    label = next(t.label for t in suite.terms if divider in t.path.fragments)
+    assert want[1] == (DivisionByZero, label)
+    # no error is kept: a second call on the same golden graph raises again
+    assert observed_v(g, mutant, suite, stimuli) == want
+    assert observed_v(g, mutant, suite, stimuli) == want
+
+
+def test_mutant_equal_to_golden_runs_no_mutant_path(monkeypatch):
+    runs = count_runs(monkeypatch)
+    for seed in range(20):
+        runs.clear()
+        g = random_dag_model(Random(seed))
+        suite = build_complete_test(g)
+        stimuli = default_stimuli(g, suite)
+        # equal statements in new rib objects, and the golden graph itself
+        for twin in (RTGraph(g.nodes, tuple(replace(r) for r in g.ribs)), g):
+            try:
+                v = run_suite(g, twin, suite, stimuli)
+            except ExecutionError:
+                continue
+            assert v.bits == (0,) * len(suite.terms)
+        assert set(runs) <= {id(g)} and runs[id(g)] <= len(suite.blocks)
+
+
+def test_second_golden_call_makes_no_golden_execution(monkeypatch):
+    g = ladder_model(3)
+    suite = build_complete_test(g)
+    stimuli = split_default_stimuli(g, suite)
+    first, second = (inject_fault(g, f) for f in simulator.mutation_catalogue(g)[:2])
+    run_suite(g, first, suite, stimuli)
+    runs = count_runs(monkeypatch)
+    v = run_suite(g, second, suite, stimuli)
+    assert runs[id(g)] == 0 and runs[id(second)] > 0
+    assert v.bits == reference_v(g, second, suite, stimuli)[0]
+
+
+def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
+    # g and its mutant have the same rib keys, so one suite and one set of
+    # stimuli give both memos the same keys; used in turn as the golden
+    # graph against a third graph, each runs its own statements
+    g = ladder_model(3)
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    other = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
+    third = inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1))
+    runs = count_runs(monkeypatch)
+    for golden in (g, other):
+        assert run_suite(golden, third, suite, stimuli).bits == \
+            reference_v(golden, third, suite, stimuli)[0]
+        assert runs[id(golden)] == len(suite.blocks)
+    assert simulator._golden_outputs(g).keys() == simulator._golden_outputs(other).keys()
+    assert simulator._golden_outputs(g) != simulator._golden_outputs(other)
+
+
+@pytest.mark.parametrize("stimuli_of", [default_stimuli, split_default_stimuli])
+def test_memo_holds_one_entry_per_distinct_run(stimuli_of):
+    for seed in range(10):
+        g = random_dag_model(Random(seed))
+        suite = build_complete_test(g)
+        stimuli = stimuli_of(g, suite)
+        for fault in simulator.mutation_catalogue(g):
+            try:
+                run_suite(g, inject_fault(g, fault), suite, stimuli)
+            except ExecutionError:
+                pass
+        distinct = {(tuple(r.key for r in t.path.edges), simulator._stimulus_key(stimuli[t.label]))
+                    for t in suite.terms}
+        memo = simulator._golden_outputs(g)
+        assert len(memo) <= len(distinct)
+        assert {(keys, stim) for keys, stim, _ in memo} <= distinct
+
+
+def test_memo_dies_with_its_graph():
+    g = ladder_model(2)
+    suite = build_complete_test(g)
+    mutant = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
+    run_suite(g, mutant, suite, default_stimuli(g, suite))
+    assert simulator._golden_outputs(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_concurrent_mutants_share_one_golden_graph():
+    # the kept outputs are written check-then-act without a lock; a race can
+    # only execute a golden path twice and write the same float again
+    g = ladder_model(3)
+    suite = build_complete_test(g)
+    stimuli = split_default_stimuli(g, suite)
+    mutants = [inject_fault(g, f) for f in simulator.mutation_catalogue(g)]
+    want = [reference_v(g, m, suite, stimuli)[0] for m in mutants]
+    got: dict[int, list] = {}
+
+    def worker(n):
+        got[n] = [run_suite(g, m, suite, stimuli).bits for m in mutants]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {n: want for n in range(4)}
+    assert len(simulator._golden_outputs(g)) == 2 * len(suite.blocks)

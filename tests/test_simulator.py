@@ -8,6 +8,7 @@ from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
                      RTGraph, Stimulus, UnboundVariable, build_complete_test, build_rtg,
                      default_stimuli, enumerate_paths, execute_path, execute_program,
                      inject_fault, make_rib, parse_program, pick_stimulus, run_suite)
+from rtgdiag.fixtures import fig1_graph
 from rtgdiag.intervals import IntervalSet
 from rtgdiag.simulator import (DEFAULT_TOLERANCE, DefaultedVariableWarning, _differs,
                                 guard_aware_stimuli)
@@ -105,6 +106,12 @@ def test_inject_rejects_missing_targets(g):
         inject_fault(g, FaultSpec(fragment="Z", ordinal=1, opcode=3))
     with pytest.raises(NoSuchStatement):
         inject_fault(g, FaultSpec(fragment="I5", ordinal=9, opcode=3))
+
+
+@pytest.mark.parametrize("constant", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_inject_rejects_non_finite_constant(constant):
+    with pytest.raises(InvalidMutation, match="not finite"):
+        inject_fault(fig1_graph(), FaultSpec("I1", 1, constant=constant))
 
 
 def test_inject_rejects_arity_change(g):
