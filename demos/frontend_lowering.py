@@ -7,6 +7,8 @@ bit-for-bit with executing the lowered graph along the consistent path.
 Run from the repository root:  python demos/frontend_lowering.py
 """
 
+import sys
+
 from rtgdiag import (Stimulus, build_rtg, enumerate_paths, execute_path,
                      execute_program, parse_program, pick_stimulus)
 from rtgdiag.errors import InfeasiblePath
@@ -48,6 +50,7 @@ for x in (1.0, 2.5, 7.0, 13.0):
     consistent = next(p for p in paths
                       if list(p.nodes) == [name for name, _ in trace.points])
     graph_trace = execute_path(g, consistent, Stimulus(env={"x": x}))
-    assert graph_trace.points == trace.points
+    if graph_trace.points != trace.points:
+        sys.exit(f"x={x:g}: the program and path {consistent.label} disagree")
     shown = ", ".join(f"{n}={v:g}" for n, v in trace.points)
     print(f"  x={x:<5g} path {consistent.label}:  {shown}")

@@ -9,6 +9,8 @@ statement-level diagnosis.
 Run from the repository root:  python demos/testability_analysis.py
 """
 
+import sys
+
 from rtgdiag import (ResponseVector, ambiguity_groups, attach_response,
                      build_generalized_fdt, diagnose_generalized, enumerate_paths,
                      recommend_observation_points, render_table,
@@ -42,6 +44,7 @@ for target in (3, 2, 1):
     print(f"  target {target}: insert {len(inserts)} point(s): {plan}")
 
 inserts = recommend_observation_points(g, 1)
-assert verify_minimal_insertions(g, 1, len(inserts))
+if not verify_minimal_insertions(g, 1, len(inserts)):
+    sys.exit(f"a plan with fewer than {len(inserts)} points reaches target 1")
 print(f"\nexhaustive search confirms {len(inserts)} points are the minimum "
       "for statement-level resolution (2 of them inside I5)")

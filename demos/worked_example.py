@@ -9,6 +9,8 @@ versus mutant, and let the Boolean diagnosis point back at the culprit.
 Run from the repository root:  python demos/worked_example.py
 """
 
+import sys
+
 from rtgdiag import (attach_response, build_complete_test, build_extended_fdt,
                      default_stimuli, diagnose, enumerate_paths, inject_fault,
                      minimal_diagnostic_test, minimal_path_cover, render_table,
@@ -17,7 +19,9 @@ from rtgdiag.fixtures import fig1_graph, example_fault
 from rtgdiag.testsynth import activation_formula
 
 g = fig1_graph()
-assert validate_graph(g) == []
+violations = validate_graph(g)
+if violations:
+    sys.exit("the shipped graph is not valid: " + "; ".join(map(str, violations)))
 
 print("== 1. the register-transfer graph ==")
 for rib in g.ribs:

@@ -8,9 +8,9 @@ statement by Boolean CNF-to-DNF diagnosis with exoneration.
 """
 
 from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity_groups,
-                        build_cnf, cnf_to_min_dnf, diagnose, diagnose_generalized,
-                        exoneration_set, factor_clauses, recommend_observation_points,
-                        reduce_candidates, verify_minimal_insertions)
+                        cnf_to_min_dnf, diagnose, diagnose_generalized, factor_clauses,
+                        recommend_observation_points, reduce_candidates,
+                        verify_minimal_insertions)
 from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
                      LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
@@ -26,9 +26,8 @@ from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementI
                   Violation, dumps_graph, graph_from_json, graph_to_json, loads_graph,
                   make_rib, make_statements, merge_equivalent_ribs, validate_graph)
 from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimulus,
-                        default_stimuli, execute_path, execute_program,
-                        guard_aware_stimuli, inject_fault, mutation_catalogue,
-                        pick_stimulus, run_suite)
+                        default_stimuli, execute_path, execute_program, inject_fault,
+                        mutation_catalogue, pick_stimulus, run_suite)
 from .testsynth import (ActivationFormula, Block, BlockView, Path, TestSuite, TestTerm,
                         activation_formula, build_complete_test, enumerate_paths,
                         minimal_diagnostic_test, minimal_path_cover)

@@ -9,7 +9,9 @@ of it.  Text output mirrors the reference table layout; JSON output
 across runs with identical configuration.
 
 Exit codes: 0 success, 1 diagnosis findings, 2 usage errors, 3 data errors.
-The environment variable RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N")
+An error is one ``rtgdiag <cmd>: ...`` line on stderr, and so is each
+distinct warning (``rtgdiag <cmd>: warning: ...``, e.g. a variable that
+``--permissive`` defaulted), in the order first raised.  The environment variable RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N")
 overrides the explosion caps.
 """
 
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,17 +83,18 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
+    """*text* to the ``--out`` file, else to stdout."""
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _json_dump(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _read(path: str, load):
@@ -239,7 +243,7 @@ def cmd_parse(pl: Pipeline) -> int:
     doc = {"inputs": list(program.inputs), "output": program.output,
            "if_chains": len(chains), "assignments": assignments}
     if pl.cfg.fmt == "json":
-        _emit(pl.args, _json_dump(doc))
+        _emit(pl.args, rtg.dumps_json(doc))
     else:
         _emit(pl.args, f"program: inputs={', '.join(program.inputs)} output={program.output} "
                        f"if-chains={len(chains)} assignments={assignments}\n")
@@ -260,7 +264,7 @@ def cmd_paths(pl: Pipeline) -> int:
     if pl.cfg.fmt == "json":
         doc = [{"label": p.label, "fragments": list(p.fragments), "nodes": list(p.nodes)}
                for p in pl.paths]
-        _emit(pl.args, _json_dump(doc))
+        _emit(pl.args, rtg.dumps_json(doc))
     else:
         lines = [f"{p.label}: " + " ".join(p.fragments) + "   "
                  + str(testsynth.activation_formula(pl.graph, p)) for p in pl.paths]
@@ -273,7 +277,7 @@ def cmd_terms(pl: Pipeline) -> int:
     if pl.cfg.fmt == "json":
         doc = [{"label": t.label, "path": t.path.label,
                 "marks": [s.label for s in t.selection]} for t in pl.suite.terms]
-        _emit(pl.args, _json_dump(doc))
+        _emit(pl.args, rtg.dumps_json(doc))
     else:
         lines = [f"{t.label}: " + " ".join(s.label for s in t.selection)
                  + f"   (path {t.path.label})" for t in pl.suite.terms]
@@ -293,7 +297,7 @@ def cmd_cover(pl: Pipeline) -> int:
         labels = list(pl.diagnostic_suite.terms.labels())
     if pl.cfg.fmt == "json":
         exact = testsynth.cover_is_exact(len(candidates), pl.cfg.exact_cap)
-        _emit(pl.args, _json_dump({"mode": mode, "selected": labels, "exact": exact}))
+        _emit(pl.args, rtg.dumps_json({"mode": mode, "selected": labels, "exact": exact}))
     else:
         _emit(pl.args, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n")
     return EXIT_OK
@@ -336,10 +340,10 @@ def cmd_run(pl: Pipeline) -> int:
     _validate_or_fail(pl.graph)
     v = pl.response
     if pl.args.table_out:
-        with open(pl.args.table_out, "w", encoding="utf-8") as fh:
-            fh.write(fdt.dumps_table(pl.responded))
+        _write(pl.args.table_out, fdt.dumps_table(pl.responded))
     if pl.cfg.fmt == "json":
-        _emit(pl.args, _json_dump({"labels": list(pl.tests.terms.labels()), "bits": list(v.bits)}))
+        doc = {"labels": list(pl.tests.terms.labels()), "bits": list(v.bits)}
+        _emit(pl.args, rtg.dumps_json(doc))
     else:
         _emit(pl.args, f"V = {v}\n")
     return EXIT_OK
@@ -373,17 +377,17 @@ def cmd_diagnose(pl: Pipeline) -> int:
         if table.kind == "generalized":
             suspects = diagnosis.diagnose_generalized(table)
             if pl.cfg.fmt == "json":
-                _emit(args, _json_dump({"suspects": sorted(s.label for s in suspects)}))
+                _emit(args, rtg.dumps_json({"suspects": sorted(s.label for s in suspects)}))
             else:
                 _emit(args, fdt.render_table(table, suspects=suspects)
                       + "Faults = {" + ", ".join(sorted(s.label for s in suspects)) + "}\n")
             return EXIT_FINDINGS
         result = pl.verdict
     except NoFailures:
-        _emit(args, _json_dump({"suspects": []}) if pl.cfg.fmt == "json"
+        _emit(args, rtg.dumps_json({"suspects": []}) if pl.cfg.fmt == "json"
               else "no fault detected\n")
         return EXIT_OK
-    _emit(args, _json_dump(_diagnosis_json(result)) if pl.cfg.fmt == "json"
+    _emit(args, rtg.dumps_json(_diagnosis_json(result)) if pl.cfg.fmt == "json"
           else _diagnosis_text(result))
     return EXIT_FINDINGS
 
@@ -401,7 +405,7 @@ def cmd_testability(pl: Pipeline) -> int:
             "target": target,
             "insertions": [{"fragment": f, "after_ordinal": k} for f, k in inserts],
         }
-        _emit(pl.args, _json_dump(doc))
+        _emit(pl.args, rtg.dumps_json(doc))
     else:
         lines = ["ambiguity groups:"]
         lines += ["  {" + ", ".join(s.label for s in gr.sorted_members()) + "}" for gr in groups]
@@ -568,11 +572,19 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
-    try:
-        return _COMMANDS[args.command](Pipeline(args, _config(args)))
-    except (RtgError, OSError, json.JSONDecodeError) as e:
-        sys.stderr.write(f"rtgdiag {args.command}: {e}\n")
-        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_DATA
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = _COMMANDS[args.command](Pipeline(args, _config(args)))
+        except (RtgError, OSError, json.JSONDecodeError) as e:
+            error = e
+            code = EXIT_USAGE if isinstance(e, UsageError) else EXIT_DATA
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write(f"rtgdiag {args.command}: warning: {message}\n")
+    if error is not None:
+        sys.stderr.write(f"rtgdiag {args.command}: {error}\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

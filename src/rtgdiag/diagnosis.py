@@ -83,18 +83,14 @@ class DiagnosisResult:
 Part = tuple
 
 
-def _bits(t: FaultDetectionTable) -> tuple[int, ...]:
-    if t.response is None:
-        raise NoResponse("the table has no response vector V to diagnose from")
-    return t.response.bits
-
-
 def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
     """The failing parts (bit 1) and the passing parts (bit 0), each in row
     order.  A block whose rows share one bit, each bracket on one fragment,
     is one part; each row of any other block is a part of its own.  Raises
-    NoResponse when the table has no response vector V."""
-    _bits(t)
+    NoResponse when the table has no response vector V, and NoFailures
+    when no row fails."""
+    if t.response is None:
+        raise NoResponse("the table has no response vector V to diagnose from")
     failing: list[Part] = []
     passing: list[Part] = []
     for block, bits in t.block_bits():
@@ -104,12 +100,6 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
         else:
             for selection, bit in zip(product(*block.brackets), bits):
                 (failing if bit else passing).append(tuple(zip(selection)))
-    return failing, passing
-
-
-def _diagnosable(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
-    """_parts_by_verdict, raising NoFailures when no row fails."""
-    failing, passing = _parts_by_verdict(t)
     if not failing:
         raise NoFailures("response vector is all-zero; no fault detected")
     return failing, passing
@@ -118,18 +108,6 @@ def _diagnosable(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
 def _marked(part: Part) -> frozenset[StatementId]:
     """Every statement some row of the part marks."""
     return frozenset(chain.from_iterable(part))
-
-
-def build_cnf(t: FaultDetectionTable) -> list[Clause]:
-    """One clause per failing row (bit 1), in row order: the row-level
-    family that ``diagnose`` reads block by block.
-
-    Raises NoFailures when the response is all-zero: nothing to diagnose.
-    """
-    clauses = [r.marks for r, bit in zip(t.rows, _bits(t)) if bit]
-    if not clauses:
-        raise NoFailures("response vector is all-zero; no fault detected")
-    return clauses
 
 
 def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
@@ -203,12 +181,6 @@ def cnf_to_min_dnf(clauses: Sequence[Clause], cap: int = DEFAULT_DNF_CAP) -> Can
     return CandidateDNF(terms=frozenset(partial))
 
 
-def exoneration_set(t: FaultDetectionTable) -> frozenset[StatementId]:
-    """Statements exercised by passing rows (bit 0): observed to transform
-    data correctly at least once."""
-    return frozenset().union(*map(_marked, _parts_by_verdict(t)[1]))
-
-
 def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
                       mode: str = "strong") -> CandidateDNF:
     """Drop exonerated candidates: F' = F \\ H.
@@ -267,7 +239,7 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
 
     Attaches the ambiguity group(s) containing the surviving statements.
     """
-    failing, passing = _diagnosable(t)
+    failing, passing = _parts_by_verdict(t)
     f = cnf_to_min_dnf(factor_clauses(failing), cap=cap)
     h = frozenset().union(*map(_marked, passing))
     reduced = reduce_candidates(f, h, mode=mode)
@@ -282,7 +254,7 @@ def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
     the members of its one-statement brackets."""
     if t.kind != "generalized":
         raise ValueError("diagnose_generalized needs a generalized table")
-    failing, passing = _diagnosable(t)
+    failing, passing = _parts_by_verdict(t)
     common = [frozenset(chain.from_iterable(b for b in p if len(set(b)) == 1))
               for p in failing]
     return frozenset.intersection(*common) - frozenset().union(*map(_marked, passing))

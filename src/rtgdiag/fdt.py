@@ -26,7 +26,7 @@ from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, SchemaError
-from .rtg import RTGraph, StatementId
+from .rtg import RTGraph, StatementId, dumps_json
 from .testsynth import Block, BlockView, Path, TestSuite
 
 
@@ -182,7 +182,7 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
 
 
 def dumps_table(t: FaultDetectionTable) -> str:
-    return json.dumps(table_to_json(t), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return dumps_json(table_to_json(t))
 
 
 def loads_table(text: str) -> FaultDetectionTable:

@@ -52,20 +52,6 @@ def fig1_graph() -> RTGraph:
     return RTGraph(nodes=nodes, ribs=ribs)
 
 
-def fig1_unmerged_variant() -> RTGraph:
-    """fig1_graph before merging: the final summation appears as I6A..I6D."""
-    g = fig1_graph()
-    suffixes = iter("ABCD")
-    ribs = []
-    for r in g.ribs:
-        if r.fragment == "I6":
-            ribs.append(make_rib("I6" + next(suffixes), r.src, r.dst,
-                                 [(s.opcode, s.target, s.operands) for s in r.statements]))
-        else:
-            ribs.append(r)
-    return g.with_ribs(ribs)
-
-
 LISTING31_SOURCE = """\
 # Piecewise sum S = f(x) + w(x).
 input x;

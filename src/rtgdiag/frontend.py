@@ -35,7 +35,7 @@ from .errors import (DivisionByZero, ExecutionError, NonFiniteValue, ParseError,
                      UnboundVariable, UndefinedVariable, UnsupportedOperation)
 from .intervals import IntervalSet
 from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
-                  make_statements, merge_equivalent_ribs)
+                  make_statements)
 
 PI_VALUE = 3.14159
 
@@ -476,10 +476,9 @@ def lower_assignment(a: Assignment, fresh: Iterator[str]) -> list[tuple[int, str
 
 @dataclass
 class SourceMap:
-    """Guard regions and merge keys for a lowered program."""
+    """Guard regions of a lowered program, by fragment id."""
 
     constraints: dict[str, dict[str, IntervalSet]] = field(default_factory=dict)
-    source_keys: dict[str, object] = field(default_factory=dict)
 
     def path_constraints(self, fragments: "tuple[str, ...] | list[str]"
                          ) -> list[dict[str, IntervalSet]]:
@@ -550,8 +549,11 @@ def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
     Each arm of a step becomes one rib per predecessor node, all copies
     sharing a fragment id and converging on the arm's end node, so a run of
     assignments becomes a single rib; the last step terminates at the
-    output node.  The result is already in merged form and passes
-    validate_graph.
+    output node.  Fragments are numbered I1, I2, ... in step and arm order.
+    The graph needs no merge pass (``merge_equivalent_ribs``): the copies
+    of one arm are given one fragment id here, and two arms never share
+    one, since each (step, arm) is its own piece of source.  The result
+    passes validate_graph.
     """
     plan = layout(p)
     if not plan:
@@ -569,16 +571,15 @@ def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
     nodes: list[Node] = [Node("X", "input")]
     ribs: list[Rib] = []
     current = ["X"]
-    for si, (chain, ends) in enumerate(plan):
+    fids = (f"I{n}" for n in count(1))
+    for chain, ends in plan:
         if chain.arms[-1].guard is not None:
             raise UnsupportedOperation(
                 f"line {chain.line}: if-chain needs an else arm to lower to a graph")
-        constraints = _effective_constraints(chain)
-        for ai, (arm, dst) in enumerate(zip(chain.arms, ends)):
-            fid = f"I{len(smap.source_keys) + 1}"
-            smap.source_keys[fid] = (si, ai)
-            if constraints[ai]:
-                smap.constraints[fid] = constraints[ai]
+        for arm, dst, regions in zip(chain.arms, ends, _effective_constraints(chain)):
+            fid = next(fids)
+            if regions:
+                smap.constraints[fid] = regions
             statements = make_statements(spec for a in arm.body
                                          for spec in lower_assignment(a, fresh))
             if nodes[-1].name != dst:
@@ -587,5 +588,4 @@ def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
                         for src in current)
         current = list(dict.fromkeys(ends))
 
-    g = RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))
-    return merge_equivalent_ribs(g, smap.source_keys), smap
+    return RTGraph(nodes=tuple(nodes), ribs=tuple(ribs)), smap

@@ -18,7 +18,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .errors import DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
 
@@ -379,14 +379,15 @@ def _reachable(g: RTGraph, start: str, forward: bool) -> set[str]:
     return seen
 
 
-def merge_equivalent_ribs(g: RTGraph, source_keys: Mapping[str, object] | None = None) -> RTGraph:
+def merge_equivalent_ribs(g: RTGraph) -> RTGraph:
     """Give one shared fragment id to ribs that are copies of the same code.
 
-    Ribs merge when their statement sequences are equal element-wise, their
-    destinations coincide, and they originate from the same source fragment.
-    With ``source_keys`` (fragment id -> source-map key) the last condition
-    is checked against the keys; without a source map, element-wise equality
-    plus a shared destination is taken as sufficient evidence.
+    Ribs merge when their statement sequences are equal element-wise and
+    their destinations coincide; without a source map, that is taken as
+    sufficient evidence that they come from the same source fragment.  This
+    is for hand-built graphs: ``frontend.build_rtg`` gives each (step, arm)
+    of a program its own fragment id and all copies of an arm that one id,
+    so a lowered graph is already merged.
 
     The merged group keeps the longest common prefix of its fragment ids
     when that is a usable name (e.g. I6A..I6D become I6), otherwise the
@@ -404,14 +405,7 @@ def merge_equivalent_ribs(g: RTGraph, source_keys: Mapping[str, object] | None =
 
     groups: dict[tuple, list[Rib]] = {}
     for r in g.ribs:
-        if source_keys is not None:
-            key_part = source_keys.get(r.fragment)
-            if key_part is None:
-                # No provenance: never merge this rib with anything else.
-                key_part = ("unkeyed", r.fragment)
-        else:
-            key_part = ("stmts", r.statements)
-        groups.setdefault((r.dst, r.statements, key_part), []).append(r)
+        groups.setdefault((r.dst, r.statements), []).append(r)
 
     rename: dict[str, str] = {}
     taken = {r.fragment for r in g.ribs}
@@ -509,8 +503,14 @@ def graph_from_json(doc: dict) -> RTGraph:
     return RTGraph(nodes=nodes, ribs=ribs)
 
 
+def dumps_json(doc) -> str:
+    """The one JSON encoding of every written document: indented, UTF-8
+    text kept as is, a final newline; NaN and Infinity are refused."""
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
 def dumps_graph(g: RTGraph) -> str:
-    return json.dumps(graph_to_json(g), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return dumps_json(graph_to_json(g))
 
 
 def loads_graph(text: str) -> RTGraph:

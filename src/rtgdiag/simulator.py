@@ -30,13 +30,13 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePath,
                      InvalidMutation, MissingStimulus, NoOpMutation, NoSuchStatement,
                      UnboundVariable)
 from .fdt import ResponseVector
-from .frontend import RELATIONS, Program, SourceMap, evaluate, layout
+from .frontend import RELATIONS, Program, evaluate, layout
 from .intervals import IntervalSet
 from .rtg import OP_ALPHABET, RTGraph
 from .testsynth import Path, TestSuite
@@ -63,9 +63,6 @@ class ObservationTrace:
     points: tuple[tuple[str, float], ...]
     output: float
     defaulted: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.points)
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,24 +370,16 @@ def pick_stimulus(p: Path,
     return Stimulus(env=env, label=p.label)
 
 
-def _per_path(suite: TestSuite, pick: Callable[[Path], Stimulus]) -> dict[str, Stimulus]:
-    # A term's stimulus depends only on its path: pick once per run of
-    # consecutive blocks on one path and share the object across their terms.
+def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:
+    """Guard-oblivious stimuli for every term: input 1.0, free variables 0.0.
+
+    A term's stimulus depends only on its path: one is picked per run of
+    consecutive blocks on one path, and the object is shared across their
+    terms.  *g* is not read."""
     out: dict[str, Stimulus] = {}
     path = stim = None
     for block in suite.blocks:
         if block.path is not path:
-            path, stim = block.path, pick(block.path)
+            path, stim = block.path, pick_stimulus(block.path)
         out.update(zip(block.labels, repeat(stim)))
     return out
-
-
-def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:
-    """Guard-oblivious stimuli for every term: input 1.0, free variables 0.0."""
-    return _per_path(suite, pick_stimulus)
-
-
-def guard_aware_stimuli(suite: TestSuite, smap: SourceMap) -> dict[str, Stimulus]:
-    """Stimuli satisfying each term's path constraints where those are known."""
-    return _per_path(suite, lambda p: pick_stimulus(p, smap.path_constraints(p.fragments)))
-

@@ -67,9 +67,8 @@ class ActivationFormula:
         return tuple(tuple(sorted({s.opcode for s in b})) for b in self.brackets)
 
     def __str__(self) -> str:
-        parts = ["(" + " ∨ ".join(str(c) for c in sorted({s.opcode for s in b})) + ")"
-                 for b in self.brackets]
-        return "[" + "".join(parts) + "]"
+        return "[" + "".join("(" + " ∨ ".join(map(str, ops)) + ")"
+                             for ops in self.opcode_sets()) + "]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +164,6 @@ class TestSuite:
     __test__ = False  # pytest: not a test class
 
     terms: BlockView  # of TestTerm
-    origin: str  # "complete" | "minimal-cover" | "minimal-diagnostic"
 
     def __post_init__(self) -> None:
         if not isinstance(self.terms, BlockView):
@@ -263,7 +261,7 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
             n = occurrence[base] = occurrence.get(base, 0) + 1
             labels.append(base + subs[n] if always or counts[base] > 1 else base)
         blocks.append(Block(f.path, f.brackets, tuple(labels)))
-    return TestSuite(terms=BlockView(blocks, TestTerm), origin="complete")
+    return TestSuite(terms=BlockView(blocks, TestTerm))
 
 
 # --- covering problems -------------------------------------------------------
@@ -385,4 +383,4 @@ def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
     candidates = [(t.label, frozenset(t.selection) & universe) for t in suite.terms]
     keep = set(_solve_cover(universe, candidates, exact_cap))
     terms = tuple(t for t in suite.terms if t.label in keep)
-    return TestSuite(terms=terms, origin="minimal-diagnostic")
+    return TestSuite(terms=terms)

@@ -1,51 +1,12 @@
-"""Seeded random model generators and brute-force oracles for the tests.
+"""Seeded random models, clause families and programs for the tests.
 
-The oracles here enumerate exhaustively and stay independent of the library
-code paths they check.
+The oracles that check the library against them are in ``reference.py``.
 """
 
-from itertools import combinations
 from random import Random
 
 from rtgdiag import Node, RTGraph, make_rib
 from rtgdiag.simulator import FaultSpec
-
-# --- brute-force oracles -----------------------------------------------------
-
-
-def brute_min_hitting_sets(clauses):
-    """All minimal hitting sets by exhaustive size-ascending enumeration.
-
-    A candidate is minimal iff every element has a witness clause that the
-    candidate hits through that element alone.
-    """
-    universe = sorted(frozenset().union(*clauses), key=repr)
-    found = []
-    for k in range(1, len(clauses) + 1):
-        for combo in combinations(universe, k):
-            s = frozenset(combo)
-            if any(h <= s for h in found):
-                continue
-            if not all(s & c for c in clauses):
-                continue
-            if all(any(c & s == frozenset((e,)) for c in clauses) for e in s):
-                found.append(s)
-    return set(found)
-
-
-def brute_min_cover_size(universe, candidate_sets):
-    """Size of a minimum cover by size-ascending exhaustive search;
-    None when the universe is not coverable at all."""
-    universe = frozenset(universe)
-    sets = [frozenset(s) & universe for s in candidate_sets]
-    if not universe:
-        return 0
-    for k in range(1, len(sets) + 1):
-        for combo in combinations(sets, k):
-            if frozenset().union(*combo) == universe:
-                return k
-    return None
-
 
 # --- random clause families ----------------------------------------------------
 
@@ -258,6 +219,14 @@ def expression_chain_program(shape: tuple[int, ...] = (3, 4), seed: int = 0) -> 
     return "\n".join(lines)
 
 
+def single_rib_graph() -> RTGraph:
+    """X -I1-> Y with the one statement f = x + 3."""
+    return RTGraph(
+        nodes=(Node("X", "input"), Node("Y", "output")),
+        ribs=(make_rib("I1", "X", "Y", [(1, "f", ("x", 3.0))]),),
+    )
+
+
 def chain_model(n: int) -> RTGraph:
     """A single path X -> R1 -> ... -> Y of *n* one-statement ribs."""
     names = ["X"] + [f"R{i}" for i in range(1, n)] + ["Y"]
@@ -266,3 +235,12 @@ def chain_model(n: int) -> RTGraph:
     ribs = [make_rib(f"I{i}", names[i - 1], names[i],
                      [(1, "acc", ("x" if i == 1 else "acc", 1.0))]) for i in range(1, n + 1)]
     return RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))
+
+
+def two_rib_fragment_graph() -> RTGraph:
+    """X -I1-> R -I1-> Y plus X -I2-> Y: the path through R runs fragment
+    I1's two statements on both of its ribs."""
+    specs = [(1, "t1", ("x", 1.5)), (2, "x", ("t1", 2.0))]
+    return RTGraph(nodes=(Node("X", "input"), Node("R", "internal"), Node("Y", "output")),
+                   ribs=(make_rib("I1", "X", "R", specs), make_rib("I1", "R", "Y", specs),
+                         make_rib("I2", "X", "Y", [(3, "x", ("x", 0.5))])))

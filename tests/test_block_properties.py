@@ -6,10 +6,10 @@ A drawn table may carry stimuli that split paths (some terms of a path get
 other inputs), one to three flipped bits, the diagnostic suite instead of
 the complete test (single-row blocks), and a JSON round trip.
 
-The reference works on the materialized rows only: V from two
-``execute_path`` calls per term, F = ``cnf_to_min_dnf(build_cnf(rows))``
-(and ``brute_min_hitting_sets`` when the failing rows mark at most 8
-statements), H the union of the passing rows' marks, F' the terms of F
+The reference (``reference.py``) works on the materialized rows only: V
+from two ``execute_path`` calls per term, F = ``cnf_to_min_dnf`` of the
+failing rows' marks (and ``brute_min_hitting_sets`` when they mark at most
+8 statements), H the union of the passing rows' marks, F' the terms of F
 that H leaves alone (strong) or does not contain (weak), and ambiguity
 groups from per-path unions of row marks.
 """
@@ -20,15 +20,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rtgdiag import (EmptyDiagnosis, FaultDetectionTable, NoFailures, ResponseVector, Stimulus,
-                     attach_response, build_cnf, build_complete_test, build_extended_fdt,
-                     cnf_to_min_dnf, default_stimuli, diagnose, dumps_table, enumerate_paths,
-                     exoneration_set, inject_fault, loads_table, minimal_diagnostic_test,
-                     mutation_catalogue, render_table, run_suite, table_to_json)
+                     attach_response, build_complete_test, build_extended_fdt, cnf_to_min_dnf,
+                     default_stimuli, diagnose, dumps_table, enumerate_paths, inject_fault,
+                     loads_table, minimal_diagnostic_test, mutation_catalogue, render_table,
+                     run_suite, table_to_json)
 from rtgdiag.fixtures import fig1_graph
 
-from randmodels import brute_min_hitting_sets, random_dag_model
-from test_factored_diagnosis import check_ambiguity, two_rib_fragment_graph
-from test_per_path_run import reference_v
+from randmodels import random_dag_model, two_rib_fragment_graph
+from reference import ambiguity_partition, brute_min_hitting_sets, exoneration_set, reference_v
 
 BRUTE_UNIVERSE = 8
 
@@ -80,24 +79,11 @@ def row_level(t: FaultDetectionTable) -> FaultDetectionTable:
     return FaultDetectionTable(t.kind, t.columns, tuple(t.rows), t.response)
 
 
-def reference_groups(t: FaultDetectionTable) -> list[frozenset]:
-    marked: dict[str, set] = {}
-    for r in t.rows:
-        marked.setdefault(r.path, set()).update(r.marks)
-    sig: dict = {c: frozenset(p for p, m in marked.items() if c in m) for c in t.columns}
-    groups: dict[frozenset, set] = {}
-    for c, s in sig.items():
-        groups.setdefault(s, set()).add(c)
-    return [frozenset(m) for m in groups.values()]
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(responded_tables(), st.sampled_from(("strong", "weak")))
 def test_block_diagnosis_equals_row_level_reference(t, mode):
-    rows = list(zip(t.rows, t.response.bits))
-    failing = [r.marks for r, bit in rows if bit]
-    h = frozenset().union(*(r.marks for r, bit in rows if not bit))
-    assert exoneration_set(t) == h
+    failing = [r.marks for r, bit in zip(t.rows, t.response.bits) if bit]
+    h = exoneration_set(t)
     assert table_to_json(t) == table_to_json(row_level(t))
     assert render_table(t) == render_table(row_level(t))
     if not failing:
@@ -106,8 +92,7 @@ def test_block_diagnosis_equals_row_level_reference(t, mode):
         except NoFailures:
             return
         raise AssertionError("an all-zero V must end as NoFailures")
-    f = cnf_to_min_dnf(build_cnf(t))
-    assert build_cnf(t) == failing
+    f = cnf_to_min_dnf(failing)
     if len(frozenset().union(*failing)) <= BRUTE_UNIVERSE:
         assert f.terms == frozenset(brute_min_hitting_sets(failing))
     keep = (lambda term: not term & h) if mode == "strong" else (lambda term: not term <= h)
@@ -121,7 +106,6 @@ def test_block_diagnosis_equals_row_level_reference(t, mode):
     assert result.exonerated == h
     assert result.reduced.terms == reduced
     survivors = frozenset().union(*reduced)
-    assert {g.members for g in result.ambiguity} == {
-        m for m in reference_groups(t) if m & survivors}
-    check_ambiguity(t, result)
+    assert result.ambiguity == tuple(
+        g for g in ambiguity_partition(t) if g.members & survivors)
     assert diagnose(row_level(t), mode=mode) == result

@@ -186,6 +186,20 @@ def test_stimuli_file_is_honored(capsys, tmp_path):
     assert "V = (0001110000)" in out
 
 
+def test_permissive_defaults_are_one_warning_line_each(capsys, tmp_path):
+    # 111₁ binds no x and 21₁ binds no w: each default is one line, first seen first
+    spath = tmp_path / "stim.json"
+    spath.write_text(json.dumps({"111₁": {}, "21₁": {"x": 1.0}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "all", "--graph", FIG1, "--fault", "I5:3:op=3",
+                             "--permissive", "--stimuli", str(spath))
+    assert code == 1
+    assert "F' = I51 I52 I55" in out
+    assert err.splitlines() == [
+        "rtgdiag all: warning: defaulted free variable(s) to 0.0: x",
+        "rtgdiag all: warning: defaulted free variable(s) to 0.0: w",
+    ]
+
+
 def test_bad_fault_spec_exits_3(capsys):
     code, _, err = run_cli(capsys, "run", "--graph", FIG1, "--fault", "I5-3-op3")
     assert code == 3

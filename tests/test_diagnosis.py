@@ -3,14 +3,14 @@ from random import Random
 import pytest
 
 from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, NoResponse,
-                     ResponseVector, RTGraph, ambiguity_groups, attach_response, build_cnf,
+                     ResponseVector, RTGraph, ambiguity_groups, attach_response,
                      build_generalized_fdt, cnf_to_min_dnf, diagnose, diagnose_generalized,
-                     enumerate_paths, exoneration_set, make_rib,
-                     recommend_observation_points, reduce_candidates,
-                     verify_minimal_insertions)
+                     enumerate_paths, make_rib, recommend_observation_points,
+                     reduce_candidates, verify_minimal_insertions)
 from rtgdiag.diagnosis import CandidateDNF
 
-from randmodels import brute_min_hitting_sets, random_clause_family, random_dag_model
+from randmodels import random_clause_family, random_dag_model, single_rib_graph
+from reference import brute_min_hitting_sets, build_cnf, exoneration_set
 
 PAPER_V = ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0))
 
@@ -91,6 +91,7 @@ def test_min_dnf_order_invariance():
 def test_exoneration_includes_every_passing_mark(responded):
     h = {s.label for s in exoneration_set(responded)}
     assert h == {"I11", "I22", "I23", "I31", "I32", "I41", "I44", "I45", "I61"}
+    assert diagnose(responded).exonerated == exoneration_set(responded)
 
 
 def test_exoneration_edge_cases(extended):
@@ -179,7 +180,6 @@ def test_ambiguity_groups_reference(g, paths):
 
 
 def test_single_rib_graph_is_one_group():
-    from test_testsynth import single_rib_graph
     g = single_rib_graph()
     groups = ambiguity_groups(g, enumerate_paths(g))
     assert len(groups) == 1
@@ -208,7 +208,6 @@ def test_recommendation_for_loose_target(g):
 
 
 def test_recommendation_single_statement_rib():
-    from test_testsynth import single_rib_graph
     g = single_rib_graph()
     assert recommend_observation_points(g, 1) == []
 

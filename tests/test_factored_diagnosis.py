@@ -4,30 +4,29 @@
 each failing row of ``build_cnf`` is handed over as a part of its own,
 ``[tuple(zip(c)) for c in build_cnf(t)]``, and a group of failing rows
 forming a full product of per-fragment brackets is one clause of bracket
-literals.  The reference here is the row-level route:
+literals.  The reference is the row-level route of ``reference.py``:
 ``cnf_to_min_dnf`` over the plain clauses of ``build_cnf``, and, on small
 tables, the exhaustive ``brute_min_hitting_sets``.  Tables come from the
 mutation catalogue of the fixtures and of seeded random models, from the
 same tables with seeded bit flips (not path-uniform), from ladders whose
 stimuli split paths, and from hand-built groups.  The ambiguity groups of
-each diagnosis are checked against the full partition of the table's
-columns by path-label signature, built with ``_group_by_signature``.
+each diagnosis are checked against ``ambiguity_partition``, the partition
+of the table's columns by the path labels of the rows that mark them.
 """
 
-from itertools import chain
 from random import Random
 
 import pytest
 
-from rtgdiag import (EmptyDiagnosis, FaultSpec, Node, ResponseVector, RTGraph, Stimulus,
-                     StatementId, attach_response, build_cnf, build_complete_test,
-                     build_extended_fdt, build_rtg, cnf_to_min_dnf, default_stimuli, diagnose,
-                     enumerate_paths, factor_clauses, inject_fault, make_rib,
-                     mutation_catalogue, parse_program, run_suite, validate_graph)
-from rtgdiag.diagnosis import _group_by_signature
+from rtgdiag import (EmptyDiagnosis, FaultSpec, ResponseVector, Stimulus, StatementId,
+                     attach_response, build_complete_test, build_extended_fdt, build_rtg,
+                     cnf_to_min_dnf, default_stimuli, diagnose, enumerate_paths,
+                     factor_clauses, inject_fault, mutation_catalogue, parse_program,
+                     run_suite, validate_graph)
 from rtgdiag.fixtures import fig1_graph, listing31_source
 
-from randmodels import brute_min_hitting_sets, ladder_model, random_dag_model
+from randmodels import ladder_model, random_dag_model, two_rib_fragment_graph
+from reference import ambiguity_partition, brute_min_hitting_sets, build_cnf
 
 #: Largest clause universe handed to the exhaustive oracle.
 BRUTE_UNIVERSE = 8
@@ -62,22 +61,11 @@ def check_factored(t) -> None:
         assert reference.terms == frozenset(brute_min_hitting_sets(clauses))
 
 
-def full_partition(t):
-    """Every ambiguity group of table *t*: its columns partitioned by the
-    set of path labels whose rows mark them."""
-    sig = {c: set() for c in t.columns}
-    for block in t.blocks:
-        if len(block):
-            for m in chain.from_iterable(block.brackets):
-                sig[m].add(block.path.label)
-    return _group_by_signature(sig)
-
-
 def check_ambiguity(t, result) -> None:
     """Assert the groups of a diagnosis are the full partition's groups that
     hold an F' statement, in the partition's order."""
     survivors = result.suspects()
-    assert result.ambiguity == tuple(g for g in full_partition(t) if g.members & survivors)
+    assert result.ambiguity == tuple(g for g in ambiguity_partition(t) if g.members & survivors)
 
 
 def row_parts(clauses):
@@ -184,15 +172,6 @@ def test_hand_built_groups(rows, expected):
     assert factored == [frozenset(c) for c in expected]
     assert cnf_to_min_dnf(factored) == cnf_to_min_dnf(clauses)
     assert cnf_to_min_dnf(factored).terms == frozenset(brute_min_hitting_sets(clauses))
-
-
-def two_rib_fragment_graph() -> RTGraph:
-    """X -I1-> R -I1-> Y plus X -I2-> Y: the path through R runs fragment
-    I1's two statements on both of its ribs."""
-    specs = [(1, "t1", ("x", 1.5)), (2, "x", ("t1", 2.0))]
-    return RTGraph(nodes=(Node("X", "input"), Node("R", "internal"), Node("Y", "output")),
-                   ribs=(make_rib("I1", "X", "R", specs), make_rib("I1", "R", "Y", specs),
-                         make_rib("I2", "X", "Y", [(3, "x", ("x", 0.5))])))
 
 
 def test_path_through_two_ribs_of_one_fragment():

@@ -4,9 +4,11 @@ import pytest
 
 from rtgdiag import (Block, BlockView, FaultDetectionTable, LengthMismatch, Path,
                      ResponseVector, SchemaError, TableRow, TestTerm, attach_response,
-                     build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
-                     render_table)
+                     build_extended_fdt, build_generalized_fdt, dumps_table, enumerate_paths,
+                     loads_table, render_table)
 from rtgdiag.testsynth import build_complete_test
+
+from randmodels import single_rib_graph
 
 GENERALIZED_MARKS = {
     "X14Y": {"I11", "I41", "I44", "I45", "I61"},
@@ -43,8 +45,6 @@ def test_extended_rows_match_reference(extended):
 
 
 def test_single_rib_generalized_row():
-    from test_testsynth import single_rib_graph
-    from rtgdiag.testsynth import enumerate_paths
     g = single_rib_graph()
     table = build_generalized_fdt(g, enumerate_paths(g))
     assert len(table.rows) == 1

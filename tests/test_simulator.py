@@ -10,8 +10,7 @@ from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
                      inject_fault, make_rib, parse_program, pick_stimulus, run_suite)
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.intervals import IntervalSet
-from rtgdiag.simulator import (DEFAULT_TOLERANCE, DefaultedVariableWarning, _differs,
-                                guard_aware_stimuli)
+from rtgdiag.simulator import DEFAULT_TOLERANCE, DefaultedVariableWarning, _differs
 from rtgdiag.testsynth import TestSuite
 
 from randmodels import random_dag_model, random_mutation
@@ -49,7 +48,7 @@ def test_division_by_zero_is_reported():
 
 def test_execute_path_x14y(g, paths):
     trace = execute_path(g, paths[0], Stimulus(env={"x": 1.0}))
-    values = trace.as_dict()
+    values = dict(trace.points)
     assert values["X"] == 1.0
     assert values["R1"] == 4.0
     assert values["R4"] == pytest.approx(math.sin(1.0 + PI / 3.0), abs=1e-12)
@@ -148,9 +147,7 @@ def test_identical_graphs_give_all_zero_vector(g, suite):
 
 def test_unexercised_fault_gives_all_zero_vector(g, suite, fault):
     mutant = inject_fault(g, fault)
-    off_path = TestSuite(terms=tuple(t for t in suite.terms
-                                     if "I5" not in t.path.fragments),
-                         origin="complete")
+    off_path = TestSuite(terms=tuple(t for t in suite.terms if "I5" not in t.path.fragments))
     v = run_suite(g, mutant, off_path, default_stimuli(g, off_path))
     assert v.bits == (0,) * len(off_path.terms)
 
@@ -240,13 +237,12 @@ def test_program_faithful_x15y_is_infeasible(source):
 def test_guard_aware_stimuli_on_feasible_suite(source):
     program = parse_program(source, fold=False)
     graph, smap = build_rtg(program)
-    paths = enumerate_paths(graph)
-    feasible = [p for p in paths if p.label in ("X14Y", "X24Y", "X25Y", "X35Y")]
-    suite = build_complete_test(graph, feasible)
-    stimuli = guard_aware_stimuli(suite, smap)
-    for term in suite.terms:
-        env = stimuli[term.label].env
-        for regions in smap.path_constraints(term.path.fragments):
+    feasible = [p for p in enumerate_paths(graph)
+                if p.label in ("X14Y", "X24Y", "X25Y", "X35Y")]
+    for p in feasible:
+        constraints = smap.path_constraints(p.fragments)
+        env = pick_stimulus(p, constraints).env
+        for regions in constraints:
             for var, region in regions.items():
                 assert region.contains(env[var])
 

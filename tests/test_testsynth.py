@@ -10,7 +10,8 @@ from rtgdiag import (Node, PathExplosion, RTGraph, TermExplosion, Uncoverable, a
 from rtgdiag.rtg import natural_key, subscript
 from rtgdiag.testsynth import TestSuite, _greedy_cover
 
-from randmodels import brute_min_cover_size, chain_model, random_dag_model
+from randmodels import chain_model, random_dag_model, single_rib_graph
+from reference import brute_min_cover_size
 
 PAPER_LABELS = ["111₁", "141₁", "151₁", "111₂", "121₁",
                 "151₂", "21₁", "31", "11", "21₂"]
@@ -21,13 +22,6 @@ def diamond_graph():
         nodes=(Node("X", "input"), Node("Y", "output")),
         ribs=(make_rib("I1", "X", "Y", [(1, "a", ("x", 1.0))]),
               make_rib("I2", "X", "Y", [(1, "b", ("x", 2.0))])),
-    )
-
-
-def single_rib_graph():
-    return RTGraph(
-        nodes=(Node("X", "input"), Node("Y", "output")),
-        ribs=(make_rib("I1", "X", "Y", [(1, "f", ("x", 3.0))]),),
     )
 
 
@@ -135,7 +129,6 @@ def test_fixture_diagnostic_test_is_irreducible(g, suite):
         assert {s for t in combo for s in t.selection} != universe
     minimal = minimal_diagnostic_test(suite, g.statement_ids)
     assert list(minimal.terms.labels()) == PAPER_LABELS
-    assert minimal.origin == "minimal-diagnostic"
 
 
 def test_single_statement_graph_needs_one_term():
@@ -159,7 +152,7 @@ def test_parallel_identical_opcode_ribs_need_two_terms():
 
 
 def test_uncoverable_statement_raises(g, suite):
-    partial = TestSuite(terms=suite.terms[:3], origin="complete")
+    partial = TestSuite(terms=suite.terms[:3])
     with pytest.raises(Uncoverable):
         minimal_diagnostic_test(partial, g.statement_ids)
 
