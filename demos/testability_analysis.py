@@ -29,9 +29,9 @@ print("failing X15Y alone implicates {"
       + ", ".join(sorted(s.label for s in suspects)) + "}\n")
 
 print("== ambiguity groups (identical covering-path sets) ==")
-for group in ambiguity_groups(g, paths):
+for group in ambiguity_groups(g):
     members = ", ".join(s.label for s in group.sorted_members())
-    via = ", ".join(sorted(group.signature)) or "-"
+    via = ", ".join(sorted(p.label for p in paths if group.signature & set(p.fragments))) or "-"
     print(f"  {{{members}}}  seen via {via}")
 
 print("\n== observation points for finer resolution ==")

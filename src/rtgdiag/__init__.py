@@ -11,7 +11,7 @@ from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity
                         cnf_to_min_dnf, diagnose, diagnose_generalized, factor_clauses,
                         recommend_observation_points, reduce_candidates,
                         verify_minimal_insertions)
-from .errors import (ArityMismatch, CandidateExplosion, DivisionByZero, EmptyDiagnosis,
+from .errors import (ArityMismatch, CandidateExplosion, CyclicGraph, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
                      LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
                      NonFiniteValue, NoOpMutation, NoResponse, NoSuchStatement,

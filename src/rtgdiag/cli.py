@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 diagnosis findings, 2 usage errors, 3 data errors.
 An error is one ``rtgdiag <cmd>: ...`` line on stderr, and so is each
 distinct warning (``rtgdiag <cmd>: warning: ...``, e.g. a variable that
 ``--permissive`` defaulted), in the order first raised.  The environment variable RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N")
-overrides the explosion caps.
+overrides the explosion caps.  ``testability`` counts covering paths
+instead of listing them, so its cost is polynomial in the graph and the
+``paths`` cap does not bound it.
 """
 
 from __future__ import annotations
@@ -141,8 +143,7 @@ def _stimuli_for(g: rtg.RTGraph, suite: testsynth.TestSuite,
     for label, env in given.items():
         if label in out:
             try:
-                out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()},
-                                                label=label)
+                out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
             except (TypeError, ValueError):
                 raise RtgError(f"{stimuli_path}: non-numeric value for term {label}") from None
     return out
@@ -397,7 +398,7 @@ def cmd_testability(pl: Pipeline) -> int:
     if target < 1:
         raise UsageError(f"--target needs a positive integer, got {target}")
     _validate_or_fail(pl.graph)
-    groups = diagnosis.ambiguity_groups(pl.graph, pl.paths)
+    groups = diagnosis.ambiguity_groups(pl.graph)
     inserts = diagnosis.recommend_observation_points(pl.graph, target)
     if pl.cfg.fmt == "json":
         doc = {

@@ -26,10 +26,9 @@ from itertools import chain, combinations, product
 from math import prod
 from typing import Iterable, Sequence
 
-from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, NoResponse
+from .errors import CandidateExplosion, CyclicGraph, EmptyDiagnosis, NoFailures, NoResponse
 from .fdt import FaultDetectionTable
-from .rtg import RTGraph, StatementId, natural_key
-from .testsynth import Path
+from .rtg import Rib, RTGraph, StatementId, natural_key
 
 DEFAULT_DNF_CAP = 10 ** 5
 
@@ -51,13 +50,19 @@ class CandidateDNF:
         return " ∨ ".join(" ".join(s.label for s in t) for t in self.sorted_terms())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmbiguityGroup:
     """Statements indistinguishable at the available observation points:
-    identical sets of covering paths."""
+    identical sets of covering paths.
+
+    The signature of a table's group (``DiagnosisResult.ambiguity``) is the
+    set of labels of the paths whose rows mark the members.  A graph's
+    group (``ambiguity_groups``) is found without listing paths, and its
+    signature is the set of fragments whose statements it holds: the group
+    is covered by the paths through any one of them."""
 
     members: frozenset[StatementId]
-    signature: frozenset[str]  # path labels
+    signature: frozenset[str]  # path labels (table) or fragments (graph)
 
     def sorted_members(self) -> tuple[StatementId, ...]:
         return tuple(sorted(self.members, key=lambda s: s.sort_key()))
@@ -202,34 +207,41 @@ def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
     return CandidateDNF(terms=frozenset(kept))
 
 
-def _group_by_signature(sig: dict[StatementId, Iterable[str]]) -> list[AmbiguityGroup]:
-    """Statements with equal path-label signatures, one group each, ordered
-    by their first member."""
-    by_sig: dict[frozenset, set[StatementId]] = {}
-    for sid, labels in sig.items():
-        by_sig.setdefault(frozenset(labels), set()).add(sid)
-    groups = [AmbiguityGroup(members=frozenset(v), signature=k) for k, v in by_sig.items()]
-    return sorted(groups, key=lambda g: g.sorted_members()[0].sort_key())
-
-
-def _groups_of(t: FaultDetectionTable, statements: Iterable[StatementId]) -> list[AmbiguityGroup]:
-    """The ambiguity groups of the table that hold any of *statements*,
-    ordered by their least member.
+def _table_groups(t: FaultDetectionTable) -> tuple[dict[StatementId, int],
+                                                 list[AmbiguityGroup]]:
+    """Every ambiguity group of the table, ordered by least member, and the
+    index of each column's group.
 
     Path-level signature: the set of path labels whose rows mark the
     statement.  Exact for generalized tables and for complete-test extended
-    tables (a path's terms jointly mark everything on the path).  Only the
-    groups asked for are built; the rest of the partition is never formed.
+    tables (a path's terms jointly mark everything on the path).  The
+    partition depends only on the rows and columns, so it is kept in the
+    memo of the rows view, which every table with a response attached to
+    the same rows shares.
     """
+    kept = t.rows.memo.get("ambiguity")
+    if kept is not None and kept[0] is t.columns:
+        return kept[1], kept[2]
     sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
     for block in t.blocks:
         if len(block):
             for m in chain.from_iterable(block.brackets):
                 sig[m].add(block.path.label)
-    groups = [AmbiguityGroup(members=frozenset(c for c, labels in sig.items() if labels == w),
-                             signature=w)
-              for w in {frozenset(sig[s]) for s in statements}]
-    return sorted(groups, key=lambda g: min(s.sort_key() for s in g.members))
+    by_sig: dict[frozenset[str], list[StatementId]] = {}
+    for c, labels in sig.items():
+        by_sig.setdefault(frozenset(labels), []).append(c)
+    groups = sorted((AmbiguityGroup(members=frozenset(m), signature=w) for w, m in by_sig.items()),
+                    key=lambda g: g.sorted_members()[0].sort_key())
+    index = {c: i for i, g in enumerate(groups) for c in g.members}
+    t.rows.memo["ambiguity"] = (t.columns, index, groups)
+    return index, groups
+
+
+def _groups_of(t: FaultDetectionTable, statements: Iterable[StatementId]) -> list[AmbiguityGroup]:
+    """The ambiguity groups of the table that hold any of *statements*,
+    ordered by their least member."""
+    index, groups = _table_groups(t)
+    return [groups[i] for i in sorted({index[s] for s in statements})]
 
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong",
@@ -260,18 +272,79 @@ def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
     return frozenset.intersection(*common) - frozenset().union(*map(_marked, passing))
 
 
-def ambiguity_groups(g: RTGraph, paths: Sequence[Path]) -> list[AmbiguityGroup]:
-    """Partition of all statement ids by identical covering-path sets.
+def _path_counts(g: RTGraph) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """The topological position of each node, and for each node u the
+    number of paths from u to every node it reaches (u itself by the empty
+    path), as exact ints: O(V * E) additions.  Raises CyclicGraph."""
+    order, acyclic = g.try_topo_order()
+    if not acyclic:
+        raise CyclicGraph("cycle detected; covering paths are counted on acyclic graphs only")
+    reach: dict[str, dict[str, int]] = {}
+    for u in reversed(order):
+        row = {u: 1}
+        for rib in g.out_ribs(u):
+            for v, n in reach.get(rib.dst, {}).items():
+                row[v] = row.get(v, 0) + n
+        reach[u] = row
+    return {u: i for i, u in enumerate(order)}, reach
+
+
+def _covering_count(ribs: Sequence[Rib], into: dict[str, int], out: dict[str, int],
+                    reach: dict[str, dict[str, int]]) -> int:
+    """How many input-output paths cross at least one of *ribs* (given in
+    topological order of their sources).  Each path is counted once, at
+    the first of them it crosses: the paths reaching a rib's source that
+    cross none of *ribs* are all paths there less those first crossing an
+    earlier rib, which on a DAG is the only kind that can reach it."""
+    first: list[tuple[str, int]] = []  # (rib destination, paths first crossing the rib)
+    total = 0
+    for rib in ribs:
+        n = into.get(rib.src, 0) - sum(m * reach.get(d, {}).get(rib.src, 0) for d, m in first)
+        first.append((rib.dst, n))
+        total += n * out.get(rib.dst, 0)
+    return total
+
+
+def ambiguity_groups(g: RTGraph) -> list[AmbiguityGroup]:
+    """Partition of all statement ids by identical covering-path sets,
+    ordered by least member, without listing a path.
 
     Two statements are indistinguishable when every path containing one
     contains the other: with a single output observation, all terms of a
-    path fail together whenever any statement on the path is faulty.
+    path fail together whenever any statement on the path is faulty.  The
+    statements of a fragment share its covering paths.  Fragments F and G
+    cover the same paths iff N(F) = N(G) = N(F u G), where N counts the
+    paths crossing a rib of the set (``_covering_count``): fragments are
+    bucketed by N and each is compared with one member of every class
+    found so far in its bucket.  Fragments on no input-output path
+    (N = 0) form one group.  Polynomial in the graph, however many paths
+    it has.  Raises CyclicGraph.
     """
-    covering: dict[str, set[str]] = {}
-    for p in paths:
-        for rib in p.edges:
-            covering.setdefault(rib.fragment, set()).add(p.label)
-    return _group_by_signature({sid: covering.get(sid.fragment, ()) for sid in g.statement_ids})
+    pos, reach = _path_counts(g)
+    into = reach.get(g.input_node, {})
+    out = {u: row.get(g.output_node, 0) for u, row in reach.items()}
+
+    def by_source(rib: Rib) -> int:
+        return pos.get(rib.src, len(pos))
+
+    ribs: dict[str, list[Rib]] = {}
+    for rib in sorted(g.ribs, key=by_source):
+        ribs.setdefault(rib.fragment, []).append(rib)
+    classes: dict[int, list[list[str]]] = {}  # N -> fragment classes
+    for fragment in g.fragments:
+        n = _covering_count(ribs[fragment], into, out, reach)
+        bucket = classes.setdefault(n, [])
+        for cls in bucket:
+            union = sorted(ribs[cls[0]] + ribs[fragment], key=by_source)
+            if not n or _covering_count(union, into, out, reach) == n:
+                cls.append(fragment)
+                break
+        else:
+            bucket.append([fragment])
+    groups = [AmbiguityGroup(members=frozenset(chain.from_iterable(map(g.fragment_sids, cls))),
+                             signature=frozenset(cls))
+              for bucket in classes.values() for cls in bucket]
+    return sorted(groups, key=lambda gr: gr.sorted_members()[0].sort_key())
 
 
 # --- observation-point recommendation -----------------------------------------

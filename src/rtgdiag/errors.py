@@ -39,6 +39,10 @@ class PathExplosion(RtgError):
     """Path enumeration exceeded the configured cap."""
 
 
+class CyclicGraph(RtgError):
+    """A graph whose paths are counted has a cycle."""
+
+
 class TermExplosion(RtgError):
     """Bracket expansion exceeded the configured cap."""
 

@@ -30,12 +30,15 @@ def subscript(n: int) -> str:
     return str(n).translate(_SUBSCRIPT)
 
 
+_DIGITS = re.compile(r"(\d+)")
+
+
 def natural_key(s: str):
     """Sort key that orders embedded integers numerically ('I2' < 'I10').
 
     Only decimal digits count; subscript digits in labels stay text.
     """
-    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", s))
+    return tuple(int(p) if p.isdecimal() else p for p in _DIGITS.split(s))
 
 
 @dataclass(frozen=True, slots=True)

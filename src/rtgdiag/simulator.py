@@ -53,7 +53,6 @@ class Stimulus:
     """Input bindings for one execution."""
 
     env: Mapping[str, float]
-    label: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +61,6 @@ class ObservationTrace:
 
     points: tuple[tuple[str, float], ...]
     output: float
-    defaulted: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,11 +144,9 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
     env: dict[str, float] = {k: float(v) for k, v in s.env.items()}
     first_reads, _ = path_reads(p)
     unbound = [v for v in first_reads if v not in env]
-    defaulted: tuple[str, ...] = ()
     if unbound:
         if not permissive:
             raise UnboundVariable(unbound)
-        defaulted = tuple(unbound)
         for v in unbound:
             env[v] = 0.0
         warnings.warn(f"defaulted free variable(s) to 0.0: {', '.join(unbound)}",
@@ -170,7 +166,7 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
             except ExecutionError as err:
                 raise err.at(f"fragment {rib.fragment} statement {stmt.ordinal}")
         points.append((rib.dst, env[rib.statements[-1].target]))
-    return ObservationTrace(points=tuple(points), output=points[-1][1], defaulted=defaulted)
+    return ObservationTrace(points=tuple(points), output=points[-1][1])
 
 
 # --- fault injection ------------------------------------------------------------
@@ -367,7 +363,7 @@ def pick_stimulus(p: Path,
     for i, var in enumerate(first_reads):
         if var not in env:
             env[var] = 1.0 if i == 0 else 0.0
-    return Stimulus(env=env, label=p.label)
+    return Stimulus(env=env)
 
 
 def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:

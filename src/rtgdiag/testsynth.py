@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from math import prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import LengthMismatch, PathExplosion, TermExplosion, Uncoverable
 from .rtg import RTGraph, Rib, StatementId, natural_key, subscript
@@ -107,9 +107,11 @@ class BlockView(Sequence):
     label)`` per label: *item* is ``TestTerm`` or ``fdt.TableRow.of``.  The
     length is known without expanding; the items are built on first access
     and kept.  Raises LengthMismatch unless every block has one label per
-    tuple of its bracket product."""
+    tuple of its bracket product.  *memo* holds what a reader derives from
+    the blocks alone (diagnosis keeps a table's ambiguity groups there), so
+    every table sharing the view shares it."""
 
-    __slots__ = ("blocks", "_item", "_len", "_items")
+    __slots__ = ("blocks", "_item", "_len", "_items", "memo")
 
     def __init__(self, blocks: Iterable[Block], item: Callable):
         self.blocks = tuple(blocks)
@@ -120,6 +122,7 @@ class BlockView(Sequence):
                                      f"of {prod(map(len, b.brackets))} selections")
         self._len = sum(map(len, self.blocks))
         self._items: tuple | None = None
+        self.memo: dict = {}
 
     def _expanded(self) -> tuple:
         if self._items is None:
@@ -265,82 +268,111 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
 
 
 # --- covering problems -------------------------------------------------------
+#
+# A covering problem is a list of elements, every one of which is to be
+# covered, and (label, mask) candidates: bit i of a mask stands for element i.
 
-def _greedy_cover(universe: frozenset, candidates: list[tuple[str, frozenset]]) -> list[str]:
+def _bits(elements: Iterable) -> dict:
+    """The bit of each distinct element, 1 << i for the i-th first met."""
+    return {e: 1 << i for i, e in enumerate(dict.fromkeys(elements))}
+
+
+def _mask(bit: dict, items: Iterable) -> int:
+    """The union of the bits of *items*; an item with no bit adds none."""
+    m = 0
+    for item in items:
+        m |= bit.get(item, 0)
+    return m
+
+
+def _indices(mask: int) -> Iterator[int]:
+    """The set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _uncoverable(elements: Sequence, missing: int) -> Uncoverable:
+    return Uncoverable(min((elements[i] for i in _indices(missing)), key=str))
+
+
+def _greedy_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> list[str]:
     """Repeatedly take the candidate covering the most uncovered elements;
     ties go to the naturally smallest label, then to the earlier candidate.
 
     A lazy max-gain heap keyed (-gain, rank): gains only shrink as coverage
     grows, so an entry whose refreshed key still beats the heap top is the
-    exact minimum over all remaining candidates.
+    exact minimum over all remaining candidates.  A gain is one popcount.
     """
+    universe = (1 << len(elements)) - 1
     by_label = dict(candidates)
     labels = sorted(by_label, key=natural_key)
-    heap = [(-len(by_label[label]), rank) for rank, label in enumerate(labels)]
+    masks = [by_label[label] for label in labels]
+    heap = [(-m.bit_count(), rank) for rank, m in enumerate(masks)]
     heapq.heapify(heap)
     chosen: list[str] = []
-    covered: set = set()
+    covered = 0
     while covered != universe:
         gain = 0
         while heap:
             _, rank = heapq.heappop(heap)
-            gain = len(by_label[labels[rank]] - covered)
+            gain = (masks[rank] & ~covered).bit_count()
             if not heap or (-gain, rank) <= heap[0]:
                 break
             heapq.heappush(heap, (-gain, rank))
         if not gain:
-            missing = sorted(universe - covered, key=str)[0]
-            raise Uncoverable(missing)
+            raise _uncoverable(elements, universe & ~covered)
         chosen.append(labels[rank])
-        covered |= by_label[labels[rank]]
+        covered |= masks[rank]
     return chosen
 
 
-def _exact_cover(universe: frozenset, candidates: list[tuple[str, frozenset]]) -> list[str]:
+def _exact_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> list[str]:
     """Branch-and-bound minimum set cover, deterministic.
 
     Branches on the uncovered element with the fewest covering candidates;
     prefers the lexicographically (naturally) smallest label set on ties.
     """
-    order = {label: i for i, (label, _) in enumerate(
-        sorted(candidates, key=lambda kv: natural_key(kv[0])))}
-    elem_cover: dict = {}
-    for label, items in candidates:
-        for e in items:
-            elem_cover.setdefault(e, []).append(label)
-    for e in universe:
-        if e not in elem_cover:
-            raise Uncoverable(e)
+    universe = (1 << len(elements)) - 1
     by_label = dict(candidates)
+    order = {label: i for i, label in enumerate(sorted(by_label, key=natural_key))}
+    elem_cover: list[list[str]] = [[] for _ in elements]
+    for label, m in by_label.items():
+        for i in _indices(m):
+            elem_cover[i].append(label)
+    missing = sum(1 << i for i, labels in enumerate(elem_cover) if not labels)
+    if missing:
+        raise _uncoverable(elements, missing)
 
-    greedy = _greedy_cover(universe, candidates)
-    best: list[str] = sorted(greedy, key=lambda l: order[l])
+    greedy = _greedy_cover(elements, candidates)
+    best: list[str] = sorted(greedy, key=order.get)
     best_key = (len(best), tuple(order[l] for l in best))
 
-    def search(covered: frozenset, chosen: list[str]):
+    def search(covered: int, chosen: list[str]):
         nonlocal best, best_key
-        if covered >= universe:
+        if covered == universe:
             key = (len(chosen), tuple(sorted(order[l] for l in chosen)))
             if key < best_key:
-                best, best_key = sorted(chosen, key=lambda l: order[l]), key
+                best, best_key = sorted(chosen, key=order.get), key
             return
         if len(chosen) + 1 > best_key[0]:
             return
-        remaining = universe - covered
+        remaining = universe & ~covered
         # cheap bound: one candidate can cover at most max_gain new elements
-        max_gain = max(len(by_label[l] & remaining) for l in by_label)
-        need = -(-len(remaining) // max_gain)
+        max_gain = max((m & remaining).bit_count() for m in by_label.values())
+        need = -(-remaining.bit_count() // max_gain)
         if len(chosen) + need > best_key[0]:
             return
-        elem = min(remaining, key=lambda e: (len(elem_cover[e]), str(e)))
-        for label in sorted(elem_cover[elem], key=lambda l: order[l]):
+        elem = min(_indices(remaining), key=lambda i: (len(elem_cover[i]), str(elements[i])))
+        for label in sorted(elem_cover[elem], key=order.get):
             if label in chosen:
                 continue
             chosen.append(label)
             search(covered | by_label[label], chosen)
             chosen.pop()
 
-    search(frozenset(), [])
+    search(0, [])
     return best
 
 
@@ -350,11 +382,11 @@ def cover_is_exact(candidates: int, exact_cap: int) -> bool:
     return candidates <= exact_cap
 
 
-def _solve_cover(universe: frozenset, candidates: list[tuple[str, frozenset]],
+def _solve_cover(elements: Sequence, candidates: Sequence[tuple[str, int]],
                  exact_cap: int) -> list[str]:
     if cover_is_exact(len(candidates), exact_cap):
-        return _exact_cover(universe, candidates)
-    return _greedy_cover(universe, candidates)
+        return _exact_cover(elements, candidates)
+    return _greedy_cover(elements, candidates)
 
 
 def minimal_path_cover(g: RTGraph, paths: Sequence[Path],
@@ -363,12 +395,19 @@ def minimal_path_cover(g: RTGraph, paths: Sequence[Path],
 
     Exact (branch and bound) up to *exact_cap* paths, greedy beyond, so
     ``exact_cap=0`` forces greedy and ``exact_cap=len(paths)`` exact.  Ties
-    break toward naturally smaller path labels.
+    break toward naturally smaller path labels.  A path's mask is its
+    first node's bit and the masks of its ribs (the rib's key and
+    destination), each built once per call.
     """
-    universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
-    candidates = [(p.label, frozenset(p.nodes) | frozenset(r.key for r in p.edges))
-                  for p in paths]
-    keep = set(_solve_cover(universe, candidates, exact_cap))
+    bit = _bits(chain((n.name for n in g.nodes), (r.key for r in g.ribs)))
+    rib_mask = {r.key: bit[r.key] | bit.get(r.dst, 0) for r in g.ribs}
+    candidates = []
+    for p in paths:
+        m = bit.get(p.edges[0].src, 0) if p.edges else 0
+        for r in p.edges:
+            m |= rib_mask.get(r.key, 0)
+        candidates.append((p.label, m))
+    keep = set(_solve_cover(list(bit), candidates, exact_cap))
     return [p for p in paths if p.label in keep]
 
 
@@ -379,8 +418,8 @@ def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
 
     Raises Uncoverable when some statement id is selected by no term.
     """
-    universe = frozenset(columns)
-    candidates = [(t.label, frozenset(t.selection) & universe) for t in suite.terms]
-    keep = set(_solve_cover(universe, candidates, exact_cap))
+    bit = _bits(columns)
+    candidates = [(t.label, _mask(bit, t.selection)) for t in suite.terms]
+    keep = set(_solve_cover(list(bit), candidates, exact_cap))
     terms = tuple(t for t in suite.terms if t.label in keep)
     return TestSuite(terms=terms)

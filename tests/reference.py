@@ -1,18 +1,21 @@
 """Reference routes the tests check the library against.
 
-Each oracle here works on materialized rows, terms or subsets, the plain
-way, and reads nothing private of the code it checks: row-level CNF and
-exoneration, the row-level ambiguity partition, a term-by-term response
-vector, brute-force hitting sets and covers, and an unmerged fixture for
-the merge pass.
+Each oracle here works on materialized rows, terms, paths or subsets, the
+plain way, and reads nothing private of the code it checks: row-level CNF
+and exoneration, the row-level ambiguity partition, the ambiguity groups of
+a graph from its enumerated paths, a term-by-term response vector,
+brute-force hitting sets and covers, the greedy covers on frozensets, and
+an unmerged fixture for the merge pass.
 """
 
 import math
 from itertools import combinations
 
 from rtgdiag import (AmbiguityGroup, ExecutionError, FaultDetectionTable, NoFailures,
-                     NoResponse, Path, RTGraph, execute_path, make_rib)
+                     NoResponse, Path, RTGraph, Uncoverable, enumerate_paths, execute_path,
+                     make_rib)
 from rtgdiag.fixtures import fig1_graph
+from rtgdiag.rtg import natural_key
 
 TOLERANCE = 1e-9
 
@@ -53,6 +56,21 @@ def ambiguity_partition(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     for c in t.columns:
         signature = frozenset(p for p, m in marked.items() if c in m)
         by_signature.setdefault(signature, set()).add(c)
+    groups = [AmbiguityGroup(members=frozenset(m), signature=s) for s, m in by_signature.items()]
+    return sorted(groups, key=lambda g: min(s.sort_key() for s in g.members))
+
+
+def ambiguity_groups_by_paths(g: RTGraph) -> list[AmbiguityGroup]:
+    """Every ambiguity group of graph *g*: its statements partitioned by the
+    set of labels of the enumerated paths that cross their fragment,
+    ordered by least member."""
+    covering: dict[str, set] = {}
+    for p in enumerate_paths(g):
+        for rib in p.edges:
+            covering.setdefault(rib.fragment, set()).add(p.label)
+    by_signature: dict[frozenset, set] = {}
+    for sid in g.statement_ids:
+        by_signature.setdefault(frozenset(covering.get(sid.fragment, ())), set()).add(sid)
     groups = [AmbiguityGroup(members=frozenset(m), signature=s) for s, m in by_signature.items()]
     return sorted(groups, key=lambda g: min(s.sort_key() for s in g.members))
 
@@ -118,6 +136,44 @@ def brute_min_cover_size(universe, candidate_sets):
             if frozenset().union(*combo) == universe:
                 return k
     return None
+
+
+# --- greedy covers on frozensets ---------------------------------------------------
+
+
+def greedy_cover(universe, candidates):
+    """Plain min-scan greedy: each round rescans every remaining candidate for
+    the most uncovered elements, ties to the naturally smallest label, then
+    to the earlier candidate."""
+    chosen, covered = [], set()
+    remaining = dict(candidates)
+    while covered != universe:
+        best = None
+        if remaining:
+            best = min(remaining.items(),
+                       key=lambda kv: (-len(kv[1] - covered), natural_key(kv[0])))
+        if best is None or not best[1] - covered:
+            raise Uncoverable(sorted(universe - covered, key=str)[0])
+        chosen.append(best[0])
+        covered |= best[1]
+        del remaining[best[0]]
+    return chosen
+
+
+def greedy_path_cover(g: RTGraph, paths) -> list[str]:
+    """The labels greedy takes to cover every node and rib of *g*, each path
+    a frozenset of its nodes and rib keys."""
+    universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
+    return greedy_cover(universe, [(p.label, frozenset(p.nodes) | {r.key for r in p.edges})
+                                   for p in paths])
+
+
+def greedy_diagnostic_test(suite, columns) -> list[str]:
+    """The labels greedy takes to select every statement of *columns*, each
+    term a frozenset of its selection."""
+    universe = frozenset(columns)
+    return greedy_cover(universe, [(t.label, frozenset(t.selection) & universe)
+                                   for t in suite.terms])
 
 
 # --- graphs before merging ------------------------------------------------------

@@ -119,7 +119,7 @@ def test_criterion_07_single_fault_soundness():
         suite = build_complete_test(graph)
         mutant = inject_fault(graph, fault)
         x0 = rng.uniform(1.1, 4.9)
-        stimuli = {t.label: Stimulus(env={"x": x0}, label=t.label) for t in suite.terms}
+        stimuli = {t.label: Stimulus(env={"x": x0}) for t in suite.terms}
         v = run_suite(graph, mutant, suite, stimuli)
         table = attach_response(build_extended_fdt(graph, suite), v)
 
@@ -207,9 +207,8 @@ def test_criterion_09_frontend_fidelity():
 
 def test_criterion_10_testability():
     g = fig1_graph()
-    paths = enumerate_paths(g)
     groups = [tuple(s.label for s in gr.sorted_members())
-              for gr in ambiguity_groups(g, paths)]
+              for gr in ambiguity_groups(g)]
     ok = groups == [("I11",), ("I22", "I23"), ("I31", "I32"),
                     ("I41", "I44", "I45"), ("I51", "I52", "I55"), ("I61",)]
     inserts = recommend_observation_points(g, 1)

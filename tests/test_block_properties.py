@@ -53,7 +53,7 @@ def responded_tables(draw):
         # other inputs for one term: its path is split when it has more terms
         env = dict(stimuli[labels[i]].env)
         env[next(iter(env))] = draw(st.sampled_from((-2.0, 0.5, 3.0)))
-        stimuli[labels[i]] = Stimulus(env=env, label=labels[i])
+        stimuli[labels[i]] = Stimulus(env=env)
     catalogue = mutation_catalogue(g)
     assume(catalogue)
     fault = catalogue[draw(st.integers(0, len(catalogue) - 1))]

@@ -5,8 +5,8 @@ import pytest
 from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, NoResponse,
                      ResponseVector, RTGraph, ambiguity_groups, attach_response,
                      build_generalized_fdt, cnf_to_min_dnf, diagnose, diagnose_generalized,
-                     enumerate_paths, make_rib, recommend_observation_points,
-                     reduce_candidates, verify_minimal_insertions)
+                     make_rib, recommend_observation_points, reduce_candidates,
+                     verify_minimal_insertions)
 from rtgdiag.diagnosis import CandidateDNF
 
 from randmodels import random_clause_family, random_dag_model, single_rib_graph
@@ -172,8 +172,8 @@ EXPECTED_GROUPS = [("I11",), ("I22", "I23"), ("I31", "I32"),
                    ("I41", "I44", "I45"), ("I51", "I52", "I55"), ("I61",)]
 
 
-def test_ambiguity_groups_reference(g, paths):
-    groups = ambiguity_groups(g, paths)
+def test_ambiguity_groups_reference(g):
+    groups = ambiguity_groups(g)
     assert [tuple(s.label for s in gr.sorted_members()) for gr in groups] == EXPECTED_GROUPS
     members = [s for gr in groups for s in gr.members]
     assert sorted(s.label for s in members) == sorted(s.label for s in g.statement_ids)
@@ -181,14 +181,14 @@ def test_ambiguity_groups_reference(g, paths):
 
 def test_single_rib_graph_is_one_group():
     g = single_rib_graph()
-    groups = ambiguity_groups(g, enumerate_paths(g))
+    groups = ambiguity_groups(g)
     assert len(groups) == 1
 
 
 def test_same_rib_statements_always_group_together():
     rib = make_rib("I1", "X", "Y", [(1, "a", ("x", 1.0)), (2, "b", ("a", 2.0))])
     g = RTGraph(nodes=(Node("X", "input"), Node("Y", "output")), ribs=(rib,))
-    groups = ambiguity_groups(g, enumerate_paths(g))
+    groups = ambiguity_groups(g)
     assert len(groups) == 1
     assert len(groups[0].members) == 2
 

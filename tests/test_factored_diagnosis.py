@@ -123,7 +123,7 @@ def every_fifth_term_at(x: float):
     def stimuli_for(g, suite):
         out = default_stimuli(g, suite)
         for t in suite.terms[::5]:
-            out[t.label] = Stimulus(env={"x": x}, label=t.label)
+            out[t.label] = Stimulus(env={"x": x})
         return out
     return stimuli_for
 

@@ -43,7 +43,7 @@ def split_stimuli(suite, stimuli):
         if len(terms) > 1:
             t = terms[-1]
             env = {k: v * 2.5 + 0.75 for k, v in stimuli[t.label].env.items()}
-            out[t.label] = Stimulus(env=env, label=t.label)
+            out[t.label] = Stimulus(env=env)
     return out
 
 

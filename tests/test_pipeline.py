@@ -33,7 +33,7 @@ def calls(monkeypatch):
      ("enumerate_paths", "build_complete_test")),
     (("fdt",), 0, ("enumerate_paths", "build_complete_test")),
     (("all", "--fault", "I5:3:op=3"), 1, ("enumerate_paths", "build_complete_test")),
-    (("testability",), 0, ("enumerate_paths", "ambiguity_groups")),
+    (("testability",), 0, ("ambiguity_groups",)),
 ], ids=("cover-diagnostic", "cover-paths", "run-diagnostic", "fdt", "all", "testability"))
 def test_each_stage_runs_once(calls, capsys, source, argv, code, once):
     assert main([*argv, *source]) == code

@@ -11,7 +11,7 @@ from rtgdiag.rtg import natural_key, subscript
 from rtgdiag.testsynth import TestSuite, _greedy_cover
 
 from randmodels import chain_model, random_dag_model, single_rib_graph
-from reference import brute_min_cover_size
+from reference import brute_min_cover_size, greedy_cover
 
 PAPER_LABELS = ["111₁", "141₁", "151₁", "111₂", "121₁",
                 "151₂", "21₁", "31", "11", "21₂"]
@@ -182,23 +182,12 @@ def test_greedy_forced_by_exact_cap(g, paths):
 # --- oracles for the indexed routes -------------------------------------------
 
 
-def reference_greedy_cover(universe, candidates):
-    """Plain min-scan greedy: each round rescans every remaining candidate for
-    the most uncovered elements, ties to the naturally smallest label, then
-    to the earlier candidate."""
-    chosen, covered = [], set()
-    remaining = dict(candidates)
-    while covered != universe:
-        best = None
-        if remaining:
-            best = min(remaining.items(),
-                       key=lambda kv: (-len(kv[1] - covered), natural_key(kv[0])))
-        if best is None or not best[1] - covered:
-            raise Uncoverable(sorted(universe - covered, key=str)[0])
-        chosen.append(best[0])
-        covered |= best[1]
-        del remaining[best[0]]
-    return chosen
+def mask_greedy_cover(universe, candidates):
+    """_greedy_cover on the same problem with its sets as bit masks."""
+    elements = sorted(universe, key=str)
+    bit = {e: 1 << i for i, e in enumerate(elements)}
+    return _greedy_cover(elements, [(label, sum(bit[e] for e in items))
+                                    for label, items in candidates])
 
 
 def _cover_outcome(solver, universe, candidates):
@@ -223,8 +212,8 @@ def test_greedy_cover_matches_min_scan_reference():
                                 f"{k}", f"T{k}x{rng.randint(0, 2)}"))
             candidates.append((label, frozenset(rng.sample(range(n), rng.randint(0, min(3, n))))))
         # uncoverable families include ones that use up every candidate first
-        expected = _cover_outcome(reference_greedy_cover, universe, candidates)
-        assert _cover_outcome(_greedy_cover, universe, candidates) == expected
+        expected = _cover_outcome(greedy_cover, universe, candidates)
+        assert _cover_outcome(mask_greedy_cover, universe, candidates) == expected
         tallies["uncoverable"] += isinstance(expected, tuple)
         keys = [natural_key(label) for label in dict(candidates)]
         tallies["key-ties"] += len(set(keys)) < len(keys)
