@@ -1,20 +1,35 @@
 """Command-line interface wiring the four-stage workflow.
 
-Subcommands: parse, graph, paths, terms, cover, fdt, inject, run, diagnose,
-testability, all.  Each invocation builds one Pipeline whose stages (graph,
-paths, complete and diagnostic suites, extended table, response vector V,
-diagnosis) are computed at most once; every subcommand prints a projection
-of it.  Text output mirrors the reference table layout; JSON output
-(``--format json``) is the machine interface.  Outputs are byte-identical
-across runs with identical configuration.
+Each invocation builds one Pipeline.  Its stages are program, lowered,
+graph, violations, valid_graph, paths, suite (the complete test),
+diagnostic_suite, tests (the suite that is run), table, fault, mutant,
+stimuli, response (V), responded (the table with V bound) and verdict;
+each is computed at most once, and every subcommand prints a projection:
+
+  parse        program's shape
+  graph        graph, or its violations
+  paths        paths, with activation formulas
+  terms        suite
+  cover        a minimal cover of paths, or diagnostic_suite
+  fdt          table, or responded when ``--response`` is given
+  inject       mutant
+  run          response (``--table-out`` writes responded)
+  diagnose     verdict of the ``--table`` file
+  testability  ambiguity groups and insertions of valid_graph
+  all          program, paths, suite, responded and verdict
+
+Text output mirrors the reference table layout; JSON output (``--format
+json``) is the machine interface.  Outputs are byte-identical across runs
+with identical configuration.
 
 Exit codes: 0 success, 1 diagnosis findings, 2 usage errors, 3 data errors.
-An error is one ``rtgdiag <cmd>: ...`` line on stderr, and so is each
-distinct warning (``rtgdiag <cmd>: warning: ...``, e.g. a variable that
-``--permissive`` defaulted), in the order first raised.  The environment variable RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N")
-overrides the explosion caps.  ``testability`` counts covering paths
-instead of listing them, so its cost is polynomial in the graph and the
-``paths`` cap does not bound it.
+Option values are checked before any file is read.  An error is one
+``rtgdiag <cmd>: ...`` line on stderr, and so is each distinct warning
+(``rtgdiag <cmd>: warning: ...``, e.g. a variable that ``--permissive``
+defaulted), in the order first raised.  The environment variable
+RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N") overrides the explosion
+caps.  ``testability`` counts covering paths instead of listing them, so
+its cost is polynomial in the graph and the ``paths`` cap does not bound it.
 """
 
 from __future__ import annotations
@@ -25,7 +40,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import diagnosis, fdt, frontend, rtg, simulator, testsynth
@@ -37,66 +51,27 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved knobs for one invocation; defaults are stable."""
-
-    fmt: str = "text"
-    tolerance: float = simulator.DEFAULT_TOLERANCE
-    mode: str = "strong"
-    unfolded: bool = False
-    permissive: bool = False
-    path_cap: int = testsynth.DEFAULT_PATH_CAP
-    term_cap: int = testsynth.DEFAULT_TERM_CAP
-    dnf_cap: int = diagnosis.DEFAULT_DNF_CAP
-    exact_cap: int = testsynth.DEFAULT_EXACT_CAP
-
-
 def _caps_from_env() -> dict[str, int]:
-    raw = os.environ.get("RTGDIAG_CAPS", "")
-    out: dict[str, int] = {}
-    names = {"paths": "path_cap", "terms": "term_cap", "dnf": "dnf_cap", "exact": "exact_cap"}
-    for part in raw.split(","):
+    """The explosion caps, RTGDIAG_CAPS over the defaults."""
+    caps = {"paths": testsynth.DEFAULT_PATH_CAP, "terms": testsynth.DEFAULT_TERM_CAP,
+            "dnf": diagnosis.DEFAULT_DNF_CAP, "exact": testsynth.DEFAULT_EXACT_CAP}
+    for part in os.environ.get("RTGDIAG_CAPS", "").split(","):
         if not part.strip():
             continue
         key, _, value = (x.strip() for x in part.partition("="))
-        if key not in names:
+        if key not in caps:
             raise UsageError(f"RTGDIAG_CAPS: unknown cap {key!r}; "
-                             f"expected one of {', '.join(names)}")
+                             f"expected one of {', '.join(caps)}")
         if not value.isdecimal():
             raise UsageError(f"RTGDIAG_CAPS: {key} needs a non-negative integer, "
                              f"got {value!r}")
-        out[names[key]] = int(value)
-    return out
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    caps = _caps_from_env()
-    tolerance = getattr(args, "tolerance", simulator.DEFAULT_TOLERANCE)
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise UsageError(f"--tolerance needs a finite non-negative number, got {tolerance}")
-    return RunConfig(
-        fmt=getattr(args, "format", "text"),
-        tolerance=tolerance,
-        mode=getattr(args, "mode", "strong"),
-        unfolded=getattr(args, "unfolded", False),
-        permissive=getattr(args, "permissive", False),
-        **caps,
-    )
+        caps[key] = int(value)
+    return caps
 
 
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    """*text* to the ``--out`` file, else to stdout."""
-    out = getattr(args, "out", None)
-    if out:
-        _write(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read(path: str, load):
@@ -109,12 +84,6 @@ def _read(path: str, load):
         raise RtgError(f"{path}: not UTF-8 text (byte {e.start})") from None
     except RecursionError:
         raise RtgError(f"{path}: nested too deeply to read") from None
-
-
-def _validate_or_fail(g: rtg.RTGraph) -> None:
-    violations = rtg.validate_graph(g)
-    if violations:
-        raise RtgError("invalid graph:\n" + "\n".join(str(v) for v in violations))
 
 
 def _parse_fault(spec: str) -> simulator.FaultSpec:
@@ -132,106 +101,166 @@ def _parse_fault(spec: str) -> simulator.FaultSpec:
     raise RtgError(f"bad fault spec {spec!r}; expected FRAG:ORDINAL:op=N or FRAG:ORDINAL:const=V")
 
 
-def _stimuli_for(g: rtg.RTGraph, suite: testsynth.TestSuite,
-                 stimuli_path: str | None) -> dict[str, simulator.Stimulus]:
-    given: dict[str, dict] = {}
-    if stimuli_path:
-        given = _read(stimuli_path, json.loads)
-    if not isinstance(given, dict) or not all(isinstance(e, dict) for e in given.values()):
-        raise RtgError(f"{stimuli_path}: expected {{term label: {{variable: value}}}}")
-    out = simulator.default_stimuli(g, suite)
-    for label, env in given.items():
-        if label in out:
-            try:
-                out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
-            except (TypeError, ValueError):
-                raise RtgError(f"{stimuli_path}: non-numeric value for term {label}") from None
-    return out
+def _finite(value) -> bool:
+    """Whether *value* is an int or float, not a bool, of finite float value."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
 
 
 class Pipeline:
     """The stages of one invocation.
 
-    Each stage is computed on first use from the stages before it and kept
-    for the rest of the invocation only.  Stages call the layer functions
-    through their modules, so tracing those modules sees every call.
+    Option values are checked when the pipeline is made.  Each stage is
+    computed on first use from the stages before it and kept for the rest
+    of the invocation only.  Stages call the layer functions through their
+    modules, so tracing those modules sees every call.
     """
 
-    def __init__(self, args: argparse.Namespace, cfg: RunConfig):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = cfg
+        self.caps = _caps_from_env()
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise UsageError(f"--tolerance needs a finite non-negative number, "
+                             f"got {args.tolerance}")
+        if args.const is not None and not math.isfinite(args.const):
+            raise UsageError(f"--const needs a finite number, got {args.const}")
+        if args.response and args.response.strip("01"):
+            raise UsageError(f"--response needs a string of 0s and 1s, got {args.response!r}")
+        if args.target < 1:
+            raise UsageError(f"--target needs a positive integer, got {args.target}")
 
     @cached_property
     def program(self) -> frontend.Program:
         return _read(self.args.program,
-                     lambda text: frontend.parse_program(text, fold=not self.cfg.unfolded))
+                     lambda text: frontend.parse_program(text, fold=not self.args.unfolded))
+
+    @cached_property
+    def lowered(self) -> rtg.RTGraph:
+        return frontend.build_rtg(self.program)[0]
 
     @cached_property
     def graph(self) -> rtg.RTGraph:
         """The ``--graph`` file, else the lowered ``--program``."""
-        if getattr(self.args, "graph", None):
+        if self.args.graph:
             return _read(self.args.graph, rtg.loads_graph)
-        if getattr(self.args, "program", None):
-            return frontend.build_rtg(self.program)[0]
+        if self.args.program:
+            return self.lowered
         raise RtgError("either --graph or --program is required")
 
     @cached_property
+    def violations(self) -> list[rtg.Violation]:
+        return rtg.validate_graph(self.graph)
+
+    @cached_property
+    def valid_graph(self) -> rtg.RTGraph:
+        """The graph, once it has no violations."""
+        if self.violations:
+            raise RtgError("invalid graph:\n" + "\n".join(str(v) for v in self.violations))
+        return self.graph
+
+    @cached_property
     def paths(self) -> list[testsynth.Path]:
-        return testsynth.enumerate_paths(self.graph, path_cap=self.cfg.path_cap)
+        return testsynth.enumerate_paths(self.valid_graph, path_cap=self.caps["paths"])
 
     @cached_property
     def suite(self) -> testsynth.TestSuite:
         """The complete test."""
-        return testsynth.build_complete_test(self.graph, self.paths, term_cap=self.cfg.term_cap)
+        return testsynth.build_complete_test(self.valid_graph, self.paths,
+                                             term_cap=self.caps["terms"])
 
     @cached_property
     def diagnostic_suite(self) -> testsynth.TestSuite:
         return testsynth.minimal_diagnostic_test(self.suite, self.graph.statement_ids,
-                                                 exact_cap=self.cfg.exact_cap)
+                                                 exact_cap=self.caps["exact"])
 
     @cached_property
     def tests(self) -> testsynth.TestSuite:
         """The suite that is run: the diagnostic one under ``--suite
         diagnostic``, the complete test otherwise."""
-        if getattr(self.args, "suite", "complete") == "diagnostic":
-            return self.diagnostic_suite
-        return self.suite
+        return self.diagnostic_suite if self.args.suite == "diagnostic" else self.suite
 
     @cached_property
     def table(self) -> fdt.FaultDetectionTable:
-        """The extended table of the tests."""
-        return fdt.build_extended_fdt(self.graph, self.tests)
+        """The ``--kind`` table: one row per path, or one per test."""
+        if self.args.kind == "generalized":
+            return fdt.build_generalized_fdt(self.valid_graph, self.paths)
+        return fdt.build_extended_fdt(self.valid_graph, self.tests)
 
     @cached_property
     def fault(self) -> simulator.FaultSpec | None:
-        return _parse_fault(self.args.fault) if self.args.fault else None
+        """``--fault``, else ``inject``'s ``--op`` or ``--const``."""
+        a = self.args
+        if a.fault:
+            return _parse_fault(a.fault)
+        if a.op is not None:
+            return simulator.FaultSpec(fragment=a.fragment, ordinal=a.ordinal, opcode=a.op)
+        if a.const is not None:
+            return simulator.FaultSpec(fragment=a.fragment, ordinal=a.ordinal,
+                                       constant=a.const, operand_index=a.operand)
+        return None
 
     @cached_property
     def mutant(self) -> rtg.RTGraph:
-        if getattr(self.args, "mutant", None):
+        """The ``--mutant`` file, else the graph with the fault injected."""
+        if self.args.mutant:
             return _read(self.args.mutant, rtg.loads_graph)
-        if self.fault is not None:
-            return simulator.inject_fault(self.graph, self.fault)
-        raise RtgError("run needs --mutant or --fault")
+        if self.fault is None:
+            raise RtgError("run needs --mutant or --fault")
+        return simulator.inject_fault(self.graph, self.fault)
+
+    @cached_property
+    def stimuli(self) -> dict[str, simulator.Stimulus]:
+        """The default stimulus of each test, replaced where the
+        ``--stimuli`` file gives the term's variables."""
+        path = self.args.stimuli
+        given = _read(path, json.loads) if path else {}
+        if not isinstance(given, dict) or not all(isinstance(e, dict) for e in given.values()):
+            raise RtgError(f"{path}: expected {{term label: {{variable: value}}}}")
+        out = simulator.default_stimuli(self.valid_graph, self.tests)
+        for label, env in given.items():
+            if label in out:
+                for var, value in env.items():
+                    if not _finite(value):
+                        raise RtgError(f"{path}: term {label}: {var} needs a finite number")
+                out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
+        return out
 
     @cached_property
     def response(self) -> fdt.ResponseVector:
-        """V: one bit per test, golden against mutant."""
-        return simulator.run_suite(
-            self.graph, self.mutant, self.tests,
-            _stimuli_for(self.graph, self.tests, self.args.stimuli),
-            tolerance=self.cfg.tolerance, permissive=self.cfg.permissive)
+        """V: the ``--response`` bits, else one bit per test, golden
+        against mutant."""
+        if self.args.response:
+            return fdt.ResponseVector(tuple(int(b) for b in self.args.response))
+        return simulator.run_suite(self.valid_graph, self.mutant, self.tests, self.stimuli,
+                                   tolerance=self.args.tolerance,
+                                   permissive=self.args.permissive)
 
     @cached_property
     def responded(self) -> fdt.FaultDetectionTable:
-        """The ``--table`` file, else the extended table with V bound."""
-        if getattr(self.args, "table", None):
+        """The ``--table`` file, else the table with V bound."""
+        if self.args.table:
             return _read(self.args.table, fdt.loads_table)
         return fdt.attach_response(self.table, self.response)
 
     @cached_property
     def verdict(self) -> diagnosis.DiagnosisResult:
-        return diagnosis.diagnose(self.responded, mode=self.cfg.mode, cap=self.cfg.dnf_cap)
+        return diagnosis.diagnose(self.responded, mode=self.args.mode, cap=self.caps["dnf"])
+
+
+def _emit(pl: Pipeline, text, doc=None) -> None:
+    """*doc* as JSON under ``--format json``, else *text*, each given as a
+    value or as a function making it; to the ``--out`` file, else stdout."""
+    if doc is not None and pl.args.format == "json":
+        text = rtg.dumps_json(doc() if callable(doc) else doc)
+    elif callable(text):
+        text = text()
+    if pl.args.out:
+        _write(pl.args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -241,112 +270,72 @@ def cmd_parse(pl: Pipeline) -> int:
     chains = [item for item in program.body if isinstance(item, frontend.IfChain)]
     assignments = (len(program.body) - len(chains)
                    + sum(len(arm.body) for chain in chains for arm in chain.arms))
-    doc = {"inputs": list(program.inputs), "output": program.output,
-           "if_chains": len(chains), "assignments": assignments}
-    if pl.cfg.fmt == "json":
-        _emit(pl.args, rtg.dumps_json(doc))
-    else:
-        _emit(pl.args, f"program: inputs={', '.join(program.inputs)} output={program.output} "
-                       f"if-chains={len(chains)} assignments={assignments}\n")
+    _emit(pl, f"program: inputs={', '.join(program.inputs)} output={program.output} "
+              f"if-chains={len(chains)} assignments={assignments}\n",
+          {"inputs": list(program.inputs), "output": program.output,
+           "if_chains": len(chains), "assignments": assignments})
     return EXIT_OK
 
 
 def cmd_graph(pl: Pipeline) -> int:
-    violations = rtg.validate_graph(pl.graph)
-    if violations:
-        sys.stderr.write("\n".join(str(v) for v in violations) + "\n")
+    if pl.violations:
+        sys.stderr.write("\n".join(str(v) for v in pl.violations) + "\n")
         return EXIT_DATA
-    _emit(pl.args, rtg.dumps_graph(pl.graph))
+    _emit(pl, rtg.dumps_graph(pl.graph))
     return EXIT_OK
 
 
 def cmd_paths(pl: Pipeline) -> int:
-    _validate_or_fail(pl.graph)
-    if pl.cfg.fmt == "json":
-        doc = [{"label": p.label, "fragments": list(p.fragments), "nodes": list(p.nodes)}
-               for p in pl.paths]
-        _emit(pl.args, rtg.dumps_json(doc))
-    else:
-        lines = [f"{p.label}: " + " ".join(p.fragments) + "   "
-                 + str(testsynth.activation_formula(pl.graph, p)) for p in pl.paths]
-        _emit(pl.args, "\n".join(lines) + "\n")
+    paths = pl.paths
+    _emit(pl, lambda: "\n".join(f"{p.label}: " + " ".join(p.fragments) + "   "
+                                + str(testsynth.activation_formula(pl.graph, p))
+                                for p in paths) + "\n",
+          lambda: [{"label": p.label, "fragments": list(p.fragments), "nodes": list(p.nodes)}
+                   for p in paths])
     return EXIT_OK
 
 
 def cmd_terms(pl: Pipeline) -> int:
-    _validate_or_fail(pl.graph)
-    if pl.cfg.fmt == "json":
-        doc = [{"label": t.label, "path": t.path.label,
-                "marks": [s.label for s in t.selection]} for t in pl.suite.terms]
-        _emit(pl.args, rtg.dumps_json(doc))
-    else:
-        lines = [f"{t.label}: " + " ".join(s.label for s in t.selection)
-                 + f"   (path {t.path.label})" for t in pl.suite.terms]
-        _emit(pl.args, "\n".join(lines) + "\n")
+    terms = pl.suite.terms
+    _emit(pl, lambda: "\n".join(f"{t.label}: " + " ".join(s.label for s in t.selection)
+                                + f"   (path {t.path.label})" for t in terms) + "\n",
+          lambda: [{"label": t.label, "path": t.path.label,
+                    "marks": [s.label for s in t.selection]} for t in terms])
     return EXIT_OK
 
 
 def cmd_cover(pl: Pipeline) -> int:
-    _validate_or_fail(pl.graph)
     mode = pl.args.cover_mode
     if mode == "paths":
         candidates = pl.paths
-        chosen = testsynth.minimal_path_cover(pl.graph, pl.paths, exact_cap=pl.cfg.exact_cap)
-        labels = [p.label for p in chosen]
+        labels = [p.label for p in testsynth.minimal_path_cover(
+            pl.valid_graph, pl.paths, exact_cap=pl.caps["exact"])]
     else:
         candidates = pl.suite.terms
         labels = list(pl.diagnostic_suite.terms.labels())
-    if pl.cfg.fmt == "json":
-        exact = testsynth.cover_is_exact(len(candidates), pl.cfg.exact_cap)
-        _emit(pl.args, rtg.dumps_json({"mode": mode, "selected": labels, "exact": exact}))
-    else:
-        _emit(pl.args, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n")
+    exact = testsynth.cover_is_exact(len(candidates), pl.caps["exact"])
+    _emit(pl, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n",
+          {"mode": mode, "selected": labels, "exact": exact})
     return EXIT_OK
 
 
 def cmd_fdt(pl: Pipeline) -> int:
-    args = pl.args
-    if args.response and args.response.strip("01"):
-        raise UsageError(f"--response needs a string of 0s and 1s, got {args.response!r}")
-    _validate_or_fail(pl.graph)
-    if args.kind == "generalized":
-        table = fdt.build_generalized_fdt(pl.graph, pl.paths)
-    else:
-        table = pl.table
-    if args.response:
-        bits = tuple(int(b) for b in args.response)
-        table = fdt.attach_response(table, fdt.ResponseVector(bits))
-    _emit(args, fdt.dumps_table(table) if pl.cfg.fmt == "json" else fdt.render_table(table))
+    table = pl.responded if pl.args.response else pl.table
+    _emit(pl, lambda: fdt.render_table(table), lambda: fdt.table_to_json(table))
     return EXIT_OK
 
 
 def cmd_inject(pl: Pipeline) -> int:
-    args = pl.args
-    g = pl.graph
-    if args.op is not None:
-        fault = simulator.FaultSpec(fragment=args.fragment, ordinal=args.ordinal,
-                                    opcode=args.op)
-    elif args.const is not None:
-        if not math.isfinite(args.const):
-            raise UsageError(f"--const needs a finite number, got {args.const}")
-        fault = simulator.FaultSpec(fragment=args.fragment, ordinal=args.ordinal,
-                                    constant=args.const, operand_index=args.operand)
-    else:
-        raise RtgError("inject needs --op or --const")
-    _emit(args, rtg.dumps_graph(simulator.inject_fault(g, fault)))
+    _emit(pl, rtg.dumps_graph(pl.mutant))
     return EXIT_OK
 
 
 def cmd_run(pl: Pipeline) -> int:
-    _validate_or_fail(pl.graph)
     v = pl.response
     if pl.args.table_out:
         _write(pl.args.table_out, fdt.dumps_table(pl.responded))
-    if pl.cfg.fmt == "json":
-        doc = {"labels": list(pl.tests.terms.labels()), "bits": list(v.bits)}
-        _emit(pl.args, rtg.dumps_json(doc))
-    else:
-        _emit(pl.args, f"V = {v}\n")
+    _emit(pl, f"V = {v}\n",
+          lambda: {"labels": list(pl.tests.terms.labels()), "bits": list(v.bits)})
     return EXIT_OK
 
 
@@ -373,63 +362,45 @@ def _diagnosis_json(result: diagnosis.DiagnosisResult) -> dict:
 
 
 def cmd_diagnose(pl: Pipeline) -> int:
-    args, table = pl.args, pl.responded
+    table = pl.responded
     try:
         if table.kind == "generalized":
             suspects = diagnosis.diagnose_generalized(table)
-            if pl.cfg.fmt == "json":
-                _emit(args, rtg.dumps_json({"suspects": sorted(s.label for s in suspects)}))
-            else:
-                _emit(args, fdt.render_table(table, suspects=suspects)
-                      + "Faults = {" + ", ".join(sorted(s.label for s in suspects)) + "}\n")
+            labels = sorted(s.label for s in suspects)
+            _emit(pl, fdt.render_table(table, suspects=suspects)
+                  + "Faults = {" + ", ".join(labels) + "}\n", {"suspects": labels})
             return EXIT_FINDINGS
         result = pl.verdict
     except NoFailures:
-        _emit(args, rtg.dumps_json({"suspects": []}) if pl.cfg.fmt == "json"
-              else "no fault detected\n")
+        _emit(pl, "no fault detected\n", {"suspects": []})
         return EXIT_OK
-    _emit(args, rtg.dumps_json(_diagnosis_json(result)) if pl.cfg.fmt == "json"
-          else _diagnosis_text(result))
+    _emit(pl, _diagnosis_text(result), _diagnosis_json(result))
     return EXIT_FINDINGS
 
 
 def cmd_testability(pl: Pipeline) -> int:
     target = pl.args.target
-    if target < 1:
-        raise UsageError(f"--target needs a positive integer, got {target}")
-    _validate_or_fail(pl.graph)
-    groups = diagnosis.ambiguity_groups(pl.graph)
-    inserts = diagnosis.recommend_observation_points(pl.graph, target)
-    if pl.cfg.fmt == "json":
-        doc = {
-            "groups": [[s.label for s in gr.sorted_members()] for gr in groups],
-            "target": target,
-            "insertions": [{"fragment": f, "after_ordinal": k} for f, k in inserts],
-        }
-        _emit(pl.args, rtg.dumps_json(doc))
-    else:
-        lines = ["ambiguity groups:"]
-        lines += ["  {" + ", ".join(s.label for s in gr.sorted_members()) + "}" for gr in groups]
-        lines.append(f"insertions for target {target}:")
-        lines += [f"  {f}: after statement {k}" for f, k in inserts] or ["  (none needed)"]
-        _emit(pl.args, "\n".join(lines) + "\n")
+    groups = [[s.label for s in gr.sorted_members()]
+              for gr in diagnosis.ambiguity_groups(pl.valid_graph)]
+    inserts = diagnosis.recommend_observation_points(pl.valid_graph, target)
+    lines = ["ambiguity groups:", *("  {" + ", ".join(gr) + "}" for gr in groups),
+             f"insertions for target {target}:",
+             *([f"  {f}: after statement {k}" for f, k in inserts] or ["  (none needed)"])]
+    _emit(pl, "\n".join(lines) + "\n",
+          {"groups": groups, "target": target,
+           "insertions": [{"fragment": f, "after_ordinal": k} for f, k in inserts]})
     return EXIT_OK
 
 
 def cmd_all(pl: Pipeline) -> int:
     args = pl.args
-    if args.program is None and args.graph is None:
-        raise RtgError("all needs --program and/or --graph")
     report: list[str] = []
     if args.program:
         report.append(f"parsed program: inputs={', '.join(pl.program.inputs)} "
                       f"output={pl.program.output}")
-        if args.graph:  # the program must still lower, though the graph file replaces it
-            frontend.build_rtg(pl.program)
+        pl.lowered  # the program must lower, though a --graph file replaces it
     if args.graph:
         report.append(f"graph loaded from {os.path.basename(args.graph)}")
-    _validate_or_fail(pl.graph)
-
     report.append("paths: " + " ∨ ".join(p.label for p in pl.paths))
     report.append("complete test: " + " ".join(pl.suite.terms.labels()))
     code = EXIT_OK
@@ -443,86 +414,90 @@ def cmd_all(pl: Pipeline) -> int:
             code = EXIT_FINDINGS
         except NoFailures:
             report.append("no fault detected")
-    _emit(args, "\n".join(report) + "\n")
+    _emit(pl, "\n".join(report) + "\n")
     return code
 
 
 # --- argument parsing ------------------------------------------------------------
 
-def _add_io(sub, program=True, graph=True):
-    if program:
-        sub.add_argument("--program", help="mini-language source file (.swl)")
-        sub.add_argument("--unfolded", action="store_true",
-                         help="disable constant folding when lowering")
-    if graph:
-        sub.add_argument("--graph", help="register-transfer graph JSON file")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", help="write output to a file instead of stdout")
+#: Every option's value when its subcommand does not define it, or it is not
+#: given; the pipeline reads each as ``args.<dest>``.
+_DEFAULTS = {
+    "program": None, "unfolded": False, "graph": None, "format": "text", "out": None,
+    "cover_mode": None, "kind": "extended", "response": None, "fragment": None,
+    "ordinal": None, "op": None, "const": None, "operand": None, "mutant": None,
+    "fault": None, "suite": "complete", "stimuli": None,
+    "tolerance": simulator.DEFAULT_TOLERANCE, "permissive": False, "table_out": None,
+    "table": None, "mode": "strong", "target": 1,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtgdiag",
         description="Fault localization over register-transfer graph models")
+    parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a program and report its shape")
-    _add_io(p, graph=False)
+    def command(name: str, handler, summary: str, program=True, graph=True):
+        # an option that is not given keeps its root default
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(handler=handler)
+        if program:
+            p.add_argument("--program", required=not graph,
+                           help="mini-language source file (.swl)")
+            p.add_argument("--unfolded", action="store_true",
+                           help="disable constant folding when lowering")
+        if graph:
+            p.add_argument("--graph", help="register-transfer graph JSON file")
+        p.add_argument("--format", choices=("text", "json"))
+        p.add_argument("--out", help="write output to a file instead of stdout")
+        return p
 
-    p = sub.add_parser("graph", help="build or validate a graph, emit JSON")
-    _add_io(p)
+    command("parse", cmd_parse, "parse a program and report its shape", graph=False)
+    command("graph", cmd_graph, "build or validate a graph, emit JSON")
+    command("paths", cmd_paths, "enumerate one-dimensional paths")
+    command("terms", cmd_terms, "expand activation formulas into the complete test")
 
-    p = sub.add_parser("paths", help="enumerate one-dimensional paths")
-    _add_io(p)
-
-    p = sub.add_parser("terms", help="expand activation formulas into the complete test")
-    _add_io(p)
-
-    p = sub.add_parser("cover", help="solve a covering problem")
-    _add_io(p)
+    p = command("cover", cmd_cover, "solve a covering problem")
     p.add_argument("--mode", dest="cover_mode", choices=("paths", "diagnostic"),
                    required=True)
 
-    p = sub.add_parser("fdt", help="build a fault detection table")
-    _add_io(p)
-    p.add_argument("--kind", choices=("generalized", "extended"), default="extended")
+    p = command("fdt", cmd_fdt, "build a fault detection table")
+    p.add_argument("--kind", choices=("generalized", "extended"))
     p.add_argument("--response", help="bit string to attach as response vector")
 
-    p = sub.add_parser("inject", help="inject a single-statement fault")
-    _add_io(p)
+    p = command("inject", cmd_inject, "inject a single-statement fault")
     p.add_argument("--fragment", required=True)
     p.add_argument("--ordinal", type=int, required=True)
-    p.add_argument("--op", type=int, help="substitute opcode (same arity)")
-    p.add_argument("--const", type=float, help="perturbed constant value")
+    mutation = p.add_mutually_exclusive_group(required=True)
+    mutation.add_argument("--op", type=int, help="substitute opcode (same arity)")
+    mutation.add_argument("--const", type=float, help="perturbed constant value")
     p.add_argument("--operand", type=int, help="constant operand index")
 
-    p = sub.add_parser("run", help="run a suite against a mutant, produce V")
-    _add_io(p)
+    p = command("run", cmd_run, "run a suite against a mutant, produce V")
     p.add_argument("--mutant", help="mutant graph JSON file")
     p.add_argument("--fault", help="fault spec FRAG:ORDINAL:op=N|const=V")
-    p.add_argument("--suite", choices=("complete", "diagnostic"), default="complete")
+    p.add_argument("--suite", choices=("complete", "diagnostic"))
     p.add_argument("--stimuli", help="JSON file: term label -> {var: value}")
-    p.add_argument("--tolerance", type=float, default=simulator.DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--permissive", action="store_true",
                    help="default unbound free variables to 0.0")
     p.add_argument("--table-out", help="write the responded extended table here")
 
-    p = sub.add_parser("diagnose", help="diagnose a responded table")
+    p = command("diagnose", cmd_diagnose, "diagnose a responded table",
+                program=False, graph=False)
     p.add_argument("--table", required=True)
-    p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
+    p.add_argument("--mode", choices=("strong", "weak"))
 
-    p = sub.add_parser("testability", help="ambiguity groups and observation points")
-    _add_io(p)
-    p.add_argument("--target", type=int, default=1)
+    p = command("testability", cmd_testability, "ambiguity groups and observation points")
+    p.add_argument("--target", type=int)
 
-    p = sub.add_parser("all", help="full pipeline: parse, build, test, run, diagnose")
-    _add_io(p)
+    p = command("all", cmd_all, "full pipeline: parse, build, test, run, diagnose")
     p.add_argument("--fault", help="fault spec FRAG:ORDINAL:op=N|const=V")
     p.add_argument("--stimuli")
-    p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--tolerance", type=float, default=simulator.DEFAULT_TOLERANCE)
+    p.add_argument("--mode", choices=("strong", "weak"))
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--permissive", action="store_true")
 
     return parser
@@ -555,21 +530,6 @@ def _glue_float_values(argv: list[str]) -> list[str]:
     return out
 
 
-_COMMANDS = {
-    "parse": cmd_parse,
-    "graph": cmd_graph,
-    "paths": cmd_paths,
-    "terms": cmd_terms,
-    "cover": cmd_cover,
-    "fdt": cmd_fdt,
-    "inject": cmd_inject,
-    "run": cmd_run,
-    "diagnose": cmd_diagnose,
-    "testability": cmd_testability,
-    "all": cmd_all,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
@@ -577,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = _COMMANDS[args.command](Pipeline(args, _config(args)))
+            code = args.handler(Pipeline(args))
         except (RtgError, OSError, json.JSONDecodeError) as e:
             error = e
             code = EXIT_USAGE if isinstance(e, UsageError) else EXIT_DATA

@@ -117,11 +117,10 @@ def execute_program(p: Program, s: Stimulus) -> ObservationTrace:
 
 # --- graph path execution -------------------------------------------------------
 
-def path_reads(p: Path) -> tuple[list[str], list[str]]:
-    """(ordered first-reads, assignment targets) along a path.
-
-    First-reads are variables read before any statement on the path assigns
-    them; the first one is taken as the path's input variable.
+def path_reads(p: Path) -> list[str]:
+    """The ordered first-reads along a path: variables read before any
+    statement on the path assigns them.  The first one is taken as the
+    path's input variable.
     """
     assigned: set[str] = set()
     first_reads: list[str] = []
@@ -131,7 +130,7 @@ def path_reads(p: Path) -> tuple[list[str], list[str]]:
                 if v not in assigned and v not in first_reads:
                     first_reads.append(v)
             assigned.add(stmt.target)
-    return first_reads, sorted(assigned)
+    return first_reads
 
 
 def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> ObservationTrace:
@@ -142,7 +141,7 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
     DefaultedVariableWarning naming them.
     """
     env: dict[str, float] = {k: float(v) for k, v in s.env.items()}
-    first_reads, _ = path_reads(p)
+    first_reads = path_reads(p)
     unbound = [v for v in first_reads if v not in env]
     if unbound:
         if not permissive:
@@ -349,7 +348,7 @@ def pick_stimulus(p: Path,
     An empty intersection raises InfeasiblePath.  Without guards the input
     variable gets 1.0; free variables always default to 0.0.
     """
-    first_reads, _ = path_reads(p)
+    first_reads = path_reads(p)
     env: dict[str, float] = {}
     combined: dict[str, IntervalSet] = {}
     for regions in guards or ():

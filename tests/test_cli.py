@@ -1,13 +1,14 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from rtgdiag import dumps_graph, loads_graph
-from rtgdiag.cli import main
+from rtgdiag import dumps_graph, loads_graph, rtg
+from rtgdiag.cli import build_parser, main
 from rtgdiag.fixtures import LISTING31_SOURCE
 
-from randmodels import chain_model
+from randmodels import chain_model, ladder_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FIG1 = os.path.join(FIXTURES, "fig1.rtg.json")
@@ -260,7 +261,8 @@ def test_sin_overflow_exits_3(capsys, tmp_path):
 
 def test_malformed_stimuli_file_exits_3(capsys, tmp_path):
     spath = tmp_path / "stim.json"
-    for doc in ([1, 2], {"21₁": 3.0}, {"21₁": {"x": "abc"}}):
+    for doc in ([1, 2], {"21₁": 3.0}, {"21₁": {"x": "abc"}}, {"21₁": {"x": True, "w": 0}},
+                {"21₁": {"x": "3.0", "w": 0}}):
         spath.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run_cli(capsys, "run", "--graph", FIG1, "--fault", "I5:3:op=3",
                                "--stimuli", str(spath))
@@ -374,6 +376,15 @@ NON_FINITE = {
     "fault inf": (["all", "--graph", FIG1, "--fault", "I1:1:const=inf"], None, 3,
                   "bad fault spec 'I1:1:const=inf'; "
                   "expected FRAG:ORDINAL:op=N or FRAG:ORDINAL:const=V"),
+    "stimulus NaN": (["all", "--graph", FIG1, "--fault", "I2:2:op=1", "--stimuli"],
+                     '{"21₁": {"x": NaN, "w": 0}, "31": {"x": NaN, "w": 0}}', 3,
+                     "{path}: term 21₁: x needs a finite number"),
+    "stimulus Infinity": (["run", "--graph", FIG1, "--fault", "I2:2:op=1", "--stimuli"],
+                          '{"31": {"x": 1, "w": -Infinity}}', 3,
+                          "{path}: term 31: w needs a finite number"),
+    "stimulus 1e400": (["all", "--graph", FIG1, "--fault", "I2:2:op=1", "--stimuli"],
+                       '{"21₁": {"x": 1e400, "w": 0}}', 3,
+                       "{path}: term 21₁: x needs a finite number"),
 }
 
 
@@ -385,6 +396,7 @@ def test_non_finite_constant_is_rejected(capsys, tmp_path, case):
         path = tmp_path / "input"
         path.write_text(text, encoding="utf-8")
         argv = [*argv, str(path)]
+        err = err.replace("{path}", str(path))
     assert run_cli(capsys, *argv) == (code, "", f"rtgdiag {argv[0]}: {err}\n")
 
 
@@ -586,3 +598,79 @@ def test_infinite_golden_output_is_detected(capsys, tmp_path):
     assert code == 1
     assert "no fault detected" not in out
     assert "F' = I12₁ I12₂" in out
+
+
+def test_inject_op_with_const_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",
+              "--op", "3", "--const", "7"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --const: not allowed with argument --op" in captured.err
+
+
+def test_parse_without_program_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["parse"])
+    assert exit_.value.code == 2
+    assert "the following arguments are required: --program" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("source", [("--graph", FIG1), ("--program", LISTING31, "--unfolded")],
+                         ids=["fig1", "listing31"])
+def test_run_with_an_injected_mutant_matches_the_fault(capsys, tmp_path, source, fmt):
+    mutant = tmp_path / "mutant.json"
+    code, _, _ = run_cli(capsys, "inject", *source, "--fragment", "I5", "--ordinal", "3",
+                         "--op", "3", "--out", str(mutant))
+    assert code == 0
+    by_fault = run_cli(capsys, "run", *source, "--fault", "I5:3:op=3", "--format", fmt)
+    assert by_fault[0] == 0 and "1" in by_fault[1]
+    assert run_cli(capsys, "run", *source, "--mutant", str(mutant), "--format", fmt) == by_fault
+
+
+def test_mutant_of_another_topology_exits_3(capsys, tmp_path):
+    mutant = tmp_path / "ladder.rtg.json"
+    mutant.write_text(dumps_graph(ladder_model(3)), encoding="utf-8")
+    assert run_cli(capsys, "run", "--graph", FIG1, "--mutant", str(mutant)) == (
+        3, "", "rtgdiag run: golden and mutant graphs differ in topology\n")
+
+
+def test_run_without_mutant_or_fault_exits_3(capsys):
+    assert run_cli(capsys, "run", "--graph", FIG1) == (
+        3, "", "rtgdiag run: run needs --mutant or --fault\n")
+
+
+#: The options each subcommand requires.
+REQUIRED_ARGV = {
+    "parse": ["--program", "p.swl"],
+    "cover": ["--mode", "paths"],
+    "inject": ["--fragment", "I1", "--ordinal", "1", "--op", "3"],
+    "diagnose": ["--table", "t.json"],
+}
+
+
+def test_every_option_has_a_root_default():
+    # the pipeline reads args.<dest> for every option of every subcommand
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in commands.values() for a in sub._actions if a.dest != "help"}
+    for name in commands:
+        missing = dests - set(vars(parser.parse_args([name, *REQUIRED_ARGV.get(name, [])])))
+        assert not missing, f"{name}: no default for {sorted(missing)}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph",), ("paths",), ("terms",), ("cover", "--mode", "paths"),
+    ("fdt", "--kind", "generalized"), ("run", "--fault", "I5:3:op=3", "--suite", "diagnostic"),
+    ("testability",), ("all", "--fault", "I5:3:op=3"),
+], ids=lambda argv: argv[0])
+def test_graph_is_validated_once(capsys, monkeypatch, argv):
+    calls = []
+    validate = rtg.validate_graph
+    monkeypatch.setattr(rtg, "validate_graph", lambda g: calls.append(g) or validate(g))
+    assert main([*argv, "--graph", FIG1]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 1
