@@ -34,7 +34,7 @@ for p in paths:
     print(f"  {p.label}: {activation_formula(g, p)}")
 
 suite = build_complete_test(g, paths)
-print("\ncomplete test (bracket removal):", " ".join(suite.terms.labels()))
+print("\ncomplete test (bracket removal):", " ".join(suite.labels()))
 
 cover = minimal_path_cover(g, paths)
 print("minimal path cover:", " ".join(p.label for p in cover))

@@ -19,8 +19,8 @@ each is computed at most once, and every subcommand prints a projection:
   all          program, paths, suite, responded and verdict
 
 Text output mirrors the reference table layout; JSON output (``--format
-json``) is the machine interface.  Outputs are byte-identical across runs
-with identical configuration.
+json``, on every subcommand but ``all``) is the machine interface.
+Outputs are byte-identical across runs with identical configuration.
 
 Exit codes: 0 success, 1 diagnosis findings, 2 usage errors, 3 data errors.
 Option values are checked before any file is read.  An error is one
@@ -204,28 +204,30 @@ class Pipeline:
 
     @cached_property
     def mutant(self) -> rtg.RTGraph:
-        """The ``--mutant`` file, else the graph with the fault injected."""
+        """The ``--mutant`` file, else the valid graph with the fault injected."""
         if self.args.mutant:
             return _read(self.args.mutant, rtg.loads_graph)
         if self.fault is None:
             raise RtgError("run needs --mutant or --fault")
-        return simulator.inject_fault(self.graph, self.fault)
+        return simulator.inject_fault(self.valid_graph, self.fault)
 
     @cached_property
     def stimuli(self) -> dict[str, simulator.Stimulus]:
         """The default stimulus of each test, replaced where the
-        ``--stimuli`` file gives the term's variables."""
+        ``--stimuli`` file gives the term's variables.  A label that names
+        no test of the suite is an error."""
         path = self.args.stimuli
         given = _read(path, json.loads) if path else {}
         if not isinstance(given, dict) or not all(isinstance(e, dict) for e in given.values()):
             raise RtgError(f"{path}: expected {{term label: {{variable: value}}}}")
         out = simulator.default_stimuli(self.valid_graph, self.tests)
         for label, env in given.items():
-            if label in out:
-                for var, value in env.items():
-                    if not _finite(value):
-                        raise RtgError(f"{path}: term {label}: {var} needs a finite number")
-                out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
+            if label not in out:
+                raise RtgError(f"{path}: no term {label} in the {self.args.suite} suite")
+            for var, value in env.items():
+                if not _finite(value):
+                    raise RtgError(f"{path}: term {label}: {var} needs a finite number")
+            out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
         return out
 
     @cached_property
@@ -307,13 +309,13 @@ def cmd_terms(pl: Pipeline) -> int:
 def cmd_cover(pl: Pipeline) -> int:
     mode = pl.args.cover_mode
     if mode == "paths":
-        candidates = pl.paths
+        candidates = len(pl.paths)
         labels = [p.label for p in testsynth.minimal_path_cover(
             pl.valid_graph, pl.paths, exact_cap=pl.caps["exact"])]
     else:
-        candidates = pl.suite.terms
-        labels = list(pl.diagnostic_suite.terms.labels())
-    exact = testsynth.cover_is_exact(len(candidates), pl.caps["exact"])
+        candidates = len(pl.suite.labels())
+        labels = list(pl.diagnostic_suite.labels())
+    exact = testsynth.cover_is_exact(candidates, pl.caps["exact"])
     _emit(pl, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n",
           {"mode": mode, "selected": labels, "exact": exact})
     return EXIT_OK
@@ -335,7 +337,7 @@ def cmd_run(pl: Pipeline) -> int:
     if pl.args.table_out:
         _write(pl.args.table_out, fdt.dumps_table(pl.responded))
     _emit(pl, f"V = {v}\n",
-          lambda: {"labels": list(pl.tests.terms.labels()), "bits": list(v.bits)})
+          lambda: {"labels": list(pl.tests.labels()), "bits": list(v.bits)})
     return EXIT_OK
 
 
@@ -402,7 +404,7 @@ def cmd_all(pl: Pipeline) -> int:
     if args.graph:
         report.append(f"graph loaded from {os.path.basename(args.graph)}")
     report.append("paths: " + " ∨ ".join(p.label for p in pl.paths))
-    report.append("complete test: " + " ".join(pl.suite.terms.labels()))
+    report.append("complete test: " + " ".join(pl.suite.labels()))
     code = EXIT_OK
     if pl.fault is None:
         report.append("no fault injected; nothing to run")
@@ -450,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="disable constant folding when lowering")
         if graph:
             p.add_argument("--graph", help="register-transfer graph JSON file")
-        p.add_argument("--format", choices=("text", "json"))
+        if name != "all":  # all writes a text report only
+            p.add_argument("--format", choices=("text", "json"))
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 

@@ -215,13 +215,13 @@ def _table_groups(t: FaultDetectionTable) -> tuple[dict[StatementId, int],
     Path-level signature: the set of path labels whose rows mark the
     statement.  Exact for generalized tables and for complete-test extended
     tables (a path's terms jointly mark everything on the path).  The
-    partition depends only on the rows and columns, so it is kept in the
-    memo of the rows view, which every table with a response attached to
-    the same rows shares.
+    partition depends only on the blocks and columns, so it is kept in the
+    table's memo, which ``attach_response`` passes on, keyed by the
+    identity of both.
     """
-    kept = t.rows.memo.get("ambiguity")
-    if kept is not None and kept[0] is t.columns:
-        return kept[1], kept[2]
+    kept = t.memo.get("ambiguity")
+    if kept is not None and kept[0] is t.blocks and kept[1] is t.columns:
+        return kept[2], kept[3]
     sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
     for block in t.blocks:
         if len(block):
@@ -233,7 +233,7 @@ def _table_groups(t: FaultDetectionTable) -> tuple[dict[StatementId, int],
     groups = sorted((AmbiguityGroup(members=frozenset(m), signature=w) for w, m in by_sig.items()),
                     key=lambda g: g.sorted_members()[0].sort_key())
     index = {c: i for i, g in enumerate(groups) for c in g.members}
-    t.rows.memo["ambiguity"] = (t.columns, index, groups)
+    t.memo["ambiguity"] = (t.blocks, t.columns, index, groups)
     return index, groups
 
 

@@ -2,12 +2,12 @@
 
 The generalized table has one row per path, marking every statement on the
 path's ribs.  The extended table has one row per test term, marking only the
-selected statements.  A table holds its rows as ``testsynth.Block`` path
+selected statements.  A table holds a tuple of ``testsynth.Block`` path
 blocks; the extended table of a suite holds the suite's own blocks.  A row
 given on its own (a generalized row, a loaded row) is ``Block.of`` its
 path, marks and label, the path of a loaded row being ``Path(label, ())``.
-``table.rows`` is a view that builds the ``TableRow`` objects only when
-they are read.
+``table.labels()`` reads every row label without building rows;
+``table.rows`` builds the ``TableRow`` objects anew on each read.
 
 A table holds at most one response vector V, one pass/fail bit per row in
 row order; bit 1 means the observed output differed from the expected one.
@@ -20,14 +20,14 @@ when no V is bound; ``table_from_json`` rejects anything else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, SchemaError
 from .rtg import RTGraph, StatementId, dumps_json
-from .testsynth import Block, BlockView, Path, TestSuite
+from .testsynth import Block, Path, TestSuite
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,38 +51,39 @@ class ResponseVector:
 
 @dataclass(frozen=True, slots=True)
 class TableRow:
+    """A row of a block: its label, its path's label and its selection."""
+
     label: str
     path: str
     marks: frozenset[StatementId]
 
-    @classmethod
-    def of(cls, path: Path, selection: Iterable[StatementId], label: str) -> "TableRow":
-        """The row of a block item: its path label, and its selection as marks."""
-        return cls(label, path.label, frozenset(selection))
-
 
 @dataclass(frozen=True, slots=True)
 class FaultDetectionTable:
-    """Rows over statement columns, held as path blocks.  *rows* may be
-    given as any sequence of ``TableRow``: each becomes ``Block.of`` its
-    label-only path, marks and label."""
+    """Rows over statement columns, held as path blocks.  *memo* holds what
+    a reader derives from the table (diagnosis keeps its ambiguity
+    partition there); ``attach_response`` passes it on."""
 
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]
-    rows: BlockView  # of TableRow
+    blocks: tuple[Block, ...]
     response: ResponseVector | None = None  # V, one bit per row
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rows, BlockView):
-            object.__setattr__(self, "rows", BlockView(
-                (Block.of(Path(r.path, ()), r.marks, r.label) for r in self.rows), TableRow.of))
-        if self.response is not None and len(self.response) != len(self.rows):
-            raise LengthMismatch(f"response has {len(self.response)} bits "
-                                 f"for {len(self.rows)} rows")
+        rows = sum(map(len, self.blocks))
+        if self.response is not None and len(self.response) != rows:
+            raise LengthMismatch(f"response has {len(self.response)} bits for {rows} rows")
 
     @property
-    def blocks(self) -> tuple[Block, ...]:
-        return self.rows.blocks
+    def rows(self) -> tuple[TableRow, ...]:
+        """Every row, built on each read."""
+        return tuple(TableRow(label, b.path.label, frozenset(selection))
+                     for b in self.blocks for selection, label in b.items())
+
+    def labels(self) -> tuple[str, ...]:
+        """The label of every row, in order, without building rows."""
+        return tuple(chain.from_iterable(b.labels for b in self.blocks))
 
     def block_bits(self) -> Iterator[tuple[Block, Sequence[int | None]]]:
         """Each block with the bits of its rows (None for each row when no
@@ -102,18 +103,18 @@ def build_generalized_fdt(g: RTGraph, paths: Sequence[Path]) -> FaultDetectionTa
         marks = dict.fromkeys(chain.from_iterable(g.fragment_sids(r.fragment) for r in p.edges))
         blocks.append(Block.of(p, marks, p.label))
     return FaultDetectionTable(kind="generalized", columns=g.statement_ids,
-                               rows=BlockView(blocks, TableRow.of))
+                               blocks=tuple(blocks))
 
 
 def build_extended_fdt(g: RTGraph, suite: TestSuite) -> FaultDetectionTable:
     """One row per term in suite order, held in the suite's own blocks;
     marks are the selected statements."""
-    return FaultDetectionTable(kind="extended", columns=g.statement_ids,
-                               rows=BlockView(suite.blocks, TableRow.of))
+    return FaultDetectionTable(kind="extended", columns=g.statement_ids, blocks=suite.blocks)
 
 
 def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetectionTable:
-    """The table with *v* bound as its response; the rows are shared.
+    """The table with *v* bound as its response; the blocks and the memo
+    are shared.
 
     Raises LengthMismatch unless *v* has one bit per row.
     """
@@ -177,8 +178,8 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
     kind = get(doc, "kind", str)
     if kind not in ("generalized", "extended"):
         raise SchemaError(f"table JSON: kind {kind!r}, expected 'generalized' or 'extended'")
-    return FaultDetectionTable(kind=kind, columns=columns,
-                               rows=BlockView(blocks, TableRow.of), response=response)
+    return FaultDetectionTable(kind=kind, columns=columns, blocks=tuple(blocks),
+                               response=response)
 
 
 def dumps_table(t: FaultDetectionTable) -> str:
@@ -209,7 +210,7 @@ def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None
     """
     corner = "Ti\\Ij"
     has_v = t.response is not None
-    label_w = max(len(corner), 6, *map(len, t.rows.labels()))
+    label_w = max(len(corner), 6, *map(len, t.labels()))
     col_ws = [max(len(c.label), 3) for c in t.columns]
     blank = ["".center(w) for w in col_ws]
     one = ["1".center(w) for w in col_ws]

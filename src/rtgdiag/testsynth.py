@@ -7,12 +7,13 @@ brackets (a Cartesian expansion that picks one statement per rib) yields the
 complete test: every statement id of the graph is the selected statement of
 at least one term.
 
-The one block type, of suites and tables alike, is ``Block``: a path, its
-brackets and the labels of the items that form the bracket product, in
+Suites and tables alike hold a tuple of ``Block``: a path, its brackets and
+the labels of the items that form the bracket product, in
 ``itertools.product`` order.  The complete test holds one block per path,
 and its extended table holds the same blocks; an item given on its own is
-``Block.of`` its path, selection and label.  ``TestSuite.terms`` is a view
-that builds the ``TestTerm`` objects only when they are read.
+``Block.of`` its path, selection and label.  ``TestSuite.labels()`` reads
+every label without building terms; ``TestSuite.terms`` builds the
+``TestTerm`` objects anew on each read.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import heapq
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import prod
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import LengthMismatch, PathExplosion, TermExplosion, Uncoverable
 from .rtg import RTGraph, Rib, StatementId, natural_key, subscript
@@ -87,11 +88,17 @@ class Block:
     """The items of one path that form the product of its brackets: item i
     selects the i-th tuple of ``itertools.product(*brackets)`` and is
     labelled ``labels[i]``.  A table that knows no ribs holds the path as
-    ``Path(label, ())``."""
+    ``Path(label, ())``.  Raises LengthMismatch unless there is one label
+    per selection."""
 
     path: Path
     brackets: tuple[tuple[StatementId, ...], ...]
     labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if prod(map(len, self.brackets)) != len(self.labels):
+            raise LengthMismatch(f"a block has {len(self.labels)} labels for a product "
+                                 f"of {prod(map(len, self.brackets))} selections")
 
     @classmethod
     def of(cls, path: Path, selection: Iterable[StatementId], label: str) -> "Block":
@@ -101,81 +108,28 @@ class Block:
     def __len__(self) -> int:
         return len(self.labels)
 
-
-class BlockView(Sequence):
-    """An immutable sequence held as path blocks, one ``item(path, selection,
-    label)`` per label: *item* is ``TestTerm`` or ``fdt.TableRow.of``.  The
-    length is known without expanding; the items are built on first access
-    and kept.  Raises LengthMismatch unless every block has one label per
-    tuple of its bracket product.  *memo* holds what a reader derives from
-    the blocks alone (diagnosis keeps a table's ambiguity groups there), so
-    every table sharing the view shares it."""
-
-    __slots__ = ("blocks", "_item", "_len", "_items", "memo")
-
-    def __init__(self, blocks: Iterable[Block], item: Callable):
-        self.blocks = tuple(blocks)
-        self._item = item
-        for b in self.blocks:
-            if prod(map(len, b.brackets)) != len(b.labels):
-                raise LengthMismatch(f"a block has {len(b.labels)} labels for a product "
-                                     f"of {prod(map(len, b.brackets))} selections")
-        self._len = sum(map(len, self.blocks))
-        self._items: tuple | None = None
-        self.memo: dict = {}
-
-    def _expanded(self) -> tuple:
-        if self._items is None:
-            self._items = tuple(chain.from_iterable(
-                map(self._item, repeat(b.path), product(*b.brackets), b.labels)
-                for b in self.blocks))
-        return self._items
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        return self._expanded()[i]
-
-    def __iter__(self):
-        return iter(self._expanded())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BlockView):
-            return (self._item == other._item and self.blocks == other.blocks
-                    or self._expanded() == other._expanded())
-        if isinstance(other, tuple):
-            return self._expanded() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._expanded())
-
-    def __repr__(self) -> str:
-        return f"BlockView({len(self.blocks)} blocks, {self._len} items)"
-
-    def labels(self) -> tuple[str, ...]:
-        """The label of every item, in order, without expanding."""
-        return tuple(chain.from_iterable(b.labels for b in self.blocks))
+    def items(self) -> Iterator[tuple[tuple[StatementId, ...], str]]:
+        """Each item's selection and label, in order."""
+        return zip(product(*self.brackets), self.labels)
 
 
 @dataclass(frozen=True, slots=True)
 class TestSuite:
-    """Test terms in run order, held as path blocks.  *terms* may be given
-    as any sequence of ``TestTerm``: each becomes ``Block.of`` it."""
+    """Test terms in run order, held as path blocks."""
 
     __test__ = False  # pytest: not a test class
 
-    terms: BlockView  # of TestTerm
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.terms, BlockView):
-            object.__setattr__(self, "terms", BlockView(
-                (Block.of(t.path, t.selection, t.label) for t in self.terms), TestTerm))
+    blocks: tuple[Block, ...]
 
     @property
-    def blocks(self) -> tuple[Block, ...]:
-        return self.terms.blocks
+    def terms(self) -> tuple[TestTerm, ...]:
+        """Every term, built on each read."""
+        return tuple(TestTerm(b.path, selection, label)
+                     for b in self.blocks for selection, label in b.items())
+
+    def labels(self) -> tuple[str, ...]:
+        """The label of every term, in order, without building terms."""
+        return tuple(chain.from_iterable(b.labels for b in self.blocks))
 
 
 def _node_short(name: str, role: str) -> str:
@@ -264,7 +218,7 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
             n = occurrence[base] = occurrence.get(base, 0) + 1
             labels.append(base + subs[n] if always or counts[base] > 1 else base)
         blocks.append(Block(f.path, f.brackets, tuple(labels)))
-    return TestSuite(terms=BlockView(blocks, TestTerm))
+    return TestSuite(tuple(blocks))
 
 
 # --- covering problems -------------------------------------------------------
@@ -419,7 +373,8 @@ def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
     Raises Uncoverable when some statement id is selected by no term.
     """
     bit = _bits(columns)
-    candidates = [(t.label, _mask(bit, t.selection)) for t in suite.terms]
+    terms = suite.terms
+    candidates = [(t.label, _mask(bit, t.selection)) for t in terms]
     keep = set(_solve_cover(list(bit), candidates, exact_cap))
-    terms = tuple(t for t in suite.terms if t.label in keep)
-    return TestSuite(terms=terms)
+    return TestSuite(tuple(Block.of(t.path, t.selection, t.label)
+                           for t in terms if t.label in keep))

@@ -5,19 +5,30 @@ plain way, and reads nothing private of the code it checks: row-level CNF
 and exoneration, the row-level ambiguity partition, the ambiguity groups of
 a graph from its enumerated paths, a term-by-term response vector,
 brute-force hitting sets and covers, the greedy covers on frozensets, and
-an unmerged fixture for the merge pass.
+an unmerged fixture for the merge pass.  ``row_blocks`` and ``term_suite``
+hold given rows or terms one item per block, as a loaded table does.
 """
 
 import math
 from itertools import combinations
 
-from rtgdiag import (AmbiguityGroup, ExecutionError, FaultDetectionTable, NoFailures,
-                     NoResponse, Path, RTGraph, Uncoverable, enumerate_paths, execute_path,
-                     make_rib)
+from rtgdiag import (AmbiguityGroup, Block, ExecutionError, FaultDetectionTable, NoFailures,
+                     NoResponse, Path, RTGraph, TestSuite, Uncoverable, enumerate_paths,
+                     execute_path, make_rib)
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.rtg import natural_key
 
 TOLERANCE = 1e-9
+
+
+def row_blocks(rows) -> tuple[Block, ...]:
+    """Each table row as a block of its own, on its label-only path."""
+    return tuple(Block.of(Path(r.path, ()), r.marks, r.label) for r in rows)
+
+
+def term_suite(terms) -> TestSuite:
+    """The suite of *terms*, each a block of its own."""
+    return TestSuite(tuple(Block.of(t.path, t.selection, t.label) for t in terms))
 
 
 # --- diagnosis, row by row ------------------------------------------------------

@@ -57,7 +57,7 @@ def test_criterion_02_complete_test_expansion():
     g = fig1_graph()
     suite = build_complete_test(g)
     table = build_extended_fdt(g, suite)
-    ok = list(suite.terms.labels()) == REFERENCE_LABELS
+    ok = list(suite.labels()) == REFERENCE_LABELS
     got = {r.label: {m.label for m in r.marks} for r in table.rows}
     ok = ok and got == REFERENCE_MARKS
     report(2, ok, "complete test has the 10 reference terms with exact marks")

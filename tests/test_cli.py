@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from rtgdiag import dumps_graph, loads_graph, rtg
+from rtgdiag import build_complete_test, dumps_graph, loads_graph, minimal_diagnostic_test, rtg
 from rtgdiag.cli import build_parser, main
 from rtgdiag.fixtures import LISTING31_SOURCE
 
@@ -185,6 +185,33 @@ def test_stimuli_file_is_honored(capsys, tmp_path):
                            "--stimuli", str(spath))
     assert code == 0
     assert "V = (0001110000)" in out
+
+
+@pytest.mark.parametrize("doc, label", [
+    ({"2l": {"x": float("nan")}}, "2l"),  # a misspelt 21₁, its value never read
+    ({"21₁": {"x": 3.0, "w": 0.0}, "2l": {"x": 1.0}, "3l": {}}, "2l"),
+    ({"2l": {"x": 1.0}, "21₁": {"x": float("nan")}}, "2l"),
+], ids=["misspelt", "first unknown", "unknown before non-finite"])
+def test_stimuli_for_an_unknown_term_exit_3(capsys, tmp_path, doc, label):
+    spath = tmp_path / "stim.json"
+    spath.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, "run", "--graph", FIG1, "--fault", "I5:3:op=3",
+                   "--stimuli", str(spath)) == (
+        3, "", f"rtgdiag run: {spath}: no term {label} in the complete suite\n")
+
+
+def test_stimuli_for_a_term_of_the_complete_suite_only_exit_3(capsys, tmp_path):
+    g = ladder_model(2)
+    suite = build_complete_test(g)
+    kept = minimal_diagnostic_test(suite, g.statement_ids).labels()
+    dropped = next(label for label in suite.labels() if label not in kept)
+    graph = tmp_path / "ladder.rtg.json"
+    graph.write_text(dumps_graph(g), encoding="utf-8")
+    spath = tmp_path / "stim.json"
+    spath.write_text(json.dumps({kept[0]: {"x": 1.0}, dropped: {"x": 1.0}}), encoding="utf-8")
+    assert run_cli(capsys, "run", "--graph", str(graph), "--fault", "I1:1:op=3",
+                   "--suite", "diagnostic", "--stimuli", str(spath)) == (
+        3, "", f"rtgdiag run: {spath}: no term {dropped} in the diagnostic suite\n")
 
 
 def test_permissive_defaults_are_one_warning_line_each(capsys, tmp_path):
@@ -637,6 +664,35 @@ def test_mutant_of_another_topology_exits_3(capsys, tmp_path):
         3, "", "rtgdiag run: golden and mutant graphs differ in topology\n")
 
 
+def test_all_has_no_format_option(capsys):
+    # all writes a text report only; --format json was silently ignored
+    with pytest.raises(SystemExit) as exit_:
+        main(["all", "--graph", FIG1, "--fault", "I5:3:op=3", "--format", "json"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format json" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("inject", "--fragment", "I5", "--ordinal", "3", "--op", "3"),
+    ("inject", "--fragment", "I9", "--ordinal", "1", "--op", "3"),
+    ("run", "--fault", "I9:1:op=3"),
+    ("all", "--fault", "I9:1:op=3"),
+], ids=["inject", "inject no fragment", "run no fragment", "all no fragment"])
+def test_a_graph_violation_wins_over_the_injection(capsys, tmp_path, argv):
+    with open(FIG1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for node in doc["nodes"]:
+        if node["role"] == "output":
+            node["role"] = "internal"
+    graph = tmp_path / "no-output.rtg.json"
+    graph.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, *argv, "--graph", str(graph)) == (
+        3, "", f"rtgdiag {argv[0]}: invalid graph:\n[no-output] no output node reachable: "
+               "graph declares no output node\n")
+
+
 def test_run_without_mutant_or_fault_exits_3(capsys):
     assert run_cli(capsys, "run", "--graph", FIG1) == (
         3, "", "rtgdiag run: run needs --mutant or --fault\n")
@@ -666,6 +722,7 @@ def test_every_option_has_a_root_default():
     ("graph",), ("paths",), ("terms",), ("cover", "--mode", "paths"),
     ("fdt", "--kind", "generalized"), ("run", "--fault", "I5:3:op=3", "--suite", "diagnostic"),
     ("testability",), ("all", "--fault", "I5:3:op=3"),
+    ("inject", "--fragment", "I5", "--ordinal", "3", "--op", "3"),
 ], ids=lambda argv: argv[0])
 def test_graph_is_validated_once(capsys, monkeypatch, argv):
     calls = []

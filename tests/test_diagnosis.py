@@ -10,7 +10,7 @@ from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, NoRes
 from rtgdiag.diagnosis import CandidateDNF
 
 from randmodels import random_clause_family, random_dag_model, single_rib_graph
-from reference import brute_min_hitting_sets, build_cnf, exoneration_set
+from reference import brute_min_hitting_sets, build_cnf, exoneration_set, row_blocks
 
 PAPER_V = ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0))
 
@@ -138,7 +138,7 @@ def test_diagnose_reference_scenario(responded):
 def test_diagnose_row_order_invariance(responded):
     import dataclasses
     reversed_table = dataclasses.replace(
-        responded, rows=tuple(reversed(responded.rows)),
+        responded, blocks=row_blocks(reversed(responded.rows)),
         response=ResponseVector(tuple(reversed(responded.response.bits))))
     a, b = diagnose(responded), diagnose(reversed_table)
     assert a.candidates == b.candidates

@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from rtgdiag import (Block, BlockView, FaultDetectionTable, LengthMismatch, Path,
-                     ResponseVector, SchemaError, TableRow, TestTerm, attach_response,
+from rtgdiag import (Block, FaultDetectionTable, LengthMismatch, Path,
+                     ResponseVector, SchemaError, TableRow, TestSuite, attach_response,
                      build_extended_fdt, build_generalized_fdt, dumps_table, enumerate_paths,
                      loads_table, render_table)
 from rtgdiag.testsynth import build_complete_test
@@ -41,7 +41,7 @@ def test_generalized_rows_match_reference(g, paths):
 def test_extended_rows_match_reference(extended):
     got = {r.label: {m.label for m in r.marks} for r in extended.rows}
     assert got == EXTENDED_MARKS
-    assert extended.rows.labels() == tuple(EXTENDED_MARKS)
+    assert extended.labels() == tuple(EXTENDED_MARKS)
 
 
 def test_single_rib_generalized_row():
@@ -74,7 +74,8 @@ def test_attach_response_generalized(g, paths):
     table = build_generalized_fdt(g, paths)
     bound = attach_response(table, ResponseVector((0, 1, 0, 0)))
     assert bound.response.bits == (0, 1, 0, 0)
-    assert bound.rows is table.rows
+    assert bound.blocks is table.blocks
+    assert bound.memo is table.memo
 
 
 def test_attach_response_length_mismatch(extended):
@@ -87,7 +88,10 @@ def test_json_round_trip(g, paths, extended):
     for table in (generalized, attach_response(generalized, ResponseVector((0, 1, 0, 0))),
                   extended,
                   attach_response(extended, ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0)))):
-        assert loads_table(dumps_table(table)) == table  # the response is a field
+        loaded = loads_table(dumps_table(table))
+        # a loaded table holds one row per block, so compare field by field
+        assert ((loaded.kind, loaded.columns, loaded.rows, loaded.response)
+                == (table.kind, table.columns, table.rows, table.response))
     assert loads_table(dumps_table(extended)).response is None
     # a loaded table's paths are labels only: they pass no known monitors
     assert loads_table(dumps_table(extended)).blocks[0].path.nodes == ()
@@ -109,9 +113,9 @@ def test_response_bits_are_checked(g, suite):
 @pytest.mark.parametrize("bits", [(), (0, 1), (0,) * 11])
 def test_table_rejects_a_response_of_the_wrong_length(extended, bits):
     with pytest.raises(LengthMismatch, match=f"response has {len(bits)} bits for 10 rows"):
-        FaultDetectionTable(extended.kind, extended.columns, extended.rows, ResponseVector(bits))
+        FaultDetectionTable(extended.kind, extended.columns, extended.blocks, ResponseVector(bits))
     with pytest.raises(LengthMismatch):
-        dataclasses.replace(extended, rows=extended.rows[:-1],
+        dataclasses.replace(extended, blocks=extended.blocks[:-1],
                             response=ResponseVector((0,) * 10))
 
 
@@ -135,7 +139,7 @@ def test_render_cell_content(extended):
 def test_complete_test_rows_follow_suite_order(g):
     suite = build_complete_test(g)
     table = build_extended_fdt(g, suite)
-    assert table.rows.labels() == suite.terms.labels()
+    assert table.labels() == suite.labels()
 
 
 def test_extended_table_holds_the_suite_blocks(suite, extended):
@@ -145,17 +149,19 @@ def test_extended_table_holds_the_suite_blocks(suite, extended):
 
 def test_block_of_round_trips_a_term_and_a_row(suite):
     term = suite.terms[4]
-    [back] = BlockView([Block.of(term.path, term.selection, term.label)], TestTerm)
+    [back] = TestSuite((Block.of(term.path, term.selection, term.label),)).terms
     assert back == term
     row = TableRow(label="r", path="X15Y", marks=frozenset(term.selection))
-    [back] = BlockView([Block.of(Path(row.path, ()), row.marks, row.label)], TableRow.of)
+    [back] = FaultDetectionTable("extended", (), (Block.of(Path(row.path, ()), row.marks,
+                                                           row.label),)).rows
     assert back == row
 
 
 def test_a_block_has_one_label_per_selection(g):
     a, b = g.statement_ids[:2]
-    rows = BlockView([Block(Path("p", ()), ((a, b), (a,)), ("r1", "r2"))], TableRow.of)
+    block = Block(Path("p", ()), ((a, b), (a,)), ("r1", "r2"))
+    rows = FaultDetectionTable("extended", (), (block,)).rows
     assert [r.marks for r in rows] == [frozenset({a}), frozenset({a, b})]
     assert [r.path for r in rows] == ["p", "p"]
     with pytest.raises(LengthMismatch, match="1 labels for a product of 2 selections"):
-        BlockView([Block(Path("p", ()), ((a, b),), ("r1",))], TableRow.of)
+        Block(Path("p", ()), ((a, b),), ("r1",))

@@ -159,10 +159,10 @@ def test_greedy_diagnostic_test_matches_frozenset_reference():
         suite = build_complete_test(g)
         keep = set(greedy_diagnostic_test(suite, g.statement_ids))
         chosen = minimal_diagnostic_test(suite, g.statement_ids, exact_cap=0)
-        assert list(chosen.terms.labels()) == [t.label for t in suite.terms if t.label in keep]
+        assert list(chosen.labels()) == [t.label for t in suite.terms if t.label in keep]
 
 
-# --- table groups kept per rows view --------------------------------------------------
+# --- table groups kept per table -----------------------------------------------------
 
 
 def test_table_groups_are_built_once_per_rows_view():
@@ -172,8 +172,22 @@ def test_table_groups_are_built_once_per_rows_view():
            for f in ("I5", "I6")}
     # 8 paths of 8 rows each; the even paths cross I5, the odd ones I6
     first = diagnose(attach_response(table, ResponseVector(((0,) * 8 + (1,) * 8) * 4)))
-    kept = table.rows.memo["ambiguity"]
+    kept = table.memo["ambiguity"]
     second = diagnose(attach_response(table, ResponseVector(((1,) * 8 + (0,) * 8) * 4)))
-    assert table.rows.memo["ambiguity"] is kept
+    assert table.memo["ambiguity"] is kept
     assert [gr.signature for gr in first.ambiguity] == [via["I6"]]
     assert [gr.signature for gr in second.ambiguity] == [via["I5"]]
+
+
+def test_a_table_with_other_blocks_reads_no_stale_groups():
+    g = ladder_model(3)
+    table = build_extended_fdt(g, build_complete_test(g))
+    diagnose(attach_response(table, ResponseVector((1,) * 64)))
+    # the first path's rows only, sharing the memo: every statement they
+    # mark has that one path as its signature, so F' is one group, where the
+    # whole table's partition would split it by fragment
+    first = replace(table, blocks=table.blocks[:1])
+    assert first.memo is table.memo
+    result = diagnose(attach_response(first, ResponseVector((1,) * 8)))
+    assert str(result.reduced) == "I11 I12 ∨ I31 I32 ∨ I51 I52"
+    assert [gr.signature for gr in result.ambiguity] == [frozenset({"X12Y₁"})]

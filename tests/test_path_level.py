@@ -4,13 +4,14 @@ expansion and diagnosis is per path block, not per row.
 One ``rtgdiag all`` on a 5-stage ladder (32 paths, 1,024 rows, 20
 statements) must hash statement ids O(paths x statements) times, not once
 per mark; compute the stimulus key of each path once; and build no
-``TableRow``, so neither rendering nor diagnosis walks ``table.rows``.
+``TestTerm`` or ``TableRow``: each read of ``suite.terms`` or ``table.rows``
+builds every item anew, so no stage may read them.
 """
 
 import pytest
 
-from rtgdiag import (FaultSpec, StatementId, TableRow, attach_response, build_complete_test,
-                     build_extended_fdt, default_stimuli, diagnose, dumps_graph,
+from rtgdiag import (FaultSpec, StatementId, TableRow, TestTerm, attach_response,
+                     build_complete_test, build_extended_fdt, default_stimuli, diagnose, dumps_graph,
                      enumerate_paths, inject_fault, run_suite, simulator)
 from rtgdiag.cli import main
 
@@ -23,9 +24,10 @@ STATEMENTS = 4 * K
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of StatementId.__hash__, simulator._stimulus_key and
-    TableRow.__init__, wrapped at class or module level."""
-    counts = {"hash": 0, "key": 0, "row": 0}
+    """Call counts of StatementId.__hash__, simulator._stimulus_key,
+    TestTerm.__init__ and TableRow.__init__, wrapped at class or module
+    level."""
+    counts = {"hash": 0, "key": 0, "term": 0, "row": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -35,6 +37,7 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(StatementId, "__hash__", counted("hash", StatementId.__hash__))
     monkeypatch.setattr(simulator, "_stimulus_key", counted("key", simulator._stimulus_key))
+    monkeypatch.setattr(TestTerm, "__init__", counted("term", TestTerm.__init__))
     monkeypatch.setattr(TableRow, "__init__", counted("row", TableRow.__init__))
     return counts
 
@@ -50,7 +53,7 @@ def test_all_on_a_ladder_is_path_level(tmp_path, calls):
     assert "F' = I31 I32\n" in text
     assert calls["hash"] <= 4 * PATHS * STATEMENTS
     assert calls["key"] == PATHS
-    assert calls["row"] == 0
+    assert calls["term"] == calls["row"] == 0
 
 
 def test_diagnose_builds_no_rows(calls):
@@ -62,5 +65,5 @@ def test_diagnose_builds_no_rows(calls):
     before = dict(calls)
     result = diagnose(table)
     assert str(result.reduced) == "I11 I12"
-    assert calls["row"] == before["row"] == 0
+    assert calls["term"] == calls["row"] == 0
     assert calls["hash"] - before["hash"] <= 4 * PATHS * STATEMENTS

@@ -15,6 +15,7 @@ from rtgdiag import (ResponseVector, StatementId, TableRow, build_complete_test,
 from rtgdiag.fdt import FaultDetectionTable
 
 from randmodels import random_dag_model
+from reference import row_blocks
 
 
 def reference_render(t, suspects=None) -> str:
@@ -66,7 +67,7 @@ def seeded_tables(seed: int):
             marks = r.marks | {STRAY} if rng.random() < 0.3 else r.marks
             rows.append(TableRow(r.label, r.path, marks))
             bits.append(rng.randint(0, 1))
-        table = FaultDetectionTable(t.kind, tuple(columns), tuple(rows),
+        table = FaultDetectionTable(t.kind, tuple(columns), row_blocks(rows),
                                     ResponseVector(tuple(bits)) if has_v else None)
         suspects = frozenset(rng.sample(columns, rng.randint(0, len(columns))))
         for s in (None, suspects, suspects | {STRAY}):
@@ -82,7 +83,7 @@ def test_render_matches_the_per_cell_reference(seed):
 def test_duplicate_columns_are_all_marked():
     a = StatementId("I1", 1, 1, "I11")
     b = StatementId("I2", 1, 1, "I21")
-    t = FaultDetectionTable("extended", (a, b, a), (TableRow("t1", "p", frozenset({a})),),
+    t = FaultDetectionTable("extended", (a, b, a), row_blocks([TableRow("t1", "p", frozenset({a}))]),
                             ResponseVector((1,)))
     assert render_table(t) == reference_render(t)
     assert render_table(t).splitlines()[1].split() == ["t1", "1", "1", "1"]
@@ -91,6 +92,6 @@ def test_duplicate_columns_are_all_marked():
 @pytest.mark.parametrize("rows", [(), (TableRow("t", "p", frozenset({STRAY})),)])
 def test_tables_without_columns_or_rows(rows):
     for columns in ((), (StatementId("I1", 1, 1, "I11"),)):
-        t = FaultDetectionTable("extended", columns, rows)
+        t = FaultDetectionTable("extended", columns, row_blocks(rows))
         for suspects in (None, frozenset()):
             assert render_table(t, suspects) == reference_render(t, suspects)

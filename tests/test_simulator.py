@@ -11,9 +11,9 @@ from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.intervals import IntervalSet
 from rtgdiag.simulator import DEFAULT_TOLERANCE, DefaultedVariableWarning, _differs
-from rtgdiag.testsynth import TestSuite
 
 from randmodels import random_dag_model, random_mutation
+from reference import term_suite
 
 PI = 3.14159
 PAPER_V = (0, 0, 0, 1, 1, 1, 0, 0, 0, 0)
@@ -146,7 +146,7 @@ def test_identical_graphs_give_all_zero_vector(g, suite):
 
 def test_unexercised_fault_gives_all_zero_vector(g, suite, fault):
     mutant = inject_fault(g, fault)
-    off_path = TestSuite(terms=tuple(t for t in suite.terms if "I5" not in t.path.fragments))
+    off_path = term_suite(t for t in suite.terms if "I5" not in t.path.fragments)
     v = run_suite(g, mutant, off_path, default_stimuli(g, off_path))
     assert v.bits == (0,) * len(off_path.terms)
 

@@ -8,10 +8,10 @@ from rtgdiag import (Node, PathExplosion, RTGraph, TermExplosion, Uncoverable, a
                      build_complete_test, enumerate_paths, make_rib,
                      minimal_diagnostic_test, minimal_path_cover, validate_graph)
 from rtgdiag.rtg import natural_key, subscript
-from rtgdiag.testsynth import TestSuite, _greedy_cover
+from rtgdiag.testsynth import _greedy_cover
 
 from randmodels import chain_model, random_dag_model, single_rib_graph
-from reference import brute_min_cover_size, greedy_cover
+from reference import brute_min_cover_size, greedy_cover, term_suite
 
 PAPER_LABELS = ["111₁", "141₁", "151₁", "111₂", "121₁",
                 "151₂", "21₁", "31", "11", "21₂"]
@@ -82,7 +82,7 @@ def test_path_cap_raises(g):
 
 
 def test_complete_test_labels_match_reference(suite):
-    assert list(suite.terms.labels()) == PAPER_LABELS
+    assert list(suite.labels()) == PAPER_LABELS
 
 
 def test_complete_test_selections_cover_all_statements(g, suite):
@@ -128,7 +128,7 @@ def test_fixture_diagnostic_test_is_irreducible(g, suite):
     for combo in combinations(suite.terms, len(suite.terms) - 1):
         assert {s for t in combo for s in t.selection} != universe
     minimal = minimal_diagnostic_test(suite, g.statement_ids)
-    assert list(minimal.terms.labels()) == PAPER_LABELS
+    assert list(minimal.labels()) == PAPER_LABELS
 
 
 def test_single_statement_graph_needs_one_term():
@@ -152,7 +152,7 @@ def test_parallel_identical_opcode_ribs_need_two_terms():
 
 
 def test_uncoverable_statement_raises(g, suite):
-    partial = TestSuite(terms=suite.terms[:3])
+    partial = term_suite(suite.terms[:3])
     with pytest.raises(Uncoverable):
         minimal_diagnostic_test(partial, g.statement_ids)
 
