@@ -36,7 +36,7 @@ for p in paths:
 suite = build_complete_test(g, paths)
 print("\ncomplete test (bracket removal):", " ".join(suite.labels()))
 
-cover = minimal_path_cover(g, paths)
+cover = minimal_path_cover(g)
 print("minimal path cover:", " ".join(p.label for p in cover))
 diagnostic = minimal_diagnostic_test(suite, g.statement_ids)
 print(f"minimal diagnostic test: {len(diagnostic.terms)} terms "

@@ -28,8 +28,9 @@ Option values are checked before any file is read.  An error is one
 (``rtgdiag <cmd>: warning: ...``, e.g. a variable that ``--permissive``
 defaulted), in the order first raised.  The environment variable
 RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N") overrides the explosion
-caps.  ``testability`` counts covering paths instead of listing them, so
-its cost is polynomial in the graph and the ``paths`` cap does not bound it.
+caps.  ``testability`` and ``cover --mode paths`` count paths instead of
+listing them (the path cover is a minimum flow, always exact), so their
+cost is polynomial in the graph and the ``paths`` cap does not bound them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import os
 import sys
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import diagnosis, fdt, frontend, rtg, simulator, testsynth
 from .errors import NoFailures, RtgError, UsageError
@@ -298,24 +299,23 @@ def cmd_paths(pl: Pipeline) -> int:
 
 
 def cmd_terms(pl: Pipeline) -> int:
-    terms = pl.suite.terms
-    _emit(pl, lambda: "\n".join(f"{t.label}: " + " ".join(s.label for s in t.selection)
-                                + f"   (path {t.path.label})" for t in terms) + "\n",
-          lambda: [{"label": t.label, "path": t.path.label,
-                    "marks": [s.label for s in t.selection]} for t in terms])
+    items = [(b.path.label, selection, label)
+             for b in pl.suite.blocks for selection, label in b.items()]
+    _emit(pl, lambda: "\n".join(f"{label}: " + " ".join(s.label for s in selection)
+                                + f"   (path {path})" for path, selection, label in items) + "\n",
+          lambda: [{"label": label, "path": path, "marks": [s.label for s in selection]}
+                   for path, selection, label in items])
     return EXIT_OK
 
 
 def cmd_cover(pl: Pipeline) -> int:
     mode = pl.args.cover_mode
     if mode == "paths":
-        candidates = len(pl.paths)
-        labels = [p.label for p in testsynth.minimal_path_cover(
-            pl.valid_graph, pl.paths, exact_cap=pl.caps["exact"])]
+        labels = [p.label for p in testsynth.minimal_path_cover(pl.valid_graph)]
+        exact = True
     else:
-        candidates = len(pl.suite.labels())
         labels = list(pl.diagnostic_suite.labels())
-    exact = testsynth.cover_is_exact(candidates, pl.caps["exact"])
+        exact = testsynth.cover_is_exact(len(pl.suite.labels()), pl.caps["exact"])
     _emit(pl, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n",
           {"mode": mode, "selected": labels, "exact": exact})
     return EXIT_OK
@@ -506,6 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of every ``main`` call in a process, built on the first.  Its
+#: defaults are immutable scalars and each parse makes a fresh namespace.
+_parser = cache(build_parser)
+
+
 #: Options taking a float, which may be dash-led (``-1e-9``, ``-inf``).
 _FLOAT_OPTIONS = ("--tolerance", "--const")
 
@@ -534,8 +539,7 @@ def _glue_float_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -24,9 +24,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import prod
+from random import Random
 from typing import Iterable, Sequence
 
-from .errors import CandidateExplosion, CyclicGraph, EmptyDiagnosis, NoFailures, NoResponse
+from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, NoResponse
 from .fdt import FaultDetectionTable
 from .rtg import Rib, RTGraph, StatementId, natural_key
 
@@ -272,37 +273,51 @@ def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
     return frozenset.intersection(*common) - frozenset().union(*map(_marked, passing))
 
 
-def _path_counts(g: RTGraph) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
-    """The topological position of each node, and for each node u the
-    number of paths from u to every node it reaches (u itself by the empty
-    path), as exact ints: O(V * E) additions.  Raises CyclicGraph."""
-    order, acyclic = g.try_topo_order()
-    if not acyclic:
-        raise CyclicGraph("cycle detected; covering paths are counted on acyclic graphs only")
+#: Path-set fingerprints are weighted path sums modulo this prime, with
+#: one weight per rib key drawn from a Random seeded with _FINGERPRINT_SEED.
+_PRIME = (1 << 61) - 1
+_FINGERPRINT_SEED = 1979
+
+PathCounts = tuple[dict[str, int], dict[str, int], dict[str, dict[str, int]]]
+
+
+def _path_counts(g: RTGraph, order: Sequence[str],
+                 weight: dict[tuple[str, str, str], int] | None = None) -> PathCounts:
+    """(into, out, reach): for each node u (in topological *order*) the
+    paths from u to every node it reaches (u itself by the empty path),
+    and those from the input to u and from u to the output.  Without
+    *weight* each path counts 1, as exact ints; with it, each path counts
+    the product of its ribs' weights, summed modulo _PRIME.  O(V * E)."""
     reach: dict[str, dict[str, int]] = {}
     for u in reversed(order):
         row = {u: 1}
         for rib in g.out_ribs(u):
+            w = weight[rib.key] if weight else 1
             for v, n in reach.get(rib.dst, {}).items():
-                row[v] = row.get(v, 0) + n
-        reach[u] = row
-    return {u: i for i, u in enumerate(order)}, reach
+                row[v] = row.get(v, 0) + n * w
+        reach[u] = {v: n % _PRIME for v, n in row.items()} if weight else row
+    out = {u: row.get(g.output_node, 0) for u, row in reach.items()}
+    return reach.get(g.input_node, {}), out, reach
 
 
-def _covering_count(ribs: Sequence[Rib], into: dict[str, int], out: dict[str, int],
-                    reach: dict[str, dict[str, int]]) -> int:
+def _covering_count(ribs: Sequence[Rib], counts: PathCounts,
+                    weight: dict[tuple[str, str, str], int] | None = None) -> int:
     """How many input-output paths cross at least one of *ribs* (given in
-    topological order of their sources).  Each path is counted once, at
-    the first of them it crosses: the paths reaching a rib's source that
-    cross none of *ribs* are all paths there less those first crossing an
-    earlier rib, which on a DAG is the only kind that can reach it."""
+    topological order of their sources), or with *weight* their weighted
+    sum as in ``_path_counts``.  Each path is counted once, at the first of
+    them it crosses: the paths reaching a rib's source that cross none of
+    *ribs* are all paths there less those first crossing an earlier rib,
+    which on a DAG is the only kind that can reach it."""
+    into, out, reach = counts
     first: list[tuple[str, int]] = []  # (rib destination, paths first crossing the rib)
     total = 0
     for rib in ribs:
         n = into.get(rib.src, 0) - sum(m * reach.get(d, {}).get(rib.src, 0) for d, m in first)
+        if weight:
+            n = n * weight[rib.key] % _PRIME
         first.append((rib.dst, n))
         total += n * out.get(rib.dst, 0)
-    return total
+    return total % _PRIME if weight else total
 
 
 def ambiguity_groups(g: RTGraph) -> list[AmbiguityGroup]:
@@ -314,15 +329,20 @@ def ambiguity_groups(g: RTGraph) -> list[AmbiguityGroup]:
     path fail together whenever any statement on the path is faulty.  The
     statements of a fragment share its covering paths.  Fragments F and G
     cover the same paths iff N(F) = N(G) = N(F u G), where N counts the
-    paths crossing a rib of the set (``_covering_count``): fragments are
-    bucketed by N and each is compared with one member of every class
-    found so far in its bucket.  Fragments on no input-output path
-    (N = 0) form one group.  Polynomial in the graph, however many paths
-    it has.  Raises CyclicGraph.
+    paths crossing a rib of the set (``_covering_count``).  Fragments are
+    bucketed by N and by W, the sum over those paths of the product of
+    seeded random rib weights modulo a prime: equal path sets have equal W,
+    and different ones rarely do (Schwartz & Zippel).  Each fragment is
+    confirmed against one member of a class in its bucket by the exact
+    N(F u G), so a collision of W never merges two classes.  Fragments on
+    no input-output path (N = 0) form one group.  Polynomial in the graph,
+    however many paths it has.  Raises CyclicGraph.
     """
-    pos, reach = _path_counts(g)
-    into = reach.get(g.input_node, {})
-    out = {u: row.get(g.output_node, 0) for u, row in reach.items()}
+    order = g.acyclic_order()
+    pos = {u: i for i, u in enumerate(order)}
+    rng = Random(_FINGERPRINT_SEED)
+    weight = {r.key: rng.randrange(1, _PRIME) for r in g.ribs}
+    exact, fingerprint = _path_counts(g, order), _path_counts(g, order, weight)
 
     def by_source(rib: Rib) -> int:
         return pos.get(rib.src, len(pos))
@@ -330,13 +350,13 @@ def ambiguity_groups(g: RTGraph) -> list[AmbiguityGroup]:
     ribs: dict[str, list[Rib]] = {}
     for rib in sorted(g.ribs, key=by_source):
         ribs.setdefault(rib.fragment, []).append(rib)
-    classes: dict[int, list[list[str]]] = {}  # N -> fragment classes
+    classes: dict[tuple[int, int], list[list[str]]] = {}  # (N, W) -> fragment classes
     for fragment in g.fragments:
-        n = _covering_count(ribs[fragment], into, out, reach)
-        bucket = classes.setdefault(n, [])
+        n = _covering_count(ribs[fragment], exact)
+        bucket = classes.setdefault((n, _covering_count(ribs[fragment], fingerprint, weight)), [])
         for cls in bucket:
             union = sorted(ribs[cls[0]] + ribs[fragment], key=by_source)
-            if not n or _covering_count(union, into, out, reach) == n:
+            if not n or _covering_count(union, exact) == n:
                 cls.append(fragment)
                 break
         else:

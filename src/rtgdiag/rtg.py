@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Union
 
-from .errors import DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
+from .errors import CyclicGraph, DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -293,6 +293,14 @@ class RTGraph:
                     ready.append(m)
             ready.sort(key=natural_key)
         return tuple(order), len(order) == len(names)
+
+    def acyclic_order(self) -> tuple[str, ...]:
+        """The topological order of try_topo_order; raises CyclicGraph on a
+        cycle, where paths cannot be counted."""
+        order, acyclic = self.try_topo_order()
+        if not acyclic:
+            raise CyclicGraph("cycle detected; covering paths are counted on acyclic graphs only")
+        return order
 
     def with_ribs(self, ribs: Iterable[Rib]) -> "RTGraph":
         return replace(self, ribs=tuple(ribs))

@@ -221,7 +221,179 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
     return TestSuite(tuple(blocks))
 
 
-# --- covering problems -------------------------------------------------------
+# --- the path cover: a minimum flow, labelled by counting ----------------------
+
+def _spellings(g: RTGraph, order: Sequence[str], short: dict[str, str],
+               text: str) -> dict[tuple[str, int], int]:
+    """For each (node, offset) that some path prefix from the input reaches
+    spelling ``text[:offset]``: how many ways lead on to the output
+    spelling ``text[offset:]``.  O(V * len(text) * out-degree)."""
+    s, t = g.input_node, g.output_node
+    offsets: dict[str, set[int]] = {s: {len(short[s])}} if text.startswith(short[s]) else {}
+    for u in order:
+        if u == t:
+            continue
+        for i in offsets.get(u, ()):
+            for r in g.out_ribs(u):
+                if text.startswith(short[r.dst], i):
+                    offsets.setdefault(r.dst, set()).add(i + len(short[r.dst]))
+    ways: dict[tuple[str, int], int] = {}
+    for u in reversed(order):
+        for i in offsets.get(u, ()):
+            ways[u, i] = int(i == len(text)) if u == t else sum(
+                ways.get((r.dst, i + len(short[r.dst])), 0) for r in g.out_ribs(u)
+                if text.startswith(short[r.dst], i))
+    return ways
+
+
+def _earlier(g: RTGraph, short: dict[str, str], ways: dict[tuple[str, int], int],
+             text: str, edges: Sequence[Rib]) -> int:
+    """How many paths spelling *text* come before *edges* in enumerate_paths
+    order: by fragment natural keys, then depth-first ``out_ribs`` order.
+
+    The paths whose key tuple equals that of *edges* so far are carried as
+    counts per (node, offset, c), where c compares their ``out_ribs``
+    positions with those of *edges* (-1, 0 or 1; 0 means the same ribs).
+    A path is earlier once a rib's key is smaller, when it ends first, or
+    when its keys tie throughout and c is -1.
+    """
+    t = g.output_node
+    earlier = 0
+    states = {(g.input_node, len(short[g.input_node]), 0): 1}
+    for p in edges:
+        key = natural_key(p.fragment)
+        here = next(j for j, r in enumerate(g.out_ribs(p.src)) if r is p)
+        following: dict[tuple[str, int, int], int] = {}
+        for (u, i, c), n in states.items():
+            if u == t:
+                earlier += n
+                continue
+            for j, r in enumerate(g.out_ribs(u)):
+                w, after = short[r.dst], i + len(short[r.dst])
+                if not (text.startswith(w, i) and ways.get((r.dst, after))):
+                    continue
+                k = natural_key(r.fragment)
+                if k < key:
+                    earlier += n * ways[r.dst, after]
+                elif k == key:
+                    state = (r.dst, after, c or (j > here) - (j < here))
+                    following[state] = following.get(state, 0) + n
+        states = following
+    return earlier + sum(n for (u, _, c), n in states.items() if u == t and c < 0)
+
+
+def _path_labels(g: RTGraph, order: Sequence[str],
+                 walks: Iterable[tuple[Rib, ...]]) -> list[str]:
+    """The label enumerate_paths gives each of *walks* (input-output rib
+    sequences of the acyclic *g* in topological *order*), from counts
+    alone: its node-short string S, with ``subscript(k)`` appended when
+    other paths spell S too, k - 1 of them coming before it."""
+    short = {n.name: _node_short(n.name, n.role) for n in g.nodes}
+    spelled: dict[str, dict[tuple[str, int], int]] = {}
+    labels = []
+    for edges in walks:
+        text = short[edges[0].src] + "".join(short[r.dst] for r in edges)
+        if text not in spelled:
+            spelled[text] = _spellings(g, order, short, text)
+        ways = spelled[text]
+        if ways[g.input_node, len(short[g.input_node])] > 1:
+            text += subscript(1 + _earlier(g, short, ways, text, edges))
+        labels.append(text)
+    return labels
+
+
+def minimal_path_cover(g: RTGraph) -> list[Path]:
+    """A minimum set of input-output paths covering every node and rib,
+    found without listing paths.
+
+    On a DAG this is a minimum flow with lower bound 1 on every rib
+    (Ntafos & Hakimi 1979): one unit goes through every rib and each node's
+    surplus or shortfall along its first ribs to the output or from the
+    input; the surplus is cancelled along output-to-input augmenting paths
+    of the residual graph, which cross a rib backwards while its flow is
+    above 1 and forwards always; and the flow is split into paths by
+    walking from the input along the first ``out_ribs`` rib with flow
+    left.  Of the minimum covers, that one is returned, in enumerate_paths
+    order (fragment natural keys, then depth-first ``out_ribs`` order),
+    each path labelled as enumerate_paths labels it.  Polynomial in the
+    graph, however many paths it has.  Raises CyclicGraph, and Uncoverable
+    naming a node or rib key that lies on no input-output path.
+    """
+    order = g.acyclic_order()
+    s, t = g.input_node, g.output_node
+    reached, leads = {s}, {t}
+    for u in order:
+        if u in reached and u != t:
+            reached.update(r.dst for r in g.out_ribs(u))
+    for u in reversed(order):
+        if u != t and any(r.dst in leads for r in g.out_ribs(u)):
+            leads.add(u)
+    missing = [n.name for n in g.nodes if n.name not in reached or n.name not in leads]
+    missing += [r.key for r in g.ribs if r.src not in reached or r.dst not in leads]
+    if missing:
+        raise Uncoverable(min(missing, key=str))
+
+    first: dict[tuple[str, str, str], Rib] = {}  # a duplicate rib key is covered with the first
+    for u in order:
+        for r in g.out_ribs(u):
+            first.setdefault(r.key, r)
+    ribs = list(first.values())
+    outs: dict[str, list[int]] = {u: [] for u in order}
+    ins: dict[str, list[int]] = {u: [] for u in order}
+    for e, r in enumerate(ribs):
+        outs[r.src].append(e)
+        ins[r.dst].append(e)
+    flow = [1] * len(ribs)
+    for v in order:
+        surplus = len(ins[v]) - len(outs[v]) if v not in (s, t) else 0
+        u = v
+        while surplus > 0 and u != t:
+            flow[outs[u][0]] += surplus
+            u = ribs[outs[u][0]].dst
+        while surplus < 0 and u != s:
+            flow[ins[u][0]] -= surplus
+            u = ribs[ins[u][0]].src
+    while True:
+        # breadth first from the output: (rib, +1) raises its flow, (rib, -1) lowers it
+        via: dict[str, tuple[int, int]] = {}
+        frontier = [t]
+        while frontier and s not in via:
+            ahead = []
+            for u in frontier:
+                for e, w, sign in chain(((e, ribs[e].src, -1) for e in ins[u] if flow[e] > 1),
+                                        ((e, ribs[e].dst, 1) for e in outs[u])):
+                    if w not in via and w != t:
+                        via[w] = (e, sign)
+                        ahead.append(w)
+            frontier = ahead
+        if s not in via:
+            break
+        steps, u = [], s
+        while u != t:
+            e, sign = via[u]
+            steps.append((e, sign))
+            u = ribs[e].dst if sign < 0 else ribs[e].src
+        cancel = min(flow[e] - 1 for e, sign in steps if sign < 0)
+        for e, sign in steps:
+            flow[e] += sign * cancel
+
+    walks = []
+    while any(flow[e] for e in outs[s]):
+        walk, u = [], s
+        while u != t:
+            e = next(e for e in outs[u] if flow[e])
+            flow[e] -= 1
+            walk.append(e)
+            u = ribs[e].dst
+        walks.append(walk)
+    # rib indices follow out_ribs order at each node, so on ties of the
+    # fragment keys they order paths depth first
+    walks.sort(key=lambda walk: (tuple(natural_key(ribs[e].fragment) for e in walk), walk))
+    edges = [tuple(ribs[e] for e in walk) for walk in walks]
+    return [Path(label, walk) for label, walk in zip(_path_labels(g, order, edges), edges)]
+
+
+# --- covering problems: the minimal diagnostic test ---------------------------
 #
 # A covering problem is a list of elements, every one of which is to be
 # covered, and (label, mask) candidates: bit i of a mask stands for element i.
@@ -343,28 +515,6 @@ def _solve_cover(elements: Sequence, candidates: Sequence[tuple[str, int]],
     return _greedy_cover(elements, candidates)
 
 
-def minimal_path_cover(g: RTGraph, paths: Sequence[Path],
-                       exact_cap: int = DEFAULT_EXACT_CAP) -> list[Path]:
-    """A minimum-cardinality path subset covering all nodes and all edges.
-
-    Exact (branch and bound) up to *exact_cap* paths, greedy beyond, so
-    ``exact_cap=0`` forces greedy and ``exact_cap=len(paths)`` exact.  Ties
-    break toward naturally smaller path labels.  A path's mask is its
-    first node's bit and the masks of its ribs (the rib's key and
-    destination), each built once per call.
-    """
-    bit = _bits(chain((n.name for n in g.nodes), (r.key for r in g.ribs)))
-    rib_mask = {r.key: bit[r.key] | bit.get(r.dst, 0) for r in g.ribs}
-    candidates = []
-    for p in paths:
-        m = bit.get(p.edges[0].src, 0) if p.edges else 0
-        for r in p.edges:
-            m |= rib_mask.get(r.key, 0)
-        candidates.append((p.label, m))
-    keep = set(_solve_cover(list(bit), candidates, exact_cap))
-    return [p for p in paths if p.label in keep]
-
-
 def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
                             exact_cap: int = DEFAULT_EXACT_CAP) -> TestSuite:
     """Minimum term subset whose selections cover every statement id, exact
@@ -373,8 +523,8 @@ def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
     Raises Uncoverable when some statement id is selected by no term.
     """
     bit = _bits(columns)
-    terms = suite.terms
-    candidates = [(t.label, _mask(bit, t.selection)) for t in terms]
+    items = [(b.path, selection, label) for b in suite.blocks for selection, label in b.items()]
+    candidates = [(label, _mask(bit, selection)) for _, selection, label in items]
     keep = set(_solve_cover(list(bit), candidates, exact_cap))
-    return TestSuite(tuple(Block.of(t.path, t.selection, t.label)
-                           for t in terms if t.label in keep))
+    return TestSuite(tuple(Block.of(path, selection, label)
+                           for path, selection, label in items if label in keep))

@@ -171,14 +171,6 @@ def greedy_cover(universe, candidates):
     return chosen
 
 
-def greedy_path_cover(g: RTGraph, paths) -> list[str]:
-    """The labels greedy takes to cover every node and rib of *g*, each path
-    a frozenset of its nodes and rib keys."""
-    universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
-    return greedy_cover(universe, [(p.label, frozenset(p.nodes) | {r.key for r in p.edges})
-                                   for p in paths])
-
-
 def greedy_diagnostic_test(suite, columns) -> list[str]:
     """The labels greedy takes to select every statement of *columns*, each
     term a frozenset of its selection."""

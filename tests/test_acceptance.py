@@ -159,7 +159,7 @@ def test_criterion_08_covering_optimality():
         universe, [set(p.nodes) | {r.key for r in p.edges} for p in paths])
     best_terms = brute_min_cover_size(set(g.statement_ids),
                                       [t.selection for t in suite.terms])
-    ok = best_paths == 4 and len(minimal_path_cover(g, paths)) == 4
+    ok = best_paths == 4 and len(minimal_path_cover(g)) == 4
     ok = ok and best_terms == 10
     ok = ok and len(minimal_diagnostic_test(suite, g.statement_ids).terms) == 10
 
@@ -176,9 +176,7 @@ def test_criterion_08_covering_optimality():
             r.key for r in graph.ribs)
         expected = brute_min_cover_size(
             runiverse, [set(p.nodes) | {r.key for r in p.edges} for p in rpaths])
-        exact = minimal_path_cover(graph, rpaths, exact_cap=len(rpaths))
-        greedy = minimal_path_cover(graph, rpaths, exact_cap=0)
-        ok = ok and len(exact) == expected <= len(greedy)
+        ok = ok and len(minimal_path_cover(graph)) == expected
 
         expected_t = brute_min_cover_size(set(graph.statement_ids),
                                           [t.selection for t in rsuite.terms])

@@ -1,16 +1,20 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from rtgdiag import build_complete_test, dumps_graph, loads_graph, minimal_diagnostic_test, rtg
+from rtgdiag import cli
 from rtgdiag.cli import build_parser, main
 from rtgdiag.fixtures import LISTING31_SOURCE
 
 from randmodels import chain_model, ladder_model
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+FIXTURES = os.path.join(ROOT, "fixtures")
 FIG1 = os.path.join(FIXTURES, "fig1.rtg.json")
 LISTING31 = os.path.join(FIXTURES, "listing31.swl")
 
@@ -731,3 +735,26 @@ def test_graph_is_validated_once(capsys, monkeypatch, argv):
     assert main([*argv, "--graph", FIG1]) in (0, 1)
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    """Each main() call in one process, with the parser built once, prints
+    and exits as a fresh process would, usage errors included."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONIOENCODING="utf-8")
+    calls = [("paths", "--graph", FIG1),
+             ("cover", "--graph", FIG1),  # no --mode: argparse exits 2
+             ("cover", "--mode", "paths", "--graph", FIG1, "--format", "json"),
+             ("testability", "--graph", FIG1, "--target", "0"),  # a UsageError
+             ("terms", "--graph", FIG1, "--format", "json"),
+             ("cover", "--mode", "diagnostic", "--graph", FIG1)]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "rtgdiag.cli", *argv], env=env,
+                               capture_output=True, text=True, encoding="utf-8", timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._parser.cache_info().currsize == 1

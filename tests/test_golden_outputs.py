@@ -5,9 +5,9 @@ Each case runs one or more ``rtgdiag`` commands in order and compares the
 stdout of the last one, and its exit code, with a capture stored under
 ``tests/golden/``.  ``{table}`` in an argument stands for a table file the
 earlier commands of the case write; ``{ladder}`` for the ladder graph;
-``{chain625}`` for the 5x5x5x5 if-chain program, whose 625 paths take the
-greedy route of both covers; ``{ladder4}`` for a 4-stage ladder and
-``{stimuli}`` for a stimuli file that masks its fault I1:1:op=2 on one term
+``{chain625}`` for the 5x5x5x5 if-chain program, whose 4,752 complete-test
+terms take the greedy route of the diagnostic cover; ``{ladder4}`` for a
+4-stage ladder and ``{stimuli}`` for a stimuli file that masks its fault I1:1:op=2 on one term
 (x = 3 gives x + 1.5 = x * 1.5), so a failing path has a passing term;
 ``{ladder5}`` for a 5-stage ladder (32 paths, 1,024 rows).
 """

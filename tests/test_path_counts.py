@@ -1,30 +1,38 @@
-"""Testability without listing paths, and the covers on bit masks.
+"""Testability and the path cover without listing paths, and the
+diagnostic cover on bit masks.
 
 ``ambiguity_groups`` partitions statements by exact covering-path counts;
 ``ambiguity_groups_by_paths`` partitions them by the enumerated paths.  The
-greedy covers pick by popcounts of bit masks; ``greedy_path_cover`` and
-``greedy_diagnostic_test`` pick by frozenset differences.  Each pair must
-agree on every seeded graph.
+path cover is a minimum flow labelled by counting: its size must equal the
+brute-force minimum over the enumerated paths, and its labels, like every
+counted label, those of ``enumerate_paths``.  The greedy diagnostic cover
+picks by popcounts of bit masks, ``greedy_diagnostic_test`` by frozenset
+differences.  Each pair must agree on every seeded graph.
 """
 
 import json
+import os
 import time
 from dataclasses import replace
 from random import Random
 
 import pytest
 
-from rtgdiag import (CyclicGraph, Node, ResponseVector, RtgError, RTGraph, attach_response,
-                     ambiguity_groups, build_complete_test, build_extended_fdt, build_rtg,
-                     diagnose, dumps_graph, enumerate_paths, make_rib,
-                     minimal_diagnostic_test, minimal_path_cover, parse_program)
+from rtgdiag import (CyclicGraph, Node, ResponseVector, RtgError, RTGraph, Uncoverable,
+                     attach_response, ambiguity_groups, build_complete_test,
+                     build_extended_fdt, build_rtg, diagnose, dumps_graph, enumerate_paths,
+                     make_rib, minimal_diagnostic_test, minimal_path_cover, parse_program)
+from rtgdiag import diagnosis, testsynth
 from rtgdiag.cli import main
+from rtgdiag.rtg import subscript
+from rtgdiag.testsynth import _path_labels
 
 from randmodels import (if_chain_program, ladder_model, random_dag_model,
                         two_rib_fragment_graph)
-from reference import ambiguity_groups_by_paths, greedy_diagnostic_test, greedy_path_cover
+from reference import ambiguity_groups_by_paths, brute_min_cover_size, greedy_diagnostic_test
 
 IF_CHAIN_SHAPES = ((2,), (3, 2), (2, 2, 2), (4, 3), (5, 5), (3, 4, 3), (2, 3, 4))
+LISTING31 = os.path.join(os.path.dirname(__file__), "..", "fixtures", "listing31.swl")
 
 
 def members(groups):
@@ -99,11 +107,31 @@ def test_groups_match_enumeration_on_a_fragment_of_two_ribs():
     assert [gr.signature for gr in groups] == [{"I1"}, {"I2"}]
 
 
+def test_fingerprint_collisions_merge_no_classes(monkeypatch):
+    # modulo 2 every weight is 1 and W is the parity of N: buckets hold
+    # several classes, and only the exact union count may merge them
+    monkeypatch.setattr(diagnosis, "_PRIME", 2)
+    rng = Random(6107)
+    for _ in range(60):
+        assert_same_groups(random_dag_model(rng, max_internal=5, max_fragments=12))
+    for shape in IF_CHAIN_SHAPES:
+        assert_same_groups(lowered(shape))
+
+
 def test_fragments_on_no_path_form_one_group():
     rng = Random(6103)
     for _ in range(40):
         groups = assert_same_groups(with_dead_ribs(random_dag_model(rng)))
         assert {"I20", "I21"} in [gr.signature for gr in groups]
+
+
+def test_ribs_on_no_path_are_uncoverable():
+    rng = Random(6108)
+    for _ in range(20):
+        with pytest.raises(Uncoverable) as exc:
+            minimal_path_cover(with_dead_ribs(random_dag_model(rng)))
+        # the least by str of R8, R9 and the keys of I20 and I21
+        assert exc.value.element == ("I20", "X", "R8")
 
 
 def test_cyclic_graph_raises_a_typed_error():
@@ -116,6 +144,8 @@ def test_cyclic_graph_raises_a_typed_error():
     with pytest.raises(CyclicGraph) as exc:
         ambiguity_groups(g)
     assert isinstance(exc.value, RtgError)
+    with pytest.raises(CyclicGraph):
+        minimal_path_cover(g)
 
 
 def test_testability_at_graph_size(tmp_path, capsys, monkeypatch):
@@ -134,6 +164,36 @@ def test_testability_at_graph_size(tmp_path, capsys, monkeypatch):
     assert elapsed < 1.0
 
 
+def test_path_cover_at_graph_size(tmp_path, capsys, monkeypatch):
+    """2^40 paths: the cover is a flow of two units, so a cap of one path holds."""
+    path = tmp_path / "ladder40.json"
+    path.write_text(dumps_graph(ladder_model(40)), encoding="utf-8")
+    monkeypatch.setenv("RTGDIAG_CAPS", "paths=1")
+    start = time.perf_counter()
+    code = main(["cover", "--mode", "paths", "--graph", str(path), "--format", "json"])
+    elapsed = time.perf_counter() - start
+    spelled = "X" + "".join(str(i) for i in range(1, 40)) + "Y"
+    assert code == 0
+    # the odd ribs make the first path in enumeration order, the even ones the last
+    assert json.loads(capsys.readouterr().out) == {
+        "mode": "paths", "selected": [spelled + "₁", spelled + subscript(2 ** 40)],
+        "exact": True}
+    assert elapsed < 1.0
+
+
+def test_cover_and_testability_list_no_path(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_paths called")
+
+    monkeypatch.setattr(testsynth, "enumerate_paths", refuse)
+    chain625 = tmp_path / "chain625.swl"
+    chain625.write_text(if_chain_program((5, 5, 5, 5)), encoding="utf-8")
+    for source in (("--program", LISTING31, "--unfolded"), ("--program", str(chain625))):
+        for argv in (("cover", "--mode", "paths"), ("testability",)):
+            assert main([*argv, *source]) == 0
+    capsys.readouterr()
+
+
 # --- the covers on bit masks -------------------------------------------------------
 
 
@@ -146,12 +206,71 @@ def cover_graphs():
     return graphs
 
 
-def test_greedy_path_cover_matches_frozenset_reference():
-    for g in cover_graphs():
+def flow_graphs():
+    """cover_graphs and 300 more random models.  A third of them take shared
+    and naturally tied fragment ids (I1 against I01) in shuffled rib order,
+    so that equal fragment keys leave the order to depth-first position; a
+    third also gain a parallel copy of some ribs, so that many paths spell
+    the same nodes and their labels take subscripts."""
+    rng = Random(6105)
+    graphs = cover_graphs()
+    for i in range(300):
+        g = random_dag_model(rng, max_internal=5, max_fragments=12)
+        if i % 3:
+            ribs = list(g.ribs)
+            if i % 3 == 2:
+                ribs += rng.sample(ribs, rng.randint(1, min(3, len(ribs))))
+            ribs = [replace(r, fragment=rng.choice(("I1", "I01", "I2", "I10", "I3")))
+                    for r in ribs]
+            rng.shuffle(ribs)
+            g = g.with_ribs(ribs)
+        graphs.append(g)
+    return graphs
+
+
+def colliding_names_graph():
+    """Four ways to spell X111Y: X -> R1 -> R11 -> Y, X -> Q11 -> Q1 -> Y,
+    X -> R111 -> Y twice over parallel ribs, and X -> S111 -> Y, whose
+    fragments I1 I2 are those of the first path cut short, so it sorts
+    before it; X -> R1 -> Q1 -> Y spells X11Y."""
+    names = ("R1", "R11", "Q11", "Q1", "R111", "S111")
+    edges = (("I1", "X", "R1"), ("I2", "R1", "R11"), ("I3", "R11", "Y"), ("I4", "X", "Q11"),
+             ("I5", "Q11", "Q1"), ("I6", "Q1", "Y"), ("I7", "X", "R111"), ("I8", "R111", "Y"),
+             ("I9", "R111", "Y"), ("I10", "R1", "Q1"), ("I1", "X", "S111"), ("I2", "S111", "Y"))
+    return RTGraph(nodes=(Node("X", "input"), *(Node(n, "internal") for n in names),
+                          Node("Y", "output")),
+                   ribs=tuple(make_rib(f, a, b, [(1, "acc", ("x", 1.0))]) for f, a, b in edges))
+
+
+def test_path_cover_is_a_minimum_cover_labelled_as_enumerated():
+    universe_of = (lambda g: frozenset(n.name for n in g.nodes)
+                   | frozenset(r.key for r in g.ribs))
+    brute = 0
+    for g in flow_graphs():
         paths = enumerate_paths(g)
-        keep = set(greedy_path_cover(g, paths))
-        chosen = minimal_path_cover(g, paths, exact_cap=0)
-        assert [p.label for p in chosen] == [p.label for p in paths if p.label in keep]
+        cover = minimal_path_cover(g)
+        covered = frozenset().union(*(set(p.nodes) | {r.key for r in p.edges} for p in cover))
+        assert covered == universe_of(g)
+        # each picked path is the enumerated path with its ribs, label included
+        assert cover == [p for p in paths if p in cover]
+        if len(paths) <= 14:
+            brute += 1
+            assert len(cover) == brute_min_cover_size(
+                universe_of(g), [set(p.nodes) | {r.key for r in p.edges} for p in paths])
+    assert brute > 250
+
+
+def test_counted_labels_match_enumeration():
+    graphs = flow_graphs() + [ladder_model(k) for k in range(1, 9)] + [colliding_names_graph()]
+    subscripted = 0
+    for g in graphs:
+        paths = enumerate_paths(g)
+        labels = [p.label for p in paths]
+        assert _path_labels(g, g.try_topo_order()[0], [p.edges for p in paths]) == labels
+        subscripted += any(label[-1] in "₀₁₂₃₄₅₆₇₈₉" for label in labels)
+    assert subscripted > 80
+    labels = [p.label for p in enumerate_paths(colliding_names_graph())]
+    assert labels == ["X111Y₁", "X111Y₂", "X11Y", "X111Y₃", "X111Y₄", "X111Y₅"]
 
 
 def test_greedy_diagnostic_test_matches_frozenset_reference():

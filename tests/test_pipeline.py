@@ -28,7 +28,7 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("source", (FIG1, LISTING31), ids=("fig1", "listing31"))
 @pytest.mark.parametrize("argv, code, once", [
     (("cover", "--mode", "diagnostic"), 0, ("enumerate_paths", "build_complete_test")),
-    (("cover", "--mode", "paths"), 0, ("enumerate_paths",)),
+    (("cover", "--mode", "paths"), 0, ()),
     (("run", "--fault", "I5:3:op=3", "--suite", "diagnostic"), 0,
      ("enumerate_paths", "build_complete_test")),
     (("fdt",), 0, ("enumerate_paths", "build_complete_test")),

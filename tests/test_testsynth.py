@@ -47,6 +47,7 @@ def test_long_chain_is_one_path():
     (path,) = enumerate_paths(g)
     assert path.edges == g.ribs
     assert path.label == "X" + "".join(str(i) for i in range(1, 1200)) + "Y"
+    assert minimal_path_cover(g) == [path]
 
 
 def test_activation_formulas(g, paths):
@@ -106,20 +107,20 @@ def test_fixture_path_cover_is_all_four_paths(g, paths):
             break
     assert best == 4
 
-    chosen = minimal_path_cover(g, paths)
+    chosen = minimal_path_cover(g)
     assert [p.label for p in chosen] == ["X14Y", "X15Y", "X2Y", "X3Y"]
 
 
 def test_single_path_cover_is_that_path():
     g = single_rib_graph()
     paths = enumerate_paths(g)
-    assert minimal_path_cover(g, paths) == paths
+    assert minimal_path_cover(g) == paths
 
 
 def test_diamond_cover_needs_both_paths():
     g = diamond_graph()
     paths = enumerate_paths(g)
-    assert len(minimal_path_cover(g, paths)) == 2
+    assert minimal_path_cover(g) == paths
 
 
 def test_fixture_diagnostic_test_is_irreducible(g, suite):
@@ -165,18 +166,7 @@ def test_exact_cover_matches_brute_force_on_random_models():
         universe = frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
         expected = brute_min_cover_size(
             universe, [set(p.nodes) | {r.key for r in p.edges} for p in paths])
-        exact = minimal_path_cover(g, paths, exact_cap=len(paths))
-        greedy = minimal_path_cover(g, paths, exact_cap=0)
-        assert len(exact) == expected
-        assert len(greedy) >= expected
-
-
-def test_greedy_forced_by_exact_cap(g, paths):
-    chosen = minimal_path_cover(g, paths, exact_cap=2)
-    covered = set()
-    for p in chosen:
-        covered |= set(p.nodes) | {r.key for r in p.edges}
-    assert covered == frozenset(n.name for n in g.nodes) | frozenset(r.key for r in g.ribs)
+        assert len(minimal_path_cover(g)) == expected
 
 
 # --- oracles for the indexed routes -------------------------------------------
