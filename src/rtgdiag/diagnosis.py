@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .errors import CandidateExplosion, EmptyDiagnosis, NoFailures, NoResponse
 from .fdt import FaultDetectionTable
-from .rtg import Rib, RTGraph, StatementId, natural_key
+from .rtg import Rib, RTGraph, StatementId
 
 DEFAULT_DNF_CAP = 10 ** 5
 
@@ -418,7 +418,7 @@ def recommend_observation_points(g: RTGraph, target: int) -> list[tuple[str, int
         raise ValueError("target must be at least 1")
     return sorted(((fragment, cut) for fragment, n in _blocks(g).items()
                    for cut in _plan_cuts(0, n, target)),
-                  key=lambda fc: (natural_key(fc[0]), fc[1]))
+                  key=lambda fc: (g.natural_keys[fc[0]], fc[1]))
 
 
 def verify_minimal_insertions(g: RTGraph, target: int, proposed_count: int) -> bool:

@@ -4,7 +4,10 @@ The language (``.swl`` files, ``#`` comments) covers what a small piecewise
 numeric routine needs: ``input x;`` declarations, assignments over
 ``+ - * /``, unary minus, ``sin(...)``, parentheses, numeric literals, the
 predefined constant ``PI`` (3.14159), if / else-if / else chains guarded by
-``&&``-conjoined comparisons, and a final ``output F;``.
+``&&``-conjoined comparisons, and a final ``output F;``.  Literals and
+identifiers are ASCII (digits ``0-9``, letters ``A-Za-z``, ``_``): a
+character that starts no token, such as a non-ASCII digit, is a ParseError.
+Each input is declared once.
 
 Expressions have one operation node, ``Op``, which names its alphabet
 opcode: ``a + b`` is ``Op(sum, (a, b))``, ``sin(e)`` is ``Op(sin, (e,))``
@@ -158,25 +161,28 @@ def layout(p: Program) -> list[tuple[IfChain, list[str]]]:
 
 # --- tokenizer ---------------------------------------------------------------
 
+#: One match per token: the whitespace, newlines and comments before it are
+#: skipped inside the match, and the empty match at the end of the text is
+#: EOF.  Every class is ASCII: a non-ASCII digit or letter is a MISMATCH.
 _TOKEN_RE = re.compile(r"""
-    (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
-  | (?P<ID>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<LE><=)|(?P<GE>>=)|(?P<AND>&&)
-  | (?P<LT><)|(?P<GT>>)|(?P<ASSIGN>=)
-  | (?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)
-  | (?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACE>\{)|(?P<RBRACE>\})
-  | (?P<SEMI>;)
-  | (?P<COMMENT>\#[^\n]*)
-  | (?P<NL>\n)
-  | (?P<WS>[ \t\r]+)
-  | (?P<MISMATCH>.)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+      (?P<NUMBER>[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)
+    | (?P<ID>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<LE><=)|(?P<GE>>=)|(?P<AND>&&)
+    | (?P<LT><)|(?P<GT>>)|(?P<ASSIGN>=)
+    | (?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)
+    | (?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACE>\{)|(?P<RBRACE>\})
+    | (?P<SEMI>;)
+    | (?P<EOF>\Z)
+    | (?P<MISMATCH>.)
+    )
 """, re.VERBOSE)
 
 _KEYWORDS = {"input", "output", "if", "else", "sin"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -184,23 +190,33 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of *text*, ending with EOF (column 1 of the last line).
+
+    One regex match per token, whose kind is the alternative that matched;
+    the line advances by the newlines in the span skipped before it.  O(n)
+    in the length of the text.  Raises ParseError at an unexpected
+    character.
+    """
     tokens = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        col = m.start() - line_start + 1
-        if kind == "NL":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind in ("WS", "COMMENT"):
-            continue
-        if kind == "MISMATCH":
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        if kind == "ID" and value in _KEYWORDS:
-            kind = value.upper()
-        tokens.append(Token(kind, value, line, col))
+        value = m[kind]
+        skipped, end = m.span()
+        start = end - len(value)
+        if start != skipped:
+            newlines = text.count("\n", skipped, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", skipped, start) + 1
+        if kind == "ID":
+            if value in _KEYWORDS:
+                kind = value.upper()
+        elif kind == "EOF":
+            break
+        elif kind == "MISMATCH":
+            raise ParseError(f"unexpected character {value!r}", line, start - line_start + 1)
+        tokens.append(Token(kind, value, line, start - line_start + 1))
     tokens.append(Token("EOF", "", line, 1))
     return tokens
 
@@ -235,8 +251,11 @@ class _Parser:
         output: str | None = None
         while self.cur.kind != "EOF":
             if self.cur.kind == "INPUT":
-                self.eat("INPUT")
-                inputs.append(self.eat("ID").text)
+                tok = self.eat("INPUT")
+                name = self.eat("ID").text
+                if name in inputs:
+                    raise ParseError(f"duplicate input declaration {name}", tok.line, tok.col)
+                inputs.append(name)
                 self.eat("SEMI")
             elif self.cur.kind == "OUTPUT":
                 tok = self.eat("OUTPUT")
@@ -519,27 +538,27 @@ def _guard_regions(guard: tuple[Comparison, ...]) -> dict[str, IntervalSet] | No
 def _effective_constraints(chain: IfChain) -> list[dict[str, IntervalSet] | None]:
     """Per-arm reachable regions: own guard intersected with the complement
     of every earlier arm's guard.  Exact only when each earlier guard
-    constrains a single variable; otherwise arms report None (unknown)."""
+    constrains a single variable; otherwise arms report None (unknown).
+
+    The complements of the earlier guards are kept as one running region
+    per variable, so a chain costs O(arms * variables) IntervalSet
+    operations."""
     out: list[dict[str, IntervalSet] | None] = []
-    priors: list[dict[str, IntervalSet] | None] = []
+    excluded: dict[str, IntervalSet] | None = {}  # None once an earlier guard is unknown
     for arm in chain.arms:
         own = _guard_regions(arm.guard) if arm.guard is not None else {}
-        effective: dict[str, IntervalSet] | None
-        if own is None:
-            effective = None
-        else:
+        effective: dict[str, IntervalSet] | None = None
+        if own is not None and excluded is not None:
             effective = dict(own)
-            for prior in priors:
-                if prior is None or len(prior) > 1:
-                    effective = None
-                    break
-                if not prior:
-                    continue
-                (var, region), = prior.items()
-                have = effective.get(var, IntervalSet.full())
-                effective[var] = have.intersect(region.complement())
+            for var, region in excluded.items():
+                effective[var] = effective[var].intersect(region) if var in effective else region
         out.append(effective)
-        priors.append(own)
+        if own is None or len(own) > 1:
+            excluded = None
+        elif own and excluded is not None:
+            (var, region), = own.items()
+            complement = region.complement()
+            excluded[var] = excluded[var].intersect(complement) if var in excluded else complement
     return out
 
 

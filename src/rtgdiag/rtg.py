@@ -18,6 +18,8 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Callable, Iterable, Union
 
 from .errors import CyclicGraph, DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
@@ -209,9 +211,18 @@ class RTGraph:
         return self.output_nodes[0]
 
     @cached_property
+    def natural_keys(self) -> dict[str, tuple]:
+        """natural_key of every node name, fragment id and rib destination,
+        each computed once per graph."""
+        names = {n.name for n in self.nodes}
+        names.update({r.fragment for r in self.ribs}, {r.dst for r in self.ribs})
+        return {name: natural_key(name) for name in names}
+
+    @cached_property
     def _out_index(self) -> dict[str, tuple[Rib, ...]]:
+        keys = self.natural_keys
         by_src: dict[str, list[Rib]] = {}
-        for r in sorted(self.ribs, key=lambda r: (natural_key(r.fragment), natural_key(r.dst))):
+        for r in sorted(self.ribs, key=lambda r: (keys[r.fragment], keys[r.dst])):
             by_src.setdefault(r.src, []).append(r)
         return {src: tuple(ribs) for src, ribs in by_src.items()}
 
@@ -223,13 +234,14 @@ class RTGraph:
     def fragments(self) -> tuple[str, ...]:
         """Fragment ids ordered topologically by source node, then naturally."""
         order, _ = self.try_topo_order()
+        keys = self.natural_keys
         pos = {name: i for i, name in enumerate(order)}
         firsts: dict[str, int] = {}
         for r in self.ribs:
             p = pos.get(r.src, len(pos))
             if r.fragment not in firsts or p < firsts[r.fragment]:
                 firsts[r.fragment] = p
-        return tuple(sorted(firsts, key=lambda f: (firsts[f], natural_key(f))))
+        return tuple(sorted(firsts, key=lambda f: (firsts[f], keys[f])))
 
     def statements_of(self, fragment: str) -> tuple[Statement, ...]:
         for r in self.ribs:
@@ -270,29 +282,39 @@ class RTGraph:
             out.extend(self.fragment_sids(fragment))
         return tuple(out)
 
-    def try_topo_order(self) -> tuple[tuple[str, ...], bool]:
-        """Kahn's algorithm with natural-name tie-break.
-
-        Returns (order, acyclic).  On a cycle the order is partial.
-        """
-        names = [n.name for n in self.nodes]
-        indeg = {n: 0 for n in names}
+    @cached_property
+    def _topo(self) -> tuple[tuple[str, ...], bool]:
+        keys = self.natural_keys
+        names = list(dict.fromkeys(n.name for n in self.nodes))
+        indeg = dict.fromkeys(names, 0)
         succ: dict[str, list[str]] = {n: [] for n in names}
         for r in self.ribs:
             if r.src in indeg and r.dst in indeg:
                 indeg[r.dst] += 1
                 succ[r.src].append(r.dst)
-        ready = sorted((n for n in names if indeg[n] == 0), key=natural_key)
+        entered = count()
+        ready = [(keys[n], next(entered), n) for n in names if indeg[n] == 0]
+        heapify(ready)
         order: list[str] = []
         while ready:
-            n = ready.pop(0)
+            n = heappop(ready)[2]
             order.append(n)
             for m in succ[n]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
-                    ready.append(m)
-            ready.sort(key=natural_key)
+                    heappush(ready, (keys[m], next(entered), m))
         return tuple(order), len(order) == len(names)
+
+    def try_topo_order(self) -> tuple[tuple[str, ...], bool]:
+        """Kahn's algorithm with natural-name tie-break, computed once per
+        graph: among ready nodes the least natural key goes first, and of
+        equal keys the one that became ready first.
+
+        Returns (order, acyclic), acyclic meaning that every distinct node
+        name is ordered.  On a cycle the order is partial.  A heap of ready
+        nodes makes it O((V + E) log V).
+        """
+        return self._topo
 
     def acyclic_order(self) -> tuple[str, ...]:
         """The topological order of try_topo_order; raises CyclicGraph on a
@@ -306,11 +328,31 @@ class RTGraph:
         return replace(self, ribs=tuple(ribs))
 
 
+def _statement_violations(fragment: str, statements: tuple[Statement, ...]) -> list[Violation]:
+    """The ordinal, opcode and arity violations of a non-empty rib."""
+    report: list[Violation] = []
+    if [s.ordinal for s in statements] != list(range(1, len(statements) + 1)):
+        report.append(Violation("bad-ordinals", f"rib {fragment} ordinals not contiguous from 1", fragment))
+    for s in statements:
+        op = OP_ALPHABET.get(s.opcode)
+        if op is None:
+            report.append(Violation("unknown-opcode", f"rib {fragment} uses opcode {s.opcode}", fragment))
+        elif len(s.operands) != op.arity:
+            report.append(Violation(
+                "bad-arity",
+                f"rib {fragment} statement {s.ordinal}: {op.name} needs {op.arity} operands",
+                fragment))
+    return report
+
+
 def validate_graph(g: RTGraph) -> list[Violation]:
     """Check every structural invariant; an empty report means valid.
 
     Violations are data, not exceptions: each carries a stable machine
-    readable ``code``.
+    readable ``code``.  The statements of a rib are checked once per
+    distinct (fragment, statement tuple): the copies of a lowered arm share
+    one tuple, and each copy re-appends that check's violations.  With the
+    graph's one topological order, O(V + E + statements) beyond it.
     """
     report: list[Violation] = []
     names = [n.name for n in g.nodes]
@@ -331,26 +373,22 @@ def validate_graph(g: RTGraph) -> list[Violation]:
     known = set(names)
     seen_edges: set[tuple[str, str, str]] = set()
     by_fragment: dict[str, Rib] = {}
+    checked: dict[tuple[str, int], list[Violation]] = {}  # by fragment and id of the tuple
     for r in g.ribs:
         if r.src not in known or r.dst not in known:
             report.append(Violation("bad-endpoint", f"rib {r.fragment} references unknown node", r.fragment))
-        if r.key in seen_edges:
-            report.append(Violation("duplicate-edge", f"duplicate edge {r.key}", r.fragment))
-        seen_edges.add(r.key)
+        key = r.key
+        if key in seen_edges:
+            report.append(Violation("duplicate-edge", f"duplicate edge {key}", r.fragment))
+        seen_edges.add(key)
         if not r.statements:
             report.append(Violation("empty-rib", f"rib {r.fragment} carries no statements", r.fragment))
             continue
-        if [s.ordinal for s in r.statements] != list(range(1, len(r.statements) + 1)):
-            report.append(Violation("bad-ordinals", f"rib {r.fragment} ordinals not contiguous from 1", r.fragment))
-        for s in r.statements:
-            op = OP_ALPHABET.get(s.opcode)
-            if op is None:
-                report.append(Violation("unknown-opcode", f"rib {r.fragment} uses opcode {s.opcode}", r.fragment))
-            elif len(s.operands) != op.arity:
-                report.append(Violation(
-                    "bad-arity",
-                    f"rib {r.fragment} statement {s.ordinal}: {op.name} needs {op.arity} operands",
-                    r.fragment))
+        found = checked.get((r.fragment, id(r.statements)))
+        if found is None:
+            found = checked[r.fragment, id(r.statements)] = _statement_violations(
+                r.fragment, r.statements)
+        report.extend(found)
         first = by_fragment.setdefault(r.fragment, r)
         if first.statements != r.statements:
             report.append(Violation(
@@ -359,7 +397,7 @@ def validate_graph(g: RTGraph) -> list[Violation]:
 
     order, acyclic = g.try_topo_order()
     if not acyclic:
-        stuck = sorted(set(names) - set(order), key=natural_key)
+        stuck = sorted(known - set(order), key=g.natural_keys.__getitem__)
         report.append(Violation("cycle", "cycle detected through node(s): " + ", ".join(stuck)))
 
     if acyclic and len(g.input_nodes) == 1 and len(g.output_nodes) == 1:

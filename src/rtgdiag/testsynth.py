@@ -163,8 +163,8 @@ def enumerate_paths(g: RTGraph, path_cap: int = DEFAULT_PATH_CAP) -> list[Path]:
             visited.add(rib.dst)
             edges.append(rib)
             stack.append(iter(g.out_ribs(rib.dst)))
-    frag_key = {r.fragment: natural_key(r.fragment) for r in g.ribs}
-    found.sort(key=lambda edges: tuple(frag_key[r.fragment] for r in edges))
+    keys = g.natural_keys
+    found.sort(key=lambda edges: tuple(keys[r.fragment] for r in edges))
 
     short = {n.name: _node_short(n.name, n.role) for n in g.nodes}
     labels = [short[edges[0].src] + "".join(short[r.dst] for r in edges) for edges in found]
@@ -257,11 +257,11 @@ def _earlier(g: RTGraph, short: dict[str, str], ways: dict[tuple[str, int], int]
     A path is earlier once a rib's key is smaller, when it ends first, or
     when its keys tie throughout and c is -1.
     """
-    t = g.output_node
+    t, keys = g.output_node, g.natural_keys
     earlier = 0
     states = {(g.input_node, len(short[g.input_node]), 0): 1}
     for p in edges:
-        key = natural_key(p.fragment)
+        key = keys[p.fragment]
         here = next(j for j, r in enumerate(g.out_ribs(p.src)) if r is p)
         following: dict[tuple[str, int, int], int] = {}
         for (u, i, c), n in states.items():
@@ -272,7 +272,7 @@ def _earlier(g: RTGraph, short: dict[str, str], ways: dict[tuple[str, int], int]
                 w, after = short[r.dst], i + len(short[r.dst])
                 if not (text.startswith(w, i) and ways.get((r.dst, after))):
                     continue
-                k = natural_key(r.fragment)
+                k = keys[r.fragment]
                 if k < key:
                     earlier += n * ways[r.dst, after]
                 elif k == key:
@@ -388,7 +388,8 @@ def minimal_path_cover(g: RTGraph) -> list[Path]:
         walks.append(walk)
     # rib indices follow out_ribs order at each node, so on ties of the
     # fragment keys they order paths depth first
-    walks.sort(key=lambda walk: (tuple(natural_key(ribs[e].fragment) for e in walk), walk))
+    keys = g.natural_keys
+    walks.sort(key=lambda walk: (tuple(keys[ribs[e].fragment] for e in walk), walk))
     edges = [tuple(ribs[e] for e in walk) for walk in walks]
     return [Path(label, walk) for label, walk in zip(_path_labels(g, order, edges), edges)]
 

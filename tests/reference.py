@@ -4,19 +4,27 @@ Each oracle here works on materialized rows, terms, paths or subsets, the
 plain way, and reads nothing private of the code it checks: row-level CNF
 and exoneration, the row-level ambiguity partition, the ambiguity groups of
 a graph from its enumerated paths, a term-by-term response vector,
-brute-force hitting sets and covers, the greedy covers on frozensets, and
-an unmerged fixture for the merge pass.  ``row_blocks`` and ``term_suite``
-hold given rows or terms one item per block, as a loaded table does.
+brute-force hitting sets and covers, the greedy covers on frozensets, an
+unmerged fixture for the merge pass, and the quadratic routes of the
+frontend and graph views: a tokenizer with one match per whitespace run,
+newline and comment, guard regions from every pair of arms, Kahn's
+algorithm re-sorting its ready list, and graph validation rib by rib.
+``row_blocks`` and ``term_suite`` hold given rows or terms one item per
+block, as a loaded table does.
 """
 
 import math
+import re
 from itertools import combinations
 
 from rtgdiag import (AmbiguityGroup, Block, ExecutionError, FaultDetectionTable, NoFailures,
-                     NoResponse, Path, RTGraph, TestSuite, Uncoverable, enumerate_paths,
-                     execute_path, make_rib)
+                     NoResponse, ParseError, Path, RTGraph, TestSuite, Uncoverable,
+                     enumerate_paths, execute_path, make_rib)
+from rtgdiag.errors import DivisionByZero, UnboundVariable
 from rtgdiag.fixtures import fig1_graph
-from rtgdiag.rtg import natural_key
+from rtgdiag.frontend import RELATIONS, Var, evaluate
+from rtgdiag.intervals import IntervalSet
+from rtgdiag.rtg import OP_ALPHABET, Violation, natural_key
 
 TOLERANCE = 1e-9
 
@@ -194,3 +202,195 @@ def fig1_unmerged_variant() -> RTGraph:
         else:
             ribs.append(r)
     return g.with_ribs(ribs)
+
+
+# --- the frontend, match by match and arm by arm ---------------------------------
+
+_TOKEN_RE = re.compile(r"""
+    (?P<NUMBER>\d+\.\d*|\.\d+|\d+)
+  | (?P<ID>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<LE><=)|(?P<GE>>=)|(?P<AND>&&)
+  | (?P<LT><)|(?P<GT>>)|(?P<ASSIGN>=)
+  | (?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)
+  | (?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACE>\{)|(?P<RBRACE>\})
+  | (?P<SEMI>;)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<NL>\n)
+  | (?P<WS>[ \t\r]+)
+  | (?P<MISMATCH>.)
+""", re.VERBOSE)
+
+_KEYWORDS = {"input", "output", "if", "else", "sin"}
+
+
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) of every token, one match per token,
+    whitespace run, newline and comment.  Unlike the library it reads every
+    Unicode decimal digit, not only 0-9, as a digit."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group()
+        col = m.start() - line_start + 1
+        if kind == "NL":
+            line += 1
+            line_start = m.end()
+            continue
+        if kind in ("WS", "COMMENT"):
+            continue
+        if kind == "MISMATCH":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        if kind == "ID" and value in _KEYWORDS:
+            kind = value.upper()
+        tokens.append((kind, value, line, col))
+    tokens.append(("EOF", "", line, 1))
+    return tokens
+
+
+def _bound(e):
+    try:
+        return evaluate(e, {})
+    except (UnboundVariable, DivisionByZero):
+        return None
+
+
+def guard_regions(guard):
+    """A guard as a region per variable; None unless every comparison sets
+    a variable against a constant."""
+    regions = {}
+    for cmp_ in guard:
+        if isinstance(cmp_.lhs, Var):
+            var, relop, bound = cmp_.lhs.name, cmp_.relop, _bound(cmp_.rhs)
+        elif isinstance(cmp_.rhs, Var):
+            var, relop, bound = cmp_.rhs.name, RELATIONS[cmp_.relop].mirror, _bound(cmp_.lhs)
+        else:
+            return None
+        if bound is None:
+            return None
+        region = IntervalSet.from_comparison(relop, bound)
+        regions[var] = regions.get(var, IntervalSet.full()).intersect(region)
+    return regions
+
+
+def effective_constraints(chain):
+    """Each arm's own regions intersected with the complement of every
+    earlier arm's guard, one earlier arm at a time: O(arms^2).  None once an
+    earlier guard is not representable or constrains two variables."""
+    out, priors = [], []
+    for arm in chain.arms:
+        own = guard_regions(arm.guard) if arm.guard is not None else {}
+        effective = None if own is None else dict(own)
+        for prior in priors:
+            if effective is None:
+                break
+            if prior is None or len(prior) > 1:
+                effective = None
+            elif prior:
+                (var, region), = prior.items()
+                effective[var] = effective.get(var, IntervalSet.full()).intersect(
+                    region.complement())
+        out.append(effective)
+        priors.append(own)
+    return out
+
+
+# --- graph views, re-sorting and rib by rib -----------------------------------------
+
+
+def topo_order(g: RTGraph) -> tuple[tuple[str, ...], bool]:
+    """Kahn's algorithm over the distinct node names, the ready list stably
+    re-sorted by natural key after every pop: O(V^2 log V)."""
+    names = list(dict.fromkeys(n.name for n in g.nodes))
+    indeg = {n: 0 for n in names}
+    succ = {n: [] for n in names}
+    for r in g.ribs:
+        if r.src in indeg and r.dst in indeg:
+            indeg[r.dst] += 1
+            succ[r.src].append(r.dst)
+    ready = sorted((n for n in names if indeg[n] == 0), key=natural_key)
+    order = []
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+        ready.sort(key=natural_key)
+    return tuple(order), len(order) == len(names)
+
+
+def _reached(g: RTGraph, start: str, forward: bool) -> set:
+    seen, frontier = {start}, [start]
+    while frontier:
+        u = frontier.pop()
+        for r in g.ribs:
+            a, b = (r.src, r.dst) if forward else (r.dst, r.src)
+            if a == u and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
+
+
+def validate_graph(g: RTGraph) -> list[Violation]:
+    """Every invariant violation of *g*, the statements of each rib checked
+    on their own, the order from ``topo_order``."""
+    report = []
+    names = [n.name for n in g.nodes]
+    if len(set(names)) != len(names):
+        report.append(Violation("duplicate-node", "node names are not unique"))
+    for n in g.nodes:
+        if n.role not in ("input", "internal", "output"):
+            report.append(Violation("bad-role", f"node {n.name} has role {n.role!r}", n.name))
+    inputs = [n.name for n in g.nodes if n.role == "input"]
+    outputs = [n.name for n in g.nodes if n.role == "output"]
+    if not inputs:
+        report.append(Violation("no-input", "graph has no input node"))
+    elif len(inputs) > 1:
+        report.append(Violation("multiple-inputs", f"multiple input nodes: {', '.join(inputs)}"))
+    if not outputs:
+        report.append(Violation("no-output", "no output node reachable: graph declares no output node"))
+    elif len(outputs) > 1:
+        report.append(Violation("multiple-outputs", f"multiple output nodes: {', '.join(outputs)}"))
+
+    seen_edges, by_fragment = set(), {}
+    for r in g.ribs:
+        f = r.fragment
+        if r.src not in names or r.dst not in names:
+            report.append(Violation("bad-endpoint", f"rib {f} references unknown node", f))
+        if r.key in seen_edges:
+            report.append(Violation("duplicate-edge", f"duplicate edge {r.key}", f))
+        seen_edges.add(r.key)
+        if not r.statements:
+            report.append(Violation("empty-rib", f"rib {f} carries no statements", f))
+            continue
+        if [s.ordinal for s in r.statements] != list(range(1, len(r.statements) + 1)):
+            report.append(Violation("bad-ordinals", f"rib {f} ordinals not contiguous from 1", f))
+        for s in r.statements:
+            op = OP_ALPHABET.get(s.opcode)
+            if op is None:
+                report.append(Violation("unknown-opcode", f"rib {f} uses opcode {s.opcode}", f))
+            elif len(s.operands) != op.arity:
+                report.append(Violation(
+                    "bad-arity", f"rib {f} statement {s.ordinal}: {op.name} needs {op.arity} operands",
+                    f))
+        if by_fragment.setdefault(f, r).statements != r.statements:
+            report.append(Violation("merge-inconsistent",
+                                    f"ribs sharing fragment {f} differ in statements", f))
+
+    order, acyclic = topo_order(g)
+    if not acyclic:
+        stuck = sorted(set(names) - set(order), key=natural_key)
+        report.append(Violation("cycle", "cycle detected through node(s): " + ", ".join(stuck)))
+    if acyclic and len(inputs) == 1 and len(outputs) == 1:
+        fwd, back = _reached(g, inputs[0], True), _reached(g, outputs[0], False)
+        if outputs[0] not in fwd:
+            report.append(Violation("output-unreachable",
+                                    "no output node reachable from the input node"))
+        for n in g.nodes:
+            if n.role == "internal" and (n.name not in fwd or n.name not in back):
+                report.append(Violation("dangling-node",
+                                        f"internal node {n.name} lies on no input-output path",
+                                        n.name))
+    return report

@@ -71,6 +71,23 @@ def test_parse_error_exits_3(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("digit", ["３", "٣"])
+def test_non_ascii_digit_is_an_unexpected_character(capsys, tmp_path, digit):
+    src = tmp_path / "digit.swl"
+    src.write_text(f"input x;\ny = x + {digit};\noutput y;\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", "--program", str(src))
+    assert (code, out) == (3, "")
+    assert err == f"rtgdiag graph: line 2, column 9: unexpected character {digit!r}\n"
+
+
+def test_duplicate_input_declaration_exits_3(capsys, tmp_path):
+    src = tmp_path / "twice.swl"
+    src.write_text("input x; input x; y = x + 1; output y;", encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", "--program", str(src))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag parse: line 1, column 10: duplicate input declaration x\n"
+
+
 def test_missing_file_exits_3(capsys):
     code, _, err = run_cli(capsys, "paths", "--graph", "no-such-file.json")
     assert code == 3
@@ -93,6 +110,17 @@ def test_invalid_graph_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "graph", "--graph", str(path))
     assert code == 3
     assert "no-output" in err
+
+
+def test_a_duplicated_node_reports_no_cycle(capsys, tmp_path):
+    with open(FIG1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["nodes"].insert(3, dict(doc["nodes"][2]))  # R2 listed twice
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", "--graph", str(path))
+    assert (code, out) == (3, "")
+    assert err == "[duplicate-node] node names are not unique\n"
 
 
 def test_inject_writes_mutant(capsys, tmp_path):

@@ -43,3 +43,34 @@ def test_json_output_never_holds_nan_or_infinity(module):
              and not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
                          and k.value.value is False for k in node.keywords)]
     assert lines == [], f"{module}: json.dumps without allow_nan=False on line(s) {lines}"
+
+
+def _memo_uses(tree):
+    """Lines naming functools.cache or functools.lru_cache, other than the
+    assignment of ``_parser``."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in ("cache", "lru_cache")}
+    allowed = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and [ast.unparse(t) for t in node.targets] == ["_parser"]
+               for n in ast.walk(node)}
+    return [node.lineno for node in ast.walk(tree) if id(node) not in allowed and (
+        isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and ast.unparse(node) in (
+            "functools.cache", "functools.lru_cache"))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_process_wide_memo(module):
+    # a derived view lives on the object it derives from, so memory cannot
+    # grow with the distinct inputs of a long process; cli._parser is the one
+    # process-wide memo (one argument parser)
+    lines = _memo_uses(parse(os.path.join(SRC, module)))
+    assert lines == [], f"{module}: functools.cache or lru_cache on line(s) {lines}"
+
+
+def test_the_memo_rule_sees_a_cache():
+    tree = ast.parse("import functools\nfrom functools import lru_cache as lc\n"
+                     "@lc(maxsize=None)\ndef f(): pass\ng = functools.cache(f)\n"
+                     "_parser = functools.cache(f)\n")
+    assert _memo_uses(tree) == [3, 5]
