@@ -111,6 +111,13 @@ def _finite(value) -> bool:
         return False
 
 
+def _valid(what: str, g: rtg.RTGraph, violations: list[rtg.Violation]) -> rtg.RTGraph:
+    """*g*, once it has no *violations*; else RtgError listing them."""
+    if violations:
+        raise RtgError(f"invalid {what}:\n" + "\n".join(str(v) for v in violations))
+    return g
+
+
 class Pipeline:
     """The stages of one invocation.
 
@@ -158,9 +165,7 @@ class Pipeline:
     @cached_property
     def valid_graph(self) -> rtg.RTGraph:
         """The graph, once it has no violations."""
-        if self.violations:
-            raise RtgError("invalid graph:\n" + "\n".join(str(v) for v in self.violations))
-        return self.graph
+        return _valid("graph", self.graph, self.violations)
 
     @cached_property
     def paths(self) -> list[testsynth.Path]:
@@ -207,7 +212,8 @@ class Pipeline:
     def mutant(self) -> rtg.RTGraph:
         """The ``--mutant`` file, else the valid graph with the fault injected."""
         if self.args.mutant:
-            return _read(self.args.mutant, rtg.loads_graph)
+            mutant = _read(self.args.mutant, rtg.loads_graph)
+            return _valid("mutant graph", mutant, rtg.validate_graph(mutant))
         if self.fault is None:
             raise RtgError("run needs --mutant or --fault")
         return simulator.inject_fault(self.valid_graph, self.fault)

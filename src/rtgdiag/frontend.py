@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import (DivisionByZero, ExecutionError, NonFiniteValue, ParseError,
                      UnboundVariable, UndefinedVariable, UnsupportedOperation)
-from .intervals import IntervalSet
+from .intervals import IntervalSet, meet
 from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
                   make_statements)
 
@@ -516,29 +516,26 @@ def _const_eval(e: Expr) -> float | None:
 def _guard_regions(guard: tuple[Comparison, ...]) -> dict[str, IntervalSet] | None:
     """Guard as per-variable interval regions; None when not representable
     (only var-versus-constant comparisons are)."""
-    regions: dict[str, IntervalSet] = {}
+    comparisons = []
     for cmp_ in guard:
         if isinstance(cmp_.lhs, Var):
-            bound = _const_eval(cmp_.rhs)
-            if bound is None:
-                return None
-            var, relop = cmp_.lhs.name, cmp_.relop
+            var, relop, bound = cmp_.lhs.name, cmp_.relop, _const_eval(cmp_.rhs)
         elif isinstance(cmp_.rhs, Var):
-            bound = _const_eval(cmp_.lhs)
-            if bound is None:
-                return None
-            var, relop = cmp_.rhs.name, RELATIONS[cmp_.relop].mirror
+            var, relop, bound = cmp_.rhs.name, RELATIONS[cmp_.relop].mirror, _const_eval(cmp_.lhs)
         else:
             return None
-        region = IntervalSet.from_comparison(relop, bound)
-        regions[var] = regions.get(var, IntervalSet.full()).intersect(region)
-    return regions
+        if bound is None:
+            return None
+        comparisons.append({var: IntervalSet.from_comparison(relop, bound)})
+    return meet(comparisons)
 
 
 def _effective_constraints(chain: IfChain) -> list[dict[str, IntervalSet] | None]:
     """Per-arm reachable regions: own guard intersected with the complement
     of every earlier arm's guard.  Exact only when each earlier guard
-    constrains a single variable; otherwise arms report None (unknown).
+    constrains a single variable; otherwise arms report None (unknown).  A
+    bound that is inf or NaN makes its comparison every real or none, as
+    the program decides it.
 
     The complements of the earlier guards are kept as one running region
     per variable, so a chain costs O(arms * variables) IntervalSet
@@ -547,18 +544,12 @@ def _effective_constraints(chain: IfChain) -> list[dict[str, IntervalSet] | None
     excluded: dict[str, IntervalSet] | None = {}  # None once an earlier guard is unknown
     for arm in chain.arms:
         own = _guard_regions(arm.guard) if arm.guard is not None else {}
-        effective: dict[str, IntervalSet] | None = None
-        if own is not None and excluded is not None:
-            effective = dict(own)
-            for var, region in excluded.items():
-                effective[var] = effective[var].intersect(region) if var in effective else region
-        out.append(effective)
+        out.append(None if own is None or excluded is None else meet((own, excluded)))
         if own is None or len(own) > 1:
             excluded = None
         elif own and excluded is not None:
             (var, region), = own.items()
-            complement = region.complement()
-            excluded[var] = excluded[var].intersect(complement) if var in excluded else complement
+            excluded = meet((excluded, {var: region.complement()}))
     return out
 
 

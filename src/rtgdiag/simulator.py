@@ -37,7 +37,7 @@ from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePat
                      UnboundVariable)
 from .fdt import ResponseVector
 from .frontend import RELATIONS, Program, evaluate, layout
-from .intervals import IntervalSet
+from .intervals import IntervalSet, meet
 from .rtg import OP_ALPHABET, RTGraph
 from .testsynth import Path, TestSuite
 
@@ -342,23 +342,19 @@ def pick_stimulus(p: Path,
                   guards: Sequence[Mapping[str, IntervalSet]] | None = None) -> Stimulus:
     """Choose input values exercising a path.
 
-    With guard regions (from a SourceMap) the per-variable regions along the
-    path are intersected and a representative point is taken: the midpoint
-    of a bounded interval, bound plus or minus one toward an unbounded side.
-    An empty intersection raises InfeasiblePath.  Without guards the input
-    variable gets 1.0; free variables always default to 0.0.
+    With guard regions (from a SourceMap) the regions along the path are
+    met per variable and each gives its ``pick``, a finite point of it; a
+    region with none raises InfeasiblePath naming the variable.  Without
+    guards the input variable gets 1.0; free variables always default to 0.0.
     """
     first_reads = path_reads(p)
     env: dict[str, float] = {}
-    combined: dict[str, IntervalSet] = {}
-    for regions in guards or ():
-        for var, region in regions.items():
-            combined[var] = combined.get(var, IntervalSet.full()).intersect(region)
-    for var, region in combined.items():
-        if region.is_empty():
+    for var, region in meet(guards or ()).items():
+        try:
+            env[var] = region.pick()
+        except ValueError:
             raise InfeasiblePath(
-                f"path {p.label}: constraints on {var} have no solution")
-        env[var] = region.pick()
+                f"path {p.label}: constraints on {var} have no solution") from None
     for i, var in enumerate(first_reads):
         if var not in env:
             env[var] = 1.0 if i == 0 else 0.0

@@ -5,16 +5,18 @@ plain way, and reads nothing private of the code it checks: row-level CNF
 and exoneration, the row-level ambiguity partition, the ambiguity groups of
 a graph from its enumerated paths, a term-by-term response vector,
 brute-force hitting sets and covers, the greedy covers on frozensets, an
-unmerged fixture for the merge pass, and the quadratic routes of the
-frontend and graph views: a tokenizer with one match per whitespace run,
-newline and comment, guard regions from every pair of arms, Kahn's
-algorithm re-sorting its ready list, and graph validation rib by rib.
+unmerged fixture for the merge pass, regions as sorted tuples of interval
+pieces, and the quadratic routes of the frontend and graph views: a
+tokenizer with one match per whitespace run, newline and comment, guard
+regions from every pair of arms, Kahn's algorithm re-sorting its ready
+list, and graph validation rib by rib.
 ``row_blocks`` and ``term_suite`` hold given rows or terms one item per
 block, as a loaded table does.
 """
 
 import math
 import re
+from dataclasses import dataclass
 from itertools import combinations
 
 from rtgdiag import (AmbiguityGroup, Block, ExecutionError, FaultDetectionTable, NoFailures,
@@ -23,7 +25,7 @@ from rtgdiag import (AmbiguityGroup, Block, ExecutionError, FaultDetectionTable,
 from rtgdiag.errors import DivisionByZero, UnboundVariable
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.frontend import RELATIONS, Var, evaluate
-from rtgdiag.intervals import IntervalSet
+from rtgdiag import intervals
 from rtgdiag.rtg import OP_ALPHABET, Violation, natural_key
 
 TOLERANCE = 1e-9
@@ -204,6 +206,110 @@ def fig1_unmerged_variant() -> RTGraph:
     return g.with_ribs(ribs)
 
 
+# --- regions, piece by piece ----------------------------------------------------
+
+INF = float("inf")
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: float
+    lo_open: bool
+    hi: float
+    hi_open: bool
+
+    def is_empty(self) -> bool:
+        if self.lo > self.hi:
+            return True
+        if self.lo == self.hi and (self.lo_open or self.hi_open):
+            return True
+        return False
+
+
+FULL = Interval(-INF, True, INF, True)
+
+
+@dataclass(frozen=True)
+class IntervalSet:
+    """A finite union of disjoint intervals, kept sorted: pairwise
+    intersection and a complement that walks the gaps.  Exact for finite
+    bounds only; its ``pick`` can fall outside the region where bound +- 1
+    rounds back to the bound."""
+
+    parts: tuple[Interval, ...]
+
+    @staticmethod
+    def full() -> "IntervalSet":
+        return IntervalSet((FULL,))
+
+    @staticmethod
+    def from_comparison(relop: str, bound: float) -> "IntervalSet":
+        if relop == "<":
+            return IntervalSet((Interval(-INF, True, bound, True),))
+        if relop == "<=":
+            return IntervalSet((Interval(-INF, True, bound, False),))
+        if relop == ">":
+            return IntervalSet((Interval(bound, True, INF, True),))
+        if relop == ">=":
+            return IntervalSet((Interval(bound, False, INF, True),))
+        raise ValueError(f"unsupported relational operator {relop!r}")
+
+    def is_empty(self) -> bool:
+        return not self.parts
+
+    def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        parts = []
+        for a in self.parts:
+            for b in other.parts:
+                # on ties the open bound is the more restrictive one
+                lo, lo_open = max((a.lo, a.lo_open), (b.lo, b.lo_open))
+                hi, hi_closed = min((a.hi, not a.hi_open), (b.hi, not b.hi_open))
+                piece = Interval(lo, lo_open, hi, not hi_closed)
+                if not piece.is_empty():
+                    parts.append(piece)
+        parts.sort(key=lambda p: (p.lo, p.lo_open))
+        return IntervalSet(tuple(parts))
+
+    def complement(self) -> "IntervalSet":
+        if not self.parts:
+            return IntervalSet.full()
+        parts = []
+        cursor, cursor_open = -INF, True
+        for p in sorted(self.parts, key=lambda p: (p.lo, p.lo_open)):
+            gap = Interval(cursor, cursor_open, p.lo, not p.lo_open)
+            if not gap.is_empty():
+                parts.append(gap)
+            cursor, cursor_open = p.hi, not p.hi_open
+        tail = Interval(cursor, cursor_open, INF, True)
+        if not tail.is_empty():
+            parts.append(tail)
+        return IntervalSet(tuple(parts))
+
+    def pick(self) -> float:
+        """A representative point: midpoint of the first bounded component,
+        bound+-1 toward the unbounded side, 1.0 when fully unbounded."""
+        if not self.parts:
+            raise ValueError("empty interval set has no points")
+        p = self.parts[0]
+        if p.lo == -INF and p.hi == INF:
+            return 1.0
+        if p.lo == -INF:
+            return p.hi - 1.0
+        if p.hi == INF:
+            return p.lo + 1.0
+        if p.lo == p.hi:
+            return p.lo
+        return (p.lo + p.hi) / 2.0
+
+    def contains(self, x: float) -> bool:
+        for p in self.parts:
+            lo_ok = x > p.lo if p.lo_open else x >= p.lo
+            hi_ok = x < p.hi if p.hi_open else x <= p.hi
+            if lo_ok and hi_ok:
+                return True
+        return False
+
+
 # --- the frontend, match by match and arm by arm ---------------------------------
 
 _TOKEN_RE = re.compile(r"""
@@ -268,8 +374,8 @@ def guard_regions(guard):
             return None
         if bound is None:
             return None
-        region = IntervalSet.from_comparison(relop, bound)
-        regions[var] = regions.get(var, IntervalSet.full()).intersect(region)
+        region = intervals.IntervalSet.from_comparison(relop, bound)
+        regions[var] = regions.get(var, intervals.IntervalSet.full()).intersect(region)
     return regions
 
 
@@ -288,7 +394,7 @@ def effective_constraints(chain):
                 effective = None
             elif prior:
                 (var, region), = prior.items()
-                effective[var] = effective.get(var, IntervalSet.full()).intersect(
+                effective[var] = effective.get(var, intervals.IntervalSet.full()).intersect(
                     region.complement())
         out.append(effective)
         priors.append(own)

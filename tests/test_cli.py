@@ -696,6 +696,20 @@ def test_mutant_of_another_topology_exits_3(capsys, tmp_path):
         3, "", "rtgdiag run: golden and mutant graphs differ in topology\n")
 
 
+@pytest.mark.parametrize("edit, violation", [
+    (lambda i5: i5[0]["operands"].pop(), "[bad-arity] rib I5 statement 1: mul needs 2 operands"),
+    (lambda i5: i5.clear(), "[empty-rib] rib I5 carries no statements"),
+], ids=("one operand", "empty rib"))
+def test_an_invalid_mutant_is_refused_with_its_violations(capsys, tmp_path, edit, violation):
+    with open(FIG1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(next(r["statements"] for r in doc["ribs"] if r["fragment"] == "I5"))
+    mutant = tmp_path / "mutant.rtg.json"
+    mutant.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, "run", "--graph", FIG1, "--mutant", str(mutant)) == (
+        3, "", f"rtgdiag run: invalid mutant graph:\n{violation}\n")
+
+
 def test_all_has_no_format_option(capsys):
     # all writes a text report only; --format json was silently ignored
     with pytest.raises(SystemExit) as exit_:

@@ -232,6 +232,13 @@ def test_program_faithful_x15y_is_infeasible(source):
         pick_stimulus(x15y, smap.path_constraints(x15y.fragments))
 
 
+def test_a_region_without_a_finite_float_is_an_infeasible_path(paths):
+    between = IntervalSet.from_comparison(">", 1.0).intersect(
+        IntervalSet.from_comparison("<", math.nextafter(1.0, 2.0)))
+    with pytest.raises(InfeasiblePath, match="constraints on x have no solution"):
+        pick_stimulus(paths[0], [{"x": between}])
+
+
 def test_guard_aware_stimuli_on_feasible_suite(source):
     program = parse_program(source, fold=False)
     graph, smap = build_rtg(program)
