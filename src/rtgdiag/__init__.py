@@ -25,7 +25,7 @@ from .frontend import (Program, SourceMap, build_rtg, lower_expression, parse_pr
 from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementId,
                   Violation, dumps_graph, graph_from_json, graph_to_json, loads_graph,
                   make_rib, make_statements, merge_equivalent_ribs, validate_graph)
-from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimulus,
+from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimuli, Stimulus,
                         default_stimuli, execute_path, execute_program, inject_fault,
                         mutation_catalogue, pick_stimulus, run_suite)
 from .testsynth import (ActivationFormula, Block, Path, TestSuite, TestTerm,

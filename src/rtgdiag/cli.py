@@ -219,23 +219,24 @@ class Pipeline:
         return simulator.inject_fault(self.valid_graph, self.fault)
 
     @cached_property
-    def stimuli(self) -> dict[str, simulator.Stimulus]:
-        """The default stimulus of each test, replaced where the
-        ``--stimuli`` file gives the term's variables.  A label that names
-        no test of the suite is an error."""
+    def stimuli(self) -> simulator.Stimuli:
+        """The default stimulus of each path, with the ``--stimuli`` file's
+        terms laid over it.  A label that names no test of the suite is an
+        error."""
         path = self.args.stimuli
         given = _read(path, json.loads) if path else {}
         if not isinstance(given, dict) or not all(isinstance(e, dict) for e in given.values()):
             raise RtgError(f"{path}: expected {{term label: {{variable: value}}}}")
-        out = simulator.default_stimuli(self.valid_graph, self.tests)
+        defaults = simulator.default_stimuli(self.valid_graph, self.tests)
+        overrides = {}
         for label, env in given.items():
-            if label not in out:
+            if label not in defaults:
                 raise RtgError(f"{path}: no term {label} in the {self.args.suite} suite")
             for var, value in env.items():
                 if not _finite(value):
                     raise RtgError(f"{path}: term {label}: {var} needs a finite number")
-            out[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
-        return out
+            overrides[label] = simulator.Stimulus(env={k: float(v) for k, v in env.items()})
+        return defaults.overriding(overrides)
 
     @cached_property
     def response(self) -> fdt.ResponseVector:

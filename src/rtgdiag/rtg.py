@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import chain, count
 from typing import Callable, Iterable, Union
 
 from .errors import CyclicGraph, DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
@@ -134,9 +134,14 @@ class StatementId:
         return (natural_key(self.fragment), self.opcode, self.ordinal)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Rib:
-    """A directed edge carrying a non-empty statement sequence."""
+    """A directed edge carrying a non-empty statement sequence.
+
+    A rib has no ``__slots__``, so that a derived form can be kept on it,
+    as ``RTGraph`` keeps its views: the simulator compiles a rib on its
+    first use.  Equality, hashing and ``replace`` see only the fields, so a
+    replaced rib is compiled anew."""
 
     fragment: str
     src: str
@@ -268,19 +273,25 @@ class RTGraph:
     def sid(self, fragment: str, ordinal: int) -> StatementId:
         return self._sid_by_pos[(fragment, ordinal)]
 
+    @cached_property
+    def _sids_by_fragment(self) -> dict[str, tuple[StatementId, ...]]:
+        """Each fragment's statement ids ordered by opcode then ordinal, the
+        fragments in ``fragments`` order; built once per graph."""
+        out: dict[str, tuple[StatementId, ...]] = {}
+        for fragment in self.fragments:
+            ids = [self.sid(fragment, s.ordinal) for s in self.statements_of(fragment)]
+            out[fragment] = tuple(sorted(ids, key=lambda i: (i.opcode, i.ordinal)))
+        return out
+
     def fragment_sids(self, fragment: str) -> tuple[StatementId, ...]:
         """Statement ids of a fragment, ordered by opcode then ordinal."""
-        ids = [self.sid(fragment, s.ordinal) for s in self.statements_of(fragment)]
-        return tuple(sorted(ids, key=lambda i: (i.opcode, i.ordinal)))
+        return self._sids_by_fragment[fragment]
 
     @cached_property
     def statement_ids(self) -> tuple[StatementId, ...]:
         """All statement ids in table column order: fragments topologically,
         statements by ascending opcode within each fragment."""
-        out: list[StatementId] = []
-        for fragment in self.fragments:
-            out.extend(self.fragment_sids(fragment))
-        return tuple(out)
+        return tuple(chain.from_iterable(self._sids_by_fragment.values()))
 
     @cached_property
     def _topo(self) -> tuple[tuple[str, ...], bool]:

@@ -8,11 +8,20 @@ which also allows paths that the concrete program can never take.  A term's
 selection therefore never changes its output, so each bit is computed once
 per distinct (path, inputs) pair and shared by every term with that pair.
 
-The unit of a run is the path block of the suite: the default stimuli give
-every term of a block one shared stimulus, so a block takes one stimulus
-key and at most one golden/mutant pair of executions.  A block is split
-only into the runs of consecutive terms that share a stimulus object, as
-when a stimuli file gives some of its terms other inputs.
+Each rib is compiled once, on its first use, in the manner of
+compiled-code simulators (Wang, Hoover & Porter 1987): its statements in
+ordinal order as (target, operation, operands, ordinal) steps, the
+variables it reads before assigning them and the variables it assigns.
+The form is kept on the rib object, so a mutant shares it on every rib that
+fault injection leaves untouched, and a path's first reads cost one step
+per rib rather than one per statement read.
+
+Stimuli are held per path block (``Stimuli``): one default stimulus per
+path, picked once and shared by the path's blocks, plus per-term overrides
+such as a stimuli file gives.  A block without an override is one run:
+one stimulus key and at most one golden/mutant pair of executions.  A
+block with overrides is split into the runs of consecutive terms that
+share a stimulus object.
 
 Per mutant, only what the mutant changes is executed, in the manner of
 concurrent fault simulation (Ulrich & Baker 1973).  Golden outputs are kept
@@ -28,9 +37,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
-from typing import Mapping, Sequence
 
 from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePath,
                      InvalidMutation, MissingStimulus, NoOpMutation, NoSuchStatement,
@@ -38,8 +48,8 @@ from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePat
 from .fdt import ResponseVector
 from .frontend import RELATIONS, Program, evaluate, layout
 from .intervals import IntervalSet, meet
-from .rtg import OP_ALPHABET, RTGraph
-from .testsynth import Path, TestSuite
+from .rtg import OP_ALPHABET, Rib, RTGraph
+from .testsynth import Block, Path, TestSuite
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -117,31 +127,69 @@ def execute_program(p: Program, s: Stimulus) -> ObservationTrace:
 
 # --- graph path execution -------------------------------------------------------
 
+def _unknown_opcode(opcode: int) -> Callable[..., float]:
+    """The operation of a step whose opcode is outside the alphabet: it
+    raises only when reached, so the statements before it still run."""
+    def fail(*operands):
+        raise ExecutionError(f"unknown opcode {opcode}")
+    return fail
+
+
+def _compiled(rib: Rib) -> tuple[tuple, tuple[str, ...], frozenset[str]]:
+    """The compiled form of *rib*: its statements in ordinal order as
+    (target, operation, operands, ordinal) steps, the variables it reads
+    before it assigns them (in order) and the variables it assigns.  Made
+    on first use and kept as an attribute of the rib; a rib that no path
+    reads or executes is never compiled."""
+    c = getattr(rib, "_compiled", None)
+    if c is None:
+        steps, reads, assigned = [], {}, set()
+        for stmt in sorted(rib.statements, key=lambda st: st.ordinal):
+            op = OP_ALPHABET.get(stmt.opcode)
+            steps.append((stmt.target, _unknown_opcode(stmt.opcode) if op is None else op.fn,
+                          stmt.operands, stmt.ordinal))
+            for v in stmt.read_variables():
+                if v not in assigned:
+                    reads[v] = None
+            assigned.add(stmt.target)
+        c = (tuple(steps), tuple(reads), frozenset(assigned))
+        # set as an attribute: reading rib.__dict__ would give the rib a dict
+        # object of its own and slow every later read of its fields
+        object.__setattr__(rib, "_compiled", c)
+    return c
+
+
+def _first_reads(ribs: Iterable[tuple]) -> list[str]:
+    assigned: set[str] = set()
+    first_reads: dict[str, None] = {}
+    for _, reads, assigns in ribs:
+        for v in reads:
+            if v not in assigned:
+                first_reads[v] = None
+        assigned |= assigns
+    return list(first_reads)
+
+
 def path_reads(p: Path) -> list[str]:
     """The ordered first-reads along a path: variables read before any
-    statement on the path assigns them.  The first one is taken as the
-    path's input variable.
+    statement on the path assigns them, statements taken in ordinal order
+    on each rib.  The first one is taken as the path's input variable.
     """
-    assigned: set[str] = set()
-    first_reads: list[str] = []
-    for rib in p.edges:
-        for stmt in rib.statements:
-            for v in stmt.read_variables():
-                if v not in assigned and v not in first_reads:
-                    first_reads.append(v)
-            assigned.add(stmt.target)
-    return first_reads
+    return _first_reads(map(_compiled, p.edges))
 
 
 def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> ObservationTrace:
-    """Execute each rib's statements in order along a path.
+    """Execute each rib's statements in ordinal order along a path.
 
     Variables read but never assigned on the path must be bound by the
     stimulus; in permissive mode missing ones default to 0.0 with a
-    DefaultedVariableWarning naming them.
+    DefaultedVariableWarning naming them.  Each rib's end node observes the
+    value its last statement assigns; a rib with no statements is an
+    ExecutionError naming its fragment.
     """
     env: dict[str, float] = {k: float(v) for k, v in s.env.items()}
-    first_reads = path_reads(p)
+    ribs = [_compiled(rib) for rib in p.edges]
+    first_reads = _first_reads(ribs)
     unbound = [v for v in first_reads if v not in env]
     if unbound:
         if not permissive:
@@ -154,17 +202,15 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
     points: list[tuple[str, float]] = []
     if first_reads:
         points.append((p.edges[0].src, env[first_reads[0]]))
-    for rib in p.edges:
-        for stmt in sorted(rib.statements, key=lambda st: st.ordinal):
-            operands = [env[o] if isinstance(o, str) else o for o in stmt.operands]
+    for rib, (steps, _, _) in zip(p.edges, ribs):
+        for target, fn, operands, ordinal in steps:
             try:
-                env[stmt.target] = OP_ALPHABET[stmt.opcode].fn(*operands)
-            except KeyError:
-                raise ExecutionError(f"unknown opcode {stmt.opcode} in fragment {rib.fragment} "
-                                     f"statement {stmt.ordinal}") from None
+                env[target] = fn(*[env[o] if isinstance(o, str) else o for o in operands])
             except ExecutionError as err:
-                raise err.at(f"fragment {rib.fragment} statement {stmt.ordinal}")
-        points.append((rib.dst, env[rib.statements[-1].target]))
+                raise err.at(f"fragment {rib.fragment} statement {ordinal}")
+        if not steps:
+            raise ExecutionError(f"fragment {rib.fragment} carries no statements")
+        points.append((rib.dst, env[target]))
     return ObservationTrace(points=tuple(points), output=points[-1][1])
 
 
@@ -262,22 +308,85 @@ def _stimulus_key(stim: Stimulus) -> tuple:
     return tuple(sorted(stim.env.items()))
 
 
-def _runs(labels: Sequence[str], stimuli: Mapping[str, Stimulus]) -> list[list]:
-    """[first label, stimulus, length] of each run of consecutive terms that
-    share one stimulus object; raises MissingStimulus for the first label
-    with none."""
-    stims = list(map(stimuli.get, labels))
-    if stims and stims[0] is not None and stims.count(stims[0]) == len(stims):
-        return [[labels[0], stims[0], len(stims)]]
-    runs: list[list] = []
-    for label, stim in zip(labels, stims):
-        if stim is None:
-            raise MissingStimulus(f"no stimulus for {label}")
-        if runs and runs[-1][1] is stim:
-            runs[-1][2] += 1
-        else:
-            runs.append([label, stim, 1])
-    return runs
+class Stimuli(Mapping[str, Stimulus]):
+    """The stimuli of a suite by term label, held per path block: one
+    stimulus per block (the blocks of one path share it) and, per block,
+    the terms that take other inputs.
+
+    ``runs`` gives each block's runs without reading a label; a block with
+    no override is one run.  The label index is built on the first read by
+    label.
+    """
+
+    def __init__(self, suite: TestSuite, per_block: Sequence[Stimulus | None],
+                 overrides: Mapping[int, Mapping[str, Stimulus]] | None = None):
+        self.suite = suite
+        self._per_block = tuple(per_block)
+        self._overrides = dict(overrides or {})  # block index -> label -> stimulus
+
+    @classmethod
+    def of(cls, suite: TestSuite, stimuli: Mapping[str, Stimulus]) -> "Stimuli":
+        """*stimuli* in the per-block form of *suite*: itself when it is
+        already that suite's, else read label by label, each block taking
+        its first term's stimulus and the terms given another object as
+        overrides.  Raises MissingStimulus for the first term with none."""
+        if isinstance(stimuli, Stimuli) and stimuli.suite == suite:
+            return stimuli
+        per_block: list[Stimulus | None] = []
+        overrides: dict[int, dict[str, Stimulus]] = {}
+        for i, block in enumerate(suite.blocks):
+            terms = {label: stimuli.get(label) for label in block.labels}
+            missing = next((label for label, stim in terms.items() if stim is None), None)
+            if missing is not None:
+                raise MissingStimulus(f"no stimulus for {missing}")
+            base = next(iter(terms.values()), None)
+            per_block.append(base)
+            other = {label: stim for label, stim in terms.items() if stim is not base}
+            if other:
+                overrides[i] = other
+        return cls(suite, per_block, overrides)
+
+    def overriding(self, given: Mapping[str, Stimulus]) -> "Stimuli":
+        """These stimuli with each term of *given* taking its stimulus;
+        KeyError for a label that names no term."""
+        if not given:
+            return self
+        overrides = {i: dict(terms) for i, terms in self._overrides.items()}
+        for label, stim in given.items():
+            overrides.setdefault(self._index[label], {})[label] = stim
+        return Stimuli(self.suite, self._per_block, overrides)
+
+    def runs(self) -> Iterator[tuple[Block, Sequence]]:
+        """Each block of the suite with its runs: (first label, stimulus,
+        length) of each run of consecutive terms sharing a stimulus object."""
+        for i, (block, base) in enumerate(zip(self.suite.blocks, self._per_block)):
+            labels = block.labels
+            terms = self._overrides.get(i)
+            if terms is None:
+                yield block, ((labels[0], base, len(labels)),) if labels else ()
+                continue
+            runs: list[list] = []
+            for label in labels:
+                stim = terms.get(label, base)
+                if runs and runs[-1][1] is stim:
+                    runs[-1][2] += 1
+                else:
+                    runs.append([label, stim, 1])
+            yield block, runs
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, block in enumerate(self.suite.blocks) for label in block.labels}
+
+    def __getitem__(self, label: str) -> Stimulus:
+        i = self._index[label]
+        return self._overrides.get(i, {}).get(label, self._per_block[i])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def _golden_outputs(g: RTGraph) -> dict[tuple, float]:
@@ -302,6 +411,8 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
     path statement for statement, so its bit is 0.  An ExecutionError names
     the first term of the run that raised it: a path that crosses no
     changed rib can raise only where its golden side already does.
+    *stimuli* is read block by block through ``Stimuli.of``: a ``Stimuli``
+    of this suite as it is, any other label mapping converted once.
     """
     golden_rib = {r.key: r for r in golden.ribs}
     mutant_rib = {r.key: r for r in mutant.ribs}
@@ -310,11 +421,11 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
     outputs = _golden_outputs(golden)
     seen: dict[tuple, int] = {}
     bits: list[int] = []
-    for block in suite.blocks:
+    for block, runs in Stimuli.of(suite, stimuli).runs():
         path = block.path
         keys = tuple(r.key for r in path.edges)
         crosses = not changed.isdisjoint(keys)
-        for label, stim, n in _runs(block.labels, stimuli):
+        for label, stim, n in runs:
             pair = (keys, _stimulus_key(stim), permissive)
             bit = seen.get(pair)
             if bit is None:
@@ -361,16 +472,16 @@ def pick_stimulus(p: Path,
     return Stimulus(env=env)
 
 
-def default_stimuli(g: RTGraph, suite: TestSuite) -> dict[str, Stimulus]:
+def default_stimuli(g: RTGraph, suite: TestSuite) -> Stimuli:
     """Guard-oblivious stimuli for every term: input 1.0, free variables 0.0.
 
     A term's stimulus depends only on its path: one is picked per run of
-    consecutive blocks on one path, and the object is shared across their
-    terms.  *g* is not read."""
-    out: dict[str, Stimulus] = {}
+    consecutive blocks on one path and shared by their terms, with no
+    override.  *g* is not read."""
+    per_block: list[Stimulus] = []
     path = stim = None
     for block in suite.blocks:
         if block.path is not path:
             path, stim = block.path, pick_stimulus(block.path)
-        out.update(zip(block.labels, repeat(stim)))
-    return out
+        per_block.append(stim)
+    return Stimuli(suite, per_block)

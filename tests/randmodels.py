@@ -5,7 +5,7 @@ The oracles that check the library against them are in ``reference.py``.
 
 from random import Random
 
-from rtgdiag import Node, RTGraph, make_rib
+from rtgdiag import Node, RTGraph, Stimulus, make_rib
 from rtgdiag.simulator import FaultSpec
 
 # --- random clause families ----------------------------------------------------
@@ -82,6 +82,54 @@ def random_dag_model(rng: Random, max_internal: int = 3, max_fragments: int = 6,
     for i, (src, dst) in enumerate(ordered, start=1):
         ribs.append(make_rib(f"I{i}", src, dst, _random_rib_specs(rng, src, max_statements)))
     return RTGraph(nodes=tuple(nodes), ribs=tuple(ribs))
+
+
+def free_variable_model(rng: Random) -> RTGraph:
+    """A random DAG model whose ribs read and write a small pool of
+    variables in any order, with a constant on either side of an
+    operation, so that paths read variables no earlier rib assigns, read
+    a variable before their own rib assigns it, divide by an input, and
+    now and then hold an opcode outside the alphabet."""
+    g = random_dag_model(rng, max_statements=4)
+    pool = ("x", "acc", "t1", "w")
+    ribs = []
+    for r in g.ribs:
+        specs = []
+        for _ in r.statements:
+            opcode = 9 if rng.random() < 0.02 else rng.choice((1, 2, 3, 4, 4, 5))
+            operands = [rng.choice(pool)]
+            if opcode != 5:
+                operands.insert(rng.randrange(2), rng.choice(pool + _CONSTANTS))
+            specs.append((opcode, rng.choice(pool), tuple(operands)))
+        ribs.append(make_rib(r.fragment, r.src, r.dst, specs))
+    return g.with_ribs(ribs)
+
+
+def forcing_values(g: RTGraph) -> tuple[float, ...]:
+    """Input values that drive *g*'s operations out of range: zero and each
+    constant of the graph with both signs (so ``x - c`` and ``c / x`` meet
+    zero), values whose products overflow to inf, the infinities (sin of
+    inf) and NaN."""
+    constants = {o for r in g.ribs for s in r.statements for o in s.operands
+                 if not isinstance(o, str)}
+    return (0.0, *sorted(constants | {-c for c in constants}), 1e308, -1e308,
+            float("inf"), float("-inf"), float("nan"))
+
+
+def split_stimuli(suite, stimuli):
+    """*stimuli* as a plain dict, with the last term of every multi-term
+    path moved to other inputs, so one path carries two distinct input
+    bindings."""
+    out = dict(stimuli)
+    last = {}
+    for t in suite.terms:
+        last.setdefault(t.path.label, []).append(t)
+    for terms in last.values():
+        if len(terms) > 1:
+            t = terms[-1]
+            env = {k: v * 2.5 + 0.75 for k, v in stimuli[t.label].env.items()}
+            out[t.label] = Stimulus(env=env)
+    return out
 
 
 def ladder_model(k: int) -> RTGraph:

@@ -3,7 +3,9 @@
 Each oracle here works on materialized rows, terms, paths or subsets, the
 plain way, and reads nothing private of the code it checks: row-level CNF
 and exoneration, the row-level ambiguity partition, the ambiguity groups of
-a graph from its enumerated paths, a term-by-term response vector,
+a graph from its enumerated paths, path execution statement by statement
+(first reads re-derived and each rib sorted on every call) and a
+term-by-term response vector on it,
 brute-force hitting sets and covers, the greedy covers on frozensets, an
 unmerged fixture for the merge pass, regions as sorted tuples of interval
 pieces, and the quadratic routes of the frontend and graph views: a
@@ -16,12 +18,13 @@ block, as a loaded table does.
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from rtgdiag import (AmbiguityGroup, Block, ExecutionError, FaultDetectionTable, NoFailures,
-                     NoResponse, ParseError, Path, RTGraph, TestSuite, Uncoverable,
-                     enumerate_paths, execute_path, make_rib)
+from rtgdiag import (AmbiguityGroup, Block, DefaultedVariableWarning, ExecutionError,
+                     FaultDetectionTable, NoFailures, NoResponse, ObservationTrace, ParseError,
+                     Path, RTGraph, Stimulus, TestSuite, Uncoverable, enumerate_paths, make_rib)
 from rtgdiag.errors import DivisionByZero, UnboundVariable
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.frontend import RELATIONS, Var, evaluate
@@ -99,10 +102,63 @@ def ambiguity_groups_by_paths(g: RTGraph) -> list[AmbiguityGroup]:
 # --- the run, term by term ------------------------------------------------------
 
 
+def path_reads(p: Path) -> list[str]:
+    """The ordered first-reads along a path: variables read before any
+    statement on the path assigns them.  The first one is taken as the
+    path's input variable.
+    """
+    assigned: set[str] = set()
+    first_reads: list[str] = []
+    for rib in p.edges:
+        for stmt in rib.statements:
+            for v in stmt.read_variables():
+                if v not in assigned and v not in first_reads:
+                    first_reads.append(v)
+            assigned.add(stmt.target)
+    return first_reads
+
+
+def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> ObservationTrace:
+    """Execute each rib's statements in order along a path.
+
+    Variables read but never assigned on the path must be bound by the
+    stimulus; in permissive mode missing ones default to 0.0 with a
+    DefaultedVariableWarning naming them.
+    """
+    env: dict[str, float] = {k: float(v) for k, v in s.env.items()}
+    first_reads = path_reads(p)
+    unbound = [v for v in first_reads if v not in env]
+    if unbound:
+        if not permissive:
+            raise UnboundVariable(unbound)
+        for v in unbound:
+            env[v] = 0.0
+        warnings.warn(f"defaulted free variable(s) to 0.0: {', '.join(unbound)}",
+                      DefaultedVariableWarning, stacklevel=2)
+
+    points: list[tuple[str, float]] = []
+    if first_reads:
+        points.append((p.edges[0].src, env[first_reads[0]]))
+    for rib in p.edges:
+        for stmt in sorted(rib.statements, key=lambda st: st.ordinal):
+            operands = [env[o] if isinstance(o, str) else o for o in stmt.operands]
+            try:
+                env[stmt.target] = OP_ALPHABET[stmt.opcode].fn(*operands)
+            except KeyError:
+                raise ExecutionError(f"unknown opcode {stmt.opcode} in fragment {rib.fragment} "
+                                     f"statement {stmt.ordinal}") from None
+            except ExecutionError as err:
+                raise err.at(f"fragment {rib.fragment} statement {stmt.ordinal}")
+        points.append((rib.dst, env[rib.statements[-1].target]))
+    return ObservationTrace(points=tuple(points), output=points[-1][1])
+
+
+
 def reference_v(golden, mutant, suite, stimuli):
     """Two execute_path calls per term, each on its own graph's ribs of the
     term's path; (bits, None) or (None, (error type, label of the first
-    failing term))."""
+    failing term)).  A NaN output agrees only with NaN, and an infinite
+    one only with the same infinity."""
     golden_rib = {r.key: r for r in golden.ribs}
     mutant_rib = {r.key: r for r in mutant.ribs}
     bits = []
@@ -117,6 +173,8 @@ def reference_v(golden, mutant, suite, stimuli):
             return None, (type(e), t.label)
         if math.isnan(gv) or math.isnan(mv):
             bits.append(int(math.isnan(gv) != math.isnan(mv)))
+        elif math.isinf(gv) or math.isinf(mv):  # only the same infinity agrees
+            bits.append(int(gv != mv))
         else:
             bits.append(int(abs(gv - mv) > TOLERANCE * max(1.0, abs(gv))))
     return tuple(bits), None

@@ -50,11 +50,13 @@ def responded_tables(draw):
         suite = minimal_diagnostic_test(suite, g.statement_ids)
     stimuli = default_stimuli(g, suite)
     labels = suite.labels()
+    overrides = {}
     for i in draw(st.sets(st.integers(0, len(labels) - 1), max_size=3)):
         # other inputs for one term: its path is split when it has more terms
         env = dict(stimuli[labels[i]].env)
         env[next(iter(env))] = draw(st.sampled_from((-2.0, 0.5, 3.0)))
-        stimuli[labels[i]] = Stimulus(env=env)
+        overrides[labels[i]] = Stimulus(env=env)
+    stimuli = stimuli.overriding(overrides)
     catalogue = mutation_catalogue(g)
     assume(catalogue)
     fault = catalogue[draw(st.integers(0, len(catalogue) - 1))]

@@ -121,10 +121,8 @@ def test_random_models_and_flipped_bits():
 
 def every_fifth_term_at(x: float):
     def stimuli_for(g, suite):
-        out = default_stimuli(g, suite)
-        for t in suite.terms[::5]:
-            out[t.label] = Stimulus(env={"x": x})
-        return out
+        return default_stimuli(g, suite).overriding(
+            {label: Stimulus(env={"x": x}) for label in suite.labels()[::5]})
     return stimuli_for
 
 

@@ -3,9 +3,10 @@ expansion and diagnosis is per path block, not per row.
 
 One ``rtgdiag all`` on a 5-stage ladder (32 paths, 1,024 rows, 20
 statements) must hash statement ids O(paths x statements) times, not once
-per mark; compute the stimulus key of each path once; and build no
-``TestTerm`` or ``TableRow``: each read of ``suite.terms`` or ``table.rows``
-builds every item anew, so no stage may read them.
+per mark; pick one stimulus and compute one stimulus key per path, and
+read no stimulus by term label; and build no ``TestTerm`` or
+``TableRow``: each read of ``suite.terms`` or ``table.rows`` builds every
+item anew, so no stage may read them.
 """
 
 import pytest
@@ -54,6 +55,25 @@ def test_all_on_a_ladder_is_path_level(tmp_path, calls):
     assert calls["hash"] <= 4 * PATHS * STATEMENTS
     assert calls["key"] == PATHS
     assert calls["term"] == calls["row"] == 0
+
+
+def test_all_picks_one_stimulus_per_path_and_reads_none_by_label(tmp_path, monkeypatch):
+    picks = []
+
+    def counted(p, *args, _pick=simulator.pick_stimulus):
+        picks.append(p.label)
+        return _pick(p, *args)
+    monkeypatch.setattr(simulator, "pick_stimulus", counted)
+
+    def by_label(*args):
+        raise AssertionError("a stimulus was read by term label")
+    monkeypatch.setattr(simulator.Stimuli, "__getitem__", by_label)
+    monkeypatch.setattr(simulator.Stimuli, "_index", property(by_label))
+    graph = tmp_path / "ladder.rtg.json"
+    graph.write_text(dumps_graph(ladder_model(K)), encoding="utf-8")
+    assert main(["all", "--graph", str(graph), "--fault", "I3:2:op=4",
+                 "--out", str(tmp_path / "verdict.txt")]) == 1
+    assert len(picks) == len(set(picks)) == PATHS
 
 
 def test_diagnose_builds_no_rows(calls):

@@ -18,11 +18,12 @@ from random import Random
 import pytest
 
 from rtgdiag import (DivisionByZero, ExecutionError, Node, RTGraph, Stimulus,
-                     build_complete_test, default_stimuli, dumps_graph, inject_fault, make_rib,
-                     run_suite, simulator)
+                     build_complete_test, build_rtg, default_stimuli, dumps_graph, inject_fault,
+                     make_rib, parse_program, run_suite, simulator)
 from rtgdiag.cli import main
 
-from randmodels import ladder_model, random_dag_model
+from randmodels import (expression_chain_program, forcing_values, free_variable_model,
+                        if_chain_program, ladder_model, random_dag_model, split_stimuli)
 from reference import TOLERANCE, reference_v
 
 def observed_v(golden, mutant, suite, stimuli):
@@ -30,21 +31,6 @@ def observed_v(golden, mutant, suite, stimuli):
         return run_suite(golden, mutant, suite, stimuli, tolerance=TOLERANCE).bits, None
     except ExecutionError as e:
         return None, (type(e), str(e).split(":", 1)[0].removeprefix("term "))
-
-
-def split_stimuli(suite, stimuli):
-    """*stimuli* with the last term of every multi-term path moved to other
-    inputs, so one path carries two distinct input bindings."""
-    out = dict(stimuli)
-    last = {}
-    for t in suite.terms:
-        last.setdefault(t.path.label, []).append(t)
-    for terms in last.values():
-        if len(terms) > 1:
-            t = terms[-1]
-            env = {k: v * 2.5 + 0.75 for k, v in stimuli[t.label].env.items()}
-            out[t.label] = Stimulus(env=env)
-    return out
 
 
 def count_calls(monkeypatch, *names):
@@ -80,7 +66,25 @@ def split_default_stimuli(g, suite):
     return split_stimuli(suite, default_stimuli(g, suite))
 
 
-@pytest.mark.parametrize("stimuli_of", [default_stimuli, split_default_stimuli])
+def forced_stimuli(g, suite):
+    """The default stimuli with every third term overridden: its input takes
+    the forcing values of *g* in turn (zero, the constants, overflow, inf
+    and NaN)."""
+    stimuli = default_stimuli(g, suite)
+    values = forcing_values(g)
+    overrides = {}
+    for i, label in enumerate(suite.labels()[::3]):
+        env = dict(stimuli[label].env)
+        if env:
+            env[next(iter(env))] = values[i % len(values)]
+        overrides[label] = Stimulus(env=env)
+    return stimuli.overriding(overrides)
+
+
+STIMULI = [default_stimuli, split_default_stimuli, forced_stimuli]
+
+
+@pytest.mark.parametrize("stimuli_of", STIMULI)
 def test_per_path_run_matches_term_reference(stimuli_of):
     compared = failed = 0
     for g, suite, mutant in campaign(range(40)):
@@ -91,6 +95,31 @@ def test_per_path_run_matches_term_reference(stimuli_of):
         failed += want[1] is not None
     assert compared > 200
     assert failed < compared
+
+
+def model_families():
+    """Ladders, lowered ``.swl`` programs and free-variable models, each with
+    every catalogue mutant."""
+    graphs = [ladder_model(k) for k in (1, 2, 3)]
+    graphs += [build_rtg(parse_program(source(shape, seed)))[0]
+               for source in (if_chain_program, expression_chain_program)
+               for shape, seed in (((2, 3), 0), ((3, 2), 1))]
+    graphs += [free_variable_model(Random(seed)) for seed in range(30)]
+    for g in graphs:
+        suite = build_complete_test(g)
+        for fault in simulator.mutation_catalogue(g):
+            yield g, suite, inject_fault(g, fault)
+
+
+@pytest.mark.parametrize("stimuli_of", STIMULI)
+def test_every_model_family_matches_term_reference(stimuli_of):
+    outcomes = Counter()
+    for g, suite, mutant in model_families():
+        stimuli = stimuli_of(g, suite)
+        want = reference_v(g, mutant, suite, stimuli)
+        assert observed_v(g, mutant, suite, stimuli) == want
+        outcomes["error" if want[1] else "bits"] += 1
+    assert outcomes["bits"] > 100 and outcomes["error"] > 10
 
 
 def test_error_names_first_failing_term():
@@ -217,7 +246,7 @@ def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
     assert simulator._golden_outputs(g) != simulator._golden_outputs(other)
 
 
-@pytest.mark.parametrize("stimuli_of", [default_stimuli, split_default_stimuli])
+@pytest.mark.parametrize("stimuli_of", STIMULI)
 def test_memo_holds_one_entry_per_distinct_run(stimuli_of):
     for seed in range(10):
         g = random_dag_model(Random(seed))
