@@ -13,7 +13,7 @@ from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity
                         verify_minimal_insertions)
 from .errors import (ArityMismatch, CandidateExplosion, CyclicGraph, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
-                     LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
+                     InvalidTolerance, LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
                      NonFiniteValue, NoOpMutation, NoResponse, NoSuchStatement,
                      ParseError, PathExplosion, RtgError, SchemaError, TermExplosion,
                      UnboundVariable, Uncoverable, UndefinedVariable, UnsupportedOperation,

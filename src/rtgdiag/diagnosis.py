@@ -16,6 +16,12 @@ path-uniform table (every term of a path gets the path's bit) that costs a
 polynomial in the failing paths, not in their terms.  Removing candidates
 touched by H ("strong" mode, the single-fault reading) leaves the reduced
 diagnosis F'.
+
+What a block yields does not depend on V: whether it can be one part, its
+clause when it fails, the statements it marks when it passes.  Each is
+made the first time a diagnosis reads the block that way and kept in the
+table's memo, which ``attach_response`` passes to every responded copy,
+so a campaign of mutants against one table builds each once.
 """
 
 from __future__ import annotations
@@ -89,23 +95,52 @@ class DiagnosisResult:
 Part = tuple
 
 
-def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[Part]]:
-    """The failing parts (bit 1) and the passing parts (bit 0), each in row
-    order.  A block whose rows share one bit, each bracket on one fragment,
-    is one part; each row of any other block is a part of its own.  Raises
-    NoResponse when the table has no response vector V, and NoFailures
-    when no row fails."""
+def _keyed(part: Part) -> tuple:
+    """A failing part as factoring reads it: (the fragments it touches,
+    keyed by each bracket's first member, its clause, the part)."""
+    return frozenset(b[0].fragment for b in part), Clause(map(frozenset, part)), part
+
+
+def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[tuple], list[frozenset[StatementId]]]:
+    """The failing parts (bit 1), keyed, and the statements marked by each
+    passing part (bit 0), each in row order.  A block whose rows share one
+    bit, each bracket on one fragment, is one part; each row of any other
+    block is a part of its own.  Raises NoResponse when the table has no
+    response vector V, and NoFailures when no row fails.
+
+    The table's memo keeps one entry per block while the table holds the
+    same blocks: [whether the block can be one part, its keyed part, its
+    marked set], made the first time its rows share a bit, the last two
+    filled the first time it fails and passes."""
     if t.response is None:
         raise NoResponse("the table has no response vector V to diagnose from")
-    failing: list[Part] = []
-    passing: list[Part] = []
-    for block, bits in t.block_bits():
-        if bits and bits.count(bits[0]) == len(bits) \
-                and all(len({s.fragment for s in b}) == 1 for b in block.brackets):
-            (failing if bits[0] else passing).append(block.brackets)
-        else:
-            for selection, bit in zip(product(*block.brackets), bits):
-                (failing if bit else passing).append(tuple(zip(selection)))
+    kept = t.memo.get("parts")
+    if kept is None or kept[0] is not t.blocks:
+        kept = t.memo["parts"] = (t.blocks, [None] * len(t.blocks))
+    entries = kept[1]
+    failing: list[tuple] = []
+    passing: list[frozenset[StatementId]] = []
+    for i, (block, bits) in enumerate(t.block_bits()):
+        if bits and bits.count(bits[0]) == len(bits):
+            entry = entries[i]
+            if entry is None:
+                entry = entries[i] = [all(len({s.fragment for s in b}) == 1
+                                          for b in block.brackets), None, None]
+            if entry[0]:
+                if bits[0]:
+                    if entry[1] is None:
+                        entry[1] = _keyed(block.brackets)
+                    failing.append(entry[1])
+                else:
+                    if entry[2] is None:
+                        entry[2] = _marked(block.brackets)
+                    passing.append(entry[2])
+                continue
+        for selection, bit in zip(product(*block.brackets), bits):
+            if bit:
+                failing.append(_keyed(tuple(zip(selection))))
+            else:
+                passing.append(frozenset(selection))
     if not failing:
         raise NoFailures("response vector is all-zero; no fault detected")
     return failing, passing
@@ -119,7 +154,8 @@ def _marked(part: Part) -> frozenset[StatementId]:
 def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
     """The CNF clauses of the failing *parts* (whole blocks and single rows,
     as tuples of brackets), each full product of rows folded into one
-    clause of bracket literals.
+    clause of bracket literals.  ``diagnose`` hands its parts over keyed
+    (``_factored``), each block's built once per table.
 
     Parts are grouped by the fragments they touch, keyed by each bracket's
     first member, in order of first appearance.  A group of one distinct
@@ -131,16 +167,20 @@ def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
     |B1| * ... * |Bm|; the group is then the one clause {B1, ..., Bm}, and
     otherwise each row is a clause of its own.  Exact for any table.
     """
-    groups: dict[frozenset[str], list[Part]] = {}
-    for part in parts:
-        groups.setdefault(frozenset(b[0].fragment for b in part), []).append(part)
+    return _factored(map(_keyed, parts))
+
+
+def _factored(parts: Iterable[tuple]) -> list[Clause]:
+    groups: dict[frozenset[str], list[tuple]] = {}
+    for keyed in parts:
+        groups.setdefault(keyed[0], []).append(keyed)
     out: list[Clause] = []
     for fragments, group in groups.items():
-        clauses = {Clause(map(frozenset, p)) for p in group}
+        clauses = {clause for _, clause, _ in group}
         if len(clauses) == 1:
             out.append(clauses.pop())
             continue
-        rows = dict.fromkeys(frozenset(row) for p in group for row in product(*p))
+        rows = dict.fromkeys(frozenset(row) for _, _, p in group for row in product(*p))
         marked = frozenset().union(*rows)
         if (all(len(row) == len(fragments) for row in rows)
                 and len(rows) == prod(Counter(s.fragment for s in marked).values())):
@@ -187,6 +227,11 @@ def cnf_to_min_dnf(clauses: Sequence[Clause], cap: int = DEFAULT_DNF_CAP) -> Can
     return CandidateDNF(terms=frozenset(partial))
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("strong", "weak"):
+        raise ValueError(f"unknown exoneration mode {mode!r}")
+
+
 def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
                       mode: str = "strong") -> CandidateDNF:
     """Drop exonerated candidates: F' = F \\ H.
@@ -195,8 +240,7 @@ def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
     member of H; weak mode drops only terms entirely inside H.  Raises
     EmptyDiagnosis when nothing survives.
     """
-    if mode not in ("strong", "weak"):
-        raise ValueError(f"unknown exoneration mode {mode!r}")
+    _check_mode(mode)
     if mode == "strong":
         kept = {t for t in f.terms if not (t & h)}
     else:
@@ -251,10 +295,12 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
     each clause), exoneration, reduction.
 
     Attaches the ambiguity group(s) containing the surviving statements.
+    Raises ValueError for an unknown *mode* before any clause is built.
     """
+    _check_mode(mode)
     failing, passing = _parts_by_verdict(t)
-    f = cnf_to_min_dnf(factor_clauses(failing), cap=cap)
-    h = frozenset().union(*map(_marked, passing))
+    f = cnf_to_min_dnf(_factored(failing), cap=cap)
+    h = frozenset().union(*passing)
     reduced = reduce_candidates(f, h, mode=mode)
     ambiguity = tuple(_groups_of(t, frozenset().union(*reduced.terms)))
     return DiagnosisResult(candidates=f, exonerated=h, reduced=reduced,
@@ -269,8 +315,8 @@ def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
         raise ValueError("diagnose_generalized needs a generalized table")
     failing, passing = _parts_by_verdict(t)
     common = [frozenset(chain.from_iterable(b for b in p if len(set(b)) == 1))
-              for p in failing]
-    return frozenset.intersection(*common) - frozenset().union(*map(_marked, passing))
+              for _, _, p in failing]
+    return frozenset.intersection(*common) - frozenset().union(*passing)
 
 
 #: Path-set fingerprints are weighted path sums modulo this prime, with

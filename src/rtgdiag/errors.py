@@ -132,6 +132,10 @@ class GraphMismatch(RtgError):
     """Golden and mutant graphs do not share a topology."""
 
 
+class InvalidTolerance(RtgError):
+    """A comparison tolerance is negative, infinite or NaN."""
+
+
 class MissingStimulus(RtgError):
     """A test term has no stimulus associated with it."""
 

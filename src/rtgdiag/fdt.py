@@ -11,16 +11,16 @@ path, marks and label, the path of a loaded row being ``Path(label, ())``.
 
 A table holds at most one response vector V, one pass/fail bit per row in
 row order; bit 1 means the observed output differed from the expected one.
-The table checks at construction that V has one bit per row, and
-``attach_response`` binds V without touching the rows.  In table JSON each
-row carries its bit as ``v``: 0 or 1 on every row, or null on every row
-when no V is bound; ``table_from_json`` rejects anything else.
+The table checks at construction that V is a ``ResponseVector`` with one
+bit per row, and ``attach_response`` binds V without touching the rows.  In
+table JSON each row carries its bit as ``v``: 0 or 1 on every row, or null
+on every row when no V is bound; ``table_from_json`` rejects anything else.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Sequence
@@ -71,8 +71,13 @@ class FaultDetectionTable:
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.response is None:
+            return
+        if not isinstance(self.response, ResponseVector):
+            raise SchemaError(f"a table's response must be a ResponseVector, "
+                              f"got {type(self.response).__name__}")
         rows = sum(map(len, self.blocks))
-        if self.response is not None and len(self.response) != rows:
+        if len(self.response) != rows:
             raise LengthMismatch(f"response has {len(self.response)} bits for {rows} rows")
 
     @property
@@ -116,9 +121,10 @@ def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetec
     """The table with *v* bound as its response; the blocks and the memo
     are shared.
 
-    Raises LengthMismatch unless *v* has one bit per row.
+    Raises SchemaError unless *v* is a ResponseVector, and LengthMismatch
+    unless it has one bit per row.
     """
-    return replace(table, response=v)
+    return FaultDetectionTable(table.kind, table.columns, table.blocks, v, table.memo)
 
 
 # --- rendering ---------------------------------------------------------------

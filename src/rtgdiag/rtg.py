@@ -141,7 +141,8 @@ class Rib:
     A rib has no ``__slots__``, so that a derived form can be kept on it,
     as ``RTGraph`` keeps its views: the simulator compiles a rib on its
     first use.  Equality, hashing and ``replace`` see only the fields, so a
-    replaced rib is compiled anew."""
+    rib built from another (by ``replace`` or fault injection) is compiled
+    anew."""
 
     fragment: str
     src: str
@@ -336,7 +337,8 @@ class RTGraph:
         return order
 
     def with_ribs(self, ribs: Iterable[Rib]) -> "RTGraph":
-        return replace(self, ribs=tuple(ribs))
+        """This graph's nodes (the same tuple) with *ribs*."""
+        return RTGraph(self.nodes, tuple(ribs))
 
 
 def _statement_violations(fragment: str, statements: tuple[Statement, ...]) -> list[Violation]:

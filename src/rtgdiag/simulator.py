@@ -31,6 +31,16 @@ mutants against one golden graph executes each golden path once per input
 binding.  The mutant is executed only on paths that cross a changed rib (a
 rib whose statements differ from the golden one); every other path runs the
 golden statements, and execution is deterministic, so its bit is 0.
+
+What a mutant's run reads of the golden side is kept on the golden graph
+too, as one run plan for the latest ``Stimuli`` object: the golden ribs by
+key, one record per distinct (path, inputs) pair with its row spans, and
+the records crossing each rib.  The node roles are compared only for a
+mutant that does not share the golden graph's node tuple, as every mutant
+``inject_fault`` makes does.  Once every golden output of
+the plan is known, a mutant's run starts V at all zeros and visits only
+the records that cross a changed rib, so its cost is in what the mutant
+touches, not in the suite.
 """
 
 from __future__ import annotations
@@ -38,17 +48,17 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
 from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePath,
-                     InvalidMutation, MissingStimulus, NoOpMutation, NoSuchStatement,
-                     UnboundVariable)
+                     InvalidMutation, InvalidTolerance, MissingStimulus, NoOpMutation,
+                     NoSuchStatement, UnboundVariable)
 from .fdt import ResponseVector
 from .frontend import RELATIONS, Program, evaluate, layout
 from .intervals import IntervalSet, meet
-from .rtg import OP_ALPHABET, Rib, RTGraph
+from .rtg import OP_ALPHABET, Rib, RTGraph, Statement
 from .testsynth import Block, Path, TestSuite
 
 DEFAULT_TOLERANCE = 1e-9
@@ -243,7 +253,7 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
                 f"{f.opcode} has arity {opdef.arity}")
         if f.opcode == old.opcode:
             raise NoOpMutation("substituted opcode equals the original")
-        new = replace(old, opcode=f.opcode)
+        new = Statement(old.ordinal, f.opcode, old.target, old.operands)
     else:
         if f.operand_index is not None:
             idx = f.operand_index
@@ -259,10 +269,10 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
             raise NoOpMutation("perturbed constant equals the original")
         operands = list(old.operands)
         operands[idx] = float(f.constant)
-        new = replace(old, operands=tuple(operands))
+        new = Statement(old.ordinal, old.opcode, old.target, tuple(operands))
 
     mutated = statements[:index] + (new,) + statements[index + 1:]
-    return g.with_ribs(replace(r, statements=mutated) if r.fragment == f.fragment else r
+    return g.with_ribs(Rib(r.fragment, r.src, r.dst, mutated) if r.fragment == f.fragment else r
                        for r in g.ribs)
 
 
@@ -288,13 +298,6 @@ def mutation_catalogue(g: RTGraph) -> list[FaultSpec]:
 
 
 # --- suite execution ------------------------------------------------------------
-
-def _check_topology(golden: RTGraph, mutant: RTGraph, golden_rib: Mapping,
-                    mutant_rib: Mapping) -> None:
-    if {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes} \
-            or golden_rib.keys() != mutant_rib.keys():
-        raise GraphMismatch("golden and mutant graphs differ in topology")
-
 
 def _differs(gv: float, mv: float, tolerance: float) -> bool:
     """Relative comparison of finite outputs; a non-finite output differs
@@ -396,6 +399,41 @@ def _golden_outputs(g: RTGraph) -> dict[tuple, float]:
     return g.__dict__.setdefault("_golden_outputs", {})
 
 
+class _RunPlan:
+    """What ``run_suite`` reads of one golden graph and one ``Stimuli`` for
+    every mutant: the golden ribs by key and the suite's runs.  The runs of
+    one (path, inputs) pair are one record, at the first of them: (first
+    label, stimulus, memo key, suite path, row spans), a span being the
+    (offset, length) of one run's rows.  ``crossing`` maps each rib key to
+    the records whose path crosses it, in order, and ``golden`` holds each
+    record's golden output once all are known."""
+
+    __slots__ = ("rib", "stimuli", "permissive", "rows", "records", "crossing", "golden")
+
+    def __init__(self, rib: dict[tuple, Rib], stimuli: Stimuli, permissive: bool):
+        self.rib = rib
+        self.stimuli = stimuli
+        self.permissive = permissive
+        self.golden: tuple[float, ...] | None = None
+        self.records: list[tuple] = []
+        self.crossing: dict[tuple, list[int]] = {}
+        index: dict[tuple, int] = {}
+        start = 0
+        for block, runs in stimuli.runs():
+            keys = tuple(r.key for r in block.path.edges)
+            for label, stim, n in runs:
+                pair = (keys, _stimulus_key(stim), permissive)
+                i = index.get(pair)
+                if i is None:
+                    i = index[pair] = len(self.records)
+                    self.records.append((label, stim, pair, block.path, []))
+                    for k in keys:
+                        self.crossing.setdefault(k, []).append(i)
+                self.records[i][4].append((start, n))
+                start += n
+        self.rows = start
+
+
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
               stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
               permissive: bool = False) -> ResponseVector:
@@ -413,37 +451,53 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
     changed rib can raise only where its golden side already does.
     *stimuli* is read block by block through ``Stimuli.of``: a ``Stimuli``
     of this suite as it is, any other label mapping converted once.
+
+    The golden graph keeps a run plan (``_RunPlan``) for the latest
+    ``Stimuli`` object and *permissive* flag, checked by identity.  Until
+    every golden output of the plan is known, every run is walked in order;
+    after that, only the runs that cross a changed rib, so a mutant costs
+    what its changed ribs touch.  Raises InvalidTolerance unless
+    *tolerance* is finite and non-negative.
     """
-    golden_rib = {r.key: r for r in golden.ribs}
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidTolerance(f"tolerance needs a finite non-negative number, got {tolerance}")
+    plan = golden.__dict__.get("_run_plan")
+    golden_rib = {r.key: r for r in golden.ribs} if plan is None else plan.rib
     mutant_rib = {r.key: r for r in mutant.ribs}
-    _check_topology(golden, mutant, golden_rib, mutant_rib)
-    changed = {k for k, r in mutant_rib.items() if r.statements != golden_rib[k].statements}
+    if golden_rib.keys() != mutant_rib.keys() or mutant.nodes is not golden.nodes and \
+            {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes}:
+        raise GraphMismatch("golden and mutant graphs differ in topology")
+    changed = [k for k, r in mutant_rib.items()
+               if r is not golden_rib[k] and r.statements != golden_rib[k].statements]
+    s = Stimuli.of(suite, stimuli)
+    if plan is None or plan.stimuli is not s or plan.permissive != permissive:
+        plan = golden.__dict__["_run_plan"] = _RunPlan(golden_rib, s, permissive)
+    crossed = {i for k in changed for i in plan.crossing.get(k, ())}
+    known = plan.golden
     outputs = _golden_outputs(golden)
-    seen: dict[tuple, int] = {}
-    bits: list[int] = []
-    for block, runs in Stimuli.of(suite, stimuli).runs():
-        path = block.path
-        keys = tuple(r.key for r in path.edges)
-        crosses = not changed.isdisjoint(keys)
-        for label, stim, n in runs:
-            pair = (keys, _stimulus_key(stim), permissive)
-            bit = seen.get(pair)
-            if bit is None:
-                try:
-                    gv = outputs.get(pair)
-                    if gv is None:
-                        gpath = Path(label=path.label, edges=tuple(golden_rib[k] for k in keys))
-                        gv = outputs[pair] = execute_path(golden, gpath, stim, permissive).output
-                    bit = 0
-                    if crosses:
-                        mpath = Path(label=path.label, edges=tuple(mutant_rib[k] for k in keys))
-                        mv = execute_path(mutant, mpath, stim, permissive).output
-                        bit = 1 if _differs(gv, mv, tolerance) else 0
-                except ExecutionError as e:
-                    e.args = (f"term {label}: {e}",)
-                    raise
-                seen[pair] = bit
-            bits.extend(repeat(bit, n))
+    found: list[float] = []
+    bits = [0] * plan.rows
+    for i in range(len(plan.records)) if known is None else sorted(crossed):
+        label, stim, pair, path, spans = plan.records[i]
+        try:
+            if known is None:
+                gv = outputs.get(pair)
+                if gv is None:
+                    gpath = Path(path.label, tuple(golden_rib[k] for k in pair[0]))
+                    gv = outputs[pair] = execute_path(golden, gpath, stim, permissive).output
+                found.append(gv)
+            else:
+                gv = known[i]
+            if i in crossed:
+                mpath = Path(path.label, tuple(mutant_rib[k] for k in pair[0]))
+                if _differs(gv, execute_path(mutant, mpath, stim, permissive).output, tolerance):
+                    for start, n in spans:
+                        bits[start:start + n] = repeat(1, n)
+        except ExecutionError as e:
+            e.args = (f"term {label}: {e}",)
+            raise
+    if known is None:
+        plan.golden = tuple(found)
     return ResponseVector(tuple(bits))
 
 

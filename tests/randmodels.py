@@ -5,7 +5,7 @@ The oracles that check the library against them are in ``reference.py``.
 
 from random import Random
 
-from rtgdiag import Node, RTGraph, Stimulus, make_rib
+from rtgdiag import Node, RTGraph, Stimuli, Stimulus, default_stimuli, make_rib
 from rtgdiag.simulator import FaultSpec
 
 # --- random clause families ----------------------------------------------------
@@ -130,6 +130,41 @@ def split_stimuli(suite, stimuli):
             env = {k: v * 2.5 + 0.75 for k, v in stimuli[t.label].env.items()}
             out[t.label] = Stimulus(env=env)
     return out
+
+
+def split_default_stimuli(g, suite):
+    return split_stimuli(suite, default_stimuli(g, suite))
+
+
+def forced_stimuli(g, suite) -> Stimuli:
+    """The default stimuli with every third term overridden: its input takes
+    the forcing values of *g* in turn (zero, the constants, overflow, inf
+    and NaN)."""
+    stimuli = default_stimuli(g, suite)
+    values = forcing_values(g)
+    overrides = {}
+    for i, label in enumerate(suite.labels()[::3]):
+        env = dict(stimuli[label].env)
+        if env:
+            env[next(iter(env))] = values[i % len(values)]
+        overrides[label] = Stimulus(env=env)
+    return stimuli.overriding(overrides)
+
+
+def sparse_stimuli(g, suite) -> Stimuli:
+    """The default stimuli with every third term, from the second, left
+    short of inputs: by turns it binds none, or only its first variable.
+    Permissive runs default the rest to 0.0."""
+    stimuli = default_stimuli(g, suite)
+    return stimuli.overriding({
+        label: Stimulus(env=dict(list(stimuli[label].env.items())[:i % 2]))
+        for i, label in enumerate(suite.labels()[1::3])})
+
+
+#: (stimuli of a graph and its suite, permissive) pairs that the seeded
+#: equivalence tests run every catalogue mutant under.
+STIMULI_KINDS = {"default": (default_stimuli, False), "split": (split_default_stimuli, False),
+                 "forced": (forced_stimuli, False), "permissive": (sparse_stimuli, True)}
 
 
 def ladder_model(k: int) -> RTGraph:

@@ -154,11 +154,11 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
 
 
 
-def reference_v(golden, mutant, suite, stimuli):
+def reference_v(golden, mutant, suite, stimuli, permissive=False):
     """Two execute_path calls per term, each on its own graph's ribs of the
-    term's path; (bits, None) or (None, (error type, label of the first
-    failing term)).  A NaN output agrees only with NaN, and an infinite
-    one only with the same infinity."""
+    term's path, both *permissive* or not; (bits, None) or (None, (error
+    type, label of the first failing term)).  A NaN output agrees only with
+    NaN, and an infinite one only with the same infinity."""
     golden_rib = {r.key: r for r in golden.ribs}
     mutant_rib = {r.key: r for r in mutant.ribs}
     bits = []
@@ -167,8 +167,8 @@ def reference_v(golden, mutant, suite, stimuli):
         gpath = Path(label=t.path.label, edges=tuple(golden_rib[r.key] for r in t.path.edges))
         mpath = Path(label=t.path.label, edges=tuple(mutant_rib[r.key] for r in t.path.edges))
         try:
-            gv = execute_path(golden, gpath, stim).output
-            mv = execute_path(mutant, mpath, stim).output
+            gv = execute_path(golden, gpath, stim, permissive).output
+            mv = execute_path(mutant, mpath, stim, permissive).output
         except ExecutionError as e:
             return None, (type(e), t.label)
         if math.isnan(gv) or math.isnan(mv):

@@ -7,6 +7,7 @@ from rtgdiag import (CandidateExplosion, EmptyDiagnosis, NoFailures, Node, NoRes
                      build_generalized_fdt, cnf_to_min_dnf, diagnose, diagnose_generalized,
                      make_rib, recommend_observation_points, reduce_candidates,
                      verify_minimal_insertions)
+from rtgdiag import diagnosis
 from rtgdiag.diagnosis import CandidateDNF
 
 from randmodels import random_clause_family, random_dag_model, single_rib_graph
@@ -265,3 +266,12 @@ def test_diagnose_passes_the_dnf_cap_on(responded):
     assert len(diagnose(responded, cap=3).candidates.terms) == 3
     with pytest.raises(CandidateExplosion):
         diagnose(responded, cap=2)
+
+
+def test_an_unknown_mode_is_refused_before_any_clause(monkeypatch, responded, extended):
+    def no_parts(t):
+        raise AssertionError("parts read before the mode was checked")
+    monkeypatch.setattr(diagnosis, "_parts_by_verdict", no_parts)
+    for table in (responded, extended):
+        with pytest.raises(ValueError, match="unknown exoneration mode 'bogus'"):
+            diagnose(table, mode="bogus")

@@ -12,20 +12,24 @@ same tables with seeded bit flips (not path-uniform), from ladders whose
 stimuli split paths, and from hand-built groups.  The ambiguity groups of
 each diagnosis are checked against ``ambiguity_partition``, the partition
 of the table's columns by the path labels of the rows that mark them.
+A table keeps each block's parts in its memo for every responded copy;
+diagnosing such a copy must give what a table with an empty memo gives.
 """
 
+import warnings
 from random import Random
 
 import pytest
 
-from rtgdiag import (EmptyDiagnosis, FaultSpec, ResponseVector, Stimulus, StatementId,
-                     attach_response, build_complete_test, build_extended_fdt, build_rtg,
-                     cnf_to_min_dnf, default_stimuli, diagnose, enumerate_paths,
-                     factor_clauses, inject_fault, mutation_catalogue, parse_program,
-                     run_suite, validate_graph)
+from rtgdiag import (DefaultedVariableWarning, EmptyDiagnosis, ExecutionError,
+                     FaultDetectionTable, FaultSpec, ResponseVector, RtgError, Stimuli, Stimulus,
+                     StatementId, attach_response, build_complete_test, build_extended_fdt,
+                     build_rtg, cnf_to_min_dnf, default_stimuli, diagnose, enumerate_paths,
+                     factor_clauses, inject_fault, mutation_catalogue, parse_program, run_suite,
+                     validate_graph)
 from rtgdiag.fixtures import fig1_graph, listing31_source
 
-from randmodels import ladder_model, random_dag_model, two_rib_fragment_graph
+from randmodels import STIMULI_KINDS, ladder_model, random_dag_model, two_rib_fragment_graph
 from reference import ambiguity_partition, brute_min_hitting_sets, build_cnf
 
 #: Largest clause universe handed to the exhaustive oracle.
@@ -222,3 +226,45 @@ def test_flipped_fig1_table():
     result = diagnose(t)
     assert str(result.candidates) == "I11 ∨ I61 ∨ I51 I52"
     check_ambiguity(t, result)
+
+
+def diagnosis_outcome(t, mode):
+    """The diagnosis of *t* in *mode*, or the type and message of its error."""
+    try:
+        return diagnose(t, mode=mode)
+    except RtgError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("kind", STIMULI_KINDS)
+def test_kept_block_parts_match_a_table_with_an_empty_memo(kind):
+    # every catalogue mutant in turn against one table, its V and the same
+    # V with seeded flips, so that a block's kept parts are read failing,
+    # passing and split across calls
+    stimuli_of, permissive = STIMULI_KINDS[kind]
+    flips = Random(20_261_019)
+    graphs = [random_dag_model(Random(seed)) for seed in range(25)]
+    graphs += [fig1_graph(), lowered_listing31(), *map(ladder_model, (2, 3))]
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DefaultedVariableWarning)
+        for g in graphs:
+            suite = build_complete_test(g, enumerate_paths(g))
+            table = build_extended_fdt(g, suite)
+            stimuli = Stimuli.of(suite, stimuli_of(g, suite))
+            for fault in mutation_catalogue(g):
+                try:
+                    v = run_suite(g, inject_fault(g, fault), suite, stimuli,
+                                  permissive=permissive)
+                except ExecutionError:
+                    continue
+                t = attach_response(table, v)
+                for responded in filter(None, (t, flipped(t, flips))):
+                    fresh = FaultDetectionTable(table.kind, table.columns, table.blocks,
+                                                responded.response)
+                    for mode in ("strong", "weak"):
+                        assert diagnosis_outcome(responded, mode) == \
+                            diagnosis_outcome(fresh, mode), (kind, fault, mode)
+                    compared += 1
+            assert table.memo.get("parts", (table.blocks,))[0] is table.blocks
+    assert compared > 600

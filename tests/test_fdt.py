@@ -110,6 +110,15 @@ def test_response_bits_are_checked(g, suite):
     assert ResponseVector(()).bits == ()
 
 
+@pytest.mark.parametrize("response", [(0, 0, 0, 1, 1, 1, 0, 0, 0, 0), [0] * 10, "0001110000"])
+def test_table_rejects_a_response_that_is_not_a_response_vector(extended, response):
+    # diagnosis would otherwise end in an AttributeError on .bits
+    with pytest.raises(SchemaError, match="must be a ResponseVector"):
+        attach_response(extended, response)
+    with pytest.raises(SchemaError):
+        FaultDetectionTable(extended.kind, extended.columns, extended.blocks, response)
+
+
 @pytest.mark.parametrize("bits", [(), (0, 1), (0,) * 11])
 def test_table_rejects_a_response_of_the_wrong_length(extended, bits):
     with pytest.raises(LengthMismatch, match=f"response has {len(bits)} bits for 10 rows"):

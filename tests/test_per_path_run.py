@@ -2,14 +2,18 @@
 
 ``run_suite`` runs the golden side once per distinct (path, inputs) pair
 and golden graph, keeping the output on the graph for later mutants, and
-the mutant only on paths that cross a changed rib.  ``reference_v``
-runs both for every term, so any term whose bit the shared run gets wrong,
-or any error reported for the wrong term, shows up as a difference.
+the mutant only on paths that cross a changed rib.  Once a golden graph's
+run plan knows every golden output, a mutant's call walks only the runs
+that cross a changed rib.  ``reference_v`` runs both for every term, so
+any term whose bit the shared run gets wrong, or any error reported for
+the wrong term, shows up as a difference.
 """
 
 import gc
+import math
 import sys
 import threading
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -17,18 +21,22 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (DivisionByZero, ExecutionError, Node, RTGraph, Stimulus,
-                     build_complete_test, build_rtg, default_stimuli, dumps_graph, inject_fault,
-                     make_rib, parse_program, run_suite, simulator)
+from rtgdiag import (DefaultedVariableWarning, DivisionByZero, ExecutionError, GraphMismatch,
+                     InvalidTolerance, Node, RTGraph, Stimuli, Stimulus, build_complete_test,
+                     build_rtg, default_stimuli, dumps_graph, inject_fault, make_rib,
+                     parse_program, run_suite, simulator)
 from rtgdiag.cli import main
+from rtgdiag.fixtures import fig1_graph, listing31_source
 
-from randmodels import (expression_chain_program, forcing_values, free_variable_model,
-                        if_chain_program, ladder_model, random_dag_model, split_stimuli)
+from randmodels import (expression_chain_program, forced_stimuli, free_variable_model,
+                        if_chain_program, ladder_model, random_dag_model, split_default_stimuli,
+                        sparse_stimuli, split_stimuli, STIMULI_KINDS)
 from reference import TOLERANCE, reference_v
 
-def observed_v(golden, mutant, suite, stimuli):
+def observed_v(golden, mutant, suite, stimuli, permissive=False):
     try:
-        return run_suite(golden, mutant, suite, stimuli, tolerance=TOLERANCE).bits, None
+        return run_suite(golden, mutant, suite, stimuli, tolerance=TOLERANCE,
+                         permissive=permissive).bits, None
     except ExecutionError as e:
         return None, (type(e), str(e).split(":", 1)[0].removeprefix("term "))
 
@@ -60,25 +68,6 @@ def campaign(seeds):
         suite = build_complete_test(g)
         for fault in simulator.mutation_catalogue(g):
             yield g, suite, inject_fault(g, fault)
-
-
-def split_default_stimuli(g, suite):
-    return split_stimuli(suite, default_stimuli(g, suite))
-
-
-def forced_stimuli(g, suite):
-    """The default stimuli with every third term overridden: its input takes
-    the forcing values of *g* in turn (zero, the constants, overflow, inf
-    and NaN)."""
-    stimuli = default_stimuli(g, suite)
-    values = forcing_values(g)
-    overrides = {}
-    for i, label in enumerate(suite.labels()[::3]):
-        env = dict(stimuli[label].env)
-        if env:
-            env[next(iter(env))] = values[i % len(values)]
-        overrides[label] = Stimulus(env=env)
-    return stimuli.overriding(overrides)
 
 
 STIMULI = [default_stimuli, split_default_stimuli, forced_stimuli]
@@ -277,11 +266,12 @@ def test_memo_dies_with_its_graph():
 
 
 def test_concurrent_mutants_share_one_golden_graph():
-    # the kept outputs are written check-then-act without a lock; a race can
-    # only execute a golden path twice and write the same float again
+    # the kept outputs and the run plan are written check-then-act without a
+    # lock; a race can only execute a golden path twice and write the same
+    # float again, or build a second plan for the one Stimuli all threads share
     g = ladder_model(3)
     suite = build_complete_test(g)
-    stimuli = split_default_stimuli(g, suite)
+    stimuli = Stimuli.of(suite, split_default_stimuli(g, suite))
     mutants = [inject_fault(g, f) for f in simulator.mutation_catalogue(g)]
     want = [reference_v(g, m, suite, stimuli)[0] for m in mutants]
     got: dict[int, list] = {}
@@ -302,3 +292,135 @@ def test_concurrent_mutants_share_one_golden_graph():
     assert not any(t.is_alive() for t in threads)
     assert got == {n: want for n in range(4)}
     assert len(simulator._golden_outputs(g)) == 2 * len(suite.blocks)
+
+
+def plan_models():
+    """Seeded random models, the fixtures, ladders and the two golden-error
+    graphs of ``divide_by_zero_graph``."""
+    yield from (random_dag_model(Random(seed)) for seed in range(25))
+    yield fig1_graph()
+    yield build_rtg(parse_program(listing31_source(), fold=False))[0]
+    yield from map(ladder_model, (1, 2, 3))
+    yield from map(divide_by_zero_graph, ("I1", "I2"))
+
+
+@pytest.mark.parametrize("kind", STIMULI_KINDS)
+def test_kept_plan_matches_term_reference_over_a_catalogue(kind):
+    # one golden graph and one Stimuli for every mutant in turn, so that
+    # each call after the first reads the plan the first one kept
+    stimuli_of, permissive = STIMULI_KINDS[kind]
+    outcomes = Counter()
+    with warnings.catch_warnings(record=True) as defaulted:
+        warnings.simplefilter("always", DefaultedVariableWarning)
+        for g in plan_models():
+            suite = build_complete_test(g)
+            stimuli = Stimuli.of(suite, stimuli_of(g, suite))
+            faults = simulator.mutation_catalogue(g)
+            for fault in faults:
+                mutant = inject_fault(g, fault)
+                want = reference_v(g, mutant, suite, stimuli, permissive)
+                assert observed_v(g, mutant, suite, stimuli, permissive) == want, (kind, fault)
+                outcomes["error" if want[1] else "bits"] += 1
+            assert not faults or g.__dict__["_run_plan"].stimuli is stimuli
+    assert outcomes["bits"] > 300 and outcomes["error"] > 4
+    assert bool(defaulted) == permissive
+
+
+def test_another_stimuli_or_flag_does_not_read_the_kept_plan():
+    # equal per-block defaults with other overrides, and one Stimuli run
+    # permissive and not: each call must run its own stimuli and flag,
+    # whichever plan the graph kept last
+    for g in (ladder_model(3), random_dag_model(Random(3)), fig1_graph()):
+        suite = build_complete_test(g)
+        first = default_stimuli(g, suite)
+        second = first.overriding({label: Stimulus(env={k: 3.0 for k in first[label].env})
+                                   for label in suite.labels()[::2]})
+        sparse = sparse_stimuli(g, suite)
+        for fault in simulator.mutation_catalogue(g):
+            mutant = inject_fault(g, fault)
+            for stimuli, permissive in ((first, False), (second, False), (sparse, True),
+                                        (sparse, False), (first, False)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DefaultedVariableWarning)
+                    assert observed_v(g, mutant, suite, stimuli, permissive) == \
+                        reference_v(g, mutant, suite, stimuli, permissive)
+
+
+def test_plan_dies_with_its_graph():
+    g = ladder_model(2)
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    for fault in simulator.mutation_catalogue(g)[:2]:
+        run_suite(g, inject_fault(g, fault), suite, stimuli)
+    assert g.__dict__["_run_plan"].golden is not None
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("Stimuli.runs read after the plan was made")
+
+
+@pytest.mark.parametrize("kind", ["default", "split"])
+def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
+    # complexity guard: once a golden graph has run every golden output, a
+    # mutant makes no golden execution, one mutant execution per distinct
+    # (path, inputs) pair whose path crosses a changed rib, and no pass
+    # over the suite's runs
+    stimuli_of, _ = STIMULI_KINDS[kind]
+    checked = 0
+    for g in [random_dag_model(Random(seed)) for seed in range(20)] + [ladder_model(3)]:
+        suite = build_complete_test(g)
+        stimuli = Stimuli.of(suite, stimuli_of(g, suite))
+        try:
+            run_suite(g, g, suite, stimuli)
+        except ExecutionError:
+            continue
+        golden_rib = {r.key: r for r in g.ribs}
+        with monkeypatch.context() as patch:
+            patch.setattr(Stimuli, "runs", refuse)
+            runs = count_runs(patch)
+            for fault in simulator.mutation_catalogue(g):
+                mutant = inject_fault(g, fault)
+                changed = {r.key for r in mutant.ribs
+                           if r.statements != golden_rib[r.key].statements}
+                crossing = {(keys, simulator._stimulus_key(stimuli[t.label]))
+                            for t in suite.terms
+                            if changed & set(keys := tuple(r.key for r in t.path.edges))}
+                runs.clear()
+                want = reference_v(g, mutant, suite, stimuli)
+                assert observed_v(g, mutant, suite, stimuli) == want
+                if want[1] is None:
+                    assert runs == Counter({id(mutant): len(crossing)})
+                    checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_refused(tolerance):
+    # with nan or inf no output ever differed: 32 of these 64 terms fail
+    g = ladder_model(3)
+    suite = build_complete_test(g)
+    mutant = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
+    assert sum(run_suite(g, mutant, suite, default_stimuli(g, suite), tolerance=0.0).bits) == 32
+    with pytest.raises(InvalidTolerance, match="finite non-negative"):
+        run_suite(g, mutant, suite, default_stimuli(g, suite), tolerance=tolerance)
+
+
+def test_topology_is_rib_keys_and_node_roles():
+    # the node roles are compared only when the mutant has a node tuple of
+    # its own; inject_fault shares the golden one
+    g = ladder_model(2)
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    mutant = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
+    assert mutant.nodes is g.nodes
+    copied = RTGraph(tuple(Node(n.name, n.role) for n in g.nodes), mutant.ribs)
+    assert run_suite(g, copied, suite, stimuli) == run_suite(g, mutant, suite, stimuli)
+    swapped = RTGraph(tuple(Node(n.name, "internal" if n.role == "output" else n.role)
+                            for n in g.nodes), mutant.ribs)
+    for other in (swapped, RTGraph(g.nodes, mutant.ribs[1:])):
+        with pytest.raises(GraphMismatch, match="differ in topology"):
+            run_suite(g, other, suite, stimuli)
