@@ -129,7 +129,8 @@ class InvalidMutation(RtgError):
 
 
 class GraphMismatch(RtgError):
-    """Golden and mutant graphs do not share a topology."""
+    """Golden and mutant graphs do not share a topology, or a suite path
+    crosses a rib the golden graph lacks."""
 
 
 class InvalidTolerance(RtgError):
@@ -137,7 +138,7 @@ class InvalidTolerance(RtgError):
 
 
 class MissingStimulus(RtgError):
-    """A test term has no stimulus associated with it."""
+    """The stimuli given are not the ``Stimuli`` of the suite that runs."""
 
 
 class InfeasiblePath(RtgError):

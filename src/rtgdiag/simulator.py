@@ -16,31 +16,22 @@ The form is kept on the rib object, so a mutant shares it on every rib that
 fault injection leaves untouched, and a path's first reads cost one step
 per rib rather than one per statement read.
 
-Stimuli are held per path block (``Stimuli``): one default stimulus per
-path, picked once and shared by the path's blocks, plus per-term overrides
-such as a stimuli file gives.  A block without an override is one run:
-one stimulus key and at most one golden/mutant pair of executions.  A
-block with overrides is split into the runs of consecutive terms that
-share a stimulus object.
+Stimuli are held per path block (``Stimuli``, made by ``default_stimuli``
+and ``overriding``): one default stimulus per path, picked once and shared
+by the path's blocks, plus per-term overrides such as a stimuli file gives.
+A block without an override is one run: one stimulus key and at most one
+golden/mutant pair of executions.  A block with overrides is split into
+the runs of consecutive terms that share a stimulus object.
 
 Per mutant, only what the mutant changes is executed, in the manner of
-concurrent fault simulation (Ulrich & Baker 1973).  Golden outputs are kept
-per golden graph: a memo on the ``RTGraph`` instance, beside its cached
-views, maps (rib keys, inputs, permissive) to the output, so a campaign of
-mutants against one golden graph executes each golden path once per input
-binding.  The mutant is executed only on paths that cross a changed rib (a
-rib whose statements differ from the golden one); every other path runs the
-golden statements, and execution is deterministic, so its bit is 0.
-
-What a mutant's run reads of the golden side is kept on the golden graph
-too, as one run plan for the latest ``Stimuli`` object: the golden ribs by
-key, one record per distinct (path, inputs) pair with its row spans, and
-the records crossing each rib.  The node roles are compared only for a
-mutant that does not share the golden graph's node tuple, as every mutant
-``inject_fault`` makes does.  Once every golden output of
-the plan is known, a mutant's run starts V at all zeros and visits only
-the records that cross a changed rib, so its cost is in what the mutant
-touches, not in the suite.
+concurrent fault simulation (Ulrich & Baker 1973).  A golden graph keeps
+one run plan, for the latest ``Stimuli`` object and permissive flag it ran:
+the golden ribs by key, one record per distinct (path, inputs) pair with
+its rows, the records crossing each rib and each record's golden output.
+Building the plan executes each golden pair once.  After that a mutant
+executes only the pairs whose path crosses a rib whose statements differ
+from the golden one, so its cost is in what the mutant touches, not in the
+suite.
 """
 
 from __future__ import annotations
@@ -194,9 +185,12 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
     Variables read but never assigned on the path must be bound by the
     stimulus; in permissive mode missing ones default to 0.0 with a
     DefaultedVariableWarning naming them.  Each rib's end node observes the
-    value its last statement assigns; a rib with no statements is an
-    ExecutionError naming its fragment.
+    value its last statement assigns.  A path with no ribs is an
+    ExecutionError naming the path, and a rib with no statements one naming
+    its fragment.
     """
+    if not p.edges:
+        raise ExecutionError(f"path {p.label} crosses no rib")
     env: dict[str, float] = {k: float(v) for k, v in s.env.items()}
     ribs = [_compiled(rib) for rib in p.edges]
     first_reads = _first_reads(ribs)
@@ -314,7 +308,8 @@ def _stimulus_key(stim: Stimulus) -> tuple:
 class Stimuli(Mapping[str, Stimulus]):
     """The stimuli of a suite by term label, held per path block: one
     stimulus per block (the blocks of one path share it) and, per block,
-    the terms that take other inputs.
+    the terms that take other inputs.  ``run_suite`` takes only these, for
+    its own suite.
 
     ``runs`` gives each block's runs without reading a label; a block with
     no override is one run.  The label index is built on the first read by
@@ -326,28 +321,6 @@ class Stimuli(Mapping[str, Stimulus]):
         self.suite = suite
         self._per_block = tuple(per_block)
         self._overrides = dict(overrides or {})  # block index -> label -> stimulus
-
-    @classmethod
-    def of(cls, suite: TestSuite, stimuli: Mapping[str, Stimulus]) -> "Stimuli":
-        """*stimuli* in the per-block form of *suite*: itself when it is
-        already that suite's, else read label by label, each block taking
-        its first term's stimulus and the terms given another object as
-        overrides.  Raises MissingStimulus for the first term with none."""
-        if isinstance(stimuli, Stimuli) and stimuli.suite == suite:
-            return stimuli
-        per_block: list[Stimulus | None] = []
-        overrides: dict[int, dict[str, Stimulus]] = {}
-        for i, block in enumerate(suite.blocks):
-            terms = {label: stimuli.get(label) for label in block.labels}
-            missing = next((label for label, stim in terms.items() if stim is None), None)
-            if missing is not None:
-                raise MissingStimulus(f"no stimulus for {missing}")
-            base = next(iter(terms.values()), None)
-            per_block.append(base)
-            other = {label: stim for label, stim in terms.items() if stim is not base}
-            if other:
-                overrides[i] = other
-        return cls(suite, per_block, overrides)
 
     def overriding(self, given: Mapping[str, Stimulus]) -> "Stimuli":
         """These stimuli with each term of *given* taking its stimulus;
@@ -392,112 +365,114 @@ class Stimuli(Mapping[str, Stimulus]):
         return len(self._index)
 
 
-def _golden_outputs(g: RTGraph) -> dict[tuple, float]:
-    """The memo of *g*'s outputs as a golden graph, held in the instance's
-    ``__dict__`` beside its cached views and dropped with it: (rib keys of
-    the path, stimulus key, permissive) -> output.  Errors are never kept."""
-    return g.__dict__.setdefault("_golden_outputs", {})
-
-
 class _RunPlan:
-    """What ``run_suite`` reads of one golden graph and one ``Stimuli`` for
-    every mutant: the golden ribs by key and the suite's runs.  The runs of
-    one (path, inputs) pair are one record, at the first of them: (first
-    label, stimulus, memo key, suite path, row spans), a span being the
-    (offset, length) of one run's rows.  ``crossing`` maps each rib key to
-    the records whose path crosses it, in order, and ``golden`` holds each
-    record's golden output once all are known."""
+    """What ``run_suite`` reads of one golden graph for every mutant, given
+    one ``Stimuli`` and *permissive* flag: the golden ribs by key and one
+    record per distinct (path, inputs) pair, at its first run in suite
+    order: (first label, stimulus, rib keys, suite path, row spans), a span
+    being the (offset, length) of one run's rows.  ``crossing`` maps each
+    rib key to the records whose path crosses it, in order.  ``golden``
+    holds the golden output of each record before the first whose golden
+    run raises: building the plan runs each record once on the golden
+    graph.  Raises GraphMismatch for a path crossing a rib key the golden
+    graph lacks."""
 
     __slots__ = ("rib", "stimuli", "permissive", "rows", "records", "crossing", "golden")
 
-    def __init__(self, rib: dict[tuple, Rib], stimuli: Stimuli, permissive: bool):
+    def __init__(self, golden: RTGraph, rib: dict[tuple, Rib], stimuli: Stimuli,
+                 permissive: bool):
         self.rib = rib
         self.stimuli = stimuli
         self.permissive = permissive
-        self.golden: tuple[float, ...] | None = None
         self.records: list[tuple] = []
         self.crossing: dict[tuple, list[int]] = {}
         index: dict[tuple, int] = {}
         start = 0
         for block, runs in stimuli.runs():
             keys = tuple(r.key for r in block.path.edges)
+            missing = next((k for k in keys if k not in rib), None)
+            if missing is not None:
+                raise GraphMismatch(
+                    f"path {block.path.label} crosses rib {missing}, which the golden graph lacks")
             for label, stim, n in runs:
-                pair = (keys, _stimulus_key(stim), permissive)
+                pair = (keys, _stimulus_key(stim))
                 i = index.get(pair)
                 if i is None:
                     i = index[pair] = len(self.records)
-                    self.records.append((label, stim, pair, block.path, []))
+                    self.records.append((label, stim, keys, block.path, []))
                     for k in keys:
                         self.crossing.setdefault(k, []).append(i)
                 self.records[i][4].append((start, n))
                 start += n
         self.rows = start
+        outputs: list[float] = []
+        try:
+            for record in self.records:
+                outputs.append(_output(golden, rib, record, permissive))
+        except ExecutionError:
+            pass
+        self.golden = tuple(outputs)
 
 
-def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite,
-              stimuli: Mapping[str, Stimulus], tolerance: float = DEFAULT_TOLERANCE,
-              permissive: bool = False) -> ResponseVector:
+def _output(g: RTGraph, rib: Mapping[tuple, Rib], record: tuple, permissive: bool) -> float:
+    """The output of *record*'s path on *g*, whose ribs by key are *rib*; an
+    ExecutionError is prefixed with ``term <label>:`` for the record's first
+    term."""
+    label, stim, keys, path, _ = record
+    try:
+        return execute_path(g, Path(path.label, tuple(rib[k] for k in keys)), stim,
+                            permissive).output
+    except ExecutionError as e:
+        e.args = (f"term {label}: {e}",)
+        raise
+
+
+def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimuli,
+              tolerance: float = DEFAULT_TOLERANCE, permissive: bool = False) -> ResponseVector:
     """Golden-versus-mutant comparison at the output node, one bit per term.
 
-    A suite path names its ribs by key; each side runs its own graph's ribs
-    of those keys.  The bit is computed once per distinct (path, inputs)
-    pair: the terms of a block that share a stimulus share the path's bit,
-    while terms given different inputs are run separately.  The golden
-    output of a pair is executed once per golden graph and kept on it for
-    later calls.  The mutant is executed only on paths crossing a rib whose
-    statements differ from the golden one; any other path is the golden
-    path statement for statement, so its bit is 0.  An ExecutionError names
-    the first term of the run that raised it: a path that crosses no
-    changed rib can raise only where its golden side already does.
-    *stimuli* is read block by block through ``Stimuli.of``: a ``Stimuli``
-    of this suite as it is, any other label mapping converted once.
+    *stimuli* is the ``Stimuli`` of *suite*, made by ``default_stimuli`` and
+    ``overriding``; anything else is a MissingStimulus.  A suite path names
+    its ribs by key, and each side runs its own graph's ribs of those keys;
+    the two graphs must share rib keys and node roles (GraphMismatch).
 
-    The golden graph keeps a run plan (``_RunPlan``) for the latest
-    ``Stimuli`` object and *permissive* flag, checked by identity.  Until
-    every golden output of the plan is known, every run is walked in order;
-    after that, only the runs that cross a changed rib, so a mutant costs
-    what its changed ribs touch.  Raises InvalidTolerance unless
-    *tolerance* is finite and non-negative.
+    Cost: the golden graph keeps the run plan (``_RunPlan``) of the latest
+    *stimuli* object and *permissive* flag.  Building it executes each
+    distinct (path, inputs) pair once on the golden side; every call
+    executes the mutant only on the pairs whose path crosses a rib whose
+    statements differ from the golden one.  Any other pair runs the golden
+    statements, so its bit is 0, and a warm call costs what the changed
+    ribs touch, not the suite.
+
+    An ExecutionError is that of the first failing pair in suite order, the
+    golden side before the mutant, and names the pair's first term as
+    ``term <label>:``.  Raises InvalidTolerance unless *tolerance* is finite
+    and non-negative.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidTolerance(f"tolerance needs a finite non-negative number, got {tolerance}")
+    if not (isinstance(stimuli, Stimuli) and stimuli.suite == suite):
+        raise MissingStimulus("the stimuli are not the Stimuli of this suite")
     plan = golden.__dict__.get("_run_plan")
     golden_rib = {r.key: r for r in golden.ribs} if plan is None else plan.rib
     mutant_rib = {r.key: r for r in mutant.ribs}
     if golden_rib.keys() != mutant_rib.keys() or mutant.nodes is not golden.nodes and \
             {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes}:
         raise GraphMismatch("golden and mutant graphs differ in topology")
-    changed = [k for k, r in mutant_rib.items()
-               if r is not golden_rib[k] and r.statements != golden_rib[k].statements]
-    s = Stimuli.of(suite, stimuli)
-    if plan is None or plan.stimuli is not s or plan.permissive != permissive:
-        plan = golden.__dict__["_run_plan"] = _RunPlan(golden_rib, s, permissive)
-    crossed = {i for k in changed for i in plan.crossing.get(k, ())}
+    if plan is None or plan.stimuli is not stimuli or plan.permissive != permissive:
+        plan = golden.__dict__["_run_plan"] = _RunPlan(golden, golden_rib, stimuli, permissive)
     known = plan.golden
-    outputs = _golden_outputs(golden)
-    found: list[float] = []
+    crossed = {i for k, r in mutant_rib.items()
+               if r is not golden_rib[k] and r.statements != golden_rib[k].statements
+               for i in plan.crossing.get(k, ()) if i < len(known)}
     bits = [0] * plan.rows
-    for i in range(len(plan.records)) if known is None else sorted(crossed):
-        label, stim, pair, path, spans = plan.records[i]
-        try:
-            if known is None:
-                gv = outputs.get(pair)
-                if gv is None:
-                    gpath = Path(path.label, tuple(golden_rib[k] for k in pair[0]))
-                    gv = outputs[pair] = execute_path(golden, gpath, stim, permissive).output
-                found.append(gv)
-            else:
-                gv = known[i]
-            if i in crossed:
-                mpath = Path(path.label, tuple(mutant_rib[k] for k in pair[0]))
-                if _differs(gv, execute_path(mutant, mpath, stim, permissive).output, tolerance):
-                    for start, n in spans:
-                        bits[start:start + n] = repeat(1, n)
-        except ExecutionError as e:
-            e.args = (f"term {label}: {e}",)
-            raise
-    if known is None:
-        plan.golden = tuple(found)
+    for i in sorted(crossed):
+        record = plan.records[i]
+        if _differs(known[i], _output(mutant, mutant_rib, record, permissive), tolerance):
+            for start, n in record[4]:
+                bits[start:start + n] = repeat(1, n)
+    if len(known) < len(plan.records):
+        _output(golden, golden_rib, plan.records[len(known)], permissive)  # raises again
     return ResponseVector(tuple(bits))
 
 

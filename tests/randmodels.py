@@ -116,11 +116,10 @@ def forcing_values(g: RTGraph) -> tuple[float, ...]:
             float("inf"), float("-inf"), float("nan"))
 
 
-def split_stimuli(suite, stimuli):
-    """*stimuli* as a plain dict, with the last term of every multi-term
-    path moved to other inputs, so one path carries two distinct input
-    bindings."""
-    out = dict(stimuli)
+def split_stimuli(suite, stimuli: Stimuli) -> Stimuli:
+    """*stimuli* with the last term of every multi-term path moved to other
+    inputs, so one path carries two distinct input bindings."""
+    out = {}
     last = {}
     for t in suite.terms:
         last.setdefault(t.path.label, []).append(t)
@@ -129,7 +128,7 @@ def split_stimuli(suite, stimuli):
             t = terms[-1]
             env = {k: v * 2.5 + 0.75 for k, v in stimuli[t.label].env.items()}
             out[t.label] = Stimulus(env=env)
-    return out
+    return stimuli.overriding(out)
 
 
 def split_default_stimuli(g, suite):

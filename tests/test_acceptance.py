@@ -119,7 +119,8 @@ def test_criterion_07_single_fault_soundness():
         suite = build_complete_test(graph)
         mutant = inject_fault(graph, fault)
         x0 = rng.uniform(1.1, 4.9)
-        stimuli = {t.label: Stimulus(env={"x": x0}) for t in suite.terms}
+        stimuli = default_stimuli(graph, suite).overriding(
+            {t.label: Stimulus(env={"x": x0}) for t in suite.terms})
         v = run_suite(graph, mutant, suite, stimuli)
         table = attach_response(build_extended_fdt(graph, suite), v)
 

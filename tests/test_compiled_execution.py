@@ -16,11 +16,13 @@ from random import Random
 import pytest
 
 import reference
-from rtgdiag import (Block, DivisionByZero, ExecutionError, Node, NonFiniteValue,
+from rtgdiag import (Block, DivisionByZero, ExecutionError, Node, NonFiniteValue, Path,
                      RTGraph, Rib, Statement, Stimulus, TestSuite, UnboundVariable,
-                     build_complete_test, build_rtg, default_stimuli, enumerate_paths,
-                     dumps_graph, execute_path, inject_fault, loads_graph, make_rib,
-                     parse_program, pick_stimulus, run_suite, simulator)
+                     build_complete_test, build_extended_fdt, build_rtg, default_stimuli,
+                     dumps_graph, dumps_table, enumerate_paths, execute_path, inject_fault,
+                     loads_graph, loads_table, make_rib, parse_program, pick_stimulus,
+                     run_suite, simulator)
+from rtgdiag.fixtures import fig1_graph
 
 from randmodels import (expression_chain_program, forcing_values, free_variable_model,
                         if_chain_program, ladder_model, random_dag_model)
@@ -111,7 +113,8 @@ def test_statements_stored_out_of_order_run_in_ordinal_order():
     suite = build_complete_test(g)
     assert run_suite(g, g, suite, default_stimuli(g, suite)).bits == (0, 0)
     with pytest.raises(UnboundVariable, match="^term 1: unbound"):
-        run_suite(g, g, suite, dict.fromkeys(suite.labels(), Stimulus(env={})))
+        run_suite(g, g, suite, default_stimuli(g, suite).overriding(
+            dict.fromkeys(suite.labels(), Stimulus(env={}))))
 
 
 def test_an_empty_rib_is_an_execution_error_naming_its_fragment():
@@ -123,7 +126,20 @@ def test_an_empty_rib_is_an_execution_error_naming_its_fragment():
         execute_path(g, p, Stimulus(env={"x": 1.0}))
     suite = TestSuite((Block.of(p, (), "t"),))
     with pytest.raises(ExecutionError, match="^term t: fragment I2 carries no statements$"):
-        run_suite(g, g, suite, {"t": Stimulus(env={"x": 1.0})})
+        run_suite(g, g, suite,
+                  default_stimuli(g, suite).overriding({"t": Stimulus(env={"x": 1.0})}))
+
+
+def test_a_path_with_no_ribs_is_an_execution_error_naming_it():
+    # a loaded table keeps each row's path by label only, with no ribs
+    g = fig1_graph()
+    with pytest.raises(ExecutionError, match="^path XY crosses no rib$"):
+        execute_path(g, Path("XY", ()), Stimulus(env={"x": 1.0}))
+    table = build_extended_fdt(g, build_complete_test(g))
+    suite = TestSuite(loads_table(dumps_table(table)).blocks)
+    first = suite.labels()[0]
+    with pytest.raises(ExecutionError, match=f"^term {first}: path [^ ]+ crosses no rib$"):
+        run_suite(g, g, suite, default_stimuli(g, suite))
 
 
 def compiled(g: RTGraph) -> list[bool]:

@@ -22,7 +22,7 @@ from random import Random
 import pytest
 
 from rtgdiag import (DefaultedVariableWarning, EmptyDiagnosis, ExecutionError,
-                     FaultDetectionTable, FaultSpec, ResponseVector, RtgError, Stimuli, Stimulus,
+                     FaultDetectionTable, FaultSpec, ResponseVector, RtgError, Stimulus,
                      StatementId, attach_response, build_complete_test, build_extended_fdt,
                      build_rtg, cnf_to_min_dnf, default_stimuli, diagnose, enumerate_paths,
                      factor_clauses, inject_fault, mutation_catalogue, parse_program, run_suite,
@@ -251,7 +251,7 @@ def test_kept_block_parts_match_a_table_with_an_empty_memo(kind):
         for g in graphs:
             suite = build_complete_test(g, enumerate_paths(g))
             table = build_extended_fdt(g, suite)
-            stimuli = Stimuli.of(suite, stimuli_of(g, suite))
+            stimuli = stimuli_of(g, suite)
             for fault in mutation_catalogue(g):
                 try:
                     v = run_suite(g, inject_fault(g, fault), suite, stimuli,

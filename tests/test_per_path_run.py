@@ -1,12 +1,11 @@
 """The per-path run against a term-by-term reference.
 
-``run_suite`` runs the golden side once per distinct (path, inputs) pair
-and golden graph, keeping the output on the graph for later mutants, and
-the mutant only on paths that cross a changed rib.  Once a golden graph's
-run plan knows every golden output, a mutant's call walks only the runs
-that cross a changed rib.  ``reference_v`` runs both for every term, so
-any term whose bit the shared run gets wrong, or any error reported for
-the wrong term, shows up as a difference.
+``run_suite`` runs the golden side once per distinct (path, inputs) pair,
+when it builds the golden graph's run plan, which keeps the outputs for
+later mutants; each mutant runs only on the pairs that cross a changed
+rib.  ``reference_v`` runs both for every term, so any term whose bit the
+shared run gets wrong, or any error reported for the wrong term, shows up
+as a difference.
 """
 
 import gc
@@ -22,9 +21,9 @@ from random import Random
 import pytest
 
 from rtgdiag import (DefaultedVariableWarning, DivisionByZero, ExecutionError, GraphMismatch,
-                     InvalidTolerance, Node, RTGraph, Stimuli, Stimulus, build_complete_test,
-                     build_rtg, default_stimuli, dumps_graph, inject_fault, make_rib,
-                     parse_program, run_suite, simulator)
+                     InvalidTolerance, MissingStimulus, Node, RTGraph, Stimuli, Stimulus,
+                     build_complete_test, build_rtg, default_stimuli, dumps_graph, inject_fault,
+                     make_rib, parse_program, run_suite, simulator)
 from rtgdiag.cli import main
 from rtgdiag.fixtures import fig1_graph, listing31_source
 
@@ -118,10 +117,11 @@ def test_error_names_first_failing_term():
                       make_rib("I2", "X", "R1", [(1, "t1", ("x", 1.0)), (2, "acc", ("t1", 1.0))]),
                       make_rib("I3", "R1", "Y", [(4, "t1", (2.0, "acc")), (1, "acc", ("t1", 0.5))])))
     suite = build_complete_test(g)
-    stimuli = {t.label: Stimulus(env={"x": 2.0}) for t in suite.terms}
     late = suite.terms[2]
     assert late.path is suite.terms[0].path
-    stimuli[late.label] = Stimulus(env={"x": 1.0})
+    stimuli = default_stimuli(g, suite).overriding(
+        {label: Stimulus(env={"x": 1.0 if label == late.label else 2.0})
+         for label in suite.labels()})
     mutant = inject_fault(g, simulator.FaultSpec("I2", 1, opcode=3))
     want = reference_v(g, mutant, suite, stimuli)
     assert want[1] == (DivisionByZero, late.label)
@@ -218,9 +218,9 @@ def test_second_golden_call_makes_no_golden_execution(monkeypatch):
 
 
 def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
-    # g and its mutant have the same rib keys, so one suite and one set of
-    # stimuli give both memos the same keys; used in turn as the golden
-    # graph against a third graph, each runs its own statements
+    # g and its mutant have the same rib keys, so one suite and one Stimuli
+    # give both plans the same records; used in turn as the golden graph
+    # against a third graph, each runs and keeps its own statements' outputs
     g = ladder_model(3)
     suite = build_complete_test(g)
     stimuli = default_stimuli(g, suite)
@@ -231,8 +231,10 @@ def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
         assert run_suite(golden, third, suite, stimuli).bits == \
             reference_v(golden, third, suite, stimuli)[0]
         assert runs[id(golden)] == len(suite.blocks)
-    assert simulator._golden_outputs(g).keys() == simulator._golden_outputs(other).keys()
-    assert simulator._golden_outputs(g) != simulator._golden_outputs(other)
+    plans = [golden.__dict__["_run_plan"] for golden in (g, other)]
+    assert [r[:3] for r in plans[0].records] == [r[:3] for r in plans[1].records]
+    assert len(plans[0].golden) == len(plans[1].golden) == len(plans[0].records)
+    assert plans[0].golden != plans[1].golden
 
 
 @pytest.mark.parametrize("stimuli_of", STIMULI)
@@ -241,37 +243,29 @@ def test_memo_holds_one_entry_per_distinct_run(stimuli_of):
         g = random_dag_model(Random(seed))
         suite = build_complete_test(g)
         stimuli = stimuli_of(g, suite)
-        for fault in simulator.mutation_catalogue(g):
+        plans = []
+        for mutant in [g] + [inject_fault(g, f) for f in simulator.mutation_catalogue(g)]:
             try:
-                run_suite(g, inject_fault(g, fault), suite, stimuli)
+                run_suite(g, mutant, suite, stimuli)
             except ExecutionError:
                 pass
-        distinct = {(tuple(r.key for r in t.path.edges), simulator._stimulus_key(stimuli[t.label]))
-                    for t in suite.terms}
-        memo = simulator._golden_outputs(g)
-        assert len(memo) <= len(distinct)
-        assert {(keys, stim) for keys, stim, _ in memo} <= distinct
-
-
-def test_memo_dies_with_its_graph():
-    g = ladder_model(2)
-    suite = build_complete_test(g)
-    mutant = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
-    run_suite(g, mutant, suite, default_stimuli(g, suite))
-    assert simulator._golden_outputs(g)
-    ref = weakref.ref(g)
-    del g
-    gc.collect()
-    assert ref() is None
+            plans.append(g.__dict__["_run_plan"])
+        plan = plans[0]
+        assert all(p is plan for p in plans)
+        distinct = [(tuple(r.key for r in t.path.edges), simulator._stimulus_key(stimuli[t.label]))
+                    for t in suite.terms]
+        assert [(keys, simulator._stimulus_key(stim)) for _, stim, keys, _, _ in plan.records] \
+            == list(dict.fromkeys(distinct))
+        assert len(plan.golden) <= len(plan.records)
 
 
 def test_concurrent_mutants_share_one_golden_graph():
-    # the kept outputs and the run plan are written check-then-act without a
-    # lock; a race can only execute a golden path twice and write the same
-    # float again, or build a second plan for the one Stimuli all threads share
+    # the run plan is written check-then-act without a lock; a race can only
+    # build a second plan, with the same golden outputs, for the one Stimuli
+    # all threads share
     g = ladder_model(3)
     suite = build_complete_test(g)
-    stimuli = Stimuli.of(suite, split_default_stimuli(g, suite))
+    stimuli = split_default_stimuli(g, suite)
     mutants = [inject_fault(g, f) for f in simulator.mutation_catalogue(g)]
     want = [reference_v(g, m, suite, stimuli)[0] for m in mutants]
     got: dict[int, list] = {}
@@ -291,7 +285,7 @@ def test_concurrent_mutants_share_one_golden_graph():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {n: want for n in range(4)}
-    assert len(simulator._golden_outputs(g)) == 2 * len(suite.blocks)
+    assert len(g.__dict__["_run_plan"].golden) == 2 * len(suite.blocks)
 
 
 def plan_models():
@@ -314,7 +308,7 @@ def test_kept_plan_matches_term_reference_over_a_catalogue(kind):
         warnings.simplefilter("always", DefaultedVariableWarning)
         for g in plan_models():
             suite = build_complete_test(g)
-            stimuli = Stimuli.of(suite, stimuli_of(g, suite))
+            stimuli = stimuli_of(g, suite)
             faults = simulator.mutation_catalogue(g)
             for fault in faults:
                 mutant = inject_fault(g, fault)
@@ -373,7 +367,7 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
     checked = 0
     for g in [random_dag_model(Random(seed)) for seed in range(20)] + [ladder_model(3)]:
         suite = build_complete_test(g)
-        stimuli = Stimuli.of(suite, stimuli_of(g, suite))
+        stimuli = stimuli_of(g, suite)
         try:
             run_suite(g, g, suite, stimuli)
         except ExecutionError:
@@ -424,3 +418,25 @@ def test_topology_is_rib_keys_and_node_roles():
     for other in (swapped, RTGraph(g.nodes, mutant.ribs[1:])):
         with pytest.raises(GraphMismatch, match="differ in topology"):
             run_suite(g, other, suite, stimuli)
+
+
+def test_a_suite_path_crossing_a_rib_the_golden_graph_lacks_is_a_mismatch():
+    # ladder 2 has ribs I1, I2 on X -> R1, but none of fig1's I4 on R1 -> R4
+    g = ladder_model(2)
+    suite = build_complete_test(fig1_graph())
+    stimuli = default_stimuli(fig1_graph(), suite)
+    with pytest.raises(GraphMismatch, match=r"^path [^ ]+ crosses rib \(.*\), which the golden "
+                                            r"graph lacks$"):
+        run_suite(g, g, suite, stimuli)
+    assert "_run_plan" not in g.__dict__
+
+
+def test_only_the_stimuli_of_the_suite_are_taken():
+    g = ladder_model(2)
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    other = build_complete_test(ladder_model(1))
+    for given in (dict(stimuli), default_stimuli(g, other)):
+        with pytest.raises(MissingStimulus, match="not the Stimuli of this suite"):
+            run_suite(g, g, suite, given)
+    assert run_suite(g, g, suite, stimuli).bits == (0,) * len(suite.labels())

@@ -297,5 +297,6 @@ def test_infinite_output_against_finite_one_fails():
     mutant = inject_fault(graph, FaultSpec(fragment="I1", ordinal=2, opcode=1))
     for golden, other in ((graph, mutant), (mutant, graph)):
         suite = build_complete_test(golden)
-        stimuli = {t.label: Stimulus(env={"x": 1.0}) for t in suite.terms}
+        stimuli = default_stimuli(golden, suite).overriding(
+            {t.label: Stimulus(env={"x": 1.0}) for t in suite.terms})
         assert run_suite(golden, other, suite, stimuli).bits == (1, 1)

@@ -74,3 +74,53 @@ def test_the_memo_rule_sees_a_cache():
                      "@lc(maxsize=None)\ndef f(): pass\ng = functools.cache(f)\n"
                      "_parser = functools.cache(f)\n")
     assert _memo_uses(tree) == [3, 5]
+
+
+#: (object, key) of the only state the package keeps in an instance's own
+#: attributes: a golden graph's run plan and a rib's compiled form
+INSTANCE_STATE = {("golden", "_run_plan"), ("rib", "_compiled")}
+
+
+def _instance_state(tree):
+    """(line, object, key) of each ``X.__dict__[key]``,
+    ``X.__dict__.setdefault(key, ...)`` and ``object.__setattr__(X, key, ...)``
+    whose key is a constant."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "__dict__":
+            obj, key = node.value.value, node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+            owner = node.func.value
+            if node.func.attr == "setdefault" and isinstance(owner, ast.Attribute) \
+                    and owner.attr == "__dict__":
+                obj, key = owner.value, node.args[0]
+            elif ast.unparse(node.func) == "object.__setattr__" and len(node.args) > 1:
+                obj, key = node.args[:2]
+            else:
+                continue
+        else:
+            continue
+        if isinstance(key, ast.Constant):
+            out.append((node.lineno, ast.unparse(obj), key.value))
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_hidden_instance_state(module):
+    # state written into an object's own attributes behind its class is
+    # kept for one purpose each: one run plan per golden graph and one
+    # compiled form per rib; a second cache of the same results would go
+    # stale or double the memory
+    found = [(line, obj, key) for line, obj, key in _instance_state(
+        parse(os.path.join(SRC, module))) if (obj, key) not in INSTANCE_STATE]
+    assert found == [], f"{module}: instance state outside {sorted(INSTANCE_STATE)}: {found}"
+
+
+def test_the_instance_state_rule_sees_each_form():
+    tree = ast.parse("g.__dict__['_memo'] = {}\nx = g.__dict__.setdefault('_memo', {})\n"
+                     "object.__setattr__(rib, '_other', 1)\ng.__dict__[name] = 1\n"
+                     "golden.__dict__['_run_plan'] = p\nobject.__setattr__(rib, '_compiled', c)\n")
+    assert _instance_state(tree) == [(1, "g", "_memo"), (2, "g", "_memo"),
+                                     (3, "rib", "_other"), (5, "golden", "_run_plan"),
+                                     (6, "rib", "_compiled")]
