@@ -18,9 +18,9 @@ from .errors import (ArityMismatch, CandidateExplosion, CyclicGraph, DivisionByZ
                      ParseError, PathExplosion, RtgError, SchemaError, TermExplosion,
                      UnboundVariable, Uncoverable, UndefinedVariable, UnsupportedOperation,
                      UsageError)
-from .fdt import (FaultDetectionTable, ResponseVector, TableRow, attach_response,
-                  build_extended_fdt, build_generalized_fdt, dumps_table, loads_table,
-                  render_table, table_from_json, table_to_json)
+from .fdt import (FaultDetectionTable, ResponseVector, attach_response, build_extended_fdt,
+                  build_generalized_fdt, dumps_table, loads_table, render_table,
+                  table_from_json, table_to_json)
 from .frontend import (Program, SourceMap, build_rtg, lower_expression, parse_program)
 from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementId,
                   Violation, dumps_graph, graph_from_json, graph_to_json, loads_graph,

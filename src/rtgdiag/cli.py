@@ -135,7 +135,7 @@ class Pipeline:
                              f"got {args.tolerance}")
         if args.const is not None and not math.isfinite(args.const):
             raise UsageError(f"--const needs a finite number, got {args.const}")
-        if args.response and args.response.strip("01"):
+        if args.response is not None and args.response.strip("01"):
             raise UsageError(f"--response needs a string of 0s and 1s, got {args.response!r}")
         if args.target < 1:
             raise UsageError(f"--target needs a positive integer, got {args.target}")
@@ -242,7 +242,7 @@ class Pipeline:
     def response(self) -> fdt.ResponseVector:
         """V: the ``--response`` bits, else one bit per test, golden
         against mutant."""
-        if self.args.response:
+        if self.args.response is not None:
             return fdt.ResponseVector(tuple(int(b) for b in self.args.response))
         return simulator.run_suite(self.valid_graph, self.mutant, self.tests, self.stimuli,
                                    tolerance=self.args.tolerance,
@@ -329,7 +329,7 @@ def cmd_cover(pl: Pipeline) -> int:
 
 
 def cmd_fdt(pl: Pipeline) -> int:
-    table = pl.responded if pl.args.response else pl.table
+    table = pl.responded if pl.args.response is not None else pl.table
     _emit(pl, lambda: fdt.render_table(table), lambda: fdt.table_to_json(table))
     return EXIT_OK
 
@@ -464,6 +464,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
+    options = {  # of more than one subcommand, each added in the order it lists them
+        "--fault": dict(help="fault spec FRAG:ORDINAL:op=N|const=V"),
+        "--stimuli": dict(help="JSON file: term label -> {var: value}"),
+        "--mode": dict(choices=("strong", "weak"), help="exoneration mode"),
+        "--tolerance": dict(type=float, help="relative tolerance of the output comparison"),
+        "--permissive": dict(action="store_true", help="default unbound free variables to 0.0"),
+    }
+
+    def shared(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **options[name])
+
     command("parse", cmd_parse, "parse a program and report its shape", graph=False)
     command("graph", cmd_graph, "build or validate a graph, emit JSON")
     command("paths", cmd_paths, "enumerate one-dimensional paths")
@@ -487,28 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("run", cmd_run, "run a suite against a mutant, produce V")
     p.add_argument("--mutant", help="mutant graph JSON file")
-    p.add_argument("--fault", help="fault spec FRAG:ORDINAL:op=N|const=V")
+    shared(p, "--fault")
     p.add_argument("--suite", choices=("complete", "diagnostic"))
-    p.add_argument("--stimuli", help="JSON file: term label -> {var: value}")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--permissive", action="store_true",
-                   help="default unbound free variables to 0.0")
+    shared(p, "--stimuli", "--tolerance", "--permissive")
     p.add_argument("--table-out", help="write the responded extended table here")
 
     p = command("diagnose", cmd_diagnose, "diagnose a responded table",
                 program=False, graph=False)
     p.add_argument("--table", required=True)
-    p.add_argument("--mode", choices=("strong", "weak"))
+    shared(p, "--mode")
 
     p = command("testability", cmd_testability, "ambiguity groups and observation points")
     p.add_argument("--target", type=int)
 
     p = command("all", cmd_all, "full pipeline: parse, build, test, run, diagnose")
-    p.add_argument("--fault", help="fault spec FRAG:ORDINAL:op=N|const=V")
-    p.add_argument("--stimuli")
-    p.add_argument("--mode", choices=("strong", "weak"))
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--permissive", action="store_true")
+    shared(p, "--fault", "--stimuli", "--mode", "--tolerance", "--permissive")
 
     return parser
 

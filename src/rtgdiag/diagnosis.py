@@ -95,6 +95,17 @@ class DiagnosisResult:
 Part = tuple
 
 
+def _kept(t: FaultDetectionTable) -> dict:
+    """The facts kept in the table's memo for its blocks and columns.  A
+    copy holding other blocks or columns may share the memo (as
+    ``dataclasses.replace`` makes one); it finds the memo made for the
+    other pair and starts it afresh."""
+    if t.memo.get("blocks") is not t.blocks or t.memo.get("columns") is not t.columns:
+        t.memo.clear()
+        t.memo.update(blocks=t.blocks, columns=t.columns)
+    return t.memo
+
+
 def _keyed(part: Part) -> tuple:
     """A failing part as factoring reads it: (the fragments it touches,
     keyed by each bracket's first member, its clause, the part)."""
@@ -108,16 +119,13 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[tuple], list[frozens
     block is a part of its own.  Raises NoResponse when the table has no
     response vector V, and NoFailures when no row fails.
 
-    The table's memo keeps one entry per block while the table holds the
-    same blocks: [whether the block can be one part, its keyed part, its
-    marked set], made the first time its rows share a bit, the last two
-    filled the first time it fails and passes."""
+    The table's kept facts hold one entry per block: [whether the block can
+    be one part, its keyed part, its marked set], made the first time its
+    rows share a bit, the last two filled the first time it fails and
+    passes."""
     if t.response is None:
         raise NoResponse("the table has no response vector V to diagnose from")
-    kept = t.memo.get("parts")
-    if kept is None or kept[0] is not t.blocks:
-        kept = t.memo["parts"] = (t.blocks, [None] * len(t.blocks))
-    entries = kept[1]
+    entries = _kept(t).setdefault("parts", [None] * len(t.blocks))
     failing: list[tuple] = []
     passing: list[frozenset[StatementId]] = []
     for i, (block, bits) in enumerate(t.block_bits()):
@@ -133,7 +141,7 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[tuple], list[frozens
                     failing.append(entry[1])
                 else:
                     if entry[2] is None:
-                        entry[2] = _marked(block.brackets)
+                        entry[2] = frozenset(chain.from_iterable(block.brackets))
                     passing.append(entry[2])
                 continue
         for selection, bit in zip(product(*block.brackets), bits):
@@ -144,11 +152,6 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[tuple], list[frozens
     if not failing:
         raise NoFailures("response vector is all-zero; no fault detected")
     return failing, passing
-
-
-def _marked(part: Part) -> frozenset[StatementId]:
-    """Every statement some row of the part marks."""
-    return frozenset(chain.from_iterable(part))
 
 
 def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
@@ -260,13 +263,12 @@ def _table_groups(t: FaultDetectionTable) -> tuple[dict[StatementId, int],
     Path-level signature: the set of path labels whose rows mark the
     statement.  Exact for generalized tables and for complete-test extended
     tables (a path's terms jointly mark everything on the path).  The
-    partition depends only on the blocks and columns, so it is kept in the
-    table's memo, which ``attach_response`` passes on, keyed by the
-    identity of both.
+    partition depends only on the blocks and columns, so it is one of the
+    table's kept facts.
     """
-    kept = t.memo.get("ambiguity")
-    if kept is not None and kept[0] is t.blocks and kept[1] is t.columns:
-        return kept[2], kept[3]
+    kept = _kept(t)
+    if "ambiguity" in kept:
+        return kept["ambiguity"]
     sig: dict[StatementId, set[str]] = {c: set() for c in t.columns}
     for block in t.blocks:
         if len(block):
@@ -278,15 +280,8 @@ def _table_groups(t: FaultDetectionTable) -> tuple[dict[StatementId, int],
     groups = sorted((AmbiguityGroup(members=frozenset(m), signature=w) for w, m in by_sig.items()),
                     key=lambda g: g.sorted_members()[0].sort_key())
     index = {c: i for i, g in enumerate(groups) for c in g.members}
-    t.memo["ambiguity"] = (t.blocks, t.columns, index, groups)
+    kept["ambiguity"] = index, groups
     return index, groups
-
-
-def _groups_of(t: FaultDetectionTable, statements: Iterable[StatementId]) -> list[AmbiguityGroup]:
-    """The ambiguity groups of the table that hold any of *statements*,
-    ordered by their least member."""
-    index, groups = _table_groups(t)
-    return [groups[i] for i in sorted({index[s] for s in statements})]
 
 
 def diagnose(t: FaultDetectionTable, mode: str = "strong",
@@ -302,7 +297,9 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
     f = cnf_to_min_dnf(_factored(failing), cap=cap)
     h = frozenset().union(*passing)
     reduced = reduce_candidates(f, h, mode=mode)
-    ambiguity = tuple(_groups_of(t, frozenset().union(*reduced.terms)))
+    index, groups = _table_groups(t)
+    held = {index[s] for term in reduced.terms for s in term}
+    ambiguity = tuple(groups[i] for i in sorted(held))
     return DiagnosisResult(candidates=f, exonerated=h, reduced=reduced,
                            mode=mode, ambiguity=ambiguity)
 
@@ -393,15 +390,13 @@ def ambiguity_groups(g: RTGraph) -> list[AmbiguityGroup]:
     def by_source(rib: Rib) -> int:
         return pos.get(rib.src, len(pos))
 
-    ribs: dict[str, list[Rib]] = {}
-    for rib in sorted(g.ribs, key=by_source):
-        ribs.setdefault(rib.fragment, []).append(rib)
     classes: dict[tuple[int, int], list[list[str]]] = {}  # (N, W) -> fragment classes
     for fragment in g.fragments:
-        n = _covering_count(ribs[fragment], exact)
-        bucket = classes.setdefault((n, _covering_count(ribs[fragment], fingerprint, weight)), [])
+        ribs = g.fragment_ribs(fragment)
+        n = _covering_count(ribs, exact)
+        bucket = classes.setdefault((n, _covering_count(ribs, fingerprint, weight)), [])
         for cls in bucket:
-            union = sorted(ribs[cls[0]] + ribs[fragment], key=by_source)
+            union = sorted(g.fragment_ribs(cls[0]) + ribs, key=by_source)
             if not n or _covering_count(union, exact) == n:
                 cls.append(fragment)
                 break
@@ -414,14 +409,6 @@ def ambiguity_groups(g: RTGraph) -> list[AmbiguityGroup]:
 
 
 # --- observation-point recommendation -----------------------------------------
-
-def _blocks(g: RTGraph) -> Counter[str]:
-    """Statement count per fragment.  All statements of a fragment share its
-    covering paths, hence one ambiguity group, and the monitors standing
-    between fragments already separate a group's fragments: every group
-    splits into these per-fragment blocks, whatever the paths."""
-    return Counter(sid.fragment for sid in g.statement_ids)
-
 
 def _segments(n_statements: int, cuts: frozenset[int]) -> list[int]:
     """Segment sizes of a rib with *n_statements* split after each ordinal
@@ -456,27 +443,29 @@ def recommend_observation_points(g: RTGraph, target: int) -> list[tuple[str, int
     """Insertion points that shrink every ambiguity group to *target*.
 
     Returns (fragment, insert-after-ordinal) pairs, ceil(n / target) - 1 of
-    them for a fragment of n statements, which is the minimum: statements
-    on different fragments are separable by the monitor already standing
-    between them, so every fragment is planned alone (see _blocks).
+    them for a fragment of n statements, which is the minimum.  All
+    statements of a fragment share its covering paths, hence one ambiguity
+    group, and the monitors standing between fragments already separate a
+    group's fragments: every group splits into per-fragment blocks,
+    whatever the paths, so every fragment is planned alone.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    return sorted(((fragment, cut) for fragment, n in _blocks(g).items()
-                   for cut in _plan_cuts(0, n, target)),
+    return sorted(((fragment, cut) for fragment in g.fragments
+                   for cut in _plan_cuts(0, len(g.fragment_sids(fragment)), target)),
                   key=lambda fc: (g.natural_keys[fc[0]], fc[1]))
 
 
 def verify_minimal_insertions(g: RTGraph, target: int, proposed_count: int) -> bool:
     """Exhaustively check that no smaller insertion set reaches *target*."""
-    sizes = _blocks(g)
+    sizes = {fragment: len(g.fragment_sids(fragment)) for fragment in g.fragments}
     positions = [(fragment, k) for fragment, n in sizes.items() for k in range(1, n)]
 
     def achieves(subset: tuple[tuple[str, int], ...]) -> bool:
         chosen: dict[str, set[int]] = {}
         for fragment, k in subset:
             chosen.setdefault(fragment, set()).add(k)
-        return all(max(_segments(n, frozenset(chosen.get(fragment, set())))) <= target
+        return all(max(_segments(n, frozenset(chosen.get(fragment, ()))), default=0) <= target
                    for fragment, n in sizes.items())
 
     for k in range(proposed_count):

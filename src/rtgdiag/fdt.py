@@ -6,8 +6,8 @@ selected statements.  A table holds a tuple of ``testsynth.Block`` path
 blocks; the extended table of a suite holds the suite's own blocks.  A row
 given on its own (a generalized row, a loaded row) is ``Block.of`` its
 path, marks and label, the path of a loaded row being ``Path(label, ())``.
-``table.labels()`` reads every row label without building rows;
-``table.rows`` builds the ``TableRow`` objects anew on each read.
+A row is a ``TestTerm``: ``table.rows`` and ``table.labels()`` read the
+blocks as ``TestSuite`` does.
 
 A table holds at most one response vector V, one pass/fail bit per row in
 row order; bit 1 means the observed output differed from the expected one.
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, SchemaError
 from .rtg import RTGraph, StatementId, dumps_json
-from .testsynth import Block, Path, TestSuite
+from .testsynth import Block, Path, TestSuite, TestTerm
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,19 +50,10 @@ class ResponseVector:
 
 
 @dataclass(frozen=True, slots=True)
-class TableRow:
-    """A row of a block: its label, its path's label and its selection."""
-
-    label: str
-    path: str
-    marks: frozenset[StatementId]
-
-
-@dataclass(frozen=True, slots=True)
 class FaultDetectionTable:
     """Rows over statement columns, held as path blocks.  *memo* holds what
-    a reader derives from the table (diagnosis keeps its ambiguity
-    partition there); ``attach_response`` passes it on."""
+    a reader derives from the blocks and columns (diagnosis keeps its block
+    parts and ambiguity partition there); ``attach_response`` passes it on."""
 
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]
@@ -81,14 +72,13 @@ class FaultDetectionTable:
             raise LengthMismatch(f"response has {len(self.response)} bits for {rows} rows")
 
     @property
-    def rows(self) -> tuple[TableRow, ...]:
-        """Every row, built on each read."""
-        return tuple(TableRow(label, b.path.label, frozenset(selection))
-                     for b in self.blocks for selection, label in b.items())
+    def rows(self) -> tuple[TestTerm, ...]:
+        """Every row, as the terms of a suite holding these blocks."""
+        return TestSuite(self.blocks).terms
 
     def labels(self) -> tuple[str, ...]:
         """The label of every row, in order, without building rows."""
-        return tuple(chain.from_iterable(b.labels for b in self.blocks))
+        return TestSuite(self.blocks).labels()
 
     def block_bits(self) -> Iterator[tuple[Block, Sequence[int | None]]]:
         """Each block with the bits of its rows (None for each row when no

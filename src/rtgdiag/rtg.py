@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, count
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import CyclicGraph, DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
 
@@ -189,6 +189,15 @@ def make_rib(fragment: str, src: str, dst: str, specs: Iterable[tuple[int, str, 
     return Rib(fragment=fragment, src=src, dst=dst, statements=make_statements(specs))
 
 
+class _Fragment(NamedTuple):
+    """What a graph holds of one fragment."""
+
+    ribs: tuple[Rib, ...]  # in topological order of their sources
+    statements: tuple[Statement, ...]  # those of its first rib in ``ribs`` order
+    by_ordinal: dict[int, StatementId]
+    sids: tuple[StatementId, ...]  # by opcode, then ordinal
+
+
 @dataclass(frozen=True)
 class RTGraph:
     """An immutable register-transfer graph.
@@ -237,62 +246,65 @@ class RTGraph:
         return self._out_index.get(node, ())
 
     @cached_property
-    def fragments(self) -> tuple[str, ...]:
-        """Fragment ids ordered topologically by source node, then naturally."""
+    def _fragment_index(self) -> dict[str, _Fragment]:
+        """Each fragment's ``_Fragment``, the fragments ordered
+        topologically by their first source node, then naturally; one pass
+        over ``ribs`` groups them."""
         order, _ = self.try_topo_order()
-        keys = self.natural_keys
         pos = {name: i for i, name in enumerate(order)}
-        firsts: dict[str, int] = {}
-        for r in self.ribs:
-            p = pos.get(r.src, len(pos))
-            if r.fragment not in firsts or p < firsts[r.fragment]:
-                firsts[r.fragment] = p
-        return tuple(sorted(firsts, key=lambda f: (firsts[f], keys[f])))
+        keys = self.natural_keys
 
-    def statements_of(self, fragment: str) -> tuple[Statement, ...]:
-        for r in self.ribs:
-            if r.fragment == fragment:
-                return r.statements
-        raise KeyError(fragment)
+        def source(r: Rib) -> int:
+            return pos.get(r.src, len(pos))
 
-    @cached_property
-    def _sid_by_pos(self) -> dict[tuple[str, int], StatementId]:
-        index: dict[tuple[str, int], StatementId] = {}
-        for fragment in self.fragments:
-            stmts = self.statements_of(fragment)
+        grouped: dict[str, list[Rib]] = {}
+        for r in self.ribs:
+            grouped.setdefault(r.fragment, []).append(r)
+        ribs = {f: sorted(rs, key=source) for f, rs in grouped.items()}
+        index: dict[str, _Fragment] = {}
+        for fragment in sorted(ribs, key=lambda f: (source(ribs[f][0]), keys[f])):
+            stmts = grouped[fragment][0].statements
             per_op: dict[int, list[Statement]] = {}
             for s in stmts:
                 per_op.setdefault(s.opcode, []).append(s)
+            by_ordinal: dict[int, StatementId] = {}
             for s in stmts:
                 same = per_op[s.opcode]
                 label = f"{fragment}{s.opcode}"
                 if len(same) > 1:
                     label += subscript(same.index(s) + 1)
-                index[(fragment, s.ordinal)] = StatementId(fragment, s.opcode, s.ordinal, label)
+                by_ordinal[s.ordinal] = StatementId(fragment, s.opcode, s.ordinal, label)
+            sids = sorted((by_ordinal[s.ordinal] for s in stmts),
+                          key=lambda i: (i.opcode, i.ordinal))
+            index[fragment] = _Fragment(tuple(ribs[fragment]), stmts, by_ordinal, tuple(sids))
         return index
 
-    def sid(self, fragment: str, ordinal: int) -> StatementId:
-        return self._sid_by_pos[(fragment, ordinal)]
-
     @cached_property
-    def _sids_by_fragment(self) -> dict[str, tuple[StatementId, ...]]:
-        """Each fragment's statement ids ordered by opcode then ordinal, the
-        fragments in ``fragments`` order; built once per graph."""
-        out: dict[str, tuple[StatementId, ...]] = {}
-        for fragment in self.fragments:
-            ids = [self.sid(fragment, s.ordinal) for s in self.statements_of(fragment)]
-            out[fragment] = tuple(sorted(ids, key=lambda i: (i.opcode, i.ordinal)))
-        return out
+    def fragments(self) -> tuple[str, ...]:
+        """Fragment ids ordered topologically by source node, then naturally."""
+        return tuple(self._fragment_index)
+
+    def fragment_ribs(self, fragment: str) -> tuple[Rib, ...]:
+        """The ribs of a fragment, stably ordered topologically by source."""
+        return self._fragment_index[fragment].ribs
+
+    def statements_of(self, fragment: str) -> tuple[Statement, ...]:
+        """The statements of a fragment, as its first rib in ``ribs`` carries
+        them; raises KeyError for a fragment the graph does not hold."""
+        return self._fragment_index[fragment].statements
+
+    def sid(self, fragment: str, ordinal: int) -> StatementId:
+        return self._fragment_index[fragment].by_ordinal[ordinal]
 
     def fragment_sids(self, fragment: str) -> tuple[StatementId, ...]:
         """Statement ids of a fragment, ordered by opcode then ordinal."""
-        return self._sids_by_fragment[fragment]
+        return self._fragment_index[fragment].sids
 
     @cached_property
     def statement_ids(self) -> tuple[StatementId, ...]:
         """All statement ids in table column order: fragments topologically,
         statements by ascending opcode within each fragment."""
-        return tuple(chain.from_iterable(self._sids_by_fragment.values()))
+        return tuple(chain.from_iterable(f.sids for f in self._fragment_index.values()))
 
     @cached_property
     def _topo(self) -> tuple[tuple[str, ...], bool]:

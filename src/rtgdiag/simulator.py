@@ -226,10 +226,10 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
     Every edge sharing the target fragment carries the mutated sequence, so
     merged fragments stay consistent.  The original graph is untouched.
     """
-    target_ribs = [r for r in g.ribs if r.fragment == f.fragment]
-    if not target_ribs:
-        raise NoSuchStatement(f"no fragment {f.fragment}")
-    statements = target_ribs[0].statements
+    try:
+        statements = g.statements_of(f.fragment)
+    except KeyError:
+        raise NoSuchStatement(f"no fragment {f.fragment}") from None
     index = next((i for i, s in enumerate(statements) if s.ordinal == f.ordinal), None)
     if index is None:
         raise NoSuchStatement(f"fragment {f.fragment} has no statement {f.ordinal}")
@@ -275,7 +275,8 @@ def mutation_catalogue(g: RTGraph) -> list[FaultSpec]:
 
     Each opcode is swapped for its ``OpCode.swap`` partner: within the
     arity classes {1,3} and {2,4} (sine has no partner); each constant
-    operand additionally yields one perturbation by +1.
+    operand additionally yields one perturbation by +1, where adding 1
+    changes it (not at |c| >= 2**53).
     """
     out: list[FaultSpec] = []
     for fragment in g.fragments:
@@ -284,7 +285,7 @@ def mutation_catalogue(g: RTGraph) -> list[FaultSpec]:
             if swap is not None:
                 out.append(FaultSpec(fragment=fragment, ordinal=s.ordinal, opcode=swap))
             for i, operand in enumerate(s.operands):
-                if not isinstance(operand, str):
+                if not isinstance(operand, str) and float(operand) + 1.0 != operand:
                     out.append(FaultSpec(fragment=fragment, ordinal=s.ordinal,
                                          constant=float(operand) + 1.0,
                                          operand_index=i))

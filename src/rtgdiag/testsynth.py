@@ -13,7 +13,7 @@ the labels of the items that form the bracket product, in
 and its extended table holds the same blocks; an item given on its own is
 ``Block.of`` its path, selection and label.  ``TestSuite.labels()`` reads
 every label without building terms; ``TestSuite.terms`` builds the
-``TestTerm`` objects anew on each read.
+``TestTerm`` objects anew on each read, and so do a table's rows.
 """
 
 from __future__ import annotations

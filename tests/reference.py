@@ -13,7 +13,8 @@ tokenizer with one match per whitespace run, newline and comment, guard
 regions from every pair of arms, Kahn's algorithm re-sorting its ready
 list, and graph validation rib by rib.
 ``row_blocks`` and ``term_suite`` hold given rows or terms one item per
-block, as a loaded table does.
+block, as a loaded table does, and ``row_key`` is what a row keeps through
+a table file.
 """
 
 import math
@@ -36,7 +37,13 @@ TOLERANCE = 1e-9
 
 def row_blocks(rows) -> tuple[Block, ...]:
     """Each table row as a block of its own, on its label-only path."""
-    return tuple(Block.of(Path(r.path, ()), r.marks, r.label) for r in rows)
+    return tuple(Block.of(Path(r.path.label, ()), r.selection, r.label) for r in rows)
+
+
+def row_key(r) -> tuple:
+    """A row as a table file keeps it: its label, its path's label and the
+    set of statements it selects, but not the ribs of its path."""
+    return r.label, r.path.label, frozenset(r.selection)
 
 
 def term_suite(terms) -> TestSuite:
@@ -58,7 +65,7 @@ def build_cnf(t: FaultDetectionTable) -> list[frozenset]:
 
     Raises NoFailures when the response is all-zero: nothing to diagnose.
     """
-    clauses = [r.marks for r, bit in zip(t.rows, _bits(t)) if bit]
+    clauses = [frozenset(r.selection) for r, bit in zip(t.rows, _bits(t)) if bit]
     if not clauses:
         raise NoFailures("response vector is all-zero; no fault detected")
     return clauses
@@ -67,7 +74,7 @@ def build_cnf(t: FaultDetectionTable) -> list[frozenset]:
 def exoneration_set(t: FaultDetectionTable) -> frozenset:
     """Statements exercised by passing rows (bit 0): observed to transform
     data correctly at least once."""
-    return frozenset().union(*(r.marks for r, bit in zip(t.rows, _bits(t)) if not bit))
+    return frozenset().union(*(r.selection for r, bit in zip(t.rows, _bits(t)) if not bit))
 
 
 def ambiguity_partition(t: FaultDetectionTable) -> list[AmbiguityGroup]:
@@ -75,7 +82,7 @@ def ambiguity_partition(t: FaultDetectionTable) -> list[AmbiguityGroup]:
     of path labels whose rows mark them, ordered by least member."""
     marked: dict[str, set] = {}
     for r in t.rows:
-        marked.setdefault(r.path, set()).update(r.marks)
+        marked.setdefault(r.path.label, set()).update(r.selection)
     by_signature: dict[frozenset, set] = {}
     for c in t.columns:
         signature = frozenset(p for p, m in marked.items() if c in m)

@@ -58,7 +58,7 @@ def test_criterion_02_complete_test_expansion():
     suite = build_complete_test(g)
     table = build_extended_fdt(g, suite)
     ok = list(suite.labels()) == REFERENCE_LABELS
-    got = {r.label: {m.label for m in r.marks} for r in table.rows}
+    got = {r.label: {m.label for m in r.selection} for r in table.rows}
     ok = ok and got == REFERENCE_MARKS
     report(2, ok, "complete test has the 10 reference terms with exact marks")
 
@@ -129,7 +129,7 @@ def test_criterion_07_single_fault_soundness():
         expected_bits = tuple(1 if fault.fragment in t.path.fragments else 0
                               for t in suite.terms)
         passing_marks = frozenset().union(
-            frozenset(), *(r.marks for r, bit in zip(table.rows, table.response.bits)
+            frozenset(), *(r.selection for r, bit in zip(table.rows, table.response.bits)
                                 if bit == 0))
         others_marked = all(sid in passing_marks for sid in graph.statement_ids
                             if sid.fragment != fault.fragment)

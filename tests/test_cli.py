@@ -300,6 +300,23 @@ def test_non_binary_response_is_a_usage_error(capsys):
     assert err == "rtgdiag fdt: --response needs a string of 0s and 1s, got '01x1'\n"
 
 
+def test_an_empty_response_is_a_response_of_no_bits(capsys):
+    # an empty bit string is given, not absent: it binds V with no bits
+    code, out, err = run_cli(capsys, "fdt", "--graph", FIG1, "--response", "")
+    assert code == 3
+    assert out == ""
+    assert err == "rtgdiag fdt: response has 0 bits for 10 rows\n"
+
+
+def test_run_and_all_describe_their_shared_options_alike():
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    helps = {name: {a.dest: a.help for a in sub._actions} for name, sub in commands.items()}
+    for dest in ("fault", "stimuli", "tolerance", "permissive"):
+        assert helps["run"][dest] == helps["all"][dest] is not None
+    assert helps["diagnose"]["mode"] == helps["all"]["mode"] is not None
+
+
 def test_sin_overflow_exits_3(capsys, tmp_path):
     rib = {"fragment": "I1", "src": "X", "dst": "Y", "statements": [
         {"ordinal": 1, "opcode": 2, "target": "t1",

@@ -99,7 +99,7 @@ def test_exoneration_edge_cases(extended):
     all_one = attach_response(extended, ResponseVector((1,) * 10))
     assert exoneration_set(all_one) == frozenset()
     all_zero = attach_response(extended, ResponseVector((0,) * 10))
-    marks = frozenset().union(*(r.marks for r in extended.rows))
+    marks = frozenset().union(*(r.selection for r in extended.rows))
     assert exoneration_set(all_zero) == marks
 
 

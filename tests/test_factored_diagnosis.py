@@ -16,6 +16,7 @@ A table keeps each block's parts in its memo for every responded copy;
 diagnosing such a copy must give what a table with an empty memo gives.
 """
 
+import dataclasses
 import warnings
 from random import Random
 
@@ -80,7 +81,7 @@ def row_parts(clauses):
 def path_uniform(t) -> bool:
     bits: dict[str, set[int]] = {}
     for r, bit in zip(t.rows, t.response.bits):
-        bits.setdefault(r.path, set()).add(bit)
+        bits.setdefault(r.path.label, set()).add(bit)
     return all(len(b) == 1 for b in bits.values())
 
 
@@ -183,8 +184,8 @@ def test_path_through_two_ribs_of_one_fragment():
     tables = list(responded_tables(g))
     assert tables
     for t in tables:
-        failing = [r.marks for r, bit in zip(t.rows, t.response.bits)
-                   if bit == 1 and r.path == twice.label]
+        failing = [frozenset(r.selection) for r, bit in zip(t.rows, t.response.bits)
+                   if bit == 1 and r.path.label == twice.label]
         if {len(m) for m in failing} == {1, 2}:
             # the group mixes one- and two-statement rows: it keeps its rows
             assert set(failing) <= set(factor_clauses(row_parts(build_cnf(t))))
@@ -201,7 +202,7 @@ def test_one_clause_per_failing_path_on_a_path_uniform_ladder():
     for fault in mutation_catalogue(g)[::7]:
         t = attach_response(table, run_suite(g, inject_fault(g, fault), suite, stimuli))
         assert path_uniform(t)
-        failing_paths = {r.path for r, bit in zip(t.rows, t.response.bits) if bit == 1}
+        failing_paths = {r.path.label for r, bit in zip(t.rows, t.response.bits) if bit == 1}
         assert failing_paths
         assert len(factor_clauses(row_parts(build_cnf(t)))) == len(failing_paths)
         assert len(build_cnf(t)) == 32 * len(failing_paths)
@@ -266,5 +267,22 @@ def test_kept_block_parts_match_a_table_with_an_empty_memo(kind):
                         assert diagnosis_outcome(responded, mode) == \
                             diagnosis_outcome(fresh, mode), (kind, fault, mode)
                     compared += 1
-            assert table.memo.get("parts", (table.blocks,))[0] is table.blocks
+            assert table.memo.get("blocks", table.blocks) is table.blocks
     assert compared > 600
+
+
+def test_a_copy_with_other_blocks_reads_no_stale_kept_fact():
+    # the copy shares the memo of a table whose blocks were all read failing
+    # and passing; its own blocks (the first four paths, reversed) sit at
+    # other indices and mark fewer columns
+    g = ladder_model(3)
+    table = build_extended_fdt(g, build_complete_test(g))
+    for bits in ((1,) * 8 + (0,) * 56, (0,) * 8 + (1,) * 56):
+        diagnosis_outcome(attach_response(table, ResponseVector(bits)), "weak")
+    copy = dataclasses.replace(table, blocks=table.blocks[3::-1])
+    assert copy.memo is table.memo
+    for bits in ((1,) * 16 + (0,) * 16, (0,) * 16 + (1,) * 16, (1,) * 32):
+        fresh = FaultDetectionTable(copy.kind, copy.columns, copy.blocks, ResponseVector(bits))
+        for mode in ("strong", "weak"):
+            assert diagnosis_outcome(attach_response(copy, ResponseVector(bits)), mode) == \
+                diagnosis_outcome(fresh, mode), (bits, mode)

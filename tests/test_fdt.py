@@ -3,12 +3,13 @@ import dataclasses
 import pytest
 
 from rtgdiag import (Block, FaultDetectionTable, LengthMismatch, Path,
-                     ResponseVector, SchemaError, TableRow, TestSuite, attach_response,
+                     ResponseVector, SchemaError, TestSuite, TestTerm, attach_response,
                      build_extended_fdt, build_generalized_fdt, dumps_table, enumerate_paths,
                      loads_table, render_table)
 from rtgdiag.testsynth import build_complete_test
 
 from randmodels import single_rib_graph
+from reference import row_key
 
 GENERALIZED_MARKS = {
     "X14Y": {"I11", "I41", "I44", "I45", "I61"},
@@ -34,12 +35,12 @@ EXTENDED_MARKS = {
 def test_generalized_rows_match_reference(g, paths):
     table = build_generalized_fdt(g, paths)
     assert table.kind == "generalized"
-    got = {r.label: {m.label for m in r.marks} for r in table.rows}
+    got = {r.label: {m.label for m in r.selection} for r in table.rows}
     assert got == GENERALIZED_MARKS
 
 
 def test_extended_rows_match_reference(extended):
-    got = {r.label: {m.label for m in r.marks} for r in extended.rows}
+    got = {r.label: {m.label for m in r.selection} for r in extended.rows}
     assert got == EXTENDED_MARKS
     assert extended.labels() == tuple(EXTENDED_MARKS)
 
@@ -48,18 +49,18 @@ def test_single_rib_generalized_row():
     g = single_rib_graph()
     table = build_generalized_fdt(g, enumerate_paths(g))
     assert len(table.rows) == 1
-    assert {m.label for m in table.rows[0].marks} == {"I11"}
+    assert {m.label for m in table.rows[0].selection} == {"I11"}
 
 
 def test_term_marks_subset_of_path_marks(g, paths, suite, extended):
     generalized = build_generalized_fdt(g, paths)
-    by_path = {r.label: r.marks for r in generalized.rows}
+    by_path = {r.label: frozenset(r.selection) for r in generalized.rows}
     for row in extended.rows:
-        assert row.marks <= by_path[row.path]
+        assert frozenset(row.selection) <= by_path[row.path.label]
 
 
 def test_extended_marks_union_is_column_set(g, extended):
-    union = frozenset().union(*(r.marks for r in extended.rows))
+    union = frozenset().union(*(r.selection for r in extended.rows))
     assert union == frozenset(extended.columns)
 
 
@@ -89,9 +90,10 @@ def test_json_round_trip(g, paths, extended):
                   extended,
                   attach_response(extended, ResponseVector((0, 0, 0, 1, 1, 1, 0, 0, 0, 0)))):
         loaded = loads_table(dumps_table(table))
-        # a loaded table holds one row per block, so compare field by field
-        assert ((loaded.kind, loaded.columns, loaded.rows, loaded.response)
-                == (table.kind, table.columns, table.rows, table.response))
+        # a loaded table holds one row per block on a label-only path, so
+        # compare field by field and each row by what the file keeps of it
+        assert ((loaded.kind, loaded.columns, tuple(map(row_key, loaded.rows)), loaded.response)
+                == (table.kind, table.columns, tuple(map(row_key, table.rows)), table.response))
     assert loads_table(dumps_table(extended)).response is None
     # a loaded table's paths are labels only: they pass no known monitors
     assert loads_table(dumps_table(extended)).blocks[0].path.nodes == ()
@@ -160,17 +162,28 @@ def test_block_of_round_trips_a_term_and_a_row(suite):
     term = suite.terms[4]
     [back] = TestSuite((Block.of(term.path, term.selection, term.label),)).terms
     assert back == term
-    row = TableRow(label="r", path="X15Y", marks=frozenset(term.selection))
-    [back] = FaultDetectionTable("extended", (), (Block.of(Path(row.path, ()), row.marks,
+    row = TestTerm(Path("X15Y", ()), term.selection, "r")
+    [back] = FaultDetectionTable("extended", (), (Block.of(row.path, row.selection,
                                                            row.label),)).rows
     assert back == row
+
+
+def test_the_rows_of_an_extended_table_are_the_terms_of_its_suite(g, suite):
+    assert build_extended_fdt(g, suite).rows == suite.terms
+
+
+def test_a_loaded_row_is_a_term_on_a_label_only_path(g, paths, extended):
+    for table in (build_generalized_fdt(g, paths), extended):
+        loaded = loads_table(dumps_table(table)).rows
+        assert all(type(r) is TestTerm for r in loaded)
+        assert [r.path for r in loaded] == [Path(r.path.label, ()) for r in table.rows]
 
 
 def test_a_block_has_one_label_per_selection(g):
     a, b = g.statement_ids[:2]
     block = Block(Path("p", ()), ((a, b), (a,)), ("r1", "r2"))
     rows = FaultDetectionTable("extended", (), (block,)).rows
-    assert [r.marks for r in rows] == [frozenset({a}), frozenset({a, b})]
-    assert [r.path for r in rows] == ["p", "p"]
+    assert [r.selection for r in rows] == [(a, a), (b, a)]
+    assert [r.path for r in rows] == [Path("p", ()), Path("p", ())]
     with pytest.raises(LengthMismatch, match="1 labels for a product of 2 selections"):
         Block(Path("p", ()), ((a, b),), ("r1",))

@@ -4,16 +4,16 @@ expansion and diagnosis is per path block, not per row.
 One ``rtgdiag all`` on a 5-stage ladder (32 paths, 1,024 rows, 20
 statements) must hash statement ids O(paths x statements) times, not once
 per mark; pick one stimulus and compute one stimulus key per path, and
-read no stimulus by term label; and build no ``TestTerm`` or
-``TableRow``: each read of ``suite.terms`` or ``table.rows`` builds every
-item anew, so no stage may read them.
+read no stimulus by term label; and build no ``TestTerm``: each read of
+``suite.terms`` or ``table.rows`` builds every term anew, so no stage may
+read them.
 """
 
 import pytest
 
-from rtgdiag import (FaultSpec, StatementId, TableRow, TestTerm, attach_response,
-                     build_complete_test, build_extended_fdt, default_stimuli, diagnose, dumps_graph,
-                     enumerate_paths, inject_fault, run_suite, simulator)
+from rtgdiag import (FaultSpec, StatementId, TestTerm, attach_response, build_complete_test,
+                     build_extended_fdt, default_stimuli, diagnose, dumps_graph, enumerate_paths,
+                     inject_fault, run_suite, simulator)
 from rtgdiag.cli import main
 
 from randmodels import ladder_model
@@ -25,10 +25,9 @@ STATEMENTS = 4 * K
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of StatementId.__hash__, simulator._stimulus_key,
-    TestTerm.__init__ and TableRow.__init__, wrapped at class or module
-    level."""
-    counts = {"hash": 0, "key": 0, "term": 0, "row": 0}
+    """Call counts of StatementId.__hash__, simulator._stimulus_key and
+    TestTerm.__init__, wrapped at class or module level."""
+    counts = {"hash": 0, "key": 0, "term": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -39,7 +38,6 @@ def calls(monkeypatch):
     monkeypatch.setattr(StatementId, "__hash__", counted("hash", StatementId.__hash__))
     monkeypatch.setattr(simulator, "_stimulus_key", counted("key", simulator._stimulus_key))
     monkeypatch.setattr(TestTerm, "__init__", counted("term", TestTerm.__init__))
-    monkeypatch.setattr(TableRow, "__init__", counted("row", TableRow.__init__))
     return counts
 
 
@@ -54,7 +52,7 @@ def test_all_on_a_ladder_is_path_level(tmp_path, calls):
     assert "F' = I31 I32\n" in text
     assert calls["hash"] <= 4 * PATHS * STATEMENTS
     assert calls["key"] == PATHS
-    assert calls["term"] == calls["row"] == 0
+    assert calls["term"] == 0
 
 
 def test_all_picks_one_stimulus_per_path_and_reads_none_by_label(tmp_path, monkeypatch):
@@ -85,5 +83,5 @@ def test_diagnose_builds_no_rows(calls):
     before = dict(calls)
     result = diagnose(table)
     assert str(result.reduced) == "I11 I12"
-    assert calls["term"] == calls["row"] == 0
+    assert calls["term"] == 0
     assert calls["hash"] - before["hash"] <= 4 * PATHS * STATEMENTS

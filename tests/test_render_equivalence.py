@@ -1,6 +1,6 @@
 """``render_table`` against the per-cell reference layout it replaced.
 
-The reference below builds every cell with ``c in r.marks`` and
+The reference below builds every cell with ``c in r.selection`` and
 ``str.center``; the library builds each column's cells once.  Both must give
 the same bytes on seeded tables, including duplicated columns, marks that
 name no column, tables with and without V, and the ``Faults`` suspects row.
@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (ResponseVector, StatementId, TableRow, build_complete_test,
+from rtgdiag import (Path, ResponseVector, StatementId, TestTerm, build_complete_test,
                      build_extended_fdt, build_generalized_fdt, enumerate_paths, render_table)
 from rtgdiag.fdt import FaultDetectionTable
 
@@ -33,7 +33,7 @@ def reference_render(t, suspects=None) -> str:
 
     lines = [fmt_row(headers)]
     for i, r in enumerate(t.rows):
-        cells = [r.label] + ["1" if c in r.marks else "" for c in t.columns]
+        cells = [r.label] + ["1" if c in r.selection else "" for c in t.columns]
         if has_v:
             cells.append(str(t.response.bits[i]))
         lines.append(fmt_row(cells))
@@ -64,8 +64,8 @@ def seeded_tables(seed: int):
         rows = []
         bits = []
         for r in t.rows:
-            marks = r.marks | {STRAY} if rng.random() < 0.3 else r.marks
-            rows.append(TableRow(r.label, r.path, marks))
+            stray = (STRAY,) if rng.random() < 0.3 else ()
+            rows.append(TestTerm(r.path, r.selection + stray, r.label))
             bits.append(rng.randint(0, 1))
         table = FaultDetectionTable(t.kind, tuple(columns), row_blocks(rows),
                                     ResponseVector(tuple(bits)) if has_v else None)
@@ -83,13 +83,13 @@ def test_render_matches_the_per_cell_reference(seed):
 def test_duplicate_columns_are_all_marked():
     a = StatementId("I1", 1, 1, "I11")
     b = StatementId("I2", 1, 1, "I21")
-    t = FaultDetectionTable("extended", (a, b, a), row_blocks([TableRow("t1", "p", frozenset({a}))]),
-                            ResponseVector((1,)))
+    t = FaultDetectionTable("extended", (a, b, a),
+                            row_blocks([TestTerm(Path("p", ()), (a,), "t1")]), ResponseVector((1,)))
     assert render_table(t) == reference_render(t)
     assert render_table(t).splitlines()[1].split() == ["t1", "1", "1", "1"]
 
 
-@pytest.mark.parametrize("rows", [(), (TableRow("t", "p", frozenset({STRAY})),)])
+@pytest.mark.parametrize("rows", [(), (TestTerm(Path("p", ()), (STRAY,), "t"),)])
 def test_tables_without_columns_or_rows(rows):
     for columns in ((), (StatementId("I1", 1, 1, "I11"),)):
         t = FaultDetectionTable("extended", columns, row_blocks(rows))

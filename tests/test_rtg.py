@@ -1,11 +1,14 @@
 import dataclasses
+from random import Random
 
 import pytest
 
-from rtgdiag import (MergeConflict, Node, RTGraph, dumps_graph, loads_graph, make_rib,
-                     merge_equivalent_ribs, validate_graph)
+from rtgdiag import (MergeConflict, Node, RTGraph, build_rtg, dumps_graph, loads_graph,
+                     make_rib, merge_equivalent_ribs, parse_program, validate_graph)
+from rtgdiag.fixtures import write_fixture_files
 from rtgdiag.testsynth import enumerate_paths
 
+from randmodels import if_chain_program, random_dag_model
 from reference import fig1_unmerged_variant
 
 EXPECTED_COLUMNS = ["I11", "I22", "I23", "I31", "I32", "I41", "I44", "I45",
@@ -128,3 +131,44 @@ def test_shipped_fixture_file_matches_builder(g):
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fig1.rtg.json")
     with open(path, encoding="utf-8") as fh:
         assert loads_graph(fh.read()) == g
+
+
+def test_shipped_fixture_files_are_what_write_fixture_files_writes(tmp_path):
+    # the CLI goldens read the shipped files, the library tests the fixture functions
+    import os
+    shipped = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    for path in write_fixture_files(str(tmp_path)):
+        name = os.path.basename(path)
+        with open(path, "rb") as written, open(os.path.join(shipped, name), "rb") as fh:
+            assert fh.read() == written.read(), name
+
+
+def merged_variants(seed: int):
+    """A random DAG with its ribs shuffled and some fragment ids shared by
+    ribs whose statements differ, and a lowered program whose arm copies
+    share one fragment."""
+    rng = Random(seed)
+    g = random_dag_model(rng, max_internal=4, max_fragments=8)
+    ids = sorted({r.fragment for r in g.ribs})
+    rename = {f: rng.choice(ids) if rng.random() < 0.4 else f for f in ids}
+    ribs = [dataclasses.replace(r, fragment=rename[r.fragment]) for r in g.ribs]
+    rng.shuffle(ribs)
+    yield g.with_ribs(ribs)
+    yield build_rtg(parse_program(if_chain_program((2, 3), seed)))[0]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_fragment_index_matches_a_scan_of_the_ribs(seed):
+    for g in merged_variants(seed):
+        order, _ = g.try_topo_order()
+        fragments = list(dict.fromkeys(r.fragment for r in g.ribs))
+        assert sorted(g.fragments) == sorted(fragments)
+        for f in fragments:
+            ribs = [r for r in g.ribs if r.fragment == f]
+            assert g.fragment_ribs(f) == tuple(sorted(ribs, key=lambda r: order.index(r.src)))
+            assert g.statements_of(f) == ribs[0].statements
+            assert [g.sid(f, s.ordinal).ordinal for s in ribs[0].statements] == \
+                [s.ordinal for s in ribs[0].statements]
+        assert g.statement_ids == tuple(s for f in g.fragments for s in g.fragment_sids(f))
+        firsts = [min(order.index(r.src) for r in g.fragment_ribs(f)) for f in g.fragments]
+        assert firsts == sorted(firsts)

@@ -199,6 +199,18 @@ def test_mutation_catalogue_composition(g, fault):
         inject_fault(g, m)  # all catalogue entries are applicable
 
 
+@pytest.mark.parametrize("big", [1e16, 2.0 ** 53, -1e16])
+def test_the_catalogue_holds_no_perturbation_that_leaves_a_constant(big):
+    # adding 1 to a constant of magnitude 2**53 or more gives it back
+    from rtgdiag import mutation_catalogue
+    g = RTGraph((Node("X", "input"), Node("Y", "output")),
+                (make_rib("I1", "X", "Y", [(1, "a", ("x", big)), (2, "b", ("a", 3))]),))
+    catalogue = mutation_catalogue(g)
+    assert [m.constant for m in catalogue if m.constant is not None] == [4.0]
+    for m in catalogue:
+        inject_fault(g, m)
+
+
 def test_interval_pick_rules():
     assert IntervalSet.from_comparison("<", 2.0).pick() == 1.0
     both = IntervalSet.from_comparison(">=", 2.0).intersect(
