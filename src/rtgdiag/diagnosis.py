@@ -38,6 +38,8 @@ from .fdt import FaultDetectionTable
 from .rtg import Rib, RTGraph, StatementId
 
 DEFAULT_DNF_CAP = 10 ** 5
+_INCONSISTENT = ("every candidate is exonerated; observations are inconsistent "
+                 "with a single fault")
 
 Clause = frozenset  # of literals: a StatementId, or a bracket (a frozenset of them)
 Term = frozenset  # of StatementId
@@ -249,9 +251,7 @@ def reduce_candidates(f: CandidateDNF, h: frozenset[StatementId],
     else:
         kept = {t for t in f.terms if not (t <= h)}
     if not kept:
-        raise EmptyDiagnosis(
-            "every candidate is exonerated; observations are inconsistent "
-            "with a single fault")
+        raise EmptyDiagnosis(_INCONSISTENT)
     return CandidateDNF(terms=frozenset(kept))
 
 
@@ -307,13 +307,17 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
 def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
     """Per-path diagnosis: intersection of failing rows' marks minus the
     union of passing rows' marks.  The rows of a block all mark exactly
-    the members of its one-statement brackets."""
+    the members of its one-statement brackets.  Raises EmptyDiagnosis when
+    no statement is left."""
     if t.kind != "generalized":
         raise ValueError("diagnose_generalized needs a generalized table")
     failing, passing = _parts_by_verdict(t)
     common = [frozenset(chain.from_iterable(b for b in p if len(set(b)) == 1))
               for _, _, p in failing]
-    return frozenset.intersection(*common) - frozenset().union(*passing)
+    suspects = frozenset.intersection(*common) - frozenset().union(*passing)
+    if not suspects:
+        raise EmptyDiagnosis(_INCONSISTENT)
+    return suspects
 
 
 #: Path-set fingerprints are weighted path sums modulo this prime, with

@@ -522,7 +522,11 @@ def _operand_to_json(o: Operand) -> dict:
 def _operand_from_json(d) -> Operand:
     if isinstance(d, dict) and "var" in d:
         return SchemaError.field("graph JSON", d, "var", str)
-    value = float(SchemaError.field("graph JSON", d, "const", int, float))
+    try:
+        value = float(SchemaError.field("graph JSON", d, "const", int, float))
+    except OverflowError:
+        raise SchemaError("graph JSON: 'const' holds an integer past the float range, "
+                          "expected a finite number") from None
     if not math.isfinite(value):
         raise SchemaError(f"graph JSON: 'const' holds {value}, expected a finite number")
     return value

@@ -16,32 +16,31 @@ The form is kept on the rib object, so a mutant shares it on every rib that
 fault injection leaves untouched, and a path's first reads cost one step
 per rib rather than one per statement read.
 
-Stimuli are held per path block (``Stimuli``, made by ``default_stimuli``
-and ``overriding``): one default stimulus per path, picked once and shared
-by the path's blocks, plus per-term overrides such as a stimuli file gives.
-A block without an override is one run: one stimulus key and at most one
-golden/mutant pair of executions.  A block with overrides is split into
-the runs of consecutive terms that share a stimulus object.
+A suite's stimuli are its run layout (``Stimuli``, made by
+``default_stimuli`` and ``overriding``): one default stimulus per path,
+shared by the path's blocks, plus per-term overrides such as a stimuli file
+gives.  A block is one run unless overrides split it into runs of
+consecutive terms sharing a stimulus object, and each distinct (path,
+inputs) pair is one record, with its rows and the rib keys it crosses.
 
 Per mutant, only what the mutant changes is executed, in the manner of
-concurrent fault simulation (Ulrich & Baker 1973).  A golden graph keeps
-one run plan, for the latest ``Stimuli`` object and permissive flag it ran:
-the golden ribs by key, one record per distinct (path, inputs) pair with
-its rows, the records crossing each rib and each record's golden output.
-Building the plan executes each golden pair once.  After that a mutant
-executes only the pairs whose path crosses a rib whose statements differ
-from the golden one, so its cost is in what the mutant touches, not in the
-suite.
+concurrent fault simulation (Ulrich & Baker 1973).  The ``Stimuli`` keeps
+the golden output of each record for the latest golden graph and
+permissive flag it ran, computed by executing each golden record once.
+After that a mutant executes only the records whose path crosses a rib
+whose statements differ from the golden one, so its cost is in what the
+mutant touches, not in the suite.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 
 from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePath,
                      InvalidMutation, InvalidTolerance, MissingStimulus, NoOpMutation,
@@ -50,7 +49,7 @@ from .fdt import ResponseVector
 from .frontend import RELATIONS, Program, evaluate, layout
 from .intervals import IntervalSet, meet
 from .rtg import OP_ALPHABET, Rib, RTGraph, Statement
-from .testsynth import Block, Path, TestSuite
+from .testsynth import Path, TestSuite
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -307,95 +306,31 @@ def _stimulus_key(stim: Stimulus) -> tuple:
 
 
 class Stimuli(Mapping[str, Stimulus]):
-    """The stimuli of a suite by term label, held per path block: one
-    stimulus per block (the blocks of one path share it) and, per block,
-    the terms that take other inputs.  ``run_suite`` takes only these, for
-    its own suite.
+    """The stimuli of a suite by term label, laid out as the runs that
+    ``run_suite`` walks; it takes only the ``Stimuli`` of its own suite.
 
-    ``runs`` gives each block's runs without reading a label; a block with
-    no override is one run.  The label index is built on the first read by
-    label.
+    ``records`` holds one record per distinct (rib keys, inputs) pair, at
+    its first run in suite order: (first label, stimulus, rib keys, suite
+    path, row spans), a span being the (offset, length) of one run's rows.
+    ``crossing`` maps each rib key to the records crossing it, in order,
+    and ``rows`` is the term count; all are made once, in one pass over
+    the runs.  ``run_suite`` keeps the golden ribs by key and outputs of
+    its latest (golden graph, permissive flag) pair here, holding the graph
+    weakly.  The label index is built on the first read by label.
     """
 
-    def __init__(self, suite: TestSuite, per_block: Sequence[Stimulus | None],
-                 overrides: Mapping[int, Mapping[str, Stimulus]] | None = None):
+    def __init__(self, suite: TestSuite, runs: Iterable[Iterable[tuple[str, Stimulus, int]]]):
+        """*runs* gives, for each block of *suite* in order, the (first
+        label, stimulus, length) of each of its runs."""
         self.suite = suite
-        self._per_block = tuple(per_block)
-        self._overrides = dict(overrides or {})  # block index -> label -> stimulus
-
-    def overriding(self, given: Mapping[str, Stimulus]) -> "Stimuli":
-        """These stimuli with each term of *given* taking its stimulus;
-        KeyError for a label that names no term."""
-        if not given:
-            return self
-        overrides = {i: dict(terms) for i, terms in self._overrides.items()}
-        for label, stim in given.items():
-            overrides.setdefault(self._index[label], {})[label] = stim
-        return Stimuli(self.suite, self._per_block, overrides)
-
-    def runs(self) -> Iterator[tuple[Block, Sequence]]:
-        """Each block of the suite with its runs: (first label, stimulus,
-        length) of each run of consecutive terms sharing a stimulus object."""
-        for i, (block, base) in enumerate(zip(self.suite.blocks, self._per_block)):
-            labels = block.labels
-            terms = self._overrides.get(i)
-            if terms is None:
-                yield block, ((labels[0], base, len(labels)),) if labels else ()
-                continue
-            runs: list[list] = []
-            for label in labels:
-                stim = terms.get(label, base)
-                if runs and runs[-1][1] is stim:
-                    runs[-1][2] += 1
-                else:
-                    runs.append([label, stim, 1])
-            yield block, runs
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {label: i for i, block in enumerate(self.suite.blocks) for label in block.labels}
-
-    def __getitem__(self, label: str) -> Stimulus:
-        i = self._index[label]
-        return self._overrides.get(i, {}).get(label, self._per_block[i])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-class _RunPlan:
-    """What ``run_suite`` reads of one golden graph for every mutant, given
-    one ``Stimuli`` and *permissive* flag: the golden ribs by key and one
-    record per distinct (path, inputs) pair, at its first run in suite
-    order: (first label, stimulus, rib keys, suite path, row spans), a span
-    being the (offset, length) of one run's rows.  ``crossing`` maps each
-    rib key to the records whose path crosses it, in order.  ``golden``
-    holds the golden output of each record before the first whose golden
-    run raises: building the plan runs each record once on the golden
-    graph.  Raises GraphMismatch for a path crossing a rib key the golden
-    graph lacks."""
-
-    __slots__ = ("rib", "stimuli", "permissive", "rows", "records", "crossing", "golden")
-
-    def __init__(self, golden: RTGraph, rib: dict[tuple, Rib], stimuli: Stimuli,
-                 permissive: bool):
-        self.rib = rib
-        self.stimuli = stimuli
-        self.permissive = permissive
         self.records: list[tuple] = []
         self.crossing: dict[tuple, list[int]] = {}
+        self._golden: tuple | None = None  # (weak golden graph, permissive, ribs, outputs)
         index: dict[tuple, int] = {}
         start = 0
-        for block, runs in stimuli.runs():
+        for block, block_runs in zip(suite.blocks, runs):
             keys = tuple(r.key for r in block.path.edges)
-            missing = next((k for k in keys if k not in rib), None)
-            if missing is not None:
-                raise GraphMismatch(
-                    f"path {block.path.label} crosses rib {missing}, which the golden graph lacks")
-            for label, stim, n in runs:
+            for label, stim, n in block_runs:
                 pair = (keys, _stimulus_key(stim))
                 i = index.get(pair)
                 if i is None:
@@ -406,13 +341,39 @@ class _RunPlan:
                 self.records[i][4].append((start, n))
                 start += n
         self.rows = start
-        outputs: list[float] = []
-        try:
-            for record in self.records:
-                outputs.append(_output(golden, rib, record, permissive))
-        except ExecutionError:
-            pass
-        self.golden = tuple(outputs)
+
+    def overriding(self, given: Mapping[str, Stimulus]) -> "Stimuli":
+        """These stimuli with each term of *given* taking its stimulus;
+        KeyError for a label that names no term.  One pass over the terms."""
+        if not given:
+            return self
+        stim_of = dict(self._index)
+        for label, stim in given.items():
+            if label not in stim_of:
+                raise KeyError(label)
+            stim_of[label] = stim
+        runs = []
+        for block in self.suite.blocks:
+            same = (list(g) for _, g in groupby(block.labels, lambda label: id(stim_of[label])))
+            runs.append([(labels[0], stim_of[labels[0]], len(labels)) for labels in same])
+        return Stimuli(self.suite, runs)
+
+    @cached_property
+    def _index(self) -> dict[str, Stimulus]:
+        by_row: list = [None] * self.rows
+        for _, stim, _, _, spans in self.records:
+            for start, n in spans:
+                by_row[start:start + n] = repeat(stim, n)
+        return dict(zip(self.suite.labels(), by_row))
+
+    def __getitem__(self, label: str) -> Stimulus:
+        return self._index[label]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def _output(g: RTGraph, rib: Mapping[tuple, Rib], record: tuple, permissive: bool) -> float:
@@ -435,45 +396,60 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
     *stimuli* is the ``Stimuli`` of *suite*, made by ``default_stimuli`` and
     ``overriding``; anything else is a MissingStimulus.  A suite path names
     its ribs by key, and each side runs its own graph's ribs of those keys;
-    the two graphs must share rib keys and node roles (GraphMismatch).
+    the two graphs must share rib keys and node roles, and the golden graph
+    must have every rib a suite path crosses (GraphMismatch).
 
-    Cost: the golden graph keeps the run plan (``_RunPlan``) of the latest
-    *stimuli* object and *permissive* flag.  Building it executes each
-    distinct (path, inputs) pair once on the golden side; every call
-    executes the mutant only on the pairs whose path crosses a rib whose
-    statements differ from the golden one.  Any other pair runs the golden
-    statements, so its bit is 0, and a warm call costs what the changed
-    ribs touch, not the suite.
+    Cost: *stimuli* keeps the golden output of each of its records for the
+    latest *golden* graph and *permissive* flag.  Computing them executes
+    each record once on the golden side; every call executes the mutant
+    only on the records whose path crosses a rib whose statements differ
+    from the golden one.  Any other record runs the golden statements, so
+    its bits are 0, and a warm call costs what the changed ribs touch, not
+    the suite.
 
-    An ExecutionError is that of the first failing pair in suite order, the
-    golden side before the mutant, and names the pair's first term as
-    ``term <label>:``.  Raises InvalidTolerance unless *tolerance* is finite
-    and non-negative.
+    An ExecutionError is that of the first failing record in suite order,
+    the golden side before the mutant, and names the record's first term
+    as ``term <label>:``.  Raises InvalidTolerance unless *tolerance* is
+    finite and non-negative.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise InvalidTolerance(f"tolerance needs a finite non-negative number, got {tolerance}")
     if not (isinstance(stimuli, Stimuli) and stimuli.suite == suite):
         raise MissingStimulus("the stimuli are not the Stimuli of this suite")
-    plan = golden.__dict__.get("_run_plan")
-    golden_rib = {r.key: r for r in golden.ribs} if plan is None else plan.rib
+    kept = stimuli._golden
+    warm = kept is not None and kept[0]() is golden and kept[1] == permissive
+    golden_rib = kept[2] if warm else {r.key: r for r in golden.ribs}
     mutant_rib = {r.key: r for r in mutant.ribs}
     if golden_rib.keys() != mutant_rib.keys() or mutant.nodes is not golden.nodes and \
             {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes}:
         raise GraphMismatch("golden and mutant graphs differ in topology")
-    if plan is None or plan.stimuli is not stimuli or plan.permissive != permissive:
-        plan = golden.__dict__["_run_plan"] = _RunPlan(golden, golden_rib, stimuli, permissive)
-    known = plan.golden
+    if warm:
+        known = kept[3]
+    else:
+        for block in suite.blocks:
+            missing = next((r.key for r in block.path.edges if r.key not in golden_rib), None)
+            if missing is not None:
+                raise GraphMismatch(f"path {block.path.label} crosses rib {missing}, "
+                                    "which the golden graph lacks")
+        outputs: list[float] = []
+        try:  # the outputs before the first golden record that raises
+            for record in stimuli.records:
+                outputs.append(_output(golden, golden_rib, record, permissive))
+        except ExecutionError:
+            pass
+        known = tuple(outputs)
+        stimuli._golden = (weakref.ref(golden), permissive, golden_rib, known)
+    records = stimuli.records
     crossed = {i for k, r in mutant_rib.items()
                if r is not golden_rib[k] and r.statements != golden_rib[k].statements
-               for i in plan.crossing.get(k, ()) if i < len(known)}
-    bits = [0] * plan.rows
+               for i in stimuli.crossing.get(k, ()) if i < len(known)}
+    bits = [0] * stimuli.rows
     for i in sorted(crossed):
-        record = plan.records[i]
-        if _differs(known[i], _output(mutant, mutant_rib, record, permissive), tolerance):
-            for start, n in record[4]:
+        if _differs(known[i], _output(mutant, mutant_rib, records[i], permissive), tolerance):
+            for start, n in records[i][4]:
                 bits[start:start + n] = repeat(1, n)
-    if len(known) < len(plan.records):
-        _output(golden, golden_rib, plan.records[len(known)], permissive)  # raises again
+    if len(known) < len(records):
+        _output(golden, golden_rib, records[len(known)], permissive)  # raises again
     return ResponseVector(tuple(bits))
 
 
@@ -506,12 +482,13 @@ def default_stimuli(g: RTGraph, suite: TestSuite) -> Stimuli:
     """Guard-oblivious stimuli for every term: input 1.0, free variables 0.0.
 
     A term's stimulus depends only on its path: one is picked per run of
-    consecutive blocks on one path and shared by their terms, with no
-    override.  *g* is not read."""
-    per_block: list[Stimulus] = []
+    consecutive blocks on one path and shared by their terms, so each block
+    is one run.  *g* is not read."""
+    runs = []
     path = stim = None
     for block in suite.blocks:
         if block.path is not path:
             path, stim = block.path, pick_stimulus(block.path)
-        per_block.append(stim)
-    return Stimuli(suite, per_block)
+        labels = block.labels
+        runs.append(((labels[0], stim, len(labels)),) if labels else ())
+    return Stimuli(suite, runs)

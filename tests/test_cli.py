@@ -176,6 +176,17 @@ def test_generalized_fdt_and_diagnosis(capsys, tmp_path):
     assert "I51" in out and "I52" in out and "I55" in out
 
 
+def test_an_empty_generalized_diagnosis_is_a_data_error(capsys, tmp_path):
+    # nothing survives, which must not print the "no fault detected" answer
+    table_path = tmp_path / "gen.json"
+    run_cli(capsys, "fdt", "--graph", FIG1, "--kind", "generalized", "--response", "1001",
+            "--format", "json", "--out", str(table_path))
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, "diagnose", "--table", str(table_path), "--format", fmt) == (
+            3, "", "rtgdiag diagnose: every candidate is exonerated; observations are "
+                   "inconsistent with a single fault\n")
+
+
 def test_testability_output(capsys):
     code, out, _ = run_cli(capsys, "testability", "--graph", FIG1, "--target", "1",
                            "--format", "json")
@@ -445,6 +456,9 @@ NON_FINITE = {
                   "graph JSON: 'const' holds nan, expected a finite number"),
     "graph -Infinity": (["paths", "--graph"], _fig1_with_const("-Infinity"), 3,
                         "graph JSON: 'const' holds -inf, expected a finite number"),
+    "graph integer past the float range": (
+        ["graph", "--graph"], _fig1_with_const("1" + "0" * 400), 3,
+        "graph JSON: 'const' holds an integer past the float range, expected a finite number"),
     "inject inf": (["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",
                     "--const", "inf"], None, 2, "--const needs a finite number, got inf"),
     "inject -nan": (["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",

@@ -163,6 +163,15 @@ def test_diagnose_generalized_no_failures(g, paths):
         diagnose_generalized(table)
 
 
+def test_diagnose_generalized_with_no_statement_left_is_empty(g, paths):
+    # X14Y and X3Y fail; the one statement both mark, I61, is on the
+    # passing X15Y too, so the answer must not read as "no fault detected"
+    table = attach_response(build_generalized_fdt(g, paths), ResponseVector((1, 0, 0, 1)))
+    with pytest.raises(EmptyDiagnosis, match="^every candidate is exonerated; observations are "
+                                             "inconsistent with a single fault$"):
+        diagnose_generalized(table)
+
+
 def test_generalized_and_extended_diagnosis_agree(g, paths, responded):
     table = attach_response(build_generalized_fdt(g, paths), ResponseVector((0, 1, 0, 0)))
     suspects = diagnose_generalized(table)

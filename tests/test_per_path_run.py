@@ -1,11 +1,11 @@
 """The per-path run against a term-by-term reference.
 
 ``run_suite`` runs the golden side once per distinct (path, inputs) pair,
-when it builds the golden graph's run plan, which keeps the outputs for
-later mutants; each mutant runs only on the pairs that cross a changed
-rib.  ``reference_v`` runs both for every term, so any term whose bit the
-shared run gets wrong, or any error reported for the wrong term, shows up
-as a difference.
+a record of the ``Stimuli``, which keeps the outputs for later mutants
+against the same golden graph; each mutant runs only on the records that
+cross a changed rib.  ``reference_v`` runs both for every term, so any
+term whose bit the shared run gets wrong, or any error reported for the
+wrong term, shows up as a difference.
 """
 
 import gc
@@ -219,50 +219,73 @@ def test_second_golden_call_makes_no_golden_execution(monkeypatch):
 
 def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
     # g and its mutant have the same rib keys, so one suite and one Stimuli
-    # give both plans the same records; used in turn as the golden graph
-    # against a third graph, each runs and keeps its own statements' outputs
+    # give both the same records; used in turn as the golden graph against
+    # a third graph, each runs and keeps its own statements' outputs
     g = ladder_model(3)
     suite = build_complete_test(g)
     stimuli = default_stimuli(g, suite)
     other = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
     third = inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1))
     runs = count_runs(monkeypatch)
+    kept = []
     for golden in (g, other):
         assert run_suite(golden, third, suite, stimuli).bits == \
             reference_v(golden, third, suite, stimuli)[0]
         assert runs[id(golden)] == len(suite.blocks)
-    plans = [golden.__dict__["_run_plan"] for golden in (g, other)]
-    assert [r[:3] for r in plans[0].records] == [r[:3] for r in plans[1].records]
-    assert len(plans[0].golden) == len(plans[1].golden) == len(plans[0].records)
-    assert plans[0].golden != plans[1].golden
+        kept.append(stimuli._golden)
+    assert all(ref() is golden for (ref, *_), golden in zip(kept, (g, other)))
+    assert len(kept[0][3]) == len(kept[1][3]) == len(stimuli.records)
+    assert kept[0][3] != kept[1][3]
+
+
+def given_stimuli(monkeypatch, stimuli_of, g, suite):
+    """*stimuli_of*'s stimuli, and each term's stimulus as given to them:
+    its path's default pick with each ``overriding`` map laid over it in
+    turn.  The second is not read from the records, so it checks them."""
+    given = {t.label: simulator.pick_stimulus(t.path) for t in suite.terms}
+    overriding = Stimuli.overriding
+
+    def spy(self, overrides):
+        given.update(overrides)
+        return overriding(self, overrides)
+    with monkeypatch.context() as patch:
+        patch.setattr(Stimuli, "overriding", spy)
+        return stimuli_of(g, suite), given
 
 
 @pytest.mark.parametrize("stimuli_of", STIMULI)
-def test_memo_holds_one_entry_per_distinct_run(stimuli_of):
+def test_memo_holds_one_entry_per_distinct_run(monkeypatch, stimuli_of):
     for seed in range(10):
         g = random_dag_model(Random(seed))
         suite = build_complete_test(g)
-        stimuli = stimuli_of(g, suite)
-        plans = []
+        stimuli, given = given_stimuli(monkeypatch, stimuli_of, g, suite)
+        kept = []
         for mutant in [g] + [inject_fault(g, f) for f in simulator.mutation_catalogue(g)]:
             try:
                 run_suite(g, mutant, suite, stimuli)
             except ExecutionError:
                 pass
-            plans.append(g.__dict__["_run_plan"])
-        plan = plans[0]
-        assert all(p is plan for p in plans)
-        distinct = [(tuple(r.key for r in t.path.edges), simulator._stimulus_key(stimuli[t.label]))
+            kept.append(stimuli._golden)
+        assert all(k is kept[0] for k in kept)
+        distinct = [(tuple(r.key for r in t.path.edges), simulator._stimulus_key(given[t.label]))
                     for t in suite.terms]
-        assert [(keys, simulator._stimulus_key(stim)) for _, stim, keys, _, _ in plan.records] \
-            == list(dict.fromkeys(distinct))
-        assert len(plan.golden) <= len(plan.records)
+        records = list(dict.fromkeys(distinct))
+        assert [(keys, simulator._stimulus_key(stim))
+                for _, stim, keys, _, _ in stimuli.records] == records
+        # each row lies in one span, of the record of its own pair
+        owner = [None] * len(distinct)
+        for i, (_, _, _, _, spans) in enumerate(stimuli.records):
+            for start, n in spans:
+                assert owner[start:start + n] == [None] * n
+                owner[start:start + n] = [i] * n
+        assert owner == [records.index(pair) for pair in distinct]
+        assert stimuli.rows == len(distinct)
+        assert len(kept[0][3]) <= len(stimuli.records)
 
 
 def test_concurrent_mutants_share_one_golden_graph():
-    # the run plan is written check-then-act without a lock; a race can only
-    # build a second plan, with the same golden outputs, for the one Stimuli
-    # all threads share
+    # the golden outputs are kept check-then-act without a lock; a race can
+    # only compute them twice, equal, on the one Stimuli all threads share
     g = ladder_model(3)
     suite = build_complete_test(g)
     stimuli = split_default_stimuli(g, suite)
@@ -285,7 +308,7 @@ def test_concurrent_mutants_share_one_golden_graph():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {n: want for n in range(4)}
-    assert len(g.__dict__["_run_plan"].golden) == 2 * len(suite.blocks)
+    assert len(stimuli._golden[3]) == 2 * len(suite.blocks)
 
 
 def plan_models():
@@ -301,7 +324,7 @@ def plan_models():
 @pytest.mark.parametrize("kind", STIMULI_KINDS)
 def test_kept_plan_matches_term_reference_over_a_catalogue(kind):
     # one golden graph and one Stimuli for every mutant in turn, so that
-    # each call after the first reads the plan the first one kept
+    # each call after the first reads the golden outputs the first one kept
     stimuli_of, permissive = STIMULI_KINDS[kind]
     outcomes = Counter()
     with warnings.catch_warnings(record=True) as defaulted:
@@ -315,9 +338,20 @@ def test_kept_plan_matches_term_reference_over_a_catalogue(kind):
                 want = reference_v(g, mutant, suite, stimuli, permissive)
                 assert observed_v(g, mutant, suite, stimuli, permissive) == want, (kind, fault)
                 outcomes["error" if want[1] else "bits"] += 1
-            assert not faults or g.__dict__["_run_plan"].stimuli is stimuli
+            assert not faults or stimuli._golden[0]() is g and stimuli._golden[1] == permissive
     assert outcomes["bits"] > 300 and outcomes["error"] > 4
     assert bool(defaulted) == permissive
+
+
+@pytest.mark.parametrize("kind", STIMULI_KINDS)
+def test_each_term_reads_the_stimulus_it_was_given(monkeypatch, kind):
+    # the label view is read from the records, so checking it against the
+    # stimuli as given checks the records, and with them every reference
+    # here that takes its inputs from stimuli[label]
+    for g in plan_models():
+        suite = build_complete_test(g)
+        stimuli, given = given_stimuli(monkeypatch, STIMULI_KINDS[kind][0], g, suite)
+        assert list(stimuli) == list(suite.labels()) and dict(stimuli) == given
 
 
 def test_another_stimuli_or_flag_does_not_read_the_kept_plan():
@@ -346,15 +380,16 @@ def test_plan_dies_with_its_graph():
     stimuli = default_stimuli(g, suite)
     for fault in simulator.mutation_catalogue(g)[:2]:
         run_suite(g, inject_fault(g, fault), suite, stimuli)
-    assert g.__dict__["_run_plan"].golden is not None
+    # the Stimuli holds the golden graph of its kept outputs weakly
+    assert stimuli._golden[0]() is g
     ref = weakref.ref(g)
     del g
     gc.collect()
-    assert ref() is None
+    assert ref() is None and stimuli._golden[0]() is None
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("Stimuli.runs read after the plan was made")
+    raise AssertionError("a warm call walked the suite's runs")
 
 
 @pytest.mark.parametrize("kind", ["default", "split"])
@@ -362,7 +397,7 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
     # complexity guard: once a golden graph has run every golden output, a
     # mutant makes no golden execution, one mutant execution per distinct
     # (path, inputs) pair whose path crosses a changed rib, and no pass
-    # over the suite's runs
+    # over the suite's runs: such a pass keys each run's stimulus
     stimuli_of, _ = STIMULI_KINDS[kind]
     checked = 0
     for g in [random_dag_model(Random(seed)) for seed in range(20)] + [ladder_model(3)]:
@@ -373,14 +408,16 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
         except ExecutionError:
             continue
         golden_rib = {r.key: r for r in g.ribs}
+        key = simulator._stimulus_key
         with monkeypatch.context() as patch:
-            patch.setattr(Stimuli, "runs", refuse)
+            patch.setattr(simulator, "_stimulus_key", refuse)
+            patch.setattr(Stimuli, "__init__", refuse)
             runs = count_runs(patch)
             for fault in simulator.mutation_catalogue(g):
                 mutant = inject_fault(g, fault)
                 changed = {r.key for r in mutant.ribs
                            if r.statements != golden_rib[r.key].statements}
-                crossing = {(keys, simulator._stimulus_key(stimuli[t.label]))
+                crossing = {(keys, key(stimuli[t.label]))
                             for t in suite.terms
                             if changed & set(keys := tuple(r.key for r in t.path.edges))}
                 runs.clear()
@@ -428,7 +465,7 @@ def test_a_suite_path_crossing_a_rib_the_golden_graph_lacks_is_a_mismatch():
     with pytest.raises(GraphMismatch, match=r"^path [^ ]+ crosses rib \(.*\), which the golden "
                                             r"graph lacks$"):
         run_suite(g, g, suite, stimuli)
-    assert "_run_plan" not in g.__dict__
+    assert stimuli._golden is None
 
 
 def test_only_the_stimuli_of_the_suite_are_taken():

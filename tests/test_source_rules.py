@@ -77,8 +77,8 @@ def test_the_memo_rule_sees_a_cache():
 
 
 #: (object, key) of the only state the package keeps in an instance's own
-#: attributes: a golden graph's run plan and a rib's compiled form
-INSTANCE_STATE = {("golden", "_run_plan"), ("rib", "_compiled")}
+#: attributes behind its class: a rib's compiled form
+INSTANCE_STATE = {("rib", "_compiled")}
 
 
 def _instance_state(tree):
@@ -109,9 +109,8 @@ def _instance_state(tree):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_hidden_instance_state(module):
     # state written into an object's own attributes behind its class is
-    # kept for one purpose each: one run plan per golden graph and one
-    # compiled form per rib; a second cache of the same results would go
-    # stale or double the memory
+    # kept for one purpose only: one compiled form per rib; a second cache
+    # of the same results would go stale or double the memory
     found = [(line, obj, key) for line, obj, key in _instance_state(
         parse(os.path.join(SRC, module))) if (obj, key) not in INSTANCE_STATE]
     assert found == [], f"{module}: instance state outside {sorted(INSTANCE_STATE)}: {found}"
