@@ -76,8 +76,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _read(path: str, load):
-    """*load* of the UTF-8 text of *path*; text that is not UTF-8, or nested
-    too deeply for *load*, raises RtgError naming the file."""
+    """*load* of the UTF-8 text of *path*; text that is not UTF-8, nested too
+    deeply for *load*, or with an over-long integer raises RtgError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return load(fh.read())
@@ -85,6 +85,11 @@ def _read(path: str, load):
         raise RtgError(f"{path}: not UTF-8 text (byte {e.start})") from None
     except RecursionError:
         raise RtgError(f"{path}: nested too deeply to read") from None
+    except ValueError as e:
+        if isinstance(e, json.JSONDecodeError) or "integer string conversion" not in str(e):
+            raise
+        raise RtgError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} "
+                       "digits") from None
 
 
 def _parse_fault(spec: str) -> simulator.FaultSpec:

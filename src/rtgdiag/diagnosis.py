@@ -17,11 +17,11 @@ polynomial in the failing paths, not in their terms.  Removing candidates
 touched by H ("strong" mode, the single-fault reading) leaves the reduced
 diagnosis F'.
 
-What a block yields does not depend on V: whether it can be one part, its
-clause when it fails, the statements it marks when it passes.  Each is
-made the first time a diagnosis reads the block that way and kept in the
-table's memo, which ``attach_response`` passes to every responded copy,
-so a campaign of mutants against one table builds each once.
+A diagnosis is a function of the blocks, columns, V, mode and cap, so
+``diagnose`` keeps one verdict per (V, mode, cap) in the table's memo, as
+a fault dictionary keeps one diagnosis per syndrome.  ``attach_response``
+shares the memo with every responded copy, so a campaign against one table
+diagnoses each distinct V once, and a repeat costs one hash of V.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .rtg import Rib, RTGraph, StatementId
 DEFAULT_DNF_CAP = 10 ** 5
 _INCONSISTENT = ("every candidate is exonerated; observations are inconsistent "
                  "with a single fault")
+_UNRESPONDED = "the table has no response vector V to diagnose from"
 
 Clause = frozenset  # of literals: a StatementId, or a bracket (a frozenset of them)
 Term = frozenset  # of StatementId
@@ -98,57 +99,38 @@ Part = tuple
 
 
 def _kept(t: FaultDetectionTable) -> dict:
-    """The facts kept in the table's memo for its blocks and columns.  A
-    copy holding other blocks or columns may share the memo (as
-    ``dataclasses.replace`` makes one); it finds the memo made for the
-    other pair and starts it afresh."""
+    """The table's memo, kept for its blocks and columns: the ambiguity
+    partition and one verdict per (V, mode, cap).  A copy holding other
+    blocks or columns may share the memo (as ``dataclasses.replace`` makes
+    one); it finds the memo made for the other pair and starts it afresh."""
     if t.memo.get("blocks") is not t.blocks or t.memo.get("columns") is not t.columns:
         t.memo.clear()
         t.memo.update(blocks=t.blocks, columns=t.columns)
     return t.memo
 
 
-def _keyed(part: Part) -> tuple:
-    """A failing part as factoring reads it: (the fragments it touches,
-    keyed by each bracket's first member, its clause, the part)."""
-    return frozenset(b[0].fragment for b in part), Clause(map(frozenset, part)), part
-
-
-def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[tuple], list[frozenset[StatementId]]]:
-    """The failing parts (bit 1), keyed, and the statements marked by each
-    passing part (bit 0), each in row order.  A block whose rows share one
-    bit, each bracket on one fragment, is one part; each row of any other
-    block is a part of its own.  Raises NoResponse when the table has no
-    response vector V, and NoFailures when no row fails.
-
-    The table's kept facts hold one entry per block: [whether the block can
-    be one part, its keyed part, its marked set], made the first time its
-    rows share a bit, the last two filled the first time it fails and
-    passes."""
+def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[frozenset[StatementId]]]:
+    """The failing parts (bit 1) and the statements marked by each passing
+    part (bit 0), each in row order, in one pass over the blocks.  A block
+    whose rows share one bit, each bracket on one fragment, is one part;
+    each row of any other block is a part of its own.  Raises NoResponse
+    when the table has no response vector V, and NoFailures when no row
+    fails."""
     if t.response is None:
-        raise NoResponse("the table has no response vector V to diagnose from")
-    entries = _kept(t).setdefault("parts", [None] * len(t.blocks))
-    failing: list[tuple] = []
+        raise NoResponse(_UNRESPONDED)
+    failing: list[Part] = []
     passing: list[frozenset[StatementId]] = []
-    for i, (block, bits) in enumerate(t.block_bits()):
-        if bits and bits.count(bits[0]) == len(bits):
-            entry = entries[i]
-            if entry is None:
-                entry = entries[i] = [all(len({s.fragment for s in b}) == 1
-                                          for b in block.brackets), None, None]
-            if entry[0]:
-                if bits[0]:
-                    if entry[1] is None:
-                        entry[1] = _keyed(block.brackets)
-                    failing.append(entry[1])
-                else:
-                    if entry[2] is None:
-                        entry[2] = frozenset(chain.from_iterable(block.brackets))
-                    passing.append(entry[2])
-                continue
+    for block, bits in t.block_bits():
+        if bits and bits.count(bits[0]) == len(bits) \
+                and all(len({s.fragment for s in b}) == 1 for b in block.brackets):
+            if bits[0]:
+                failing.append(block.brackets)
+            else:
+                passing.append(frozenset(chain.from_iterable(block.brackets)))
+            continue
         for selection, bit in zip(product(*block.brackets), bits):
             if bit:
-                failing.append(_keyed(tuple(zip(selection))))
+                failing.append(tuple(zip(selection)))
             else:
                 passing.append(frozenset(selection))
     if not failing:
@@ -159,8 +141,7 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[tuple], list[frozens
 def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
     """The CNF clauses of the failing *parts* (whole blocks and single rows,
     as tuples of brackets), each full product of rows folded into one
-    clause of bracket literals.  ``diagnose`` hands its parts over keyed
-    (``_factored``), each block's built once per table.
+    clause of bracket literals.
 
     Parts are grouped by the fragments they touch, keyed by each bracket's
     first member, in order of first appearance.  A group of one distinct
@@ -172,20 +153,16 @@ def factor_clauses(parts: Sequence[Part]) -> list[Clause]:
     |B1| * ... * |Bm|; the group is then the one clause {B1, ..., Bm}, and
     otherwise each row is a clause of its own.  Exact for any table.
     """
-    return _factored(map(_keyed, parts))
-
-
-def _factored(parts: Iterable[tuple]) -> list[Clause]:
-    groups: dict[frozenset[str], list[tuple]] = {}
-    for keyed in parts:
-        groups.setdefault(keyed[0], []).append(keyed)
+    groups: dict[frozenset[str], list[Part]] = {}
+    for part in parts:
+        groups.setdefault(frozenset(b[0].fragment for b in part), []).append(part)
     out: list[Clause] = []
     for fragments, group in groups.items():
-        clauses = {clause for _, clause, _ in group}
+        clauses = {Clause(map(frozenset, p)) for p in group}
         if len(clauses) == 1:
             out.append(clauses.pop())
             continue
-        rows = dict.fromkeys(frozenset(row) for _, _, p in group for row in product(*p))
+        rows = dict.fromkeys(frozenset(row) for p in group for row in product(*p))
         marked = frozenset().union(*rows)
         if (all(len(row) == len(fragments) for row in rows)
                 and len(rows) == prod(Counter(s.fragment for s in marked).values())):
@@ -290,18 +267,34 @@ def diagnose(t: FaultDetectionTable, mode: str = "strong",
     each clause), exoneration, reduction.
 
     Attaches the ambiguity group(s) containing the surviving statements.
-    Raises ValueError for an unknown *mode* before any clause is built.
+    Keeps the result, or the type and message of a NoFailures,
+    EmptyDiagnosis or CandidateExplosion, in the table's memo under (V,
+    *mode*, *cap*): a repeat returns that same result, or raises a new
+    exception of that type and message.  ValueError for an unknown *mode*
+    and NoResponse are raised before any lookup, and never kept.
     """
     _check_mode(mode)
-    failing, passing = _parts_by_verdict(t)
-    f = cnf_to_min_dnf(_factored(failing), cap=cap)
-    h = frozenset().union(*passing)
-    reduced = reduce_candidates(f, h, mode=mode)
-    index, groups = _table_groups(t)
-    held = {index[s] for term in reduced.terms for s in term}
-    ambiguity = tuple(groups[i] for i in sorted(held))
-    return DiagnosisResult(candidates=f, exonerated=h, reduced=reduced,
-                           mode=mode, ambiguity=ambiguity)
+    if t.response is None:
+        raise NoResponse(_UNRESPONDED)
+    key, memo = (t.response.bits, mode, cap), _kept(t)
+    verdict = memo.get(key)
+    if verdict is None:
+        try:
+            failing, passing = _parts_by_verdict(t)
+            f = cnf_to_min_dnf(factor_clauses(failing), cap=cap)
+            h = frozenset().union(*passing)
+            reduced = reduce_candidates(f, h, mode=mode)
+            index, groups = _table_groups(t)
+            held = {index[s] for term in reduced.terms for s in term}
+            verdict = DiagnosisResult(candidates=f, exonerated=h, reduced=reduced, mode=mode,
+                                      ambiguity=tuple(groups[i] for i in sorted(held)))
+        except (NoFailures, EmptyDiagnosis, CandidateExplosion) as e:
+            verdict = type(e), str(e)
+        verdict = memo.setdefault(key, verdict)
+    if isinstance(verdict, DiagnosisResult):
+        return verdict
+    error, message = verdict
+    raise error(message)
 
 
 def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
@@ -313,7 +306,7 @@ def diagnose_generalized(t: FaultDetectionTable) -> frozenset[StatementId]:
         raise ValueError("diagnose_generalized needs a generalized table")
     failing, passing = _parts_by_verdict(t)
     common = [frozenset(chain.from_iterable(b for b in p if len(set(b)) == 1))
-              for _, _, p in failing]
+              for p in failing]
     suspects = frozenset.intersection(*common) - frozenset().union(*passing)
     if not suspects:
         raise EmptyDiagnosis(_INCONSISTENT)

@@ -52,8 +52,9 @@ class ResponseVector:
 @dataclass(frozen=True, slots=True)
 class FaultDetectionTable:
     """Rows over statement columns, held as path blocks.  *memo* holds what
-    a reader derives from the blocks and columns (diagnosis keeps its block
-    parts and ambiguity partition there); ``attach_response`` passes it on."""
+    is derived from the blocks and columns: diagnosis keeps its ambiguity
+    partition and one verdict per distinct (V, mode, cap) there, so it grows
+    with the responses diagnosed.  ``attach_response`` passes it on."""
 
     kind: str  # "generalized" | "extended"
     columns: tuple[StatementId, ...]

@@ -363,12 +363,17 @@ BAD_INPUTS = {
     "deep JSON": ("[" * 200_000 + "]" * 200_000).encode(),
     "deep parentheses": f"input x;\ny = {'(' * 5000}x{')' * 5000};\noutput y;\n".encode(),
     "deep unary minus": f"input x;\ny = {'-' * 5000}x;\noutput y;\n".encode(),
+    "long integer": b"[1" + b"0" * 5000 + b"]",  # past Python's 4,300-digit limit
 }
+#: Why each bad input is refused, where it is not "nested too deeply to read".
+REASONS = {"latin-1": "not UTF-8 text (byte 2)",
+           "long integer": f"an integer has more than {sys.get_int_max_str_digits()} digits"}
 #: The command reading each file option, and the bad inputs it is given.
 READERS = {
-    "--table": (["diagnose"], ["latin-1", "deep JSON"]),
-    "--graph": (["paths"], ["latin-1", "deep JSON"]),
-    "--stimuli": (["run", "--graph", FIG1, "--fault", "I5:3:op=3"], ["latin-1", "deep JSON"]),
+    "--table": (["diagnose"], ["latin-1", "deep JSON", "long integer"]),
+    "--graph": (["paths"], ["latin-1", "deep JSON", "long integer"]),
+    "--stimuli": (["run", "--graph", FIG1, "--fault", "I5:3:op=3"],
+                  ["latin-1", "deep JSON", "long integer"]),
     "--program": (["parse"], ["latin-1", "deep parentheses", "deep unary minus"]),
 }
 
@@ -381,8 +386,19 @@ def test_unreadable_input_exits_3(capsys, tmp_path, option, bad):
     command = READERS[option][0]
     code, out, err = run_cli(capsys, *command, option, str(path))
     assert (code, out) == (3, "")
-    reason = "not UTF-8 text (byte 2)" if bad == "latin-1" else "nested too deeply to read"
+    reason = REASONS.get(bad, "nested too deeply to read")
     assert err == f"rtgdiag {command[0]}: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("option", ["--table", "--graph", "--stimuli"])
+def test_malformed_json_reports_the_decoder_message(capsys, tmp_path, option):
+    path = tmp_path / "input"
+    path.write_text('{"x": 1', encoding="utf-8")
+    command = READERS[option][0]
+    with pytest.raises(json.JSONDecodeError) as raised:
+        json.loads(path.read_text(encoding="utf-8"))
+    assert run_cli(capsys, *command, option, str(path)) == \
+        (3, "", f"rtgdiag {command[0]}: {raised.value}\n")
 
 
 def test_graph_without_ribs_exits_3(capsys, tmp_path):
@@ -459,6 +475,9 @@ NON_FINITE = {
     "graph integer past the float range": (
         ["graph", "--graph"], _fig1_with_const("1" + "0" * 400), 3,
         "graph JSON: 'const' holds an integer past the float range, expected a finite number"),
+    "graph integer past the digit limit": (
+        ["graph", "--graph"], _fig1_with_const("1" + "0" * 5000), 3,
+        f"{{path}}: an integer has more than {sys.get_int_max_str_digits()} digits"),
     "inject inf": (["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",
                     "--const", "inf"], None, 2, "--const needs a finite number, got inf"),
     "inject -nan": (["inject", "--graph", FIG1, "--fragment", "I1", "--ordinal", "1",

@@ -12,22 +12,25 @@ same tables with seeded bit flips (not path-uniform), from ladders whose
 stimuli split paths, and from hand-built groups.  The ambiguity groups of
 each diagnosis are checked against ``ambiguity_partition``, the partition
 of the table's columns by the path labels of the rows that mark them.
-A table keeps each block's parts in its memo for every responded copy;
-diagnosing such a copy must give what a table with an empty memo gives.
+A table keeps one verdict per (V, mode, cap) in its memo for every
+responded copy; diagnosing such a copy must give what a table with an
+empty memo gives.
 """
 
 import dataclasses
 import warnings
+from itertools import product
 from random import Random
 
 import pytest
 
-from rtgdiag import (DefaultedVariableWarning, EmptyDiagnosis, ExecutionError,
-                     FaultDetectionTable, FaultSpec, ResponseVector, RtgError, Stimulus,
-                     StatementId, attach_response, build_complete_test, build_extended_fdt,
+from rtgdiag import (CandidateExplosion, DefaultedVariableWarning, EmptyDiagnosis, ExecutionError,
+                     FaultDetectionTable, FaultSpec, NoFailures, ResponseVector, RtgError,
+                     Stimulus, StatementId, attach_response, build_complete_test, build_extended_fdt,
                      build_rtg, cnf_to_min_dnf, default_stimuli, diagnose, enumerate_paths,
                      factor_clauses, inject_fault, mutation_catalogue, parse_program, run_suite,
                      validate_graph)
+from rtgdiag.diagnosis import DEFAULT_DNF_CAP
 from rtgdiag.fixtures import fig1_graph, listing31_source
 
 from randmodels import STIMULI_KINDS, ladder_model, random_dag_model, two_rib_fragment_graph
@@ -229,30 +232,38 @@ def test_flipped_fig1_table():
     check_ambiguity(t, result)
 
 
-def diagnosis_outcome(t, mode):
+def diagnosis_outcome(t, mode, cap=DEFAULT_DNF_CAP):
     """The diagnosis of *t* in *mode*, or the type and message of its error."""
     try:
-        return diagnose(t, mode=mode)
+        return diagnose(t, mode=mode, cap=cap)
     except RtgError as e:
         return type(e), str(e)
+
+
+#: The caps each kept diagnosis is checked at: the default, and one small
+#: enough that some catalogue diagnoses end in CandidateExplosion.
+CAPS = (DEFAULT_DNF_CAP, 2)
 
 
 @pytest.mark.parametrize("kind", STIMULI_KINDS)
 def test_kept_block_parts_match_a_table_with_an_empty_memo(kind):
     # every catalogue mutant in turn against one table, its V and the same
-    # V with seeded flips, so that a block's kept parts are read failing,
-    # passing and split across calls
+    # V with seeded flips, then an all-zero V, so that the verdicts kept in
+    # the shared memo are read again by later mutants with an equal V; each
+    # verdict is asked twice, in both modes and at both caps
     stimuli_of, permissive = STIMULI_KINDS[kind]
     flips = Random(20_261_019)
     graphs = [random_dag_model(Random(seed)) for seed in range(25)]
     graphs += [fig1_graph(), lowered_listing31(), *map(ladder_model, (2, 3))]
     compared = 0
+    outcomes = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DefaultedVariableWarning)
         for g in graphs:
             suite = build_complete_test(g, enumerate_paths(g))
             table = build_extended_fdt(g, suite)
             stimuli = stimuli_of(g, suite)
+            responded = []
             for fault in mutation_catalogue(g):
                 try:
                     v = run_suite(g, inject_fault(g, fault), suite, stimuli,
@@ -260,15 +271,21 @@ def test_kept_block_parts_match_a_table_with_an_empty_memo(kind):
                 except ExecutionError:
                     continue
                 t = attach_response(table, v)
-                for responded in filter(None, (t, flipped(t, flips))):
+                responded += filter(None, (t, flipped(t, flips)))
+            responded.append(attach_response(table, ResponseVector((0,) * len(table.labels()))))
+            for t in responded:
+                for mode, cap in product(("strong", "weak"), CAPS):
                     fresh = FaultDetectionTable(table.kind, table.columns, table.blocks,
-                                                responded.response)
-                    for mode in ("strong", "weak"):
-                        assert diagnosis_outcome(responded, mode) == \
-                            diagnosis_outcome(fresh, mode), (kind, fault, mode)
-                    compared += 1
+                                                t.response)
+                    expected = diagnosis_outcome(fresh, mode, cap)
+                    for _ in range(2):
+                        assert diagnosis_outcome(t, mode, cap) == expected, \
+                            (kind, t.response, mode, cap)
+                    outcomes.add(expected[0] if isinstance(expected, tuple) else "result")
+                compared += 1
             assert table.memo.get("blocks", table.blocks) is table.blocks
     assert compared > 600
+    assert outcomes == {"result", NoFailures, EmptyDiagnosis, CandidateExplosion}
 
 
 def test_a_copy_with_other_blocks_reads_no_stale_kept_fact():
@@ -277,7 +294,8 @@ def test_a_copy_with_other_blocks_reads_no_stale_kept_fact():
     # other indices and mark fewer columns
     g = ladder_model(3)
     table = build_extended_fdt(g, build_complete_test(g))
-    for bits in ((1,) * 8 + (0,) * 56, (0,) * 8 + (1,) * 56):
+    asked = ((1,) * 8 + (0,) * 56, (0,) * 8 + (1,) * 56)
+    for bits in asked:
         diagnosis_outcome(attach_response(table, ResponseVector(bits)), "weak")
     copy = dataclasses.replace(table, blocks=table.blocks[3::-1])
     assert copy.memo is table.memo
@@ -286,3 +304,81 @@ def test_a_copy_with_other_blocks_reads_no_stale_kept_fact():
         for mode in ("strong", "weak"):
             assert diagnosis_outcome(attach_response(copy, ResponseVector(bits)), mode) == \
                 diagnosis_outcome(fresh, mode), (bits, mode)
+    # every path reversed: as many rows as the table, so each V, mode and cap
+    # the table kept a verdict for is a key the copy can ask, with another
+    # failing path behind it; then the table itself again, after the copy
+    for bits in asked:
+        diagnosis_outcome(attach_response(table, ResponseVector(bits)), "weak")
+    for other in (dataclasses.replace(table, blocks=table.blocks[::-1]), table):
+        assert other.memo is table.memo
+        for bits in asked:
+            fresh = FaultDetectionTable(other.kind, other.columns, other.blocks,
+                                        ResponseVector(bits))
+            assert diagnosis_outcome(attach_response(other, ResponseVector(bits)), "weak") == \
+                diagnosis_outcome(fresh, "weak"), (bits, other.blocks[0].path.label)
+    # which makes a stale verdict visible: the copy's own verdict differs
+    reversed_last = diagnosis_outcome(attach_response(
+        dataclasses.replace(table, blocks=table.blocks[::-1]), ResponseVector(asked[1])), "weak")
+    assert reversed_last != diagnosis_outcome(attach_response(table, ResponseVector(asked[1])),
+                                              "weak")
+
+
+def verdict_keys(memo):
+    """The keys of the verdicts a table's memo keeps."""
+    return set(memo) - {"blocks", "columns", "ambiguity"}
+
+
+def test_the_memo_keeps_one_verdict_per_syndrome():
+    # one model's catalogue campaign: many mutants share a V, and each
+    # distinct (V, mode, cap) asked is kept once, with no per-block entry
+    g = random_dag_model(Random(3))
+    suite = build_complete_test(g, enumerate_paths(g))
+    table = build_extended_fdt(g, suite)
+    stimuli = default_stimuli(g, suite)
+    asked, results, mutants = set(), {}, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DefaultedVariableWarning)
+        for fault in mutation_catalogue(g):
+            try:
+                v = run_suite(g, inject_fault(g, fault), suite, stimuli)
+            except ExecutionError:
+                continue
+            mutants += 1
+            for mode in ("strong", "weak"):
+                asked.add((v.bits, mode, DEFAULT_DNF_CAP))
+                outcome = diagnosis_outcome(attach_response(table, v), mode)
+                if not isinstance(outcome, tuple):
+                    results.setdefault((v.bits, mode), outcome)
+                    # a repeat returns the kept result itself
+                    assert diagnose(attach_response(table, v), mode=mode) is outcome
+                    assert results[v.bits, mode] is outcome
+    assert 2 * mutants > len(asked) and results
+    assert verdict_keys(table.memo) == asked
+    assert set(table.memo) == asked | {"blocks", "columns", "ambiguity"}
+    # a kept error is raised anew each time, with the kept type and message
+    zero = attach_response(table, ResponseVector((0,) * len(table.labels())))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NoFailures) as caught:
+            diagnose(zero)
+        raised.append(caught.value)
+    assert raised[0] is not raised[1]
+    assert type(raised[1]) is NoFailures and str(raised[0]) == str(raised[1])
+    assert table.memo[zero.response.bits, "strong", DEFAULT_DNF_CAP] == \
+        (NoFailures, str(raised[0]))
+
+
+@pytest.mark.parametrize("caps", [(2, 3), (3, 2)])
+def test_the_cap_is_part_of_the_kept_key(caps):
+    # fig1 with the bit of 151₂ flipped: F = I11 ∨ I61 ∨ I51 I52 from one
+    # clause, three terms, so cap 2 explodes and cap 3 does not, in either order
+    g = fig1_graph()
+    t = attach_response(build_extended_fdt(g, build_complete_test(g, enumerate_paths(g))),
+                        ResponseVector((0, 0, 0, 1, 1, 0, 0, 0, 0, 0)))
+    for cap in caps:
+        if cap == 2:
+            with pytest.raises(CandidateExplosion, match="cap of 2 terms"):
+                diagnose(t, cap=cap)
+        else:
+            assert str(diagnose(t, cap=cap).candidates) == "I11 ∨ I61 ∨ I51 I52"
+    assert verdict_keys(t.memo) == {(t.response.bits, "strong", cap) for cap in caps}
