@@ -27,7 +27,7 @@ Option values are checked before any file is read.  An error is one
 ``rtgdiag <cmd>: ...`` line on stderr, and so is each distinct warning
 (``rtgdiag <cmd>: warning: ...``, e.g. a variable that ``--permissive``
 defaulted), in the order first raised.  The environment variable
-RTGDIAG_CAPS ("paths=N,terms=N,dnf=N,exact=N") overrides the explosion
+RTGDIAG_CAPS ("paths=N,terms=N,dnf=N") overrides the explosion
 caps.  ``testability`` and ``cover --mode paths`` count paths instead of
 listing them (the path cover is a minimum flow, always exact), so their
 cost is polynomial in the graph and the ``paths`` cap does not bound them.
@@ -55,7 +55,7 @@ EXIT_DATA = 3
 def _caps_from_env() -> dict[str, int]:
     """The explosion caps, RTGDIAG_CAPS over the defaults."""
     caps = {"paths": testsynth.DEFAULT_PATH_CAP, "terms": testsynth.DEFAULT_TERM_CAP,
-            "dnf": diagnosis.DEFAULT_DNF_CAP, "exact": testsynth.DEFAULT_EXACT_CAP}
+            "dnf": diagnosis.DEFAULT_DNF_CAP}
     for part in os.environ.get("RTGDIAG_CAPS", "").split(","):
         if not part.strip():
             continue
@@ -184,8 +184,7 @@ class Pipeline:
 
     @cached_property
     def diagnostic_suite(self) -> testsynth.TestSuite:
-        return testsynth.minimal_diagnostic_test(self.suite, self.graph.statement_ids,
-                                                 exact_cap=self.caps["exact"])
+        return testsynth.minimal_diagnostic_test(self.suite, self.graph.statement_ids)
 
     @cached_property
     def tests(self) -> testsynth.TestSuite:
@@ -327,7 +326,7 @@ def cmd_cover(pl: Pipeline) -> int:
         exact = True
     else:
         labels = list(pl.diagnostic_suite.labels())
-        exact = testsynth.cover_is_exact(len(pl.suite.labels()), pl.caps["exact"])
+        exact = testsynth.cover_is_exact(len(pl.suite.labels()))
     _emit(pl, f"minimal {mode} cover ({len(labels)}): " + " ".join(labels) + "\n",
           {"mode": mode, "selected": labels, "exact": exact})
     return EXIT_OK

@@ -114,8 +114,9 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[frozense
     part (bit 0), each in row order, in one pass over the blocks.  A block
     whose rows share one bit, each bracket on one fragment, is one part;
     each row of any other block is a part of its own.  Raises NoResponse
-    when the table has no response vector V, and NoFailures when no row
-    fails."""
+    when the table has no response vector V, EmptyDiagnosis naming a
+    failing row that marks no statement (an empty clause, which no fault
+    set hits), and NoFailures when no row fails."""
     if t.response is None:
         raise NoResponse(_UNRESPONDED)
     failing: list[Part] = []
@@ -123,10 +124,12 @@ def _parts_by_verdict(t: FaultDetectionTable) -> tuple[list[Part], list[frozense
     for block, bits in t.block_bits():
         if bits and bits.count(bits[0]) == len(bits) \
                 and all(len({s.fragment for s in b}) == 1 for b in block.brackets):
-            if bits[0]:
+            if not bits[0]:
+                passing.append(frozenset(chain.from_iterable(block.brackets)))
+            elif block.brackets:
                 failing.append(block.brackets)
             else:
-                passing.append(frozenset(chain.from_iterable(block.brackets)))
+                raise EmptyDiagnosis(f"row {block.labels[0]} fails but marks no statement")
             continue
         for selection, bit in zip(product(*block.brackets), bits):
             if bit:

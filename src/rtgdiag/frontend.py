@@ -28,31 +28,18 @@ creation order.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from itertools import count, groupby
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import (DivisionByZero, ExecutionError, NonFiniteValue, ParseError,
                      UnboundVariable, UndefinedVariable, UnsupportedOperation)
-from .intervals import IntervalSet, meet
+from .intervals import RELATIONS, IntervalSet, meet
 from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
                   make_statements)
 
 PI_VALUE = 3.14159
-
-
-class Relation(NamedTuple):
-    holds: Callable[[float, float], bool]
-    mirror: str  # the same comparison with its sides swapped
-
-
-#: The relational operators of guards, by source symbol.
-RELATIONS: dict[str, Relation] = {
-    "<": Relation(operator.lt, ">"), "<=": Relation(operator.le, ">="),
-    ">": Relation(operator.gt, "<"), ">=": Relation(operator.ge, "<="),
-}
 
 
 # --- AST ---------------------------------------------------------------------

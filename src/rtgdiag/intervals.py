@@ -14,11 +14,21 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-#: relop -> (whether the reals below the cut are in, side of the cut, test)
-_COMPARISONS = {"<": (True, 0, operator.lt), "<=": (True, 1, operator.le),
-                ">": (False, 1, operator.gt), ">=": (False, 0, operator.ge)}
+
+class Relation(NamedTuple):
+    holds: Callable[[float, float], bool]
+    mirror: str  # the same comparison with its sides swapped
+    side: int  # of the cut at the bound
+    below: bool  # whether the reals below the cut hold
+
+
+#: The relational operators of guards, by source symbol.
+RELATIONS: dict[str, Relation] = {
+    "<": Relation(operator.lt, ">", 0, True), "<=": Relation(operator.le, ">=", 1, True),
+    ">": Relation(operator.gt, "<", 1, False), ">=": Relation(operator.ge, "<=", 0, False),
+}
 
 
 @dataclass(frozen=True)
@@ -35,12 +45,12 @@ class IntervalSet:
 
     @staticmethod
     def from_comparison(relop: str, bound: float) -> "IntervalSet":
-        if relop not in _COMPARISONS:
+        if relop not in RELATIONS:
             raise ValueError(f"unsupported relational operator {relop!r}")
-        inside, side, holds = _COMPARISONS[relop]
+        relation = RELATIONS[relop]
         if not math.isfinite(bound):
-            return IntervalSet((), holds(0.0, bound))
-        return IntervalSet(((bound, side),), inside)
+            return IntervalSet((), relation.holds(0.0, bound))
+        return IntervalSet(((bound, relation.side),), relation.below)
 
     def is_empty(self) -> bool:
         return not (self.cuts or self.inside)

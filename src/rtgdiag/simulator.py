@@ -46,8 +46,8 @@ from .errors import (ArityMismatch, ExecutionError, GraphMismatch, InfeasiblePat
                      InvalidMutation, InvalidTolerance, MissingStimulus, NoOpMutation,
                      NoSuchStatement, UnboundVariable)
 from .fdt import ResponseVector
-from .frontend import RELATIONS, Program, evaluate, layout
-from .intervals import IntervalSet, meet
+from .frontend import Program, evaluate, layout
+from .intervals import RELATIONS, IntervalSet, meet
 from .rtg import OP_ALPHABET, Rib, RTGraph, Statement
 from .testsynth import Path, TestSuite
 

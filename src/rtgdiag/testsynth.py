@@ -31,7 +31,7 @@ from .rtg import RTGraph, Rib, StatementId, natural_key, subscript
 
 DEFAULT_PATH_CAP = 10 ** 6
 DEFAULT_TERM_CAP = 10 ** 6
-DEFAULT_EXACT_CAP = 20
+_EXACT_LIMIT = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,10 +420,6 @@ def _indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _uncoverable(elements: Sequence, missing: int) -> Uncoverable:
-    return Uncoverable(min((elements[i] for i in _indices(missing)), key=str))
-
-
 def _greedy_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> list[str]:
     """Repeatedly take the candidate covering the most uncovered elements;
     ties go to the naturally smallest label, then to the earlier candidate.
@@ -449,7 +445,7 @@ def _greedy_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> 
                 break
             heapq.heappush(heap, (-gain, rank))
         if not gain:
-            raise _uncoverable(elements, universe & ~covered)
+            raise Uncoverable(min((elements[i] for i in _indices(universe & ~covered)), key=str))
         chosen.append(labels[rank])
         covered |= masks[rank]
     return chosen
@@ -460,6 +456,7 @@ def _exact_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> l
 
     Branches on the uncovered element with the fewest covering candidates;
     prefers the lexicographically (naturally) smallest label set on ties.
+    The greedy cover is the first bound, and raises Uncoverable.
     """
     universe = (1 << len(elements)) - 1
     by_label = dict(candidates)
@@ -468,10 +465,6 @@ def _exact_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> l
     for label, m in by_label.items():
         for i in _indices(m):
             elem_cover[i].append(label)
-    missing = sum(1 << i for i, labels in enumerate(elem_cover) if not labels)
-    if missing:
-        raise _uncoverable(elements, missing)
-
     greedy = _greedy_cover(elements, candidates)
     best: list[str] = sorted(greedy, key=order.get)
     best_key = (len(best), tuple(order[l] for l in best))
@@ -503,29 +496,22 @@ def _exact_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> l
     return best
 
 
-def cover_is_exact(candidates: int, exact_cap: int) -> bool:
+def cover_is_exact(candidates: int) -> bool:
     """Whether a covering problem over *candidates* candidate sets is solved
     exactly (branch and bound) rather than greedily."""
-    return candidates <= exact_cap
+    return candidates <= _EXACT_LIMIT
 
 
-def _solve_cover(elements: Sequence, candidates: Sequence[tuple[str, int]],
-                 exact_cap: int) -> list[str]:
-    if cover_is_exact(len(candidates), exact_cap):
-        return _exact_cover(elements, candidates)
-    return _greedy_cover(elements, candidates)
-
-
-def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId],
-                            exact_cap: int = DEFAULT_EXACT_CAP) -> TestSuite:
-    """Minimum term subset whose selections cover every statement id, exact
-    up to *exact_cap* terms and greedy beyond.
+def minimal_diagnostic_test(suite: TestSuite, columns: Iterable[StatementId]) -> TestSuite:
+    """Minimum term subset whose selections cover every statement id: exact
+    when ``cover_is_exact`` holds for the suite's term count, greedy beyond.
 
     Raises Uncoverable when some statement id is selected by no term.
     """
     bit = _bits(columns)
     items = [(b.path, selection, label) for b in suite.blocks for selection, label in b.items()]
     candidates = [(label, _mask(bit, selection)) for _, selection, label in items]
-    keep = set(_solve_cover(list(bit), candidates, exact_cap))
+    cover = _exact_cover if cover_is_exact(len(candidates)) else _greedy_cover
+    keep = set(cover(list(bit), candidates))
     return TestSuite(tuple(Block.of(path, selection, label)
                            for path, selection, label in items if label in keep))

@@ -15,6 +15,7 @@ from rtgdiag import (Stimulus, attach_response, build_complete_test,
                      enumerate_paths, execute_program, inject_fault,
                      minimal_diagnostic_test, minimal_path_cover, parse_program,
                      recommend_observation_points, run_suite, verify_minimal_insertions)
+from rtgdiag import testsynth
 from rtgdiag.diagnosis import ambiguity_groups
 from rtgdiag.fdt import ResponseVector
 from rtgdiag.fixtures import fig1_graph, listing31_source, example_fault
@@ -181,10 +182,12 @@ def test_criterion_08_covering_optimality():
 
         expected_t = brute_min_cover_size(set(graph.statement_ids),
                                           [t.selection for t in rsuite.terms])
-        exact_t = minimal_diagnostic_test(rsuite, graph.statement_ids,
-                                          exact_cap=len(rsuite.terms))
-        greedy_t = minimal_diagnostic_test(rsuite, graph.statement_ids, exact_cap=0)
-        ok = ok and len(exact_t.terms) == expected_t <= len(greedy_t.terms)
+        exact_t = minimal_diagnostic_test(rsuite, graph.statement_ids)
+        bit = testsynth._bits(graph.statement_ids)
+        greedy_t = testsynth._greedy_cover(
+            list(bit), [(t.label, testsynth._mask(bit, t.selection)) for t in rsuite.terms])
+        ok = ok and testsynth.cover_is_exact(len(rsuite.terms))
+        ok = ok and len(exact_t.terms) == expected_t <= len(greedy_t)
     report(8, ok, "covers match brute-force optimum on the fixture and 100 random models")
 
 

@@ -187,6 +187,21 @@ def test_an_empty_generalized_diagnosis_is_a_data_error(capsys, tmp_path):
                    "inconsistent with a single fault\n")
 
 
+@pytest.mark.parametrize("kind, response, row", [("extended", "1111111111", "111₁"),
+                                                  ("generalized", "1111", "X15Y")])
+def test_a_failing_row_that_marks_nothing_is_named(capsys, tmp_path, kind, response, row):
+    # every row fails, so nothing is exonerated: the row is an empty clause
+    table = tmp_path / "table.json"
+    run_cli(capsys, "fdt", "--graph", FIG1, "--kind", kind, "--response", response,
+            "--format", "json", "--out", str(table))
+    doc = json.loads(table.read_text(encoding="utf-8"))
+    next(r for r in doc["rows"] if r["label"] == row)["marks"] = []
+    table.write_text(json.dumps(doc), encoding="utf-8")
+    for mode in ("strong", "weak"):
+        assert run_cli(capsys, "diagnose", "--table", str(table), "--mode", mode) == (
+            3, "", f"rtgdiag diagnose: row {row} fails but marks no statement\n")
+
+
 def test_testability_output(capsys):
     code, out, _ = run_cli(capsys, "testability", "--graph", FIG1, "--target", "1",
                            "--format", "json")
@@ -294,7 +309,7 @@ def test_caps_env_override(capsys, monkeypatch):
 
 
 def test_malformed_caps_are_usage_errors(capsys, monkeypatch):
-    for caps in ("paths=abc", "terms=-3", "path=5"):
+    for caps in ("paths=abc", "terms=-3", "path=5", "exact=5"):
         monkeypatch.setenv("RTGDIAG_CAPS", caps)
         code, out, err = run_cli(capsys, "paths", "--graph", FIG1)
         assert code == 2

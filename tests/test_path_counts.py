@@ -276,9 +276,13 @@ def test_counted_labels_match_enumeration():
 def test_greedy_diagnostic_test_matches_frozenset_reference():
     for g in cover_graphs():
         suite = build_complete_test(g)
-        keep = set(greedy_diagnostic_test(suite, g.statement_ids))
-        chosen = minimal_diagnostic_test(suite, g.statement_ids, exact_cap=0)
-        assert list(chosen.labels()) == [t.label for t in suite.terms if t.label in keep]
+        bit = testsynth._bits(g.statement_ids)
+        greedy = testsynth._greedy_cover(
+            list(bit), [(t.label, testsynth._mask(bit, t.selection)) for t in suite.terms])
+        assert greedy == greedy_diagnostic_test(suite, g.statement_ids)
+        if not testsynth.cover_is_exact(len(suite.terms)):
+            chosen = minimal_diagnostic_test(suite, g.statement_ids)
+            assert list(chosen.labels()) == [t.label for t in suite.terms if t.label in greedy]
 
 
 # --- table groups kept per table -----------------------------------------------------
