@@ -141,8 +141,8 @@ class Rib:
     A rib has no ``__slots__``, so that a derived form can be kept on it,
     as ``RTGraph`` keeps its views: the simulator compiles a rib on its
     first use.  Equality, hashing and ``replace`` see only the fields, so a
-    rib built from another (by ``replace`` or fault injection) is compiled
-    anew."""
+    rib built from another by ``replace`` is compiled anew; fault injection
+    gives its ribs the golden form with one step replaced."""
 
     fragment: str
     src: str

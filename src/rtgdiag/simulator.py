@@ -14,7 +14,8 @@ ordinal order as (target, operation, operands, ordinal) steps, the
 variables it reads before assigning them and the variables it assigns.
 The form is kept on the rib object, so a mutant shares it on every rib that
 fault injection leaves untouched, and a path's first reads cost one step
-per rib rather than one per statement read.
+per rib rather than one per statement read.  A rib that fault injection
+changes takes the golden rib's form with the mutated step replaced.
 
 A suite's stimuli are its run layout (``Stimuli``, made by
 ``default_stimuli`` and ``overriding``): one default stimulus per path,
@@ -28,8 +29,14 @@ concurrent fault simulation (Ulrich & Baker 1973).  The ``Stimuli`` keeps
 the golden output of each record for the latest golden graph and
 permissive flag it ran, computed by executing each golden record once.
 After that a mutant executes only the records whose path crosses a rib
-whose statements differ from the golden one, so its cost is in what the
-mutant touches, not in the suite.
+whose statements differ from the golden one.  Each such record starts at
+its first changed rib, from the golden environment there, as split-stream
+mutation analysis forks at the mutated statement (Tokumoto et al. 2016);
+the ``Stimuli`` keeps these environments too, each built by one golden run
+of its record the first time a mutant starts in it.  So a mutant's cost is
+in what it touches, not in the suite.  ``execute_path`` runs a path from
+its input: it is the route of a cold call, and the one the warm route is
+checked against.
 """
 
 from __future__ import annotations
@@ -135,27 +142,35 @@ def _unknown_opcode(opcode: int) -> Callable[..., float]:
     return fail
 
 
+def _step(stmt: Statement) -> tuple:
+    op = OP_ALPHABET.get(stmt.opcode)
+    return (stmt.target, _unknown_opcode(stmt.opcode) if op is None else op.fn,
+            stmt.operands, stmt.ordinal)
+
+
+def _keep(rib: Rib, c: tuple) -> tuple:
+    # set as an attribute: reading rib.__dict__ would give the rib a dict
+    # object of its own and slow every later read of its fields
+    object.__setattr__(rib, "_compiled", c)
+    return c
+
+
 def _compiled(rib: Rib) -> tuple[tuple, tuple[str, ...], frozenset[str]]:
     """The compiled form of *rib*: its statements in ordinal order as
     (target, operation, operands, ordinal) steps, the variables it reads
     before it assigns them (in order) and the variables it assigns.  Made
-    on first use and kept as an attribute of the rib; a rib that no path
-    reads or executes is never compiled."""
+    on first use, or by ``inject_fault``, and kept as an attribute of the
+    rib; a rib that no path reads or executes is never compiled."""
     c = getattr(rib, "_compiled", None)
     if c is None:
         steps, reads, assigned = [], {}, set()
         for stmt in sorted(rib.statements, key=lambda st: st.ordinal):
-            op = OP_ALPHABET.get(stmt.opcode)
-            steps.append((stmt.target, _unknown_opcode(stmt.opcode) if op is None else op.fn,
-                          stmt.operands, stmt.ordinal))
+            steps.append(_step(stmt))
             for v in stmt.read_variables():
                 if v not in assigned:
                     reads[v] = None
             assigned.add(stmt.target)
-        c = (tuple(steps), tuple(reads), frozenset(assigned))
-        # set as an attribute: reading rib.__dict__ would give the rib a dict
-        # object of its own and slow every later read of its fields
-        object.__setattr__(rib, "_compiled", c)
+        c = _keep(rib, (tuple(steps), tuple(reads), frozenset(assigned)))
     return c
 
 
@@ -178,6 +193,47 @@ def path_reads(p: Path) -> list[str]:
     return _first_reads(map(_compiled, p.edges))
 
 
+def _bind(forms: Sequence[tuple], s: Stimulus,
+          permissive: bool) -> tuple[dict[str, float], list[str], list[str]]:
+    """The environment a run of ribs compiled as *forms* starts from on *s*,
+    the ribs' first reads and those of them *s* leaves unbound, which are
+    defaulted to 0.0 when *permissive* and an UnboundVariable otherwise."""
+    env = {k: float(v) for k, v in s.env.items()}
+    first_reads = _first_reads(forms)
+    unbound = [v for v in first_reads if v not in env]
+    if unbound:
+        if not permissive:
+            raise UnboundVariable(unbound)
+        for v in unbound:
+            env[v] = 0.0
+    return env, first_reads, unbound
+
+
+def _warn_defaulted(unbound: Sequence[str]) -> None:
+    """Warn, at the caller of the run, of the free variables it defaulted."""
+    warnings.warn(f"defaulted free variable(s) to 0.0: {', '.join(unbound)}",
+                  DefaultedVariableWarning, stacklevel=3)
+
+
+def _run(ribs: Iterable[Rib], forms: Iterable[tuple],
+         env: dict[str, float]) -> list[tuple[str, float]]:
+    """Run *ribs*, compiled as *forms*, in turn on *env*, in place; the
+    (end node, value its last step assigns) of each rib.  An ExecutionError
+    names the fragment and ordinal of its step, and a rib with no
+    statements is one naming its fragment."""
+    points = []
+    for rib, (steps, _, _) in zip(ribs, forms):
+        for target, fn, operands, ordinal in steps:
+            try:
+                env[target] = fn(*[env[o] if isinstance(o, str) else o for o in operands])
+            except ExecutionError as err:
+                raise err.at(f"fragment {rib.fragment} statement {ordinal}")
+        if not steps:
+            raise ExecutionError(f"fragment {rib.fragment} carries no statements")
+        points.append((rib.dst, env[target]))
+    return points
+
+
 def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> ObservationTrace:
     """Execute each rib's statements in ordinal order along a path.
 
@@ -190,30 +246,12 @@ def execute_path(g: RTGraph, p: Path, s: Stimulus, permissive: bool = False) -> 
     """
     if not p.edges:
         raise ExecutionError(f"path {p.label} crosses no rib")
-    env: dict[str, float] = {k: float(v) for k, v in s.env.items()}
-    ribs = [_compiled(rib) for rib in p.edges]
-    first_reads = _first_reads(ribs)
-    unbound = [v for v in first_reads if v not in env]
+    forms = [_compiled(rib) for rib in p.edges]
+    env, first_reads, unbound = _bind(forms, s, permissive)
     if unbound:
-        if not permissive:
-            raise UnboundVariable(unbound)
-        for v in unbound:
-            env[v] = 0.0
-        warnings.warn(f"defaulted free variable(s) to 0.0: {', '.join(unbound)}",
-                      DefaultedVariableWarning, stacklevel=2)
-
-    points: list[tuple[str, float]] = []
-    if first_reads:
-        points.append((p.edges[0].src, env[first_reads[0]]))
-    for rib, (steps, _, _) in zip(p.edges, ribs):
-        for target, fn, operands, ordinal in steps:
-            try:
-                env[target] = fn(*[env[o] if isinstance(o, str) else o for o in operands])
-            except ExecutionError as err:
-                raise err.at(f"fragment {rib.fragment} statement {ordinal}")
-        if not steps:
-            raise ExecutionError(f"fragment {rib.fragment} carries no statements")
-        points.append((rib.dst, env[target]))
+        _warn_defaulted(unbound)
+    points = [(p.edges[0].src, env[first_reads[0]])] if first_reads else []
+    points += _run(p.edges, forms, env)
     return ObservationTrace(points=tuple(points), output=points[-1][1])
 
 
@@ -223,12 +261,23 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
     """Return a mutant graph differing in exactly one statement.
 
     Every edge sharing the target fragment carries the mutated sequence, so
-    merged fragments stay consistent.  The original graph is untouched.
+    merged fragments stay consistent; a fragment whose ribs differ in
+    statements is an InvalidMutation, as is an opcode substitution on a
+    statement whose opcode is not registered.  The original graph is
+    untouched.
+
+    Cost: each mutant rib is compiled by substitution.  It takes the golden
+    rib's compiled form with the mutated step replaced, and its reads and
+    assigns as they are, since neither an opcode substitution of equal
+    arity nor a constant perturbation changes them; so a mutant compiles
+    nothing, and every other rib is the golden rib itself.
     """
     try:
         statements = g.statements_of(f.fragment)
     except KeyError:
         raise NoSuchStatement(f"no fragment {f.fragment}") from None
+    if any(r.statements != statements for r in g.fragment_ribs(f.fragment)):
+        raise InvalidMutation(f"ribs sharing fragment {f.fragment} differ in statements")
     index = next((i for i, s in enumerate(statements) if s.ordinal == f.ordinal), None)
     if index is None:
         raise NoSuchStatement(f"fragment {f.fragment} has no statement {f.ordinal}")
@@ -240,9 +289,13 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
         opdef = OP_ALPHABET.get(f.opcode)
         if opdef is None:
             raise InvalidMutation(f"opcode {f.opcode} is not registered")
-        if opdef.arity != OP_ALPHABET[old.opcode].arity:
+        olddef = OP_ALPHABET.get(old.opcode)
+        if olddef is None:
+            raise InvalidMutation(f"fragment {f.fragment} statement {f.ordinal} has opcode "
+                                  f"{old.opcode}, which is not registered")
+        if opdef.arity != olddef.arity:
             raise ArityMismatch(
-                f"opcode {old.opcode} has arity {OP_ALPHABET[old.opcode].arity}, "
+                f"opcode {old.opcode} has arity {olddef.arity}, "
                 f"{f.opcode} has arity {opdef.arity}")
         if f.opcode == old.opcode:
             raise NoOpMutation("substituted opcode equals the original")
@@ -265,8 +318,19 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
         new = Statement(old.ordinal, old.opcode, old.target, tuple(operands))
 
     mutated = statements[:index] + (new,) + statements[index + 1:]
-    return g.with_ribs(Rib(r.fragment, r.src, r.dst, mutated) if r.fragment == f.fragment else r
-                       for r in g.ribs)
+    step = _step(new)
+    ribs = []
+    for r in g.ribs:
+        if r.fragment == f.fragment:
+            # the stable sort by ordinal puts the mutated statement first
+            # among the steps of its ordinal
+            steps, reads, assigns = _compiled(r)
+            at = next(i for i, s in enumerate(steps) if s[3] == f.ordinal)
+            rib = Rib(r.fragment, r.src, r.dst, mutated)
+            _keep(rib, (steps[:at] + (step,) + steps[at + 1:], reads, assigns))
+            r = rib
+        ribs.append(r)
+    return g.with_ribs(ribs)
 
 
 def mutation_catalogue(g: RTGraph) -> list[FaultSpec]:
@@ -314,9 +378,11 @@ class Stimuli(Mapping[str, Stimulus]):
     path, row spans), a span being the (offset, length) of one run's rows.
     ``crossing`` maps each rib key to the records crossing it, in order,
     and ``rows`` is the term count; all are made once, in one pass over
-    the runs.  ``run_suite`` keeps the golden ribs by key and outputs of
-    its latest (golden graph, permissive flag) pair here, holding the graph
-    weakly.  The label index is built on the first read by label.
+    the runs.  ``run_suite`` keeps here, for its latest (golden graph,
+    permissive flag) pair, the golden ribs by key, the golden outputs and
+    the golden environments of the records a warm mutant started in,
+    holding the graph weakly.  The label index is built on the first read
+    by label.
     """
 
     def __init__(self, suite: TestSuite, runs: Iterable[Iterable[tuple[str, Stimulus, int]]]):
@@ -325,7 +391,8 @@ class Stimuli(Mapping[str, Stimulus]):
         self.suite = suite
         self.records: list[tuple] = []
         self.crossing: dict[tuple, list[int]] = {}
-        self._golden: tuple | None = None  # (weak golden graph, permissive, ribs, outputs)
+        # (weak golden graph, permissive, ribs, outputs, environments)
+        self._golden: tuple | None = None
         index: dict[tuple, int] = {}
         start = 0
         for block, block_runs in zip(suite.blocks, runs):
@@ -377,16 +444,26 @@ class Stimuli(Mapping[str, Stimulus]):
 
 
 def _output(g: RTGraph, rib: Mapping[tuple, Rib], record: tuple, permissive: bool) -> float:
-    """The output of *record*'s path on *g*, whose ribs by key are *rib*; an
-    ExecutionError is prefixed with ``term <label>:`` for the record's first
-    term."""
-    label, stim, keys, path, _ = record
-    try:
-        return execute_path(g, Path(path.label, tuple(rib[k] for k in keys)), stim,
-                            permissive).output
-    except ExecutionError as e:
-        e.args = (f"term {label}: {e}",)
-        raise
+    """The output of *record*'s path on *g*, whose ribs by key are *rib*."""
+    _, stim, keys, path, _ = record
+    return execute_path(g, Path(path.label, tuple(rib[k] for k in keys)), stim,
+                        permissive).output
+
+
+def _golden_states(rib: Mapping[tuple, Rib], record: tuple,
+                   permissive: bool) -> tuple[list[str], list[dict[str, float]]]:
+    """The free variables *record*'s run defaults, and its environment at
+    the source of each rib of its path, by one run of the ribs *rib* gives
+    by key; the last rib is not run."""
+    _, stim, keys, _, _ = record
+    ribs = [rib[k] for k in keys]
+    forms = [_compiled(r) for r in ribs]
+    env, _, unbound = _bind(forms, stim, permissive)
+    states = [dict(env)]
+    for r, form in zip(ribs[:-1], forms):
+        _run((r,), (form,), env)
+        states.append(dict(env))
+    return unbound, states
 
 
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimuli,
@@ -404,8 +481,15 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
     each record once on the golden side; every call executes the mutant
     only on the records whose path crosses a rib whose statements differ
     from the golden one.  Any other record runs the golden statements, so
-    its bits are 0, and a warm call costs what the changed ribs touch, not
-    the suite.
+    its bits are 0.  A warm call, one that finds every golden output kept,
+    starts each such record at its first changed rib, on a copy of the
+    golden environment there, and runs only the ribs from there to the end
+    of the path; the environments are kept too, built by one golden run of
+    a record the first time a mutant starts in it.  So a warm call costs
+    what the changed ribs touch, not the suite.  A record whose changed rib
+    reads or assigns other variables than the golden one, as a hand-built
+    mutant may, runs its whole path; a cold call runs every record it
+    executes from the input and keeps no environment.
 
     An ExecutionError is that of the first failing record in suite order,
     the golden side before the mutant, and names the record's first term
@@ -423,8 +507,9 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
     if golden_rib.keys() != mutant_rib.keys() or mutant.nodes is not golden.nodes and \
             {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes}:
         raise GraphMismatch("golden and mutant graphs differ in topology")
+    records = stimuli.records
     if warm:
-        known = kept[3]
+        known, states = kept[3], kept[4]
     else:
         for block in suite.blocks:
             missing = next((r.key for r in block.path.edges if r.key not in golden_rib), None)
@@ -433,23 +518,54 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
                                     "which the golden graph lacks")
         outputs: list[float] = []
         try:  # the outputs before the first golden record that raises
-            for record in stimuli.records:
+            for record in records:
                 outputs.append(_output(golden, golden_rib, record, permissive))
         except ExecutionError:
             pass
-        known = tuple(outputs)
-        stimuli._golden = (weakref.ref(golden), permissive, golden_rib, known)
-    records = stimuli.records
-    crossed = {i for k, r in mutant_rib.items()
-               if r is not golden_rib[k] and r.statements != golden_rib[k].statements
-               for i in stimuli.crossing.get(k, ()) if i < len(known)}
+        known, states = tuple(outputs), {}
+        stimuli._golden = (weakref.ref(golden), permissive, golden_rib, known, states)
+    split = warm and len(known) == len(records)
+    start: dict[int, int] = {}  # record -> position of its first changed rib
+    whole: set[int] = set()  # records that run their whole path
+    for k, r in mutant_rib.items():
+        g = golden_rib[k]
+        if r is g or r.statements == g.statements:
+            continue
+        same = split and _compiled(r)[1:] == _compiled(g)[1:]
+        for i in stimuli.crossing.get(k, ()):
+            if i >= len(known):
+                break
+            if same:
+                pos = records[i][2].index(k)
+                start[i] = min(pos, start.get(i, pos))
+            else:
+                whole.add(i)
     bits = [0] * stimuli.rows
-    for i in sorted(crossed):
-        if _differs(known[i], _output(mutant, mutant_rib, records[i], permissive), tolerance):
-            for start, n in records[i][4]:
-                bits[start:start + n] = repeat(1, n)
-    if len(known) < len(records):
-        _output(golden, golden_rib, records[len(known)], permissive)  # raises again
+    i = None
+    try:
+        for i in sorted(start.keys() | whole):
+            record = records[i]
+            if i in whole:
+                out = _output(mutant, mutant_rib, record, permissive)
+            else:
+                state = states.get(i)
+                if state is None:
+                    state = states[i] = _golden_states(golden_rib, record, permissive)
+                defaulted, envs = state
+                if defaulted:
+                    _warn_defaulted(defaulted)
+                pos = start[i]
+                ribs = [mutant_rib[k] for k in record[2][pos:]]
+                out = _run(ribs, map(_compiled, ribs), dict(envs[pos]))[-1][1]
+            if _differs(known[i], out, tolerance):
+                for offset, n in record[4]:
+                    bits[offset:offset + n] = repeat(1, n)
+        if len(known) < len(records):
+            i = len(known)
+            _output(golden, golden_rib, records[i], permissive)  # raises again
+    except ExecutionError as e:
+        e.args = (f"term {records[i][0]}: {e}",)
+        raise
     return ResponseVector(tuple(bits))
 
 

@@ -11,6 +11,7 @@ same trace, or the same error type and message, and the same warnings.
 
 import warnings
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -170,3 +171,36 @@ def test_a_mutant_shares_the_compiled_form_of_untouched_ribs():
             assert m is not r and m._compiled is not r._compiled
         else:
             assert m is r
+
+
+def raised(fn, arity: int) -> str:
+    with pytest.raises(ExecutionError) as caught:
+        fn(*[1.0] * arity)
+    return str(caught.value)
+
+
+def test_a_mutant_rib_is_compiled_by_substitution():
+    # inject_fault gives each rib it changes the golden rib's compiled form
+    # with one step replaced; it must equal a compile of the rib's
+    # statements from scratch, step by step, with the same reads and assigns
+    seen = Counter()
+    for g in models():
+        golden = {r.key: r for r in g.ribs}
+        for fault in simulator.mutation_catalogue(g):
+            for rib in inject_fault(g, fault).ribs:
+                if rib is golden[rib.key]:
+                    continue
+                assert rib.fragment == fault.fragment
+                steps, reads, assigns = rib._compiled
+                fresh_steps, fresh_reads, fresh_assigns = simulator._compiled(replace(rib))
+                assert (reads, assigns) == (fresh_reads, fresh_assigns)
+                assert len(steps) == len(fresh_steps) == len(rib.statements)
+                for (target, fn, operands, ordinal), fresh in zip(steps, fresh_steps):
+                    assert (target, operands, ordinal) == (fresh[0], fresh[2], fresh[3])
+                    # an opcode outside the alphabet compiles to a new failing
+                    # operation each time, so compare what it raises
+                    assert fn is fresh[1] or raised(fn, len(operands)) == \
+                        raised(fresh[1], len(operands))
+                    seen["unknown opcode"] += fn is not fresh[1]
+                seen["ribs"] += 1
+    assert seen["ribs"] > 1000 and seen["unknown opcode"] > 0

@@ -61,6 +61,58 @@ def count_runs(monkeypatch) -> Counter:
     return runs
 
 
+def count_steps(patch) -> Counter:
+    """rib key -> statements the compiled step loop runs on ribs of that
+    key, on either side.  Make the mutants before this patch: a mutant rib
+    keeps the form ``inject_fault`` gives it."""
+    steps = Counter()
+    compiled = simulator._compiled
+
+    def count(fn, key):
+        def run(*operands):
+            steps[key] += 1
+            return fn(*operands)
+        return run
+
+    def counted(rib):
+        body, reads, assigns = compiled(rib)
+        return tuple((target, count(fn, rib.key), operands, ordinal)
+                     for target, fn, operands, ordinal in body), reads, assigns
+    patch.setattr(simulator, "_compiled", counted)
+    return steps
+
+
+def crossing_pairs(suite, stimuli, keys) -> dict:
+    """(rib keys, inputs) -> rib keys, of each distinct (path, inputs) pair
+    whose path crosses a rib of *keys*; read from the terms, not the
+    records."""
+    pairs = {}
+    for t in suite.terms:
+        path = tuple(r.key for r in t.path.edges)
+        if keys & set(path):
+            pairs[path, tuple(sorted(stimuli[t.label].env.items()))] = path
+    return pairs
+
+
+def changed_keys(g, mutant) -> set:
+    golden_rib = {r.key: r for r in g.ribs}
+    return {r.key for r in mutant.ribs if r.statements != golden_rib[r.key].statements}
+
+
+def split_steps(g, mutant, suite, stimuli) -> Counter:
+    """rib key -> statements a warm *mutant* runs: for each distinct (path,
+    inputs) pair whose path crosses a changed rib, those on its ribs from
+    the first changed one to the end of the path."""
+    statements = {r.key: len(r.statements) for r in g.ribs}
+    changed = changed_keys(g, mutant)
+    want = Counter()
+    for path in crossing_pairs(suite, stimuli, changed).values():
+        first = next(i for i, k in enumerate(path) if k in changed)
+        for k in path[first:]:
+            want[k] += statements[k]
+    return want
+
+
 def campaign(seeds):
     for seed in seeds:
         g = random_dag_model(Random(seed))
@@ -206,15 +258,24 @@ def test_mutant_equal_to_golden_runs_no_mutant_path(monkeypatch):
 
 
 def test_second_golden_call_makes_no_golden_execution(monkeypatch):
+    # a warm call runs no golden output again and calls no execute_path; it
+    # builds the golden environment of a record on its first need, and a
+    # later call on the same records runs only the mutant's statements
     g = ladder_model(3)
     suite = build_complete_test(g)
     stimuli = split_default_stimuli(g, suite)
     first, second = (inject_fault(g, f) for f in simulator.mutation_catalogue(g)[:2])
     run_suite(g, first, suite, stimuli)
+    assert stimuli._golden[4] == {}
     runs = count_runs(monkeypatch)
+    steps = count_steps(monkeypatch)
     v = run_suite(g, second, suite, stimuli)
-    assert runs[id(g)] == 0 and runs[id(second)] > 0
     assert v.bits == reference_v(g, second, suite, stimuli)[0]
+    crossing = crossing_pairs(suite, stimuli, changed_keys(g, second))
+    assert runs == Counter() and len(stimuli._golden[4]) == len(crossing) > 0
+    steps.clear()
+    assert run_suite(g, second, suite, stimuli) == v
+    assert runs == Counter() and steps == split_steps(g, second, suite, stimuli)
 
 
 def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
@@ -389,15 +450,17 @@ def test_plan_dies_with_its_graph():
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a warm call walked the suite's runs")
+    raise AssertionError("a warm call walked the suite's runs or ran the golden side")
 
 
 @pytest.mark.parametrize("kind", ["default", "split"])
 def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
-    # complexity guard: once a golden graph has run every golden output, a
-    # mutant makes no golden execution, one mutant execution per distinct
-    # (path, inputs) pair whose path crosses a changed rib, and no pass
-    # over the suite's runs: such a pass keys each run's stimulus
+    # complexity guard: once a golden graph has run every golden output,
+    # and a first pass over the catalogue has built each golden environment
+    # at most once, a mutant makes no golden execution, no execute_path call
+    # and no pass over the suite's runs (such a pass keys each run's
+    # stimulus); it runs exactly the statements on the ribs from each
+    # crossing (path, inputs) pair's first changed rib to the end of its path
     stimuli_of, _ = STIMULI_KINDS[kind]
     checked = 0
     for g in [random_dag_model(Random(seed)) for seed in range(20)] + [ladder_model(3)]:
@@ -407,26 +470,183 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
             run_suite(g, g, suite, stimuli)
         except ExecutionError:
             continue
-        golden_rib = {r.key: r for r in g.ribs}
-        key = simulator._stimulus_key
+        mutants = [inject_fault(g, fault) for fault in simulator.mutation_catalogue(g)]
+        built = Counter()
+        golden_states = simulator._golden_states
+
+        def spy(rib, record, permissive):
+            built[record[0]] += 1
+            return golden_states(rib, record, permissive)
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "_stimulus_key", refuse)
+            patch.setattr(simulator, "_golden_states", spy)
+            for mutant in mutants:
+                observed_v(g, mutant, suite, stimuli)
+        assert set(built.values()) <= {1} and len(built) == len(stimuli._golden[4])
+        with monkeypatch.context() as patch:
+            for name in ("_stimulus_key", "_golden_states", "execute_path"):
+                patch.setattr(simulator, name, refuse)
             patch.setattr(Stimuli, "__init__", refuse)
-            runs = count_runs(patch)
-            for fault in simulator.mutation_catalogue(g):
-                mutant = inject_fault(g, fault)
-                changed = {r.key for r in mutant.ribs
-                           if r.statements != golden_rib[r.key].statements}
-                crossing = {(keys, key(stimuli[t.label]))
-                            for t in suite.terms
-                            if changed & set(keys := tuple(r.key for r in t.path.edges))}
-                runs.clear()
+            steps = count_steps(patch)
+            for mutant in mutants:
+                steps.clear()
                 want = reference_v(g, mutant, suite, stimuli)
                 assert observed_v(g, mutant, suite, stimuli) == want
                 if want[1] is None:
-                    assert runs == Counter({id(mutant): len(crossing)})
+                    assert steps == split_steps(g, mutant, suite, stimuli)
                     checked += 1
     assert checked > 100
+
+
+def test_a_cold_call_keeps_no_environment(monkeypatch, tmp_path):
+    # the golden environments serve warm calls only: a call that runs the
+    # golden outputs keeps none, nor does a call after a golden output
+    # raised, and so neither does the CLI, which makes its Stimuli per run
+    g = ladder_model(4)
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    run_suite(g, inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1)), suite, stimuli)
+    assert stimuli._golden[4] == {}
+    for divider, other in (("I1", "I2"), ("I2", "I1")):
+        g = divide_by_zero_graph(divider)
+        suite = build_complete_test(g)
+        stimuli = default_stimuli(g, suite)
+        mutant = inject_fault(g, simulator.FaultSpec(other, 1, opcode=3))
+        for _ in range(2):
+            with pytest.raises(DivisionByZero):
+                run_suite(g, mutant, suite, stimuli)
+        assert stimuli._golden[4] == {}
+
+    made = []
+    init = Stimuli.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
+    monkeypatch.setattr(Stimuli, "__init__", spy)
+    graph = tmp_path / "ladder4.rtg.json"
+    graph.write_text(dumps_graph(ladder_model(4)), encoding="utf-8")
+    assert main(["all", "--graph", str(graph), "--fault", "I3:2:op=1"]) == 1
+    kept = [s._golden for s in made if s._golden is not None]
+    assert kept and all(k[4] == {} for k in kept)
+
+
+def split_error_graph() -> RTGraph:
+    """X -> R1 -> Y whose golden run never raises, on any input, and whose
+    mutant ``I1:2:op=3`` divides by zero on I2, a rib after the one it
+    changes, at the default input x = 1: acc = x * x + 1 on I1 (acc = x * 2
+    on I3), then y = 2 / acc on I2."""
+    return RTGraph(nodes=(Node("X", "input"), Node("R1", "internal"), Node("Y", "output")),
+                   ribs=(make_rib("I1", "X", "R1", [(2, "t1", ("x", "x")), (1, "acc", ("t1", 1.0))]),
+                         make_rib("I3", "X", "R1", [(2, "acc", ("x", 2.0))]),
+                         make_rib("I2", "R1", "Y", [(4, "y", (2.0, "acc"))])))
+
+
+@pytest.mark.parametrize("permissive", [False, True], ids=["strict", "permissive"])
+@pytest.mark.parametrize("kind", STIMULI_KINDS)
+def test_split_route_matches_term_reference_over_a_catalogue(monkeypatch, kind, permissive):
+    # each catalogue mutant twice on one golden graph and one Stimuli, once
+    # every golden output is kept: the first pass builds the golden
+    # environments the mutants start from and the second reads the kept
+    # ones; no mutant runs through execute_path
+    stimuli_of = STIMULI_KINDS[kind][0]
+    runs = count_runs(monkeypatch)
+    outcomes = Counter()
+    with warnings.catch_warnings(record=True) as defaulted:
+        warnings.simplefilter("always", DefaultedVariableWarning)
+        for g in [*plan_models(), split_error_graph()]:
+            suite = build_complete_test(g)
+            stimuli = stimuli_of(g, suite)
+            try:
+                run_suite(g, g, suite, stimuli, permissive=permissive)
+            except ExecutionError:
+                continue
+            mutants = [inject_fault(g, fault) for fault in simulator.mutation_catalogue(g)]
+            want = [reference_v(g, mutant, suite, stimuli, permissive) for mutant in mutants]
+            runs.clear()
+            defaulted.clear()
+            for _ in range(2):
+                for mutant, w in zip(mutants, want):
+                    assert observed_v(g, mutant, suite, stimuli, permissive) == w
+                    outcomes["error" if w[1] else "bits"] += 1
+            assert runs == Counter()
+            outcomes["warned"] += bool(defaulted)
+    assert outcomes["bits"] > 100 or kind == "permissive" and not permissive
+    assert outcomes["error"] > 0 or kind == "permissive"
+    assert bool(outcomes["warned"]) == (kind == "permissive" and permissive)
+
+
+def shape(statements) -> tuple[list, set]:
+    """The variables *statements* read before assigning them, in ordinal
+    order, and the variables they assign."""
+    reads, assigned = {}, set()
+    for s in sorted(statements, key=lambda s: s.ordinal):
+        reads.update(dict.fromkeys(v for v in s.read_variables() if v not in assigned))
+        assigned.add(s.target)
+    return list(reads), assigned
+
+
+def reshaped(g: RTGraph, fragment: str, how: str) -> RTGraph:
+    """*g* with every rib of *fragment* changed so that it reads or assigns
+    other variables: its last statement assigns a new variable
+    (``"target"``), or its first variable operand other than x is x
+    (``"input"``) or a variable no rib assigns (``"free"``); *g* itself
+    when the fragment has no such operand or the change leaves what the
+    rib reads and assigns as it was."""
+    statements = list(g.statements_of(fragment))
+    if how == "target":
+        statements[-1] = replace(statements[-1], target="renamed")
+    else:
+        at = next(((i, j) for i, s in enumerate(statements)
+                   for j, o in enumerate(s.operands) if isinstance(o, str) and o != "x"), None)
+        if at is None:
+            return g
+        i, j = at
+        operands = list(statements[i].operands)
+        operands[j] = "x" if how == "input" else "free"
+        statements[i] = replace(statements[i], operands=tuple(operands))
+    if shape(statements) == shape(g.statements_of(fragment)):
+        return g
+    return g.with_ribs(replace(r, statements=tuple(statements)) if r.fragment == fragment else r
+                       for r in g.ribs)
+
+
+@pytest.mark.parametrize("permissive", [False, True], ids=["strict", "permissive"])
+def test_a_reshaped_rib_runs_its_records_whole(monkeypatch, permissive):
+    # a hand-built mutant whose changed rib reads or assigns other
+    # variables runs each record crossing that rib through execute_path,
+    # alone or beside a catalogue change on another fragment, whose other
+    # records still start at their changed rib
+    runs = count_runs(monkeypatch)
+    outcomes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DefaultedVariableWarning)
+        for g in plan_models():
+            suite = build_complete_test(g)
+            stimuli = default_stimuli(g, suite)
+            try:
+                run_suite(g, g, suite, stimuli, permissive=permissive)
+            except ExecutionError:
+                continue
+            faults = simulator.mutation_catalogue(g)
+            for fragment in g.fragments:
+                keys = {r.key for r in g.fragment_ribs(fragment)}
+                whole = len(crossing_pairs(suite, stimuli, keys))
+                other = next((f for f in faults if f.fragment != fragment), None)
+                for how in ("target", "input", "free"):
+                    mutant = reshaped(g, fragment, how)
+                    if mutant is g:
+                        continue
+                    both = reshaped(inject_fault(g, other), fragment, how) if other else mutant
+                    for m in (mutant, both):
+                        runs.clear()
+                        want = reference_v(g, m, suite, stimuli, permissive)
+                        assert observed_v(g, m, suite, stimuli, permissive) == want
+                        outcomes[how, "error" if want[1] else "bits"] += 1
+                        if want[1] is None:
+                            assert runs == Counter({id(m): whole} if whole else {})
+    assert outcomes["target", "bits"] > 20 and outcomes["input", "bits"] > 20
+    # a free variable the stimulus leaves unbound is an error unless permissive
+    assert outcomes["free", "bits" if permissive else "error"] > 20
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])

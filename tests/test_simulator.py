@@ -3,10 +3,10 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (ArityMismatch, DivisionByZero, FaultSpec, InfeasiblePath,
-                     InvalidMutation, Node, NonFiniteValue, NoOpMutation, NoSuchStatement,
-                     RTGraph, Stimulus, UnboundVariable, build_complete_test, build_rtg,
-                     default_stimuli, enumerate_paths, execute_path, execute_program,
+from rtgdiag import (ArityMismatch, DivisionByZero, ExecutionError, FaultSpec,
+                     InfeasiblePath, InvalidMutation, Node, NonFiniteValue, NoOpMutation,
+                     NoSuchStatement, RTGraph, Stimulus, UnboundVariable, build_complete_test,
+                     build_rtg, default_stimuli, enumerate_paths, execute_path, execute_program,
                      inject_fault, make_rib, parse_program, pick_stimulus, run_suite)
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.intervals import IntervalSet
@@ -121,6 +121,46 @@ def test_inject_rejects_constant_on_pure_variable_statement(g):
     # I6 statement F = f + w has no constant operand
     with pytest.raises(InvalidMutation):
         inject_fault(g, FaultSpec(fragment="I6", ordinal=1, constant=9.0))
+
+
+def unknown_opcode_graph() -> RTGraph:
+    """One rib X -> Y: t = x + 1, then y = t <opcode 9> 2."""
+    return RTGraph(nodes=(Node("X", "input"), Node("Y", "output")),
+                   ribs=(make_rib("I1", "X", "Y", [(1, "t", ("x", 1.0)), (9, "y", ("t", 2.0))]),))
+
+
+def test_an_opcode_fault_on_an_unregistered_opcode_is_an_invalid_mutation():
+    g = unknown_opcode_graph()
+    with pytest.raises(InvalidMutation, match="^fragment I1 statement 2 has opcode 9, which is "
+                                              "not registered$"):
+        inject_fault(g, FaultSpec("I1", 2, opcode=1))
+
+
+def test_a_constant_fault_on_an_unregistered_opcode_raises_only_when_reached():
+    g = unknown_opcode_graph()
+    mutant = inject_fault(g, FaultSpec("I1", 2, constant=5.0))
+    assert mutant.statements_of("I1")[1].operands == ("t", 5.0)
+    (p,) = enumerate_paths(mutant)
+    with pytest.raises(ExecutionError, match="^unknown opcode 9 in fragment I1 statement 2$"):
+        execute_path(mutant, p, Stimulus(env={"x": 1.0}))
+    # the statement before it is a mutation target as usual
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    with pytest.raises(ExecutionError, match="^term [^ ]+: unknown opcode 9 in fragment I1"):
+        run_suite(g, inject_fault(g, FaultSpec("I1", 1, opcode=3)), suite, stimuli)
+
+
+def test_a_fault_on_a_fragment_whose_ribs_differ_is_an_invalid_mutation():
+    # validate_graph's merge-inconsistent case: I2 is z = y * 3 on R -> Y
+    # and z = x * 5 on X -> Y
+    g = RTGraph(nodes=(Node("X", "input"), Node("R", "internal"), Node("Y", "output")),
+                ribs=(make_rib("I1", "X", "R", [(1, "y", ("x", 1.0))]),
+                      make_rib("I2", "R", "Y", [(2, "z", ("y", 3.0))]),
+                      make_rib("I2", "X", "Y", [(2, "z", ("x", 5.0))])))
+    for fault in (FaultSpec("I2", 1, opcode=4), FaultSpec("I2", 1, constant=4.0)):
+        with pytest.raises(InvalidMutation, match="^ribs sharing fragment I2 differ in statements$"):
+            inject_fault(g, fault)
+    assert inject_fault(g, FaultSpec("I1", 1, opcode=3)).statements_of("I1")[0].opcode == 3
 
 
 def test_run_suite_reproduces_reference_vector(g, suite, fault):
