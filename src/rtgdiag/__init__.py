@@ -13,7 +13,7 @@ from .diagnosis import (AmbiguityGroup, CandidateDNF, DiagnosisResult, ambiguity
                         verify_minimal_insertions)
 from .errors import (ArityMismatch, CandidateExplosion, CyclicGraph, DivisionByZero, EmptyDiagnosis,
                      ExecutionError, GraphMismatch, InfeasiblePath, InvalidMutation,
-                     InvalidTolerance, LengthMismatch, MergeConflict, MissingStimulus, NoFailures,
+                     InvalidTolerance, LengthMismatch, MissingStimulus, NoFailures,
                      NonFiniteValue, NoOpMutation, NoResponse, NoSuchStatement,
                      ParseError, PathExplosion, RtgError, SchemaError, TermExplosion,
                      UnboundVariable, Uncoverable, UndefinedVariable, UnsupportedOperation,
@@ -21,10 +21,10 @@ from .errors import (ArityMismatch, CandidateExplosion, CyclicGraph, DivisionByZ
 from .fdt import (FaultDetectionTable, ResponseVector, attach_response, build_extended_fdt,
                   build_generalized_fdt, dumps_table, loads_table, render_table,
                   table_from_json, table_to_json)
-from .frontend import (Program, SourceMap, build_rtg, lower_expression, parse_program)
+from .frontend import Program, SourceMap, build_rtg, parse_program
 from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementId,
                   Violation, dumps_graph, graph_from_json, graph_to_json, loads_graph,
-                  make_rib, make_statements, merge_equivalent_ribs, validate_graph)
+                  make_rib, make_statements, validate_graph)
 from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimuli, Stimulus,
                         default_stimuli, execute_path, execute_program, inject_fault,
                         mutation_catalogue, pick_stimulus, run_suite)

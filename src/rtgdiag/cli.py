@@ -205,10 +205,8 @@ class Pipeline:
         a = self.args
         if a.fault:
             return _parse_fault(a.fault)
-        if a.op is not None:
-            return simulator.FaultSpec(fragment=a.fragment, ordinal=a.ordinal, opcode=a.op)
-        if a.const is not None:
-            return simulator.FaultSpec(fragment=a.fragment, ordinal=a.ordinal,
+        if a.op is not None or a.const is not None:
+            return simulator.FaultSpec(fragment=a.fragment, ordinal=a.ordinal, opcode=a.op,
                                        constant=a.const, operand_index=a.operand)
         return None
 

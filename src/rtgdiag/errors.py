@@ -5,10 +5,6 @@ class RtgError(Exception):
     """Base class for all rtgdiag errors."""
 
 
-class MergeConflict(RtgError):
-    """Two ribs share a fragment id but carry different statements."""
-
-
 class UnsupportedOperation(RtgError):
     """An expression needs an operation outside the registered alphabet."""
 

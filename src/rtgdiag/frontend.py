@@ -36,8 +36,7 @@ from typing import Iterator, Mapping, NamedTuple, Union
 from .errors import (DivisionByZero, ExecutionError, NonFiniteValue, ParseError,
                      UnboundVariable, UndefinedVariable, UnsupportedOperation)
 from .intervals import RELATIONS, IntervalSet, meet
-from .rtg import (BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement,
-                  make_statements)
+from .rtg import BINARY_OPS, OP_ALPHABET, Node, OpCode, Rib, RTGraph, make_statements
 
 PI_VALUE = 3.14159
 
@@ -434,19 +433,6 @@ def fresh_names(used: set[str]) -> Iterator[str]:
             yield name
 
 
-def lower_expression(e: Expr) -> tuple[list[Statement], "str | float"]:
-    """Lower an expression post-order to alphabet statements.
-
-    Returns (statements, result operand); a bare literal or variable lowers
-    to no statements, the operand being consumed by the parent.  For
-    commutative opcodes a constant left operand is swapped to the right.  A
-    non-finite constant operand raises NonFiniteValue naming its location.
-    """
-    specs: list[tuple[int, str, tuple]] = []
-    result = _lower(e, fresh_names(_expr_vars(e)), specs)
-    return list(make_statements(specs)), result
-
-
 def _lower(e: Expr, fresh: Iterator[str], specs: list) -> "str | float":
     if isinstance(e, Num):
         return e.value
@@ -546,9 +532,8 @@ def build_rtg(p: Program) -> tuple[RTGraph, SourceMap]:
     Each arm of a step becomes one rib per predecessor node, all copies
     sharing a fragment id and converging on the arm's end node, so a run of
     assignments becomes a single rib; the last step terminates at the
-    output node.  Fragments are numbered I1, I2, ... in step and arm order.
-    The graph needs no merge pass (``merge_equivalent_ribs``): the copies
-    of one arm are given one fragment id here, and two arms never share
+    output node.  Fragments are numbered I1, I2, ... in step and arm order:
+    the copies of one arm share one fragment id, and two arms never share
     one, since each (step, arm) is its own piece of source.  The result
     passes validate_graph.
     """

@@ -16,13 +16,13 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, count
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .errors import CyclicGraph, DivisionByZero, MergeConflict, NonFiniteValue, SchemaError
+from .errors import CyclicGraph, DivisionByZero, NonFiniteValue, SchemaError
 
 _SUBSCRIPT = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -451,62 +451,6 @@ def _reachable(g: RTGraph, start: str, forward: bool) -> set[str]:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
-
-
-def merge_equivalent_ribs(g: RTGraph) -> RTGraph:
-    """Give one shared fragment id to ribs that are copies of the same code.
-
-    Ribs merge when their statement sequences are equal element-wise and
-    their destinations coincide; without a source map, that is taken as
-    sufficient evidence that they come from the same source fragment.  This
-    is for hand-built graphs: ``frontend.build_rtg`` gives each (step, arm)
-    of a program its own fragment id and all copies of an arm that one id,
-    so a lowered graph is already merged.
-
-    The merged group keeps the longest common prefix of its fragment ids
-    when that is a usable name (e.g. I6A..I6D become I6), otherwise the
-    naturally smallest member id.  Raises MergeConflict when ribs already
-    share a fragment id but differ in statements.
-    """
-    first: dict[str, Rib] = {}
-    conflicting: set[str] = set()
-    for r in g.ribs:
-        if first.setdefault(r.fragment, r).statements != r.statements:
-            conflicting.add(r.fragment)
-    if conflicting:
-        fragment = next(f for f in first if f in conflicting)
-        raise MergeConflict(f"ribs sharing fragment {fragment} differ in statements")
-
-    groups: dict[tuple, list[Rib]] = {}
-    for r in g.ribs:
-        groups.setdefault((r.dst, r.statements), []).append(r)
-
-    rename: dict[str, str] = {}
-    taken = {r.fragment for r in g.ribs}
-    for members in groups.values():
-        ids = sorted({r.fragment for r in members}, key=natural_key)
-        if len(ids) < 2:
-            continue
-        merged = _common_prefix(ids)
-        if not merged or (merged in taken and merged not in ids):
-            merged = ids[0]
-        for fid in ids:
-            rename[fid] = merged
-
-    if not rename:
-        return g
-    new_ribs = [replace(r, fragment=rename.get(r.fragment, r.fragment)) for r in g.ribs]
-    return g.with_ribs(new_ribs)
-
-
-def _common_prefix(ids: list[str]) -> str:
-    prefix = ids[0]
-    for s in ids[1:]:
-        while not s.startswith(prefix):
-            prefix = prefix[:-1]
-            if not prefix:
-                return ""
-    return prefix
 
 
 # --- JSON serialization ----------------------------------------------------

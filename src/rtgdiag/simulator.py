@@ -261,10 +261,10 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
     """Return a mutant graph differing in exactly one statement.
 
     Every edge sharing the target fragment carries the mutated sequence, so
-    merged fragments stay consistent; a fragment whose ribs differ in
-    statements is an InvalidMutation, as is an opcode substitution on a
-    statement whose opcode is not registered.  The original graph is
-    untouched.
+    the copies of a fragment stay consistent; a fragment whose ribs differ in
+    statements is an InvalidMutation, as is an opcode substitution given an
+    operand index or on a statement whose opcode is not registered.  The
+    original graph is untouched.
 
     Cost: each mutant rib is compiled by substitution.  It takes the golden
     rib's compiled form with the mutated step replaced, and its reads and
@@ -286,6 +286,8 @@ def inject_fault(g: RTGraph, f: FaultSpec) -> RTGraph:
     if (f.opcode is None) == (f.constant is None):
         raise InvalidMutation("exactly one of opcode or constant must be given")
     if f.opcode is not None:
+        if f.operand_index is not None:
+            raise InvalidMutation(f"an opcode fault takes no operand index, got {f.operand_index}")
         opdef = OP_ALPHABET.get(f.opcode)
         if opdef is None:
             raise InvalidMutation(f"opcode {f.opcode} is not registered")
@@ -489,7 +491,8 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
     what the changed ribs touch, not the suite.  A record whose changed rib
     reads or assigns other variables than the golden one, as a hand-built
     mutant may, runs its whole path; a cold call runs every record it
-    executes from the input and keeps no environment.
+    executes from the input and keeps no environment, because a one-shot
+    call would keep one per record and rib position.
 
     An ExecutionError is that of the first failing record in suite order,
     the golden side before the mutant, and names the record's first term

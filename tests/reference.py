@@ -7,28 +7,31 @@ a graph from its enumerated paths, path execution statement by statement
 (first reads re-derived and each rib sorted on every call) and a
 term-by-term response vector on it,
 brute-force hitting sets and covers, the greedy covers on frozensets, an
-unmerged fixture for the merge pass, regions as sorted tuples of interval
-pieces, and the quadratic routes of the frontend and graph views: a
-tokenizer with one match per whitespace run, newline and comment, guard
-regions from every pair of arms, Kahn's algorithm re-sorting its ready
-list, and graph validation rib by rib.
+unmerged fixture and the merge pass that ``build_rtg``'s graphs are checked
+against, regions as sorted tuples of interval pieces, and the quadratic
+routes of the frontend and graph views: a tokenizer with one match per
+whitespace run, newline and comment, guard regions from every pair of
+arms, Kahn's algorithm re-sorting its ready list, and graph validation rib
+by rib.
 ``row_blocks`` and ``term_suite`` hold given rows or terms one item per
 block, as a loaded table does, and ``row_key`` is what a row keeps through
-a table file.
+a table file.  ``lower_expression`` is no oracle: it is the tests' entry
+into the frontend's own lowering of one expression.
 """
 
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from rtgdiag import (AmbiguityGroup, Block, DefaultedVariableWarning, ExecutionError,
                      FaultDetectionTable, NoFailures, NoResponse, ObservationTrace, ParseError,
-                     Path, RTGraph, Stimulus, TestSuite, Uncoverable, enumerate_paths, make_rib)
+                     Path, RtgError, RTGraph, Stimulus, TestSuite, Uncoverable, enumerate_paths,
+                     make_rib, make_statements)
 from rtgdiag.errors import DivisionByZero, UnboundVariable
 from rtgdiag.fixtures import fig1_graph
-from rtgdiag.frontend import RELATIONS, Var, evaluate
+from rtgdiag.frontend import RELATIONS, Var, _expr_vars, _lower, evaluate, fresh_names
 from rtgdiag import intervals
 from rtgdiag.rtg import OP_ALPHABET, Violation, natural_key
 
@@ -254,7 +257,7 @@ def greedy_diagnostic_test(suite, columns) -> list[str]:
                                    for t in suite.terms])
 
 
-# --- graphs before merging ------------------------------------------------------
+# --- graphs before merging, and the merge pass ----------------------------------
 
 
 def fig1_unmerged_variant() -> RTGraph:
@@ -269,6 +272,60 @@ def fig1_unmerged_variant() -> RTGraph:
         else:
             ribs.append(r)
     return g.with_ribs(ribs)
+
+
+class MergeConflict(RtgError):
+    """Two ribs share a fragment id but carry different statements."""
+
+
+def merge_equivalent_ribs(g: RTGraph) -> RTGraph:
+    """Give one shared fragment id to ribs that are copies of the same code.
+
+    Ribs merge when their statement sequences are equal element-wise and
+    their destinations coincide.  The merged group keeps the longest common
+    prefix of its fragment ids when that is a usable name (I6A..I6D become
+    I6), otherwise the naturally smallest member id.  Raises MergeConflict
+    when ribs already share a fragment id but differ in statements.
+    """
+    first = {}
+    conflicting = set()
+    for r in g.ribs:
+        if first.setdefault(r.fragment, r).statements != r.statements:
+            conflicting.add(r.fragment)
+    if conflicting:
+        fragment = next(f for f in first if f in conflicting)
+        raise MergeConflict(f"ribs sharing fragment {fragment} differ in statements")
+
+    groups = {}
+    for r in g.ribs:
+        groups.setdefault((r.dst, r.statements), []).append(r)
+
+    rename = {}
+    taken = {r.fragment for r in g.ribs}
+    for members in groups.values():
+        ids = sorted({r.fragment for r in members}, key=natural_key)
+        if len(ids) < 2:
+            continue
+        merged = _common_prefix(ids)
+        if not merged or (merged in taken and merged not in ids):
+            merged = ids[0]
+        for fid in ids:
+            rename[fid] = merged
+
+    if not rename:
+        return g
+    return g.with_ribs([replace(r, fragment=rename.get(r.fragment, r.fragment))
+                        for r in g.ribs])
+
+
+def _common_prefix(ids: list) -> str:
+    prefix = ids[0]
+    for s in ids[1:]:
+        while not s.startswith(prefix):
+            prefix = prefix[:-1]
+            if not prefix:
+                return ""
+    return prefix
 
 
 # --- regions, piece by piece ----------------------------------------------------
@@ -417,6 +474,18 @@ def tokenize(text: str) -> list[tuple[str, str, int, int]]:
         tokens.append((kind, value, line, col))
     tokens.append(("EOF", "", line, 1))
     return tokens
+
+
+def lower_expression(e):
+    """(statements, result operand) of lowering *e* post-order to alphabet
+    statements, temporaries named t1, t2, ... past the names *e* reads.  A
+    bare literal or variable lowers to no statements, the operand being
+    consumed by the parent.  For commutative opcodes a constant left
+    operand is swapped to the right.  A non-finite constant operand raises
+    NonFiniteValue naming its location."""
+    specs = []
+    result = _lower(e, fresh_names(_expr_vars(e)), specs)
+    return list(make_statements(specs)), result
 
 
 def _bound(e):

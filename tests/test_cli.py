@@ -12,6 +12,7 @@ from rtgdiag.cli import build_parser, main
 from rtgdiag.fixtures import LISTING31_SOURCE
 
 from randmodels import chain_model, ladder_model
+from reference import fig1_unmerged_variant
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -130,6 +131,18 @@ def test_inject_writes_mutant(capsys, tmp_path):
     assert code == 0
     mutant = loads_graph(out_path.read_text(encoding="utf-8"))
     assert mutant.statements_of("I5")[2].opcode == 3
+
+
+def test_an_unmerged_hand_built_graph_keeps_its_copies_apart(capsys, tmp_path):
+    # the package has no merge pass: copies of one piece of code that a
+    # hand-built graph gives separate ids (I6A..I6D) are separate fragments
+    path = tmp_path / "unmerged.json"
+    path.write_text(dumps_graph(fig1_unmerged_variant()), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "all", "--graph", str(path), "--fault", "I5:3:op=3")
+    assert code == 1
+    header = next(line for line in out.splitlines() if line.startswith("Ti\\Ij"))
+    assert header.split()[1:] == ["I11", "I22", "I23", "I31", "I32", "I41", "I44", "I45", "I51",
+                                  "I52", "I55", "I6A1", "I6B1", "I6C1", "I6D1", "V"]
 
 
 def test_run_and_diagnose_pipeline(capsys, tmp_path):
@@ -701,6 +714,16 @@ def test_dash_led_constant_reaches_inject(capsys, tmp_path):
     assert code == 0
     mutant = loads_graph(out_path.read_text(encoding="utf-8"))
     assert mutant.statements_of("I1")[0].operands == ("x", -2.5e-3)
+
+
+def test_an_operand_index_on_an_opcode_fault_exits_3(capsys, tmp_path):
+    out_path = tmp_path / "mutant.json"
+    code, out, err = run_cli(capsys, "inject", "--graph", FIG1, "--fragment", "I1",
+                             "--ordinal", "1", "--op", "3", "--operand", "9",
+                             "--out", str(out_path))
+    assert (code, out) == (3, "")
+    assert err == "rtgdiag inject: an opcode fault takes no operand index, got 9\n"
+    assert not out_path.exists()
 
 
 def test_dnf_cap_reaches_the_diagnosis(capsys, monkeypatch):

@@ -4,8 +4,10 @@ import pytest
 
 from rtgdiag import (NonFiniteValue, ParseError, Stimulus, UndefinedVariable,
                      UnsupportedOperation, build_rtg, enumerate_paths, execute_path, execute_program,
-                     lower_expression, parse_program, validate_graph)
+                     parse_program, validate_graph)
 from rtgdiag.frontend import Assignment, IfChain
+
+from reference import lower_expression
 
 PI = 3.14159
 

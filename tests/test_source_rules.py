@@ -1,9 +1,12 @@
 """Rules the package source and the demos keep, checked on their syntax tree."""
 
 import ast
+import inspect
 import os
 
 import pytest
+
+import rtgdiag
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "rtgdiag")
@@ -123,3 +126,37 @@ def test_the_instance_state_rule_sees_each_form():
     assert _instance_state(tree) == [(1, "g", "_memo"), (2, "g", "_memo"),
                                      (3, "rib", "_other"), (5, "golden", "_run_plan"),
                                      (6, "rib", "_compiled")]
+
+
+#: Public functions and classes that no module of the package loads, each
+#: with why it stays public; the list may only shrink
+UNREACHED_PUBLIC = {
+    "execute_program": "benchmark entry point: runs a parsed program on one stimulus",
+    "mutation_catalogue": "benchmark entry point: the campaign's mutants of a graph",
+    "verify_minimal_insertions": "exhaustive check of the observation plan; moves when the "
+                                 "plan is redefined",
+}
+
+
+def _loaded_names(tree):
+    """Every name that *tree* loads as a ``Name`` or as an ``Attribute``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_route_is_reached_or_listed():
+    # a public function or class that only tests call is a second route to
+    # keep; it belongs in tests/reference.py unless listed with a reason
+    loaded = set().union(*(_loaded_names(parse(os.path.join(SRC, module)))
+                           for module in MODULES if module != "__init__.py"))
+    routes = {name for name in rtgdiag.__all__
+              if inspect.isfunction(obj := getattr(rtgdiag, name))
+              or inspect.isclass(obj) and not issubclass(obj, BaseException)}
+    assert routes - loaded == set(UNREACHED_PUBLIC)
+
+
+def test_the_reach_rule_sees_loads_only():
+    tree = ast.parse('"""run_suite in a docstring"""\nx = build_rtg(g)\n'
+                     "y = simulator.inject_fault\ndef diagnose(): pass\n"
+                     "store.attach_response = 1\n")
+    assert _loaded_names(tree) == {"build_rtg", "g", "simulator", "inject_fault", "store"}
