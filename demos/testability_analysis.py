@@ -13,8 +13,7 @@ import sys
 
 from rtgdiag import (ResponseVector, ambiguity_groups, attach_response,
                      build_generalized_fdt, diagnose_generalized, enumerate_paths,
-                     recommend_observation_points, render_table,
-                     verify_minimal_insertions)
+                     recommend_observation_points, table_text, verify_minimal_insertions)
 from rtgdiag.fixtures import fig1_graph
 
 g = fig1_graph()
@@ -24,7 +23,8 @@ print("== generalized fault detection table ==")
 table = build_generalized_fdt(g, paths)
 responded = attach_response(table, ResponseVector((0, 1, 0, 0)))
 suspects = diagnose_generalized(responded)
-print(render_table(responded, suspects=suspects))
+sys.stdout.writelines(table_text(responded, suspects))
+print()
 print("failing X15Y alone implicates {"
       + ", ".join(sorted(s.label for s in suspects)) + "}\n")
 

@@ -13,8 +13,8 @@ import sys
 
 from rtgdiag import (attach_response, build_complete_test, build_extended_fdt,
                      default_stimuli, diagnose, enumerate_paths, inject_fault,
-                     minimal_diagnostic_test, minimal_path_cover, render_table,
-                     run_suite, validate_graph)
+                     minimal_diagnostic_test, minimal_path_cover, run_suite,
+                     table_text, validate_graph)
 from rtgdiag.fixtures import fig1_graph, example_fault
 from rtgdiag.testsynth import activation_formula
 
@@ -51,7 +51,8 @@ print(f"V = {v}")
 
 print("\n== 4. diagnosis ==")
 table = attach_response(build_extended_fdt(g, suite), v)
-print(render_table(table))
+sys.stdout.writelines(table_text(table))
+print()
 result = diagnose(table, mode="strong")
 print("F  =", result.candidates)
 print("H  = {" + ", ".join(s.label for s in sorted(result.exonerated,

@@ -19,8 +19,8 @@ from .errors import (ArityMismatch, CandidateExplosion, CyclicGraph, DivisionByZ
                      UnboundVariable, Uncoverable, UndefinedVariable, UnsupportedOperation,
                      UsageError)
 from .fdt import (FaultDetectionTable, ResponseVector, attach_response, build_extended_fdt,
-                  build_generalized_fdt, dumps_table, loads_table, render_table,
-                  table_from_json, table_to_json)
+                  build_generalized_fdt, loads_table, table_from_json, table_json,
+                  table_text)
 from .frontend import Program, SourceMap, build_rtg, parse_program
 from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementId,
                   Violation, dumps_graph, graph_from_json, graph_to_json, loads_graph,

@@ -19,7 +19,9 @@ each is computed at most once, and every subcommand prints a projection:
   all          program, paths, suite, responded and verdict
 
 Text output mirrors the reference table layout; JSON output (``--format
-json``, on every subcommand but ``all``) is the machine interface.
+json``, on every subcommand but ``all``) is the machine interface.  A table
+is written as the chunks of ``fdt.table_text`` or ``fdt.table_json``, one
+block at a time, to stdout, ``--out`` or ``--table-out``.
 Outputs are byte-identical across runs with identical configuration.
 
 Exit codes: 0 success, 1 diagnosis findings, 2 usage errors, 3 data errors.
@@ -42,6 +44,8 @@ import os
 import sys
 import warnings
 from functools import cache, cached_property
+from itertools import chain
+from typing import Iterable
 
 from . import diagnosis, fdt, frontend, rtg, simulator, testsynth
 from .errors import NoFailures, RtgError, UsageError
@@ -70,9 +74,13 @@ def _caps_from_env() -> dict[str, int]:
     return caps
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """*chunks* in order to the file *path*, else to stdout."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _read(path: str, load):
@@ -263,16 +271,14 @@ class Pipeline:
 
 
 def _emit(pl: Pipeline, text, doc=None) -> None:
-    """*doc* as JSON under ``--format json``, else *text*, each given as a
-    value or as a function making it; to the ``--out`` file, else stdout."""
+    """*doc* as JSON under ``--format json``, else *text*, to the ``--out``
+    file, else stdout.  *text* is a string or its chunks, *doc* a JSON
+    value, and each may be given as a function making it."""
     if doc is not None and pl.args.format == "json":
         text = rtg.dumps_json(doc() if callable(doc) else doc)
     elif callable(text):
         text = text()
-    if pl.args.out:
-        _write(pl.args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(pl.args.out, [text] if isinstance(text, str) else text)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -332,7 +338,7 @@ def cmd_cover(pl: Pipeline) -> int:
 
 def cmd_fdt(pl: Pipeline) -> int:
     table = pl.responded if pl.args.response is not None else pl.table
-    _emit(pl, lambda: fdt.render_table(table), lambda: fdt.table_to_json(table))
+    _write(pl.args.out, (fdt.table_json if pl.args.format == "json" else fdt.table_text)(table))
     return EXIT_OK
 
 
@@ -344,7 +350,7 @@ def cmd_inject(pl: Pipeline) -> int:
 def cmd_run(pl: Pipeline) -> int:
     v = pl.response
     if pl.args.table_out:
-        _write(pl.args.table_out, fdt.dumps_table(pl.responded))
+        _write(pl.args.table_out, fdt.table_json(pl.responded))
     _emit(pl, f"V = {v}\n",
           lambda: {"labels": list(pl.tests.labels()), "bits": list(v.bits)})
     return EXIT_OK
@@ -378,8 +384,9 @@ def cmd_diagnose(pl: Pipeline) -> int:
         if table.kind == "generalized":
             suspects = diagnosis.diagnose_generalized(table)
             labels = sorted(s.label for s in suspects)
-            _emit(pl, fdt.render_table(table, suspects=suspects)
-                  + "Faults = {" + ", ".join(labels) + "}\n", {"suspects": labels})
+            _emit(pl, lambda: chain(fdt.table_text(table, suspects),
+                                    ["Faults = {" + ", ".join(labels) + "}\n"]),
+                  {"suspects": labels})
             return EXIT_FINDINGS
         result = pl.verdict
     except NoFailures:
@@ -404,6 +411,8 @@ def cmd_testability(pl: Pipeline) -> int:
 
 
 def cmd_all(pl: Pipeline) -> int:
+    """The report; its verdict, or the error that stops it, comes before
+    the first byte is written."""
     args = pl.args
     report: list[str] = []
     if args.program:
@@ -414,18 +423,16 @@ def cmd_all(pl: Pipeline) -> int:
         report.append(f"graph loaded from {os.path.basename(args.graph)}")
     report.append("paths: " + " ∨ ".join(p.label for p in pl.paths))
     report.append("complete test: " + " ".join(pl.suite.labels()))
-    code = EXIT_OK
     if pl.fault is None:
         report.append("no fault injected; nothing to run")
-    else:
-        report.append(f"injected fault {pl.fault}")
-        report += ["", fdt.render_table(pl.responded).rstrip("\n"), ""]
-        try:
-            report.append(_diagnosis_text(pl.verdict).rstrip("\n"))
-            code = EXIT_FINDINGS
-        except NoFailures:
-            report.append("no fault detected")
-    _emit(pl, "\n".join(report) + "\n")
+        _emit(pl, "\n".join(report) + "\n")
+        return EXIT_OK
+    report.append(f"injected fault {pl.fault}")
+    try:
+        verdict, code = _diagnosis_text(pl.verdict), EXIT_FINDINGS
+    except NoFailures:
+        verdict, code = "no fault detected\n", EXIT_OK
+    _emit(pl, chain(["\n".join(report) + "\n\n"], fdt.table_text(pl.responded), ["\n", verdict]))
     return code
 
 

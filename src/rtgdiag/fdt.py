@@ -15,6 +15,10 @@ The table checks at construction that V is a ``ResponseVector`` with one
 bit per row, and ``attach_response`` binds V without touching the rows.  In
 table JSON each row carries its bit as ``v``: 0 or 1 on every row, or null
 on every row when no V is bound; ``table_from_json`` rejects anything else.
+
+``table_text`` and ``table_json`` write a table as a stream of chunks: its
+head, the rows of each block, and its close.  A chunk costs about its own
+bytes in time and memory, so a writer holds at most one block's text.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, cycle, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, SchemaError
-from .rtg import RTGraph, StatementId, dumps_json
+from .rtg import RTGraph, StatementId
 from .testsynth import Block, Path, TestSuite, TestTerm
 
 
@@ -118,37 +122,13 @@ def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetec
     return FaultDetectionTable(table.kind, table.columns, table.blocks, v, table.memo)
 
 
-# --- rendering ---------------------------------------------------------------
-
-def table_to_json(t: FaultDetectionTable) -> dict:
-    """Each row's marks are its distinct mark labels in column order (the
-    first column of a label counts; labels naming no column sort last, by
-    label).  Bracket members are ranked once per block."""
-    rank: dict[str, int] = {}
-    for i, c in enumerate(t.columns):
-        rank.setdefault(c.label, i)
-    unknown = len(t.columns)
-    rows = []
-    for block, bits in t.block_bits():
-        ranked = [[(rank.get(s.label, unknown), s.label) for s in b] for b in block.brackets]
-        rows += [{"label": label, "path": block.path.label,
-                  "marks": [m for _, m in sorted(set(selection))], "v": v}
-                 for label, selection, v in zip(block.labels, product(*ranked), bits)]
-    return {
-        "kind": t.kind,
-        "columns": [
-            {"label": c.label, "fragment": c.fragment, "opcode": c.opcode, "ordinal": c.ordinal}
-            for c in t.columns
-        ],
-        "rows": rows,
-    }
-
+# --- reading and writing -------------------------------------------------------
 
 def table_from_json(doc: dict) -> FaultDetectionTable:
-    """Inverse of table_to_json; raises SchemaError naming a missing key, a
-    value of the wrong type, a mark label that names no column, a ``v``
-    that is neither 0/1 on every row nor null on every row, or a kind other
-    than generalized or extended."""
+    """Inverse of the document ``table_json`` writes; raises SchemaError
+    naming a missing key, a value of the wrong type, a mark label that
+    names no column, a ``v`` that is neither 0/1 on every row nor null on
+    every row, or a kind other than generalized or extended."""
     get = partial(SchemaError.field, "table JSON")
     columns = tuple(StatementId(get(c, "fragment", str), get(c, "opcode", int),
                                 get(c, "ordinal", int), get(c, "label", str))
@@ -179,78 +159,153 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
                                response=response)
 
 
-def dumps_table(t: FaultDetectionTable) -> str:
-    return dumps_json(table_to_json(t))
-
-
 def loads_table(text: str) -> FaultDetectionTable:
     return table_from_json(json.loads(text))
 
 
-def _ordered(spans: list[tuple[int, int]]) -> bool:
+def _ordered(spans: Iterable[tuple]) -> bool:
     """Whether the (low, high) spans are non-empty, disjoint and ascending,
     one after the other in the given order."""
+    spans = list(spans)
     return all(lo <= hi for lo, hi in spans) and all(
         a[1] < b[0] for a, b in zip(spans, spans[1:]))
 
 
-def render_table(t: FaultDetectionTable, suspects: frozenset[StatementId] | None = None) -> str:
-    """Fixed-width text table; cell content mirrors the reference layout.
+def _crossed_rows(heads: Iterable[str], parts: list[list[str]], bits: Sequence,
+                  tails: dict) -> str:
+    """The rows of one ordered block: each head, then one string of each
+    part, in ``product(*parts)`` order.  The first half's concatenations
+    are crossed with the second half's, so a row is its head and two
+    pieces.  When the rows share one bit its tail already ends the last
+    part; otherwise each row takes ``tails[bit]`` as well."""
+    half = len(parts) // 2
+    right = [*map("".join, product(*parts[half:]))]
+    lefts = (left for left in map("".join, product(*parts[:half])) for _ in right)
+    pieces = [heads, lefts, cycle(right)]
+    if len(set(bits)) > 1:
+        pieces.append(map(tails.__getitem__, bits))
+    return "".join(chain.from_iterable(zip(*pieces)))
 
-    Each column's centred "1" and empty cells are built once, and each
-    bracket member is looked up once per block, as the columns it names
-    (all copies of a duplicated column, none for a mark naming no column).
-    When a block's brackets own disjoint column spans in bracket order, its
-    rows are the product of per-bracket span strings; otherwise each row
-    starts from the empty cells and takes the "1" of its marks' columns.
-    With *suspects* a trailing "Faults" row marks the suspect statements.
+
+def table_text(t: FaultDetectionTable,
+               suspects: frozenset[StatementId] | None = None) -> Iterator[str]:
+    """The fixed-width text table in chunks: the header line, the rows of
+    each block, and with *suspects* a trailing "Faults" row marking the
+    suspect statements.  A row is its label padded to the widest, then
+    "  " and its cells (when the table has columns), then "  " and its bit
+    (when V is bound); a cell is "1" centred in its column when the row
+    marks the column's statement, else blank.
+
+    A chunk costs about its own bytes.  Each column's "1" and blank cells
+    are made once.  A block of several rows whose brackets own disjoint
+    column spans, in bracket order, takes its rows from segments: one
+    string per bracket member, the cells from the end of the bracket before
+    it through its own span (through the last column for the last
+    bracket), made once per bracket object and span for the whole table.
+    When the block's rows share one bit, the bit and the newline end the
+    last bracket's segments.  Any other block builds each row from the
+    blank cells.
     """
     corner = "Ti\\Ij"
     has_v = t.response is not None
-    label_w = max(len(corner), 6, *map(len, t.labels()))
+    label_w = max(chain((len(corner), 6),
+                        map(len, chain.from_iterable(b.labels for b in t.blocks))))
     col_ws = [max(len(c.label), 3) for c in t.columns]
+    n = len(col_ws)
     blank = ["".center(w) for w in col_ws]
     one = ["1".center(w) for w in col_ws]
     where: dict[StatementId, list[int]] = {}
     for i, c in enumerate(t.columns):
         where.setdefault(c, []).append(i)
+    tails = {0: "  0\n", 1: "  1\n", None: "\n"}
 
-    def cells(columns: Iterable[Iterable[int]], lo: int = 0, hi: int = len(blank)) -> str:
+    def cells(columns: Iterable[Iterable[int]], lo: int = 0, hi: int = n) -> str:
         """Columns lo..hi-1, "1" where *columns* name them, "  "-joined."""
         out = blank[lo:hi]
         for i in chain.from_iterable(columns):
             out[i - lo] = one[i]
         return "  ".join(out)
 
-    # A row is its padded label, then "  " and its cells (when the table has
-    # columns), then "  " and its bit (when V is bound).
-    lines = ["  ".join([corner.ljust(label_w)]
-                       + [c.label.center(w) for c, w in zip(t.columns, col_ws)]
-                       + (["V"] if has_v else []))]
+    spans: dict[int, tuple[list, int, int]] = {}  # id(bracket): member columns, low, high
+    segments: dict[tuple, list[str]] = {}  # (id(bracket), start, end, tail): per member
+
+    def span(bracket: tuple[StatementId, ...]) -> tuple[list, int, int]:
+        if (kept := spans.get(id(bracket))) is None:
+            cols = [where.get(s, ()) for s in bracket]
+            flat = [*chain.from_iterable(cols)]
+            kept = spans[id(bracket)] = cols, min(flat, default=n), max(flat, default=-1)
+        return kept
+
+    yield "  ".join([corner.ljust(label_w)]
+                    + [c.label.center(w) for c, w in zip(t.columns, col_ws)]
+                    + (["V"] if has_v else [])) + "\n"
     for block, bits in t.block_bits():
-        cols = [[where.get(s, ()) for s in b] for b in block.brackets]
-        spans = [(min(chain.from_iterable(c), default=1), max(chain.from_iterable(c), default=0))
-                 for c in cols]
-        if not blank:
-            bodies: Iterable[str] = repeat("")
-        elif _ordered(spans):
-            parts = [["  "]]
-            end = 0
-            for (lo, hi), c in zip(spans, cols):
-                if lo > end:
-                    parts.append([cells((), end, lo) + "  "])
-                sep = "  " if hi + 1 < len(blank) else ""
-                parts.append([cells([ids], lo, hi + 1) + sep for ids in c])
-                end = hi + 1
-            if end < len(blank):
-                parts.append([cells((), end)])
-            bodies = map("".join, product(*parts))
+        heads = map(str.ljust, block.labels, repeat(label_w))
+        kept = [span(b) for b in block.brackets] if len(block) > 1 and n else []
+        if kept and _ordered((lo, hi) for _, lo, hi in kept):
+            last = tails[bits[0]] if len(set(bits)) == 1 else ""
+            parts = []
+            start = 0
+            for i, (b, (cols, lo, hi)) in enumerate(zip(block.brackets, kept)):
+                end, tail = (n, last) if i == len(kept) - 1 else (hi + 1, "")
+                key = (id(b), start, end, tail)
+                if (seg := segments.get(key)) is None:
+                    seg = segments[key] = ["  " + cells([c], start, end) + tail for c in cols]
+                parts.append(seg)
+                start = end
+            yield _crossed_rows(heads, parts, bits, tails)
         else:
-            bodies = ("  " + cells(choice) for choice in product(*cols))
-        tails = map("  ".__add__, map(str, bits)) if has_v else repeat("")
-        lines += map("".join, zip(map(str.ljust, block.labels, repeat(label_w)), bodies, tails))
+            cols = [[where.get(s, ()) for s in b] for b in block.brackets]
+            yield "".join(map(str.__add__, heads, (
+                ("  " + cells(choice) if n else "") + tails[bit]
+                for choice, bit in zip(product(*cols), bits))))
     if suspects is not None:
-        lines.append("Faults".ljust(label_w)
-                     + ("  " + cells(where.get(m, ()) for m in suspects) if blank else "")
-                     + ("  " if has_v else ""))
-    return "\n".join(lines) + "\n"
+        yield ("Faults".ljust(label_w)
+               + ("  " + cells(where.get(m, ()) for m in suspects) if n else "")
+               + ("  " if has_v else "") + "\n")
+
+
+def table_json(t: FaultDetectionTable) -> Iterator[str]:
+    """The table's JSON document in chunks, byte for byte the
+    ``rtg.dumps_json`` of ``{"kind", "columns", "rows"}``: the head through
+    the columns, the rows of each block, then the close.  A row is
+    ``{"label", "path", "marks", "v"}``; its marks are its distinct mark
+    labels in column order (the first column of a label counts; labels
+    naming no column sort last, by label), and ``v`` is its bit, or null
+    when no V is bound.
+
+    A chunk costs about its own bytes: strings go through ``json``'s
+    encoder one at a time, the layout is written here, and each bracket's
+    members are ranked once per block.
+    """
+    string = json.JSONEncoder(ensure_ascii=False).encode
+    rank: dict[str, int] = {}
+    for i, c in enumerate(t.columns):
+        rank.setdefault(c.label, i)
+    unknown = len(t.columns)
+    quoted = {c.label: string(c.label) for c in t.columns}
+    columns = ",".join(f'\n    {{\n      "label": {quoted[c.label]},\n      "fragment": '
+                       f'{string(c.fragment)},\n      "opcode": {c.opcode},\n      '
+                       f'"ordinal": {c.ordinal}\n    }}' for c in t.columns)
+    yield (f'{{\n  "kind": {string(t.kind)},\n  "columns": ['
+           + (columns + "\n  ]" if columns else "]") + ',\n  "rows": [')
+    tails = {0: "0\n    }", 1: "1\n    }", None: "null\n    }"}
+
+    def marks(selection: Iterable[tuple[int, str]]) -> str:
+        kept = sorted(set(selection))
+        if not kept:
+            return "]"
+        return ",".join("\n        " + (quoted.get(m) or string(m)) for _, m in kept) + "\n      ]"
+
+    written = False
+    for block, bits in t.block_bits():
+        path = string(block.path.label)
+        ranked = [[(rank.get(s.label, unknown), s.label) for s in b] for b in block.brackets]
+        chunk = "".join(
+            f',\n    {{\n      "label": {string(label)},\n      "path": {path},\n'
+            f'      "marks": [{marks(selection)},\n      "v": {tails[bit]}'
+            for label, selection, bit in zip(block.labels, product(*ranked), bits))
+        if chunk:
+            yield chunk if written else chunk[1:]
+            written = True
+    yield "\n  ]\n}\n" if written else "]\n}\n"

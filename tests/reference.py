@@ -11,8 +11,9 @@ unmerged fixture and the merge pass that ``build_rtg``'s graphs are checked
 against, regions as sorted tuples of interval pieces, and the quadratic
 routes of the frontend and graph views: a tokenizer with one match per
 whitespace run, newline and comment, guard regions from every pair of
-arms, Kahn's algorithm re-sorting its ready list, and graph validation rib
-by rib.
+arms, Kahn's algorithm re-sorting its ready list, graph validation rib
+by rib, and a table's text and JSON document built whole, cell by cell and
+row by row.
 ``row_blocks`` and ``term_suite`` hold given rows or terms one item per
 block, as a loaded table does, and ``row_key`` is what a row keeps through
 a table file.  ``lower_expression`` is no oracle: it is the tests' entry
@@ -33,7 +34,7 @@ from rtgdiag.errors import DivisionByZero, UnboundVariable
 from rtgdiag.fixtures import fig1_graph
 from rtgdiag.frontend import RELATIONS, Var, _expr_vars, _lower, evaluate, fresh_names
 from rtgdiag import intervals
-from rtgdiag.rtg import OP_ALPHABET, Violation, natural_key
+from rtgdiag.rtg import OP_ALPHABET, Violation, dumps_json, natural_key
 
 TOLERANCE = 1e-9
 
@@ -634,3 +635,58 @@ def validate_graph(g: RTGraph) -> list[Violation]:
                                         f"internal node {n.name} lies on no input-output path",
                                         n.name))
     return report
+
+
+# --- table writers, whole documents -----------------------------------------------
+
+
+def render_table(t: FaultDetectionTable, suspects=None) -> str:
+    """The fixed-width text table, every cell made with ``c in r.selection``
+    and ``str.center``."""
+    has_v = t.response is not None
+    headers = ["Ti\\Ij"] + [c.label for c in t.columns] + (["V"] if has_v else [])
+    label_w = max(len(headers[0]), *(len(r.label) for r in t.rows), 6)
+    col_ws = [max(len(c.label), 3) for c in t.columns]
+
+    def fmt_row(cells):
+        out = [cells[0].ljust(label_w)]
+        for w, cell in zip(col_ws, cells[1:len(col_ws) + 1]):
+            out.append(cell.center(w))
+        out.extend(cells[len(col_ws) + 1:])
+        return "  ".join(out)
+
+    lines = [fmt_row(headers)]
+    for i, r in enumerate(t.rows):
+        cells = [r.label] + ["1" if c in r.selection else "" for c in t.columns]
+        if has_v:
+            cells.append(str(t.response.bits[i]))
+        lines.append(fmt_row(cells))
+    if suspects is not None:
+        cells = ["Faults"] + ["1" if c in suspects else "" for c in t.columns]
+        if has_v:
+            cells.append("")
+        lines.append(fmt_row(cells))
+    return "\n".join(lines) + "\n"
+
+
+def table_to_json(t: FaultDetectionTable) -> dict:
+    """The table document, row by row: each row's marks are its distinct
+    mark labels sorted by the first column of each label, labels naming no
+    column last, by label."""
+    rank = {}
+    for i, c in enumerate(t.columns):
+        rank.setdefault(c.label, i)
+    bits = t.response.bits if t.response is not None else [None] * len(t.rows)
+    return {
+        "kind": t.kind,
+        "columns": [{"label": c.label, "fragment": c.fragment, "opcode": c.opcode,
+                     "ordinal": c.ordinal} for c in t.columns],
+        "rows": [{"label": r.label, "path": r.path.label,
+                  "marks": sorted({s.label for s in r.selection},
+                                  key=lambda m: (rank.get(m, len(t.columns)), m)),
+                  "v": v} for r, v in zip(t.rows, bits)],
+    }
+
+
+def dumps_table(t: FaultDetectionTable) -> str:
+    return dumps_json(table_to_json(t))

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from rtgdiag import build_complete_test, dumps_graph, loads_graph, minimal_diagnostic_test, rtg
-from rtgdiag import cli
+from rtgdiag import cli, fdt
 from rtgdiag.cli import build_parser, main
 from rtgdiag.fixtures import LISTING31_SOURCE
 
@@ -888,3 +889,46 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
                                capture_output=True, text=True, encoding="utf-8", timeout=60)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert cli._parser.cache_info().currsize == 1
+
+
+def test_all_writes_nothing_when_its_verdict_is_an_error(capsys, tmp_path):
+    # the verdict is made before the first byte is written: a stimulus that
+    # masks the fault on one term leaves strong exoneration no candidate
+    graph = tmp_path / "ladder.rtg.json"
+    graph.write_text(dumps_graph(ladder_model(4)), encoding="utf-8")
+    stimuli = tmp_path / "stimuli.json"
+    stimuli.write_text(json.dumps({"2111₁": {"x": 3.0}}), encoding="utf-8")
+    argv = ("all", "--graph", str(graph), "--fault", "I1:1:op=2", "--stimuli", str(stimuli))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "every candidate is exonerated" in err
+    report = tmp_path / "report.txt"
+    assert run_cli(capsys, *argv, "--out", str(report))[:2] == (3, "")
+    assert not report.exists()
+
+
+def test_all_out_peaks_under_twice_its_file(tmp_path):
+    # the table is written a block at a time: on a 7-stage ladder (128
+    # path blocks, 16,384 rows) the traced peak of `all --out` stays under
+    # twice the file
+    graph = tmp_path / "ladder.rtg.json"
+    graph.write_text(dumps_graph(ladder_model(7)), encoding="utf-8")
+    report = tmp_path / "report.txt"
+    argv = ["all", "--graph", str(graph), "--fault", "I1:1:op=3", "--out", str(report)]
+    assert main(argv) == 1  # the first call also imports and builds the parser
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * report.stat().st_size
+
+
+def test_diagnose_json_makes_no_text_table(capsys, tmp_path, monkeypatch):
+    table = tmp_path / "generalized.json"
+    assert main(["fdt", "--graph", FIG1, "--kind", "generalized", "--response", "0100",
+                 "--format", "json", "--out", str(table)]) == 0
+    monkeypatch.setattr(fdt, "table_text", lambda *args: pytest.fail("text table made"))
+    code, out, _ = run_cli(capsys, "diagnose", "--table", str(table), "--format", "json")
+    assert (code, json.loads(out)) == (1, {"suspects": ["I51", "I52", "I55"]})

@@ -20,9 +20,9 @@ import reference
 from rtgdiag import (Block, DivisionByZero, ExecutionError, Node, NonFiniteValue, Path,
                      RTGraph, Rib, Statement, Stimulus, TestSuite, UnboundVariable,
                      build_complete_test, build_extended_fdt, build_rtg, default_stimuli,
-                     dumps_graph, dumps_table, enumerate_paths, execute_path, inject_fault,
+                     dumps_graph, enumerate_paths, execute_path, inject_fault,
                      loads_graph, loads_table, make_rib, parse_program, pick_stimulus,
-                     run_suite, simulator)
+                     run_suite, simulator, table_json)
 from rtgdiag.fixtures import fig1_graph
 
 from randmodels import (expression_chain_program, forcing_values, free_variable_model,
@@ -137,7 +137,7 @@ def test_a_path_with_no_ribs_is_an_execution_error_naming_it():
     with pytest.raises(ExecutionError, match="^path XY crosses no rib$"):
         execute_path(g, Path("XY", ()), Stimulus(env={"x": 1.0}))
     table = build_extended_fdt(g, build_complete_test(g))
-    suite = TestSuite(loads_table(dumps_table(table)).blocks)
+    suite = TestSuite(loads_table("".join(table_json(table))).blocks)
     first = suite.labels()[0]
     with pytest.raises(ExecutionError, match=f"^term {first}: path [^ ]+ crosses no rib$"):
         run_suite(g, g, suite, default_stimuli(g, suite))

@@ -160,3 +160,14 @@ def test_the_reach_rule_sees_loads_only():
                      "y = simulator.inject_fault\ndef diagnose(): pass\n"
                      "store.attach_response = 1\n")
     assert _loaded_names(tree) == {"build_rtg", "g", "simulator", "inject_fault", "store"}
+
+
+#: Builders of a whole table's text or JSON document
+WHOLE_TABLE = {"render_table", "dumps_table", "table_to_json"}
+
+
+def test_the_cli_streams_tables():
+    # the CLI writes a table a block at a time through fdt.table_text and
+    # fdt.table_json, so it holds at most one path block's text at a time
+    loaded = _loaded_names(parse(os.path.join(SRC, "cli.py")))
+    assert loaded & WHOLE_TABLE == set()
