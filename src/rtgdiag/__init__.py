@@ -28,9 +28,8 @@ from .rtg import (OP_ALPHABET, Node, OpCode, Rib, RTGraph, Statement, StatementI
 from .simulator import (DefaultedVariableWarning, FaultSpec, ObservationTrace, Stimuli, Stimulus,
                         default_stimuli, execute_path, execute_program, inject_fault,
                         mutation_catalogue, pick_stimulus, run_suite)
-from .testsynth import (ActivationFormula, Block, Path, TestSuite, TestTerm,
-                        activation_formula, build_complete_test, enumerate_paths,
-                        minimal_diagnostic_test, minimal_path_cover)
+from .testsynth import (Block, Path, TestSuite, TestTerm, activation_formula, build_complete_test,
+                        enumerate_paths, minimal_diagnostic_test, minimal_path_cover)
 
 __version__ = "0.1.0"
 

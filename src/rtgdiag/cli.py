@@ -75,9 +75,16 @@ def _caps_from_env() -> dict[str, int]:
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
-    """*chunks* in order to the file *path*, else to stdout."""
+    """*chunks* in order to the file *path*, else to stdout.  A reader that
+    closes stdout early (``| head``) drops the rest quietly: fd 1 then
+    points at os.devnull, so the flush at exit cannot fail again."""
     if not path:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
@@ -306,7 +313,7 @@ def cmd_graph(pl: Pipeline) -> int:
 def cmd_paths(pl: Pipeline) -> int:
     paths = pl.paths
     _emit(pl, lambda: "\n".join(f"{p.label}: " + " ".join(p.fragments) + "   "
-                                + str(testsynth.activation_formula(pl.graph, p))
+                                + testsynth.activation_formula(pl.graph, p)
                                 for p in paths) + "\n",
           lambda: [{"label": p.label, "fragments": list(p.fragments), "nodes": list(p.nodes)}
                    for p in paths])

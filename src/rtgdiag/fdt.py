@@ -126,8 +126,8 @@ def attach_response(table: FaultDetectionTable, v: ResponseVector) -> FaultDetec
 
 def table_from_json(doc: dict) -> FaultDetectionTable:
     """Inverse of the document ``table_json`` writes; raises SchemaError
-    naming a missing key, a value of the wrong type, a mark label that
-    names no column, a ``v`` that is neither 0/1 on every row nor null on
+    naming a missing key, a value of the wrong type, no rows, a mark label
+    that names no column, a ``v`` neither 0/1 on every row nor null on
     every row, or a kind other than generalized or extended."""
     get = partial(SchemaError.field, "table JSON")
     columns = tuple(StatementId(get(c, "fragment", str), get(c, "opcode", int),
@@ -136,7 +136,9 @@ def table_from_json(doc: dict) -> FaultDetectionTable:
     by_label = {c.label: c for c in columns}
     blocks = []
     bits = []
-    for r in get(doc, "rows", list):
+    if not (rows := get(doc, "rows", list)):
+        raise SchemaError("table JSON: no rows, so it cannot say whether V is bound")
+    for r in rows:
         marks = get(r, "marks", list)
         label = get(r, "label", str)
         unknown = [m for m in marks if not isinstance(m, str) or m not in by_label]

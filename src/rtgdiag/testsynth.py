@@ -2,10 +2,11 @@
 and the two covering problems (path cover and minimal diagnostic test).
 
 A one-dimensional path is a simple input-to-output path; its activation
-formula holds one bracket per rib listing that rib's opcodes.  Removing the
-brackets (a Cartesian expansion that picks one statement per rib) yields the
-complete test: every statement id of the graph is the selected statement of
-at least one term.
+formula is text, one bracket per rib listing that rib's opcodes.  Removing
+the brackets (a Cartesian expansion that picks one statement per rib) yields
+the complete test: every statement id of the graph is the selected statement
+of at least one term.  A path block holds the brackets themselves, the ribs'
+statement id tuples.
 
 Suites and tables alike hold a tuple of ``Block``: a path, its brackets and
 the labels of the items that form the bracket product, in
@@ -50,26 +51,6 @@ class Path:
     @property
     def fragments(self) -> tuple[str, ...]:
         return tuple(r.fragment for r in self.edges)
-
-
-@dataclass(frozen=True, slots=True)
-class ActivationFormula:
-    """Per-rib brackets for one path.
-
-    Each bracket is the rib's selection list: its statement ids ordered by
-    ascending opcode (then ordinal).  A rib with repeated opcodes contributes
-    one selection per statement, so expansion still reaches every statement.
-    """
-
-    path: Path
-    brackets: tuple[tuple[StatementId, ...], ...]
-
-    def opcode_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted({s.opcode for s in b})) for b in self.brackets)
-
-    def __str__(self) -> str:
-        return "[" + "".join("(" + " ∨ ".join(map(str, ops)) + ")"
-                             for ops in self.opcode_sets()) + "]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,10 +160,10 @@ def enumerate_paths(g: RTGraph, path_cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     return paths
 
 
-def activation_formula(g: RTGraph, p: Path) -> ActivationFormula:
-    """One bracket per rib holding the rib's opcode alternatives."""
-    brackets = tuple(g.fragment_sids(r.fragment) for r in p.edges)
-    return ActivationFormula(path=p, brackets=brackets)
+def activation_formula(g: RTGraph, p: Path) -> str:
+    """*p*'s activation formula as text, a rib's opcodes per bracket: ``[(1)(1 ∨ 4)]``."""
+    ops = (sorted({s.opcode for s in g.fragment_sids(r.fragment)}) for r in p.edges)
+    return "[" + "".join("(" + " ∨ ".join(map(str, o)) + ")" for o in ops) + "]"
 
 
 def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
@@ -191,6 +172,10 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
     per path.  Raises TermExplosion naming the first path whose expansion
     has more than *term_cap* terms.
 
+    A block's brackets are its ribs' ``g.fragment_sids`` tuples themselves
+    (``fdt.table_text`` caches per bracket object): statement ids by opcode,
+    then ordinal, one selection per statement where a rib repeats an opcode.
+
     A term's label concatenates its opcode digits.  Terms on paths with
     three or more ribs always carry an occurrence subscript (rows from
     overlapping long paths stay distinct at a glance); short-path terms are
@@ -198,26 +183,25 @@ def build_complete_test(g: RTGraph, paths: Sequence[Path] | None = None,
     """
     if paths is None:
         paths = enumerate_paths(g)
-    formulas = [activation_formula(g, p) for p in paths]
+    formulas = [tuple(g.fragment_sids(r.fragment) for r in p.edges) for p in paths]
     bases = []
-    for f in formulas:
-        total = prod(map(len, f.brackets))
+    for p, brackets in zip(paths, formulas):
+        total = prod(map(len, brackets))
         if total > term_cap:
-            raise TermExplosion(f"expansion of {f.path.label} has {total} terms "
-                                f"(cap {term_cap})")
-        digits = [[str(s.opcode) for s in b] for b in f.brackets]
+            raise TermExplosion(f"expansion of {p.label} has {total} terms (cap {term_cap})")
+        digits = [[str(s.opcode) for s in b] for b in brackets]
         bases.append(list(map("".join, product(*digits))))
     counts = Counter(chain.from_iterable(bases))
     subs = [subscript(n) for n in range(max(counts.values(), default=0) + 1)]
     occurrence: dict[str, int] = {}
     blocks = []
-    for f, path_bases in zip(formulas, bases):
-        always = len(f.path.edges) >= 3
+    for p, brackets, path_bases in zip(paths, formulas, bases):
+        always = len(p.edges) >= 3
         labels = []
         for base in path_bases:
             n = occurrence[base] = occurrence.get(base, 0) + 1
             labels.append(base + subs[n] if always or counts[base] > 1 else base)
-        blocks.append(Block(f.path, f.brackets, tuple(labels)))
+        blocks.append(Block(p, brackets, tuple(labels)))
     return TestSuite(tuple(blocks))
 
 
@@ -465,8 +449,7 @@ def _exact_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> l
     for label, m in by_label.items():
         for i in _indices(m):
             elem_cover[i].append(label)
-    greedy = _greedy_cover(elements, candidates)
-    best: list[str] = sorted(greedy, key=order.get)
+    best: list[str] = sorted(_greedy_cover(elements, candidates), key=order.get)
     best_key = (len(best), tuple(order[l] for l in best))
 
     def search(covered: int, chosen: list[str]):
@@ -479,15 +462,8 @@ def _exact_cover(elements: Sequence, candidates: Sequence[tuple[str, int]]) -> l
         if len(chosen) + 1 > best_key[0]:
             return
         remaining = universe & ~covered
-        # cheap bound: one candidate can cover at most max_gain new elements
-        max_gain = max((m & remaining).bit_count() for m in by_label.values())
-        need = -(-remaining.bit_count() // max_gain)
-        if len(chosen) + need > best_key[0]:
-            return
         elem = min(_indices(remaining), key=lambda i: (len(elem_cover[i]), str(elements[i])))
         for label in sorted(elem_cover[elem], key=order.get):
-            if label in chosen:
-                continue
             chosen.append(label)
             search(covered | by_label[label], chosen)
             chosen.pop()

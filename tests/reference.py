@@ -6,7 +6,8 @@ and exoneration, the row-level ambiguity partition, the ambiguity groups of
 a graph from its enumerated paths, path execution statement by statement
 (first reads re-derived and each rib sorted on every call) and a
 term-by-term response vector on it,
-brute-force hitting sets and covers, the greedy covers on frozensets, an
+brute-force hitting sets and covers, the first minimum cover in rank
+order, the greedy covers on frozensets, an
 unmerged fixture and the merge pass that ``build_rtg``'s graphs are checked
 against, regions as sorted tuples of interval pieces, and the quadratic
 routes of the frontend and graph views: a tokenizer with one match per
@@ -225,6 +226,22 @@ def brute_min_cover_size(universe, candidate_sets):
         for combo in combinations(sets, k):
             if frozenset().union(*combo) == universe:
                 return k
+    return None
+
+
+def first_min_cover(elements, candidates):
+    """The first minimum cover of *elements* in rank order: the (label,
+    items) *candidates* ranked by ``natural_key`` (a stable sort; a later
+    candidate of a label replaces its items) and tried by
+    ``itertools.combinations`` of increasing size.  None when no subset
+    covers them."""
+    by_label = {label: frozenset(items) for label, items in candidates}
+    ranked = sorted(by_label, key=natural_key)
+    universe = frozenset(elements)
+    for k in range(len(ranked) + 1):
+        for combo in combinations(ranked, k):
+            if universe <= frozenset().union(*map(by_label.get, combo)):
+                return list(combo)
     return None
 
 

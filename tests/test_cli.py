@@ -610,6 +610,8 @@ TABLE_SHAPES = {
     "mark": lambda d: {**d, "rows": [{**d["rows"][0], "marks": [["I11"]]}] + d["rows"][1:]},
     "v": lambda d: {**d, "rows": [{**d["rows"][0], "v": [1]}] + d["rows"][1:]},
     "kind": lambda d: {**d, "kind": "bogus"},
+    # "rows": [] cannot say whether V is bound
+    "empty": lambda d: {"kind": "extended", "columns": [], "rows": []},
 }
 
 
@@ -905,6 +907,25 @@ def test_all_writes_nothing_when_its_verdict_is_an_error(capsys, tmp_path):
     report = tmp_path / "report.txt"
     assert run_cli(capsys, *argv, "--out", str(report))[:2] == (3, "")
     assert not report.exists()
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    # `rtgdiag fdt ... | head -1`: the reader leaves after one line of a
+    # table far larger than a pipe's buffer, or before the first byte
+    graph = tmp_path / "ladder.rtg.json"
+    graph.write_text(dumps_graph(ladder_model(6)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONIOENCODING="utf-8")
+    calls = [(("fdt", "--graph", str(graph)), 1, 0),
+             (("all", "--graph", str(graph), "--fault", "I1:1:op=3"), 1, 1),
+             (("paths", "--graph", FIG1), 0, 0)]
+    for argv, lines, expected in calls:
+        proc = subprocess.Popen([sys.executable, "-m", "rtgdiag.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (expected, b""), argv
 
 
 def test_all_out_peaks_under_twice_its_file(tmp_path):

@@ -18,9 +18,9 @@ from random import Random
 
 import pytest
 
-from rtgdiag import (Block, Path, ResponseVector, StatementId, TestTerm, build_complete_test,
-                     build_extended_fdt, build_generalized_fdt, enumerate_paths, loads_table,
-                     table_json, table_text)
+from rtgdiag import (Block, Path, ResponseVector, SchemaError, StatementId, TestTerm,
+                     build_complete_test, build_extended_fdt, build_generalized_fdt,
+                     enumerate_paths, loads_table, table_json, table_text)
 from rtgdiag.fdt import FaultDetectionTable
 from rtgdiag.rtg import dumps_json
 
@@ -120,7 +120,10 @@ def test_json_chunks_match_the_document_reference(seed):
     for table in seeded_tables(seed):
         assert json_text(table) == dumps_json(table_to_json(table))
         marks = {s for r in table.rows for s in r.selection}
-        if STRAY not in marks:  # a table file marks columns only
+        if not table.labels():  # a table file holds at least one row
+            with pytest.raises(SchemaError, match="no rows"):
+                loads_table(json_text(table))
+        elif STRAY not in marks:  # a table file marks columns only
             loaded = loads_table(json_text(table))
             assert json_text(loaded) == dumps_json(table_to_json(loaded)) == json_text(table)
             assert text(loaded) == render_table(loaded)

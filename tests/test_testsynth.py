@@ -8,10 +8,10 @@ from rtgdiag import (Node, PathExplosion, RTGraph, TermExplosion, Uncoverable, a
                      build_complete_test, enumerate_paths, make_rib,
                      minimal_diagnostic_test, minimal_path_cover, validate_graph)
 from rtgdiag.rtg import natural_key, subscript
-from rtgdiag.testsynth import _greedy_cover
+from rtgdiag.testsynth import _exact_cover, _greedy_cover
 
 from randmodels import chain_model, random_dag_model, single_rib_graph
-from reference import brute_min_cover_size, greedy_cover, term_suite
+from reference import brute_min_cover_size, first_min_cover, greedy_cover, term_suite
 
 PAPER_LABELS = ["111₁", "141₁", "151₁", "111₂", "121₁",
                 "151₂", "21₁", "31", "11", "21₂"]
@@ -51,21 +51,24 @@ def test_long_chain_is_one_path():
 
 
 def test_activation_formulas(g, paths):
-    formulas = [activation_formula(g, p) for p in paths]
-    assert formulas[0].opcode_sets() == ((1,), (1, 4, 5), (1,))
-    assert str(formulas[0]) == "[(1)(1 ∨ 4 ∨ 5)(1)]"
-    assert formulas[1].opcode_sets() == ((1,), (1, 2, 5), (1,))
-    assert formulas[2].opcode_sets() == ((2, 3), (1,))
-    assert formulas[3].opcode_sets() == ((1, 2), (1,))
+    assert [activation_formula(g, p) for p in paths] == [
+        "[(1)(1 ∨ 4 ∨ 5)(1)]", "[(1)(1 ∨ 2 ∨ 5)(1)]", "[(2 ∨ 3)(1)]", "[(1 ∨ 2)(1)]"]
+
+
+def test_block_brackets_are_the_fragment_sids(g, paths):
+    # the table writers key their per-bracket caches on these very tuples
+    for block in build_complete_test(g, paths).blocks:
+        assert len(block.brackets) == len(block.path.edges)
+        for bracket, rib in zip(block.brackets, block.path.edges):
+            assert bracket is g.fragment_sids(rib.fragment)
 
 
 def test_expansion_count_is_bracket_product(g, paths):
     suite = build_complete_test(g, paths)
     for p in paths:
-        f = activation_formula(g, p)
         expected = 1
-        for b in f.brackets:
-            expected *= len(b)
+        for r in p.edges:
+            expected *= len(g.fragment_sids(r.fragment))
         terms = [t for t in suite.terms if t.path == p]
         assert len(terms) == expected
         assert len({t.selection for t in terms}) == expected
@@ -208,6 +211,51 @@ def test_greedy_cover_matches_min_scan_reference():
         keys = [natural_key(label) for label in dict(candidates)]
         tallies["key-ties"] += len(set(keys)) < len(keys)
     assert tallies["uncoverable"] > 50 and tallies["key-ties"] > 100
+
+
+def _masked(elements, candidates):
+    bit = {e: 1 << i for i, e in enumerate(elements)}
+    return [(label, sum(bit[e] for e in set(items))) for label, items in candidates]
+
+
+def test_exact_cover_returns_the_first_minimum_cover():
+    # which minimum cover, not only its size: the tie-break goes to the
+    # naturally smallest labels, ranked as the reference ranks them
+    rng = Random(2903)
+    problems = []
+    while len(problems) < 40:
+        g = random_dag_model(rng)
+        blocks = build_complete_test(g).blocks
+        if sum(map(len, blocks)) <= 20:
+            problems.append((list(g.statement_ids), [(label, selection) for b in blocks
+                                                     for selection, label in b.items()]))
+    for _ in range(300):
+        # each element in 1-4 of at most 12 sets; T1 and T01 share a natural key
+        sets = [set() for _ in range(rng.randint(1, 12))]
+        elements = list(range(rng.randint(0, 30)))
+        for e in elements:
+            for i in rng.sample(range(len(sets)), rng.randint(1, min(len(sets), 4))):
+                sets[i].add(e)
+        labels = (rng.choice((f"T{k}", f"T{k:02d}", f"{k}"))
+                  for k in rng.choices(range(10), k=len(sets)))
+        problems.append((elements, list(zip(labels, sets))))
+    tallies = {"uncoverable": 0, "beats-greedy": 0, "ties": 0}
+    for elements, candidates in problems:
+        expected = first_min_cover(elements, candidates)
+        masked = _masked(elements, candidates)
+        if expected is None:  # a later set of one label replaced an earlier
+            with pytest.raises(Uncoverable):
+                _exact_cover(elements, masked)
+            tallies["uncoverable"] += 1
+            continue
+        assert _exact_cover(elements, masked) == expected
+        tallies["beats-greedy"] += len(_greedy_cover(elements, masked)) > len(expected)
+        by_label = dict(candidates)
+        if len(by_label) <= 12:  # other minimum covers for the tie-break to pass over
+            tallies["ties"] += sum(set(elements) <= set().union(*map(by_label.get, combo))
+                                   for combo in combinations(by_label, len(expected))) > 1
+    assert tallies["uncoverable"] > 20 and tallies["beats-greedy"] > 5 and tallies["ties"] > 50, \
+        tallies
 
 
 def reference_paths(g):
