@@ -25,23 +25,28 @@ consecutive terms sharing a stimulus object, and each distinct (path,
 inputs) pair is one record, with its rows and the rib keys it crosses.
 
 Per mutant, only what the mutant changes is executed, in the manner of
-concurrent fault simulation (Ulrich & Baker 1973).  The ``Stimuli`` keeps
-the golden output of each record for the latest golden graph and
-permissive flag it ran, computed by executing each golden record once.
-After that a mutant executes only the records whose path crosses a rib
-whose statements differ from the golden one.  Each such record starts at
-its first changed rib, from the golden environment there, as split-stream
-mutation analysis forks at the mutated statement (Tokumoto et al. 2016);
-the ``Stimuli`` keeps these environments too, each built by one golden run
-of its record the first time a mutant starts in it.  So a mutant's cost is
-in what it touches, not in the suite.  ``execute_path`` runs a path from
-its input: it is the route of a cold call, and the one the warm route is
-checked against.
+concurrent fault simulation (Ulrich & Baker 1973).  A mutant executes only
+the records whose path crosses a rib whose statements differ from the
+golden one, and each such record starts at its first changed rib, from the
+golden environment there, as split-stream mutation analysis forks at the
+mutated statement (Tokumoto et al. 2016).  A cold call walks the records in
+order, both sides in turn, and each side keeps one stack of environments,
+those of its last record: a record resumes at the deepest rib up to which
+it shares that record's inputs and rib keys, so consecutive records share
+their path prefix's runs, as the paths of a path tree do.  The ``Stimuli``
+then keeps the golden output of each record for that golden graph and
+permissive flag.  A warm call runs no golden rib: the ``Stimuli`` keeps the
+golden environment a mutant starts from, built by one golden run of its
+record the first time a mutant starts in it.  So a mutant's cost is in what
+it touches, not in the suite.  ``execute_path`` runs a path from its input:
+it is the route of a changed rib that reads or assigns other variables, and
+the one the walk and the warm route are checked against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -210,17 +215,22 @@ def _bind(forms: Sequence[tuple], s: Stimulus,
 
 
 def _warn_defaulted(unbound: Sequence[str]) -> None:
-    """Warn, at the caller of the run, of the free variables it defaulted."""
+    """Warn of the free variables a run defaulted, at the first caller
+    outside this module: the caller of ``execute_path`` or ``run_suite``."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
     warnings.warn(f"defaulted free variable(s) to 0.0: {', '.join(unbound)}",
-                  DefaultedVariableWarning, stacklevel=3)
+                  DefaultedVariableWarning, stacklevel=level)
 
 
-def _run(ribs: Iterable[Rib], forms: Iterable[tuple],
-         env: dict[str, float]) -> list[tuple[str, float]]:
+def _run(ribs: Iterable[Rib], forms: Iterable[tuple], env: dict[str, float],
+         states: list[dict[str, float]] | None = None, keep: int = 0) -> list[tuple[str, float]]:
     """Run *ribs*, compiled as *forms*, in turn on *env*, in place; the
-    (end node, value its last step assigns) of each rib.  An ExecutionError
-    names the fragment and ordinal of its step, and a rib with no
-    statements is one naming its fragment."""
+    (end node, value its last step assigns) of each rib.  A copy of *env*
+    after each of the first *keep* ribs is appended to *states*.  An
+    ExecutionError names the fragment and ordinal of its step, and a rib
+    with no statements is one naming its fragment."""
     points = []
     for rib, (steps, _, _) in zip(ribs, forms):
         for target, fn, operands, ordinal in steps:
@@ -231,6 +241,9 @@ def _run(ribs: Iterable[Rib], forms: Iterable[tuple],
         if not steps:
             raise ExecutionError(f"fragment {rib.fragment} carries no statements")
         points.append((rib.dst, env[target]))
+        if keep > 0:
+            keep -= 1
+            states.append(dict(env))
     return points
 
 
@@ -462,10 +475,107 @@ def _golden_states(rib: Mapping[tuple, Rib], record: tuple,
     forms = [_compiled(r) for r in ribs]
     env, _, unbound = _bind(forms, stim, permissive)
     states = [dict(env)]
-    for r, form in zip(ribs[:-1], forms):
-        _run((r,), (form,), env)
-        states.append(dict(env))
+    _run(ribs[:-1], forms, env, states, len(ribs) - 1)
     return unbound, states
+
+
+def _shared(a: tuple, b: tuple) -> int:
+    """The rib position at which a run of record *b* may resume from the
+    environments of a run of record *a*: the length of the rib-key prefix
+    they share, short of the last rib of either, if their stimuli bind
+    equal inputs, and -1 if not."""
+    if a[1] is not b[1] and a[1].env != b[1].env:
+        return -1
+    keys, other = a[2], b[2]
+    n, end = 0, min(len(keys), len(other)) - 1
+    while n < end and keys[n] == other[n]:
+        n += 1
+    return n
+
+
+def _walk(golden_rib: Mapping[tuple, Rib], mutant: RTGraph, mutant_rib: Mapping[tuple, Rib],
+          records: Sequence[tuple], start: Mapping[int, int], whole: set[int],
+          permissive: bool, tolerance: float,
+          bits: list[int]) -> tuple[list[float], tuple[int, ExecutionError] | None]:
+    """The cold run of *records*: each in turn on the golden side, then on
+    the mutant side if it is in *whole*, through ``execute_path``, or in
+    *start*, from the golden environment at the rib position *start* gives.
+    Sets the *bits* of each record whose outputs differ.  Returns the golden
+    outputs before the first golden error and the (index, error) of the
+    first failing record, golden before mutant, or None.  After a mutant
+    error only the golden side runs, and no run warns.
+
+    Each side keeps one stack: its environment before each rib of the last
+    record it ran, as deep as the next record it runs shares that record's
+    inputs and rib keys (and, on the golden side, as deep as the mutant
+    starts on the record).  A record resumes at the deepest such rib, so
+    each (inputs, rib prefix) that consecutive records share runs once per
+    side."""
+    outputs: list[float] = []
+    failed = None
+    golden_stack: list[dict[str, float]] = []
+    mutant_stack: list[dict[str, float]] = []
+    forks = [i for i in sorted(start) if i not in whole]  # the records the mutant forks
+    forked = 0  # of them, those run so far
+    resume = -1  # where this record resumes from the golden stack
+    mutant_resume = -1  # where the next forked record may resume from the mutant stack
+    for i, record in enumerate(records):
+        stim, keys = record[1], record[2]
+        fork = start.get(i, -1) if failed is None and i not in whole else -1
+        ahead = _shared(record, records[i + 1]) if i + 1 < len(records) else -1
+        try:
+            if not keys:  # execute_path raises, naming the path
+                execute_path(mutant, record[3], stim, permissive)
+            ribs = [golden_rib[k] for k in keys]
+            forms = [_compiled(r) for r in ribs]
+            env, _, unbound = _bind(forms, stim, permissive)
+            if unbound and failed is None:
+                _warn_defaulted(unbound)
+            keep = max(ahead, fork)
+            if resume < 0:
+                golden_stack.clear()
+                if keep >= 0:
+                    golden_stack.append(dict(env))
+                resume = 0
+            else:
+                del golden_stack[resume + 1:]
+                env.update(golden_stack[resume])
+            out = _run(ribs[resume:], forms[resume:], env, golden_stack, keep - resume)[-1][1]
+        except ExecutionError as e:
+            return outputs, failed or (i, e)
+        outputs.append(out)
+        resume = ahead
+        if failed is not None:
+            continue
+        try:
+            if i in whole:
+                out_m = _output(mutant, mutant_rib, record, permissive)
+            elif fork >= 0:
+                if unbound:
+                    _warn_defaulted(unbound)
+                if mutant_resume > fork:
+                    del mutant_stack[mutant_resume + 1:]
+                    at, state = mutant_resume, mutant_stack[mutant_resume]
+                else:
+                    mutant_stack[:] = golden_stack[:fork + 1]
+                    at, state = fork, golden_stack[fork]
+                env = dict.fromkeys(unbound, 0.0)
+                env.update(state)
+                forked += 1
+                mutant_resume = _shared(record, records[forks[forked]]) \
+                    if forked < len(forks) else -1
+                ribs = [mutant_rib[k] for k in keys[at:]]
+                forms = [_compiled(r) for r in ribs]
+                out_m = _run(ribs, forms, env, mutant_stack, mutant_resume - at)[-1][1]
+            else:
+                continue
+        except ExecutionError as e:
+            failed = (i, e)
+            continue
+        if _differs(out, out_m, tolerance):
+            for offset, n in record[4]:
+                bits[offset:offset + n] = repeat(1, n)
+    return outputs, failed
 
 
 def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimuli,
@@ -478,25 +588,33 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
     the two graphs must share rib keys and node roles, and the golden graph
     must have every rib a suite path crosses (GraphMismatch).
 
-    Cost: *stimuli* keeps the golden output of each of its records for the
-    latest *golden* graph and *permissive* flag.  Computing them executes
-    each record once on the golden side; every call executes the mutant
-    only on the records whose path crosses a rib whose statements differ
-    from the golden one.  Any other record runs the golden statements, so
-    its bits are 0.  A warm call, one that finds every golden output kept,
-    starts each such record at its first changed rib, on a copy of the
-    golden environment there, and runs only the ribs from there to the end
-    of the path; the environments are kept too, built by one golden run of
-    a record the first time a mutant starts in it.  So a warm call costs
-    what the changed ribs touch, not the suite.  A record whose changed rib
-    reads or assigns other variables than the golden one, as a hand-built
-    mutant may, runs its whole path; a cold call runs every record it
-    executes from the input and keeps no environment, because a one-shot
-    call would keep one per record and rib position.
+    The mutant runs only the records whose path crosses a rib whose
+    statements differ from the golden one; any other record runs the golden
+    statements, so its bits are 0.  Such a record starts at its first
+    changed rib, from the golden environment there, and runs only the ribs
+    from there to the end of its path.  A record whose changed rib reads or
+    assigns other variables than the golden one, as a hand-built mutant
+    may, runs its whole path instead.
+
+    Cost: a cold call, one that does not find *stimuli* keeping the golden
+    outputs for *golden* and *permissive*, walks the records in order and
+    runs each on both sides in turn.  Each side keeps one stack of
+    environments, those of its last record, and a record resumes at the
+    deepest rib up to which it shares that record's inputs and rib keys;
+    so on records in path-enumeration order each distinct (inputs, rib
+    prefix) runs once per side, and memory is one path's environments per
+    side.  The call keeps the golden outputs in *stimuli*.  A warm call, one
+    that finds them kept, runs no golden rib: it starts each mutant record
+    on a copy of the golden environment at its first changed rib, which
+    *stimuli* keeps too, built by one golden run of a record the first time
+    a mutant starts in it.  So a warm call costs what the changed ribs
+    touch, not the suite.
 
     An ExecutionError is that of the first failing record in suite order,
     the golden side before the mutant, and names the record's first term
-    as ``term <label>:``.  Raises InvalidTolerance unless *tolerance* is
+    as ``term <label>:``.  A DefaultedVariableWarning is raised at the
+    caller for each record run that defaults free variables, up to the
+    first failing record.  Raises InvalidTolerance unless *tolerance* is
     finite and non-negative.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
@@ -519,15 +637,10 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
             if missing is not None:
                 raise GraphMismatch(f"path {block.path.label} crosses rib {missing}, "
                                     "which the golden graph lacks")
-        outputs: list[float] = []
-        try:  # the outputs before the first golden record that raises
-            for record in records:
-                outputs.append(_output(golden, golden_rib, record, permissive))
-        except ExecutionError:
-            pass
-        known, states = tuple(outputs), {}
-        stimuli._golden = (weakref.ref(golden), permissive, golden_rib, known, states)
-    split = warm and len(known) == len(records)
+    # a warm call whose kept golden run raised runs the records before the
+    # error, each whole, and then the failing record again
+    limit = len(known) if warm else len(records)
+    split = limit == len(records)
     start: dict[int, int] = {}  # record -> position of its first changed rib
     whole: set[int] = set()  # records that run their whole path
     for k, r in mutant_rib.items():
@@ -536,7 +649,7 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
             continue
         same = split and _compiled(r)[1:] == _compiled(g)[1:]
         for i in stimuli.crossing.get(k, ()):
-            if i >= len(known):
+            if i >= limit:
                 break
             if same:
                 pos = records[i][2].index(k)
@@ -546,6 +659,14 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
     bits = [0] * stimuli.rows
     i = None
     try:
+        if not warm:
+            outputs, failed = _walk(golden_rib, mutant, mutant_rib, records, start, whole,
+                                    permissive, tolerance, bits)
+            stimuli._golden = (weakref.ref(golden), permissive, golden_rib, tuple(outputs), {})
+            if failed is not None:
+                i, error = failed
+                raise error
+            return ResponseVector(tuple(bits))
         for i in sorted(start.keys() | whole):
             record = records[i]
             if i in whole:

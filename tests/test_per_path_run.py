@@ -3,9 +3,11 @@
 ``run_suite`` runs the golden side once per distinct (path, inputs) pair,
 a record of the ``Stimuli``, which keeps the outputs for later mutants
 against the same golden graph; each mutant runs only on the records that
-cross a changed rib.  ``reference_v`` runs both for every term, so any
-term whose bit the shared run gets wrong, or any error reported for the
-wrong term, shows up as a difference.
+cross a changed rib.  A cold call walks the records with one stack of
+environments per side, so records that share inputs and a path prefix
+share its runs.  ``reference_v`` runs both for every term, so any term
+whose bit the shared run gets wrong, or any error reported for the wrong
+term, shows up as a difference.
 """
 
 import gc
@@ -16,14 +18,16 @@ import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from random import Random
 
 import pytest
 
-from rtgdiag import (DefaultedVariableWarning, DivisionByZero, ExecutionError, GraphMismatch,
-                     InvalidTolerance, MissingStimulus, Node, RTGraph, Stimuli, Stimulus,
-                     build_complete_test, build_rtg, default_stimuli, dumps_graph, inject_fault,
-                     make_rib, parse_program, run_suite, simulator)
+from rtgdiag import (Block, DefaultedVariableWarning, DivisionByZero, ExecutionError,
+                     GraphMismatch, InvalidTolerance, MissingStimulus, Node, Path, RTGraph, Stimuli,
+                     Stimulus, TestSuite, UnboundVariable, build_complete_test, build_rtg,
+                     default_stimuli, dumps_graph, enumerate_paths, inject_fault, make_rib,
+                     minimal_diagnostic_test, parse_program, run_suite, simulator)
 from rtgdiag.cli import main
 from rtgdiag.fixtures import fig1_graph, listing31_source
 
@@ -63,15 +67,20 @@ def count_runs(monkeypatch) -> Counter:
 
 def count_steps(patch) -> Counter:
     """rib key -> statements the compiled step loop runs on ribs of that
-    key, on either side.  Make the mutants before this patch: a mutant rib
-    keeps the form ``inject_fault`` gives it."""
+    key, on either side.  A mutant made after this patch keeps counted
+    steps in the form ``inject_fault`` gives it, and they count once."""
     steps = Counter()
     compiled = simulator._compiled
+    counting = set()
 
     def count(fn, key):
+        if fn in counting:
+            return fn
+
         def run(*operands):
             steps[key] += 1
             return fn(*operands)
+        counting.add(run)
         return run
 
     def counted(rib):
@@ -97,6 +106,46 @@ def crossing_pairs(suite, stimuli, keys) -> dict:
 def changed_keys(g, mutant) -> set:
     golden_rib = {r.key: r for r in g.ribs}
     return {r.key for r in mutant.ribs if r.statements != golden_rib[r.key].statements}
+
+
+def node_steps(g, suite, stimuli, changed=None) -> Counter:
+    """rib key -> statements one side of a cold call runs if it runs each
+    node once: a node is a rib-key prefix of a term's path within a
+    stretch, a maximal run of consecutive terms with equal inputs, since
+    each side keeps the environments of one stretch.  With no *changed*
+    keys these are the golden side's nodes; with them, the mutant side's:
+    the prefixes that end at or after the first changed rib, within the
+    stretches of the terms whose path crosses one.  Read from the terms,
+    not the records."""
+    statements = {r.key: len(r.statements) for r in g.ribs}
+    nodes = set()
+    stretch, inputs = 0, None
+    for t in suite.terms:
+        path = tuple(r.key for r in t.path.edges)
+        first = 0 if changed is None else next(
+            (i for i, k in enumerate(path) if k in changed), None)
+        if first is None:
+            continue
+        env = stimuli[t.label].env
+        if env != inputs:
+            stretch, inputs = stretch + 1, env
+        nodes.update((stretch, path[:n]) for n in range(first + 1, len(path) + 1))
+    steps = Counter()
+    for _, prefix in nodes:
+        steps[prefix[-1]] += statements[prefix[-1]]
+    return steps
+
+
+def cold_steps(patch, g, mutant, suite, stimuli_of) -> tuple[Counter, Counter]:
+    """rib key -> statements that a cold call against *g* itself runs,
+    which is the golden side alone, and that a cold call against *mutant*
+    runs, each on fresh stimuli from *stimuli_of*."""
+    steps = count_steps(patch)
+    run_suite(g, g, suite, stimuli_of())
+    alone = Counter(steps)
+    steps.clear()
+    run_suite(g, mutant, suite, stimuli_of())
+    return alone, steps
 
 
 def split_steps(g, mutant, suite, stimuli) -> Counter:
@@ -183,32 +232,52 @@ def test_error_names_first_failing_term():
 def test_split_inputs_run_separately(monkeypatch):
     g = ladder_model(2)
     suite = build_complete_test(g)
+    mutant = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
+    alone, steps = cold_steps(monkeypatch, g, mutant, suite,
+                              lambda: split_stimuli(suite, default_stimuli(g, suite)))
+    # 4 paths of 4 terms, whose last term moves to other inputs: the inputs
+    # alternate from record to record, so no two records share a rib run;
+    # each side runs both ribs of each of its records, the golden side all
+    # 8 and the mutant side the 4 through I1
     stimuli = split_stimuli(suite, default_stimuli(g, suite))
-    calls = count_calls(monkeypatch, "execute_path")
-    run_suite(g, inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3)), suite, stimuli)
-    # 4 paths of 4 terms: each path runs its shared inputs and its moved
-    # term on the golden side, and the 2 paths through I1 on the mutant side
-    assert calls["execute_path"] == 2 * 4 + 2 * 2
+    golden = node_steps(g, suite, stimuli)
+    assert alone == golden and sum(golden.values()) == 8 * 2 * 2
+    forked = node_steps(g, suite, stimuli, changed_keys(g, mutant))
+    assert steps == golden + forked and sum(forked.values()) == 4 * 2 * 2
 
 
 def test_ladder_runs_each_path_once(monkeypatch):
     g = ladder_model(4)
     suite = build_complete_test(g)
     assert len(suite.terms) == 256
-    calls = count_calls(monkeypatch, "execute_path", "pick_stimulus")
+    mutant = inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1))
+    calls = count_calls(monkeypatch, "pick_stimulus")
+    alone, steps = cold_steps(monkeypatch, g, mutant, suite, lambda: default_stimuli(g, suite))
+    assert calls == {"pick_stimulus": 2 * 16}
+    # every path reads x = 1.0, so each side runs each distinct rib-key
+    # prefix once: the golden side the 2 + 4 + 8 + 16 prefixes of the 16
+    # paths, the mutant side the 2 + 4 + 8 that end at or after I3
     stimuli = default_stimuli(g, suite)
-    v = run_suite(g, inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1)), suite, stimuli)
-    # 16 golden paths, and the 8 through I3 on the mutant side
-    assert calls == {"execute_path": 16 + 8, "pick_stimulus": 16}
+    golden = node_steps(g, suite, stimuli)
+    assert alone == golden and sum(golden.values()) == 30 * 2
+    forked = node_steps(g, suite, stimuli, changed_keys(g, mutant))
+    assert steps == golden + forked and sum(forked.values()) == 14 * 2
+    v = run_suite(g, mutant, suite, stimuli)
     assert len(v) == 256 and 0 < sum(v.bits) < 256
 
 
 def test_cli_all_runs_each_path_once(monkeypatch, tmp_path, capsys):
+    g = ladder_model(4)
     graph = tmp_path / "ladder4.rtg.json"
-    graph.write_text(dumps_graph(ladder_model(4)), encoding="utf-8")
-    calls = count_calls(monkeypatch, "execute_path", "pick_stimulus")
+    graph.write_text(dumps_graph(g), encoding="utf-8")
+    suite = build_complete_test(g)
+    stimuli = default_stimuli(g, suite)
+    mutant = inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1))
+    want = node_steps(g, suite, stimuli) + node_steps(g, suite, stimuli, changed_keys(g, mutant))
+    calls = count_calls(monkeypatch, "pick_stimulus")
+    steps = count_steps(monkeypatch)
     assert main(["all", "--graph", str(graph), "--fault", "I3:2:op=1"]) == 1
-    assert calls == {"execute_path": 16 + 8, "pick_stimulus": 16}
+    assert calls == {"pick_stimulus": 16} and steps == want
     assert "F' = I31 I32" in capsys.readouterr().out
 
 
@@ -287,12 +356,15 @@ def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
     stimuli = default_stimuli(g, suite)
     other = inject_fault(g, simulator.FaultSpec("I1", 1, opcode=3))
     third = inject_fault(g, simulator.FaultSpec("I3", 2, opcode=1))
-    runs = count_runs(monkeypatch)
+    steps = count_steps(monkeypatch)
     kept = []
     for golden in (g, other):
+        steps.clear()
         assert run_suite(golden, third, suite, stimuli).bits == \
             reference_v(golden, third, suite, stimuli)[0]
-        assert runs[id(golden)] == len(suite.blocks)
+        # each call is cold: it runs every golden node, then the mutant's
+        assert steps == node_steps(golden, suite, stimuli) + \
+            node_steps(golden, suite, stimuli, changed_keys(golden, third))
         kept.append(stimuli._golden)
     assert all(ref() is golden for (ref, *_), golden in zip(kept, (g, other)))
     assert len(kept[0][3]) == len(kept[1][3]) == len(stimuli.records)
@@ -575,6 +647,127 @@ def test_split_route_matches_term_reference_over_a_catalogue(monkeypatch, kind, 
     assert bool(outcomes["warned"]) == (kind == "permissive" and permissive)
 
 
+def interleaved_stimuli(g, suite) -> Stimuli:
+    """The default stimuli with every other term of each block on other
+    inputs, so that two stimuli interleave on one path."""
+    stimuli = default_stimuli(g, suite)
+    given = {}
+    for block in suite.blocks:
+        env = stimuli[block.labels[0]].env
+        given.update(dict.fromkeys(block.labels[1::2],
+                                   Stimulus(env={k: v * 2.5 + 0.75 for k, v in env.items()})))
+    return stimuli.overriding(given)
+
+
+def laid_out(kind, g, suite, rng) -> tuple[TestSuite, Stimuli]:
+    """*g*'s complete test *suite* and its stimuli as *kind* lays them out:
+    records in an order other than path enumeration's (the diagnostic
+    suite, the blocks reversed or shuffled by *rng*), two stimuli
+    interleaved on each path, or the sparse stimuli, whose records share
+    inputs but not the free variables they leave unbound."""
+    if kind == "diagnostic":
+        suite = minimal_diagnostic_test(suite, g.statement_ids)
+    elif kind == "reversed":
+        suite = TestSuite(suite.blocks[::-1])
+    elif kind == "shuffled":
+        suite = TestSuite(tuple(rng.sample(suite.blocks, len(suite.blocks))))
+    if kind == "interleaved":
+        return suite, interleaved_stimuli(g, suite)
+    if kind == "sparse":
+        return suite, sparse_stimuli(g, suite)
+    return suite, default_stimuli(g, suite)
+
+
+def warned(run, *args):
+    """What *run* returns on *args*, and the distinct messages of the
+    DefaultedVariableWarnings it raises, in the order first raised, as the
+    CLI prints them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DefaultedVariableWarning)
+        out = run(*args)
+    return out, list(dict.fromkeys(str(w.message) for w in caught
+                                   if w.category is DefaultedVariableWarning))
+
+
+def error_cases():
+    """The catalogue mutants of the graphs whose golden side raises on a
+    path sharing a prefix with others, and of the one whose mutant raises
+    on a rib after the one it changes."""
+    for g in (divide_by_zero_graph("I1"), divide_by_zero_graph("I2"), split_error_graph()):
+        suite = build_complete_test(g)
+        for fault in simulator.mutation_catalogue(g):
+            yield g, suite, inject_fault(g, fault)
+
+
+COLD_LAYOUTS = ["diagnostic", "reversed", "shuffled", "interleaved", "sparse"]
+
+
+@pytest.mark.parametrize("permissive", [False, True], ids=["strict", "permissive"])
+def test_the_cold_walk_matches_term_reference_in_any_record_order(permissive):
+    # seeded: each mutant of the model families, the campaign and the error
+    # graphs runs cold on one layout drawn for it; V, the error type and
+    # first failing label, and the distinct warnings in order must match
+    rng = Random(30)
+    outcomes = Counter()
+    for g, suite, mutant in chain(model_families(), campaign(range(40)), error_cases()):
+        kind = rng.choice(COLD_LAYOUTS)
+        laid, stimuli = laid_out(kind, g, suite, rng)
+        want = warned(reference_v, g, mutant, laid, stimuli, permissive)
+        assert warned(observed_v, g, mutant, laid, stimuli, permissive) == want, (kind, mutant)
+        outcomes[kind, "error" if want[0][1] else "bits"] += 1
+        outcomes["warned"] += bool(want[1])
+    # a strict run of the sparse stimuli leaves a variable unbound on most
+    # mutants' first records
+    assert all(outcomes[kind, "bits"] > (0 if kind == "sparse" and not permissive else 50)
+               and outcomes[kind, "error"] > 10 for kind in COLD_LAYOUTS), outcomes
+    assert bool(outcomes["warned"]) == permissive
+
+
+def free_suffix_graph() -> RTGraph:
+    """X -> R1 -> Y where both paths cross I1 (acc = x + 1) and then read
+    acc, on I2 (y = acc * 2) or on I3 (y = acc + w), so only the path
+    through I3 reads the free variable w."""
+    return RTGraph(nodes=(Node("X", "input"), Node("R1", "internal"), Node("Y", "output")),
+                   ribs=(make_rib("I1", "X", "R1", [(1, "acc", ("x", 1.0))]),
+                         make_rib("I2", "R1", "Y", [(3, "y", ("acc", 2.0))]),
+                         make_rib("I3", "R1", "Y", [(1, "y", ("acc", "w"))])))
+
+
+@pytest.mark.parametrize("permissive", [False, True], ids=["strict", "permissive"])
+def test_a_record_resuming_a_shared_prefix_defaults_its_own_free_variables(permissive):
+    # both paths take x = 1.0 alone, so the second resumes after I1 from the
+    # first one's environment, which never bound w: a permissive run
+    # defaults it there, on both sides, and a strict one refuses it
+    g = free_suffix_graph()
+    suite = build_complete_test(g)
+    for fault in simulator.mutation_catalogue(g):
+        mutant = inject_fault(g, fault)
+        stimuli = default_stimuli(g, suite).overriding(
+            dict.fromkeys(suite.labels(), Stimulus(env={"x": 1.0})))
+        assert [keys for _, _, keys, _, _ in stimuli.records] == [
+            (("I1", "X", "R1"), ("I2", "R1", "Y")), (("I1", "X", "R1"), ("I3", "R1", "Y"))]
+        want = warned(reference_v, g, mutant, suite, stimuli, permissive)
+        assert warned(observed_v, g, mutant, suite, stimuli, permissive) == want
+        if permissive:
+            assert want == ((want[0][0], None), ["defaulted free variable(s) to 0.0: w"])
+        else:
+            assert want[0][1] == (UnboundVariable, stimuli.records[1][0])
+
+
+def test_a_path_that_ends_where_another_one_goes_on_runs_its_own_ribs():
+    # a hand-built suite may hold a path that is a prefix of another's; a
+    # record resumes short of its own last rib, so each still runs one
+    g = ladder_model(2)
+    (long, *_) = enumerate_paths(g)
+    short = Path("X1", long.edges[:1])
+    for paths in ((long, short), (short, long)):
+        suite = TestSuite(tuple(Block.of(p, (), p.label) for p in paths))
+        stimuli = default_stimuli(g, suite)
+        mutant = inject_fault(g, simulator.FaultSpec("I1", 2, opcode=4))
+        assert observed_v(g, mutant, suite, stimuli) == reference_v(g, mutant, suite, stimuli)
+        assert observed_v(g, mutant, suite, stimuli)[0] == (1, 1)
+
+
 def shape(statements) -> tuple[list, set]:
     """The variables *statements* read before assigning them, in ordinal
     order, and the variables they assign."""
@@ -647,6 +840,28 @@ def test_a_reshaped_rib_runs_its_records_whole(monkeypatch, permissive):
     assert outcomes["target", "bits"] > 20 and outcomes["input", "bits"] > 20
     # a free variable the stimulus leaves unbound is an error unless permissive
     assert outcomes["free", "bits" if permissive else "error"] > 20
+
+
+def test_a_defaulted_variable_warning_points_at_the_caller():
+    # each route that runs a record warns at run_suite's caller: a cold
+    # call on both sides, a warm one, and a mutant rib reading a variable
+    # the golden one does not, which runs through execute_path
+    g = free_variable_model(Random(3))
+    suite = build_complete_test(g)
+    fault = simulator.mutation_catalogue(g)[0]
+    catalogue, reshape = inject_fault(g, fault), reshaped(g, fault.fragment, "free")
+    calls = [(g, True), (catalogue, True), (reshape, True), (catalogue, False), (reshape, False)]
+    stimuli = sparse_stimuli(g, suite)
+    for mutant, cold in calls:
+        if cold:
+            stimuli = sparse_stimuli(g, suite)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DefaultedVariableWarning)
+            observed_v(g, mutant, suite, stimuli, permissive=True)
+        assert caught and {w.filename for w in caught} == {__file__}, (mutant, cold)
+        if mutant is reshape:
+            assert any("free" in str(w.message) for w in caught)
+    assert stimuli._golden[0]() is g
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])

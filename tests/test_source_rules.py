@@ -171,3 +171,36 @@ def test_the_cli_streams_tables():
     # fdt.table_json, so it holds at most one path block's text at a time
     loaded = _loaded_names(parse(os.path.join(SRC, "cli.py")))
     assert loaded & WHOLE_TABLE == set()
+
+
+def _step_unpackers(tree):
+    """Names of the functions in *tree* that unpack a compiled step,
+    (target, operation, operands, ordinal), into four names: as a ``for``
+    target, a comprehension target or an assignment target."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                targets = [node.target]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else []
+            if any(isinstance(t, ast.Tuple) and len(t.elts) == 4 for t in targets):
+                found.add(fn.name)
+    return found
+
+
+def test_the_simulator_has_one_step_loop():
+    # execute_path, the cold walk, the warm route and the golden
+    # environments all run their statements through simulator._run; a
+    # second step loop would be a second semantics to keep in step
+    assert _step_unpackers(parse(os.path.join(SRC, "simulator.py"))) == {"_run"}
+
+
+def test_the_step_rule_sees_each_unpacking():
+    tree = ast.parse("def _run(steps):\n    for target, fn, operands, ordinal in steps: pass\n"
+                     "def _walk(steps):\n    t, f, o, n = steps[0]\n"
+                     "def _other(steps):\n    return [fn for _, fn, _, _ in steps]\n"
+                     "def _form(rib):\n    steps, reads, assigns = rib\n")
+    assert _step_unpackers(tree) == {"_run", "_walk", "_other"}
