@@ -27,20 +27,22 @@ inputs) pair is one record, with its rows and the rib keys it crosses.
 Per mutant, only what the mutant changes is executed, in the manner of
 concurrent fault simulation (Ulrich & Baker 1973).  A mutant executes only
 the records whose path crosses a rib whose statements differ from the
-golden one, and each such record starts at its first changed rib, from the
-golden environment there, as split-stream mutation analysis forks at the
-mutated statement (Tokumoto et al. 2016).  A cold call walks the records in
-order, both sides in turn, and each side keeps one stack of environments,
-those of its last record: a record resumes at the deepest rib up to which
-it shares that record's inputs and rib keys, so consecutive records share
-their path prefix's runs, as the paths of a path tree do.  The ``Stimuli``
-then keeps the golden output of each record for that golden graph and
-permissive flag.  A warm call runs no golden rib: the ``Stimuli`` keeps the
-golden environment a mutant starts from, built by one golden run of its
-record the first time a mutant starts in it.  So a mutant's cost is in what
-it touches, not in the suite.  ``execute_path`` runs a path from its input:
-it is the route of a changed rib that reads or assigns other variables, and
-the one the walk and the warm route are checked against.
+golden one, and each such record forks at its first changed rib, as
+split-stream mutation analysis forks at the mutated statement (Tokumoto et
+al. 2016): the mutant starts from the golden environment there and binds
+its own path's free variables.  One walk makes every call, and a cold and
+a warm call differ only in where that golden environment comes from.  A
+cold call runs every record's golden side in order, and each side keeps
+one stack of environments, those of its last record: a record resumes at
+the deepest rib up to which it shares that record's inputs and rib keys,
+so consecutive records share their path prefix's runs, as the paths of a
+path tree do.  If no golden run raised, the ``Stimuli`` then keeps the
+golden outputs for that golden graph and permissive flag.  A warm call
+visits only the forked records, and the ``Stimuli`` keeps a record's
+golden environments, built by one golden run the first time a mutant forks
+in it.  So a mutant's cost is in what it touches, not in the suite.
+``execute_path`` runs a path from its input, the route the walk is checked
+against.
 """
 
 from __future__ import annotations
@@ -394,10 +396,11 @@ class Stimuli(Mapping[str, Stimulus]):
     ``crossing`` maps each rib key to the records crossing it, in order,
     and ``rows`` is the term count; all are made once, in one pass over
     the runs.  ``run_suite`` keeps here, for its latest (golden graph,
-    permissive flag) pair, the golden ribs by key, the golden outputs and
-    the golden environments of the records a warm mutant started in,
-    holding the graph weakly.  The label index is built on the first read
-    by label.
+    permissive flag) pair whose golden runs did not raise, the golden ribs
+    by key, the golden outputs and, for each record a mutant forked in on a
+    warm call, the free variables its golden run defaults and its golden
+    environment before each rib, holding the graph weakly.  The label index
+    is built on the first read by label.
     """
 
     def __init__(self, suite: TestSuite, runs: Iterable[Iterable[tuple[str, Stimulus, int]]]):
@@ -458,27 +461,6 @@ class Stimuli(Mapping[str, Stimulus]):
         return len(self._index)
 
 
-def _output(g: RTGraph, rib: Mapping[tuple, Rib], record: tuple, permissive: bool) -> float:
-    """The output of *record*'s path on *g*, whose ribs by key are *rib*."""
-    _, stim, keys, path, _ = record
-    return execute_path(g, Path(path.label, tuple(rib[k] for k in keys)), stim,
-                        permissive).output
-
-
-def _golden_states(rib: Mapping[tuple, Rib], record: tuple,
-                   permissive: bool) -> tuple[list[str], list[dict[str, float]]]:
-    """The free variables *record*'s run defaults, and its environment at
-    the source of each rib of its path, by one run of the ribs *rib* gives
-    by key; the last rib is not run."""
-    _, stim, keys, _, _ = record
-    ribs = [rib[k] for k in keys]
-    forms = [_compiled(r) for r in ribs]
-    env, _, unbound = _bind(forms, stim, permissive)
-    states = [dict(env)]
-    _run(ribs[:-1], forms, env, states, len(ribs) - 1)
-    return unbound, states
-
-
 def _shared(a: tuple, b: tuple) -> int:
     """The rib position at which a run of record *b* may resume from the
     environments of a run of record *a*: the length of the rib-key prefix
@@ -494,83 +476,93 @@ def _shared(a: tuple, b: tuple) -> int:
 
 
 def _walk(golden_rib: Mapping[tuple, Rib], mutant: RTGraph, mutant_rib: Mapping[tuple, Rib],
-          records: Sequence[tuple], start: Mapping[int, int], whole: set[int],
-          permissive: bool, tolerance: float,
-          bits: list[int]) -> tuple[list[float], tuple[int, ExecutionError] | None]:
-    """The cold run of *records*: each in turn on the golden side, then on
-    the mutant side if it is in *whole*, through ``execute_path``, or in
-    *start*, from the golden environment at the rib position *start* gives.
-    Sets the *bits* of each record whose outputs differ.  Returns the golden
-    outputs before the first golden error and the (index, error) of the
-    first failing record, golden before mutant, or None.  After a mutant
-    error only the golden side runs, and no run warns.
-
-    Each side keeps one stack: its environment before each rib of the last
-    record it ran, as deep as the next record it runs shares that record's
-    inputs and rib keys (and, on the golden side, as deep as the mutant
-    starts on the record).  A record resumes at the deepest such rib, so
-    each (inputs, rib prefix) that consecutive records share runs once per
-    side."""
+          records: Sequence[tuple], start: Mapping[int, int], reshaped: bool,
+          kept: tuple | None, permissive: bool, tolerance: float,
+          bits: list[int]) -> tuple[list[float] | None, tuple[int, ExecutionError] | None]:
+    """Run *records* golden against mutant, forking each record of *start*
+    at the rib position it gives, as ``run_suite`` states, and set the
+    *bits* of each record whose outputs differ.  Returns the golden outputs,
+    None after a golden error, and the (index, error) of the first failing
+    record, or None.  A mutant binds its own path's free variables only if
+    *reshaped*.  With *kept* None the walk is cold: every record runs its
+    golden side in order, and after a mutant error only that side runs,
+    warning of nothing.  With *kept* the (golden outputs, environments by
+    record) of a cold walk, it visits only the forked records, up to the
+    first mutant error, and builds a record's environments on its first
+    fork.  Each side keeps one stack, its environment before each rib of
+    the last record it ran, as deep as the next record it runs shares that
+    record's inputs and rib keys."""
+    forks = sorted(start)
     outputs: list[float] = []
     failed = None
     golden_stack: list[dict[str, float]] = []
     mutant_stack: list[dict[str, float]] = []
-    forks = [i for i in sorted(start) if i not in whole]  # the records the mutant forks
-    forked = 0  # of them, those run so far
+    base = 0  # the rib position of mutant_stack[0]
+    forked = 0  # the forked records run so far
     resume = -1  # where this record resumes from the golden stack
     mutant_resume = -1  # where the next forked record may resume from the mutant stack
-    for i, record in enumerate(records):
+    for i in forks if kept else range(len(records)):
+        record = records[i]
         stim, keys = record[1], record[2]
-        fork = start.get(i, -1) if failed is None and i not in whole else -1
-        ahead = _shared(record, records[i + 1]) if i + 1 < len(records) else -1
+        fork = start.get(i, -1) if failed is None else -1
         try:
             if not keys:  # execute_path raises, naming the path
                 execute_path(mutant, record[3], stim, permissive)
-            ribs = [golden_rib[k] for k in keys]
-            forms = [_compiled(r) for r in ribs]
-            env, _, unbound = _bind(forms, stim, permissive)
-            if unbound and failed is None:
-                _warn_defaulted(unbound)
-            keep = max(ahead, fork)
-            if resume < 0:
-                golden_stack.clear()
-                if keep >= 0:
-                    golden_stack.append(dict(env))
-                resume = 0
+            built = kept[1].get(i) if kept else None
+            if built is not None:
+                out = kept[0][i]
+                unbound, golden_stack = built
             else:
-                del golden_stack[resume + 1:]
-                env.update(golden_stack[resume])
-            out = _run(ribs[resume:], forms[resume:], env, golden_stack, keep - resume)[-1][1]
+                ribs = [golden_rib[k] for k in keys]
+                forms = [_compiled(r) for r in ribs]
+                env, _, unbound = _bind(forms, stim, permissive)
+                if kept:  # each environment of the record, for later mutants
+                    ahead, keep = -1, len(keys) - 1
+                else:
+                    if unbound and failed is None:
+                        _warn_defaulted(unbound)
+                    ahead = _shared(record, records[i + 1]) if i + 1 < len(records) else -1
+                    keep = max(ahead, fork)
+                if resume < 0:
+                    golden_stack = [dict(env)] if keep >= 0 else []
+                    resume = 0
+                else:
+                    del golden_stack[resume + 1:]
+                    env.update(golden_stack[resume])
+                out = _run(ribs[resume:], forms[resume:], env, golden_stack, keep - resume)[-1][1]
+                resume = ahead
+                if kept:
+                    kept[1][i] = unbound, golden_stack
+                else:
+                    outputs.append(out)
         except ExecutionError as e:
-            return outputs, failed or (i, e)
-        outputs.append(out)
-        resume = ahead
-        if failed is not None:
+            return None, failed or (i, e)
+        if fork < 0:
             continue
         try:
-            if i in whole:
-                out_m = _output(mutant, mutant_rib, record, permissive)
-            elif fork >= 0:
-                if unbound:
-                    _warn_defaulted(unbound)
-                if mutant_resume > fork:
-                    del mutant_stack[mutant_resume + 1:]
-                    at, state = mutant_resume, mutant_stack[mutant_resume]
-                else:
-                    mutant_stack[:] = golden_stack[:fork + 1]
-                    at, state = fork, golden_stack[fork]
-                env = dict.fromkeys(unbound, 0.0)
-                env.update(state)
-                forked += 1
-                mutant_resume = _shared(record, records[forks[forked]]) \
-                    if forked < len(forks) else -1
-                ribs = [mutant_rib[k] for k in keys[at:]]
-                forms = [_compiled(r) for r in ribs]
-                out_m = _run(ribs, forms, env, mutant_stack, mutant_resume - at)[-1][1]
+            if reshaped:
+                forms = [_compiled(mutant_rib[k]) for k in keys]
+                env, _, unbound = _bind(forms, stim, permissive)
             else:
-                continue
+                env = dict.fromkeys(unbound, 0.0)
+            if unbound:
+                _warn_defaulted(unbound)
+            if mutant_resume > fork:
+                del mutant_stack[mutant_resume - base + 1:]
+                at, state = mutant_resume, mutant_stack[mutant_resume - base]
+            else:
+                at, state = fork, golden_stack[fork]
+                mutant_stack, base = [], fork + 1
+            env.update(state)
+            forked += 1
+            mutant_resume = _shared(record, records[forks[forked]]) \
+                if forked < len(forks) else -1
+            ribs = [mutant_rib[k] for k in keys[at:]]
+            out_m = _run(ribs, map(_compiled, ribs), env, mutant_stack, mutant_resume - at)[-1][1]
         except ExecutionError as e:
             failed = (i, e)
+            if kept:
+                break
             continue
         if _differs(out, out_m, tolerance):
             for offset, n in record[4]:
@@ -590,25 +582,25 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
 
     The mutant runs only the records whose path crosses a rib whose
     statements differ from the golden one; any other record runs the golden
-    statements, so its bits are 0.  Such a record starts at its first
-    changed rib, from the golden environment there, and runs only the ribs
-    from there to the end of its path.  A record whose changed rib reads or
-    assigns other variables than the golden one, as a hand-built mutant
-    may, runs its whole path instead.
+    statements, so its bits are 0.  Such a record forks at its first
+    changed rib: the mutant starts from the golden environment there,
+    binds the free variables its own path reads as ``execute_path`` would,
+    and runs only the ribs from there to the end of its path.
 
-    Cost: a cold call, one that does not find *stimuli* keeping the golden
-    outputs for *golden* and *permissive*, walks the records in order and
-    runs each on both sides in turn.  Each side keeps one stack of
-    environments, those of its last record, and a record resumes at the
-    deepest rib up to which it shares that record's inputs and rib keys;
-    so on records in path-enumeration order each distinct (inputs, rib
-    prefix) runs once per side, and memory is one path's environments per
-    side.  The call keeps the golden outputs in *stimuli*.  A warm call, one
-    that finds them kept, runs no golden rib: it starts each mutant record
-    on a copy of the golden environment at its first changed rib, which
-    *stimuli* keeps too, built by one golden run of a record the first time
-    a mutant starts in it.  So a warm call costs what the changed ribs
-    touch, not the suite.
+    Cost: one walk makes every call, and a cold and a warm call differ only
+    in where the golden environment at a fork comes from.  A cold call, one
+    that does not find *stimuli* keeping the golden outputs for *golden*
+    and *permissive*, runs every record's golden side in order.  Each side
+    keeps one stack of environments, those of its last record, and a record
+    resumes at the deepest rib up to which it shares that record's inputs
+    and rib keys; so on records in path-enumeration order each distinct
+    (inputs, rib prefix) runs once per side, and memory is one path's
+    environments per side.  If no golden run raised, the call keeps the
+    golden outputs in *stimuli*.  A warm call, one that finds them kept,
+    visits only the forked records, the mutant keeping its stack between
+    them, and takes the golden environment from *stimuli*, which builds it
+    by one golden run of a record the first time a mutant forks in it.  So
+    a warm call costs what the changed ribs touch, not the suite.
 
     An ExecutionError is that of the first failing record in suite order,
     the golden side before the mutant, and names the record's first term
@@ -629,68 +621,34 @@ def run_suite(golden: RTGraph, mutant: RTGraph, suite: TestSuite, stimuli: Stimu
             {(n.name, n.role) for n in golden.nodes} != {(n.name, n.role) for n in mutant.nodes}:
         raise GraphMismatch("golden and mutant graphs differ in topology")
     records = stimuli.records
-    if warm:
-        known, states = kept[3], kept[4]
-    else:
-        for block in suite.blocks:
-            missing = next((r.key for r in block.path.edges if r.key not in golden_rib), None)
-            if missing is not None:
-                raise GraphMismatch(f"path {block.path.label} crosses rib {missing}, "
-                                    "which the golden graph lacks")
-    # a warm call whose kept golden run raised runs the records before the
-    # error, each whole, and then the failing record again
-    limit = len(known) if warm else len(records)
-    split = limit == len(records)
+    if not warm and not stimuli.crossing.keys() <= golden_rib.keys():
+        missing = next(k for k in stimuli.crossing if k not in golden_rib)
+        raise GraphMismatch(f"path {records[stimuli.crossing[missing][0]][3].label} crosses "
+                            f"rib {missing}, which the golden graph lacks")
     start: dict[int, int] = {}  # record -> position of its first changed rib
-    whole: set[int] = set()  # records that run their whole path
+    reshaped = False  # whether a changed rib reads or assigns other variables
     for k, r in mutant_rib.items():
         g = golden_rib[k]
         if r is g or r.statements == g.statements:
             continue
-        same = split and _compiled(r)[1:] == _compiled(g)[1:]
+        reshaped = reshaped or _compiled(r)[1:] != _compiled(g)[1:]
         for i in stimuli.crossing.get(k, ()):
-            if i >= limit:
-                break
-            if same:
-                pos = records[i][2].index(k)
-                start[i] = min(pos, start.get(i, pos))
-            else:
-                whole.add(i)
+            pos = records[i][2].index(k)
+            start[i] = min(pos, start.get(i, pos))
     bits = [0] * stimuli.rows
-    i = None
-    try:
-        if not warm:
-            outputs, failed = _walk(golden_rib, mutant, mutant_rib, records, start, whole,
-                                    permissive, tolerance, bits)
-            stimuli._golden = (weakref.ref(golden), permissive, golden_rib, tuple(outputs), {})
-            if failed is not None:
-                i, error = failed
-                raise error
-            return ResponseVector(tuple(bits))
-        for i in sorted(start.keys() | whole):
-            record = records[i]
-            if i in whole:
-                out = _output(mutant, mutant_rib, record, permissive)
-            else:
-                state = states.get(i)
-                if state is None:
-                    state = states[i] = _golden_states(golden_rib, record, permissive)
-                defaulted, envs = state
-                if defaulted:
-                    _warn_defaulted(defaulted)
-                pos = start[i]
-                ribs = [mutant_rib[k] for k in record[2][pos:]]
-                out = _run(ribs, map(_compiled, ribs), dict(envs[pos]))[-1][1]
-            if _differs(known[i], out, tolerance):
-                for offset, n in record[4]:
-                    bits[offset:offset + n] = repeat(1, n)
-        if len(known) < len(records):
-            i = len(known)
-            _output(golden, golden_rib, records[i], permissive)  # raises again
-    except ExecutionError as e:
-        e.args = (f"term {records[i][0]}: {e}",)
-        raise
-    return ResponseVector(tuple(bits))
+    outputs, failed = _walk(golden_rib, mutant, mutant_rib, records, start, reshaped,
+                            kept[3:] if warm else None, permissive, tolerance, bits)
+    if not warm:
+        stimuli._golden = None if outputs is None else (
+            weakref.ref(golden), permissive, golden_rib, tuple(outputs), {})
+    if failed is not None:
+        i, error = failed
+        error.args = (f"term {records[i][0]}: {error}",)
+        raise error
+    # bits this call set itself, so V is made without the check of its constructor
+    v = object.__new__(ResponseVector)
+    ResponseVector.bits.__set__(v, tuple(bits))
+    return v
 
 
 # --- stimulus selection -----------------------------------------------------------

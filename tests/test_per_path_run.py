@@ -148,20 +148,6 @@ def cold_steps(patch, g, mutant, suite, stimuli_of) -> tuple[Counter, Counter]:
     return alone, steps
 
 
-def split_steps(g, mutant, suite, stimuli) -> Counter:
-    """rib key -> statements a warm *mutant* runs: for each distinct (path,
-    inputs) pair whose path crosses a changed rib, those on its ribs from
-    the first changed one to the end of the path."""
-    statements = {r.key: len(r.statements) for r in g.ribs}
-    changed = changed_keys(g, mutant)
-    want = Counter()
-    for path in crossing_pairs(suite, stimuli, changed).values():
-        first = next(i for i, k in enumerate(path) if k in changed)
-        for k in path[first:]:
-            want[k] += statements[k]
-    return want
-
-
 def campaign(seeds):
     for seed in seeds:
         g = random_dag_model(Random(seed))
@@ -329,7 +315,8 @@ def test_mutant_equal_to_golden_runs_no_mutant_path(monkeypatch):
 def test_second_golden_call_makes_no_golden_execution(monkeypatch):
     # a warm call runs no golden output again and calls no execute_path; it
     # builds the golden environment of a record on its first need, and a
-    # later call on the same records runs only the mutant's statements
+    # later call on the same records runs only the mutant's nodes, as many
+    # as the mutant side of a cold call
     g = ladder_model(3)
     suite = build_complete_test(g)
     stimuli = split_default_stimuli(g, suite)
@@ -344,7 +331,7 @@ def test_second_golden_call_makes_no_golden_execution(monkeypatch):
     assert runs == Counter() and len(stimuli._golden[4]) == len(crossing) > 0
     steps.clear()
     assert run_suite(g, second, suite, stimuli) == v
-    assert runs == Counter() and steps == split_steps(g, second, suite, stimuli)
+    assert runs == Counter() and steps == node_steps(g, suite, stimuli, changed_keys(g, second))
 
 
 def test_goldens_with_equal_rib_keys_do_not_share_outputs(monkeypatch):
@@ -471,7 +458,15 @@ def test_kept_plan_matches_term_reference_over_a_catalogue(kind):
                 want = reference_v(g, mutant, suite, stimuli, permissive)
                 assert observed_v(g, mutant, suite, stimuli, permissive) == want, (kind, fault)
                 outcomes["error" if want[1] else "bits"] += 1
-            assert not faults or stimuli._golden[0]() is g and stimuli._golden[1] == permissive
+            if not faults:
+                continue
+            if reference_v(g, g, suite, stimuli, permissive)[1] is None:
+                assert stimuli._golden[0]() is g and stimuli._golden[1] == permissive
+            else:
+                # a golden error keeps nothing, so the next call is cold and
+                # raises it again
+                assert stimuli._golden is None
+                assert observed_v(g, mutant, suite, stimuli, permissive) == want, (kind, fault)
     assert outcomes["bits"] > 300 and outcomes["error"] > 4
     assert bool(defaulted) == permissive
 
@@ -531,8 +526,7 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
     # and a first pass over the catalogue has built each golden environment
     # at most once, a mutant makes no golden execution, no execute_path call
     # and no pass over the suite's runs (such a pass keys each run's
-    # stimulus); it runs exactly the statements on the ribs from each
-    # crossing (path, inputs) pair's first changed rib to the end of its path
+    # stimulus); it runs exactly the mutant side's nodes of a cold call
     stimuli_of, _ = STIMULI_KINDS[kind]
     checked = 0
     for g in [random_dag_model(Random(seed)) for seed in range(20)] + [ladder_model(3)]:
@@ -543,19 +537,21 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
         except ExecutionError:
             continue
         mutants = [inject_fault(g, fault) for fault in simulator.mutation_catalogue(g)]
+        # a catalogue mutant binds no variable of its own, so on a warm call
+        # only the golden run that builds a record's environments binds one
         built = Counter()
-        golden_states = simulator._golden_states
+        bind = simulator._bind
 
-        def spy(rib, record, permissive):
-            built[record[0]] += 1
-            return golden_states(rib, record, permissive)
+        def spy(forms, s, permissive):
+            built[id(s), tuple(map(id, forms))] += 1
+            return bind(forms, s, permissive)
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "_golden_states", spy)
+            patch.setattr(simulator, "_bind", spy)
             for mutant in mutants:
                 observed_v(g, mutant, suite, stimuli)
         assert set(built.values()) <= {1} and len(built) == len(stimuli._golden[4])
         with monkeypatch.context() as patch:
-            for name in ("_stimulus_key", "_golden_states", "execute_path"):
+            for name in ("_stimulus_key", "_bind", "execute_path"):
                 patch.setattr(simulator, name, refuse)
             patch.setattr(Stimuli, "__init__", refuse)
             steps = count_steps(patch)
@@ -564,15 +560,16 @@ def test_a_warm_plan_runs_only_the_crossing_pairs(monkeypatch, kind):
                 want = reference_v(g, mutant, suite, stimuli)
                 assert observed_v(g, mutant, suite, stimuli) == want
                 if want[1] is None:
-                    assert steps == split_steps(g, mutant, suite, stimuli)
+                    assert steps == node_steps(g, suite, stimuli, changed_keys(g, mutant))
                     checked += 1
     assert checked > 100
 
 
 def test_a_cold_call_keeps_no_environment(monkeypatch, tmp_path):
     # the golden environments serve warm calls only: a call that runs the
-    # golden outputs keeps none, nor does a call after a golden output
-    # raised, and so neither does the CLI, which makes its Stimuli per run
+    # golden outputs keeps none, a call whose golden side raised keeps
+    # nothing at all, so the next one is cold and raises again, and the
+    # CLI, which makes its Stimuli per run, keeps no environment
     g = ladder_model(4)
     suite = build_complete_test(g)
     stimuli = default_stimuli(g, suite)
@@ -583,10 +580,11 @@ def test_a_cold_call_keeps_no_environment(monkeypatch, tmp_path):
         suite = build_complete_test(g)
         stimuli = default_stimuli(g, suite)
         mutant = inject_fault(g, simulator.FaultSpec(other, 1, opcode=3))
+        want = reference_v(g, mutant, suite, stimuli)
+        assert want[1][0] is DivisionByZero
         for _ in range(2):
-            with pytest.raises(DivisionByZero):
-                run_suite(g, mutant, suite, stimuli)
-        assert stimuli._golden[4] == {}
+            assert observed_v(g, mutant, suite, stimuli) == want
+            assert stimuli._golden is None
 
     made = []
     init = Stimuli.__init__
@@ -705,22 +703,30 @@ COLD_LAYOUTS = ["diagnostic", "reversed", "shuffled", "interleaved", "sparse"]
 @pytest.mark.parametrize("permissive", [False, True], ids=["strict", "permissive"])
 def test_the_cold_walk_matches_term_reference_in_any_record_order(permissive):
     # seeded: each mutant of the model families, the campaign and the error
-    # graphs runs cold on one layout drawn for it; V, the error type and
-    # first failing label, and the distinct warnings in order must match
+    # graphs, and each reshaped mutant, runs cold on one layout drawn for
+    # it; V, the error type and first failing label, and the distinct
+    # warnings in order must match
     rng = Random(30)
     outcomes = Counter()
-    for g, suite, mutant in chain(model_families(), campaign(range(40)), error_cases()):
-        kind = rng.choice(COLD_LAYOUTS)
-        laid, stimuli = laid_out(kind, g, suite, rng)
-        want = warned(reference_v, g, mutant, laid, stimuli, permissive)
-        assert warned(observed_v, g, mutant, laid, stimuli, permissive) == want, (kind, mutant)
-        outcomes[kind, "error" if want[0][1] else "bits"] += 1
-        outcomes["warned"] += bool(want[1])
+    sources = {"catalogue": chain(model_families(), campaign(range(40)), error_cases()),
+               "reshaped": reshaped_cases()}
+    for source, cases in sources.items():
+        for g, suite, mutant in cases:
+            kind = rng.choice(COLD_LAYOUTS)
+            laid, stimuli = laid_out(kind, g, suite, rng)
+            want = warned(reference_v, g, mutant, laid, stimuli, permissive)
+            assert warned(observed_v, g, mutant, laid, stimuli, permissive) == want, (kind, mutant)
+            outcomes[kind, "error" if want[0][1] else "bits"] += 1
+            outcomes[source] += 1
+            outcomes[source, "warned"] += bool(want[1])
     # a strict run of the sparse stimuli leaves a variable unbound on most
     # mutants' first records
     assert all(outcomes[kind, "bits"] > (0 if kind == "sparse" and not permissive else 50)
                and outcomes[kind, "error"] > 10 for kind in COLD_LAYOUTS), outcomes
-    assert bool(outcomes["warned"]) == permissive
+    assert bool(outcomes["catalogue", "warned"]) == permissive
+    reshaped_warned = outcomes["reshaped", "warned"]
+    assert outcomes["reshaped"] > 500
+    assert reshaped_warned > 100 if permissive else reshaped_warned == 0
 
 
 def free_suffix_graph() -> RTGraph:
@@ -803,13 +809,40 @@ def reshaped(g: RTGraph, fragment: str, how: str) -> RTGraph:
                        for r in g.ribs)
 
 
+def reshaped_mutants(g: RTGraph) -> list[tuple[str, RTGraph]]:
+    """(how, mutant) of each reshaped mutant of *g*: every fragment
+    reshaped each way, alone and beside a catalogue change on another
+    fragment."""
+    faults = simulator.mutation_catalogue(g)
+    mutants = []
+    for fragment in g.fragments:
+        other = next((f for f in faults if f.fragment != fragment), None)
+        for how in ("target", "input", "free"):
+            mutant = reshaped(g, fragment, how)
+            if mutant is not g:
+                mutants.append((how, mutant))
+                if other:
+                    mutants.append((how, reshaped(inject_fault(g, other), fragment, how)))
+    return mutants
+
+
+def reshaped_cases():
+    """Each reshaped mutant of the plan models, with its model and suite."""
+    for g in plan_models():
+        suite = build_complete_test(g)
+        for _, mutant in reshaped_mutants(g):
+            yield g, suite, mutant
+
+
 @pytest.mark.parametrize("permissive", [False, True], ids=["strict", "permissive"])
-def test_a_reshaped_rib_runs_its_records_whole(monkeypatch, permissive):
-    # a hand-built mutant whose changed rib reads or assigns other
-    # variables runs each record crossing that rib through execute_path,
-    # alone or beside a catalogue change on another fragment, whose other
-    # records still start at their changed rib
+def test_a_reshaped_rib_forks_like_any_other(monkeypatch, permissive):
+    # a hand-built mutant whose changed rib reads or assigns other variables
+    # forks at its first changed rib as a catalogue mutant does, and binds
+    # its own path's free variables there: it calls no execute_path, and
+    # once the golden environments are built a warm call runs the mutant
+    # side's nodes of a cold call
     runs = count_runs(monkeypatch)
+    steps = count_steps(monkeypatch)
     outcomes = Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DefaultedVariableWarning)
@@ -820,23 +853,16 @@ def test_a_reshaped_rib_runs_its_records_whole(monkeypatch, permissive):
                 run_suite(g, g, suite, stimuli, permissive=permissive)
             except ExecutionError:
                 continue
-            faults = simulator.mutation_catalogue(g)
-            for fragment in g.fragments:
-                keys = {r.key for r in g.fragment_ribs(fragment)}
-                whole = len(crossing_pairs(suite, stimuli, keys))
-                other = next((f for f in faults if f.fragment != fragment), None)
-                for how in ("target", "input", "free"):
-                    mutant = reshaped(g, fragment, how)
-                    if mutant is g:
-                        continue
-                    both = reshaped(inject_fault(g, other), fragment, how) if other else mutant
-                    for m in (mutant, both):
-                        runs.clear()
-                        want = reference_v(g, m, suite, stimuli, permissive)
-                        assert observed_v(g, m, suite, stimuli, permissive) == want
-                        outcomes[how, "error" if want[1] else "bits"] += 1
-                        if want[1] is None:
-                            assert runs == Counter({id(m): whole} if whole else {})
+            for how, m in reshaped_mutants(g):
+                want = reference_v(g, m, suite, stimuli, permissive)
+                runs.clear()
+                assert observed_v(g, m, suite, stimuli, permissive) == want
+                outcomes[how, "error" if want[1] else "bits"] += 1
+                if want[1] is None:
+                    steps.clear()
+                    assert observed_v(g, m, suite, stimuli, permissive) == want
+                    assert steps == node_steps(g, suite, stimuli, changed_keys(g, m))
+                assert runs == Counter()
     assert outcomes["target", "bits"] > 20 and outcomes["input", "bits"] > 20
     # a free variable the stimulus leaves unbound is an error unless permissive
     assert outcomes["free", "bits" if permissive else "error"] > 20
@@ -844,24 +870,37 @@ def test_a_reshaped_rib_runs_its_records_whole(monkeypatch, permissive):
 
 def test_a_defaulted_variable_warning_points_at_the_caller():
     # each route that runs a record warns at run_suite's caller: a cold
-    # call on both sides, a warm one, and a mutant rib reading a variable
-    # the golden one does not, which runs through execute_path
-    g = free_variable_model(Random(3))
-    suite = build_complete_test(g)
-    fault = simulator.mutation_catalogue(g)[0]
-    catalogue, reshape = inject_fault(g, fault), reshaped(g, fault.fragment, "free")
-    calls = [(g, True), (catalogue, True), (reshape, True), (catalogue, False), (reshape, False)]
-    stimuli = sparse_stimuli(g, suite)
-    for mutant, cold in calls:
-        if cold:
-            stimuli = sparse_stimuli(g, suite)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DefaultedVariableWarning)
-            observed_v(g, mutant, suite, stimuli, permissive=True)
-        assert caught and {w.filename for w in caught} == {__file__}, (mutant, cold)
-        if mutant is reshape:
-            assert any("free" in str(w.message) for w in caught)
-    assert stimuli._golden[0]() is g
+    # call on both sides and a warm one, of a catalogue mutant and of a
+    # mutant rib reading a variable the golden one does not.  The golden
+    # graph of seed 3 raises, so it keeps nothing and each call is cold,
+    # raising the same error again
+    for seed in (0, 3):
+        g = free_variable_model(Random(seed))
+        suite = build_complete_test(g)
+        fault = simulator.mutation_catalogue(g)[0]
+        catalogue, reshape = inject_fault(g, fault), reshaped(g, fault.fragment, "free")
+        calls = [(g, True), (catalogue, True), (reshape, True), (catalogue, False),
+                 (reshape, False)]
+        stimuli = sparse_stimuli(g, suite)
+        for mutant, cold in calls:
+            if cold:
+                stimuli = sparse_stimuli(g, suite)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DefaultedVariableWarning)
+                got = observed_v(g, mutant, suite, stimuli, permissive=True)
+            assert caught and {w.filename for w in caught} == {__file__}, (mutant, cold)
+            if mutant is reshape:
+                assert any("free" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DefaultedVariableWarning)
+            if seed == 0:
+                assert reference_v(g, g, suite, stimuli, True)[1] is None
+                assert stimuli._golden[0]() is g
+            else:
+                assert reference_v(g, g, suite, stimuli, True)[1] is not None
+                assert stimuli._golden is None
+                assert got == reference_v(g, reshape, suite, stimuli, True)
+                assert observed_v(g, reshape, suite, stimuli, permissive=True) == got
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
@@ -893,14 +932,23 @@ def test_topology_is_rib_keys_and_node_roles():
 
 
 def test_a_suite_path_crossing_a_rib_the_golden_graph_lacks_is_a_mismatch():
-    # ladder 2 has ribs I1, I2 on X -> R1, but none of fig1's I4 on R1 -> R4
-    g = ladder_model(2)
-    suite = build_complete_test(fig1_graph())
-    stimuli = default_stimuli(fig1_graph(), suite)
-    with pytest.raises(GraphMismatch, match=r"^path [^ ]+ crosses rib \(.*\), which the golden "
-                                            r"graph lacks$"):
-        run_suite(g, g, suite, stimuli)
-    assert stimuli._golden is None
+    # ladder 2 has ribs I1, I2 on X -> R1, but none of fig1's I4 on R1 -> R4;
+    # fig1 without I1 lacks the first rib of two paths
+    fig1 = fig1_graph()
+    suite = build_complete_test(fig1)
+    for g in (ladder_model(2), RTGraph(fig1.nodes, tuple(r for r in fig1.ribs
+                                                         if r.fragment != "I1"))):
+        stimuli = default_stimuli(fig1, suite)
+        with pytest.raises(GraphMismatch, match=r"^path [^ ]+ crosses rib \(.*\), which the "
+                                                r"golden graph lacks$") as caught:
+            run_suite(g, g, suite, stimuli)
+        assert stimuli._golden is None
+        # it names the first block's path that crosses a missing rib, and
+        # the first such rib on it
+        keys = {r.key for r in g.ribs}
+        label, key = next((b.path.label, r.key) for b in suite.blocks for r in b.path.edges
+                          if r.key not in keys)
+        assert str(caught.value) == f"path {label} crosses rib {key}, which the golden graph lacks"
 
 
 def test_only_the_stimuli_of_the_suite_are_taken():

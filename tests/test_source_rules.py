@@ -192,9 +192,9 @@ def _step_unpackers(tree):
 
 
 def test_the_simulator_has_one_step_loop():
-    # execute_path, the cold walk, the warm route and the golden
-    # environments all run their statements through simulator._run; a
-    # second step loop would be a second semantics to keep in step
+    # execute_path and the walk, cold or warm, run their statements
+    # through simulator._run; a second step loop would be a second
+    # semantics to keep in step
     assert _step_unpackers(parse(os.path.join(SRC, "simulator.py"))) == {"_run"}
 
 
@@ -204,3 +204,27 @@ def test_the_step_rule_sees_each_unpacking():
                      "def _other(steps):\n    return [fn for _, fn, _, _ in steps]\n"
                      "def _form(rib):\n    steps, reads, assigns = rib\n")
     assert _step_unpackers(tree) == {"_run", "_walk", "_other"}
+
+
+def _runners(tree):
+    """Names of the functions in *tree* that load ``_run`` or ``_bind``, by
+    name or as an attribute: a call, or a reference passed on."""
+    return {fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _loaded_names(fn) & {"_run", "_bind"}}
+
+
+def test_the_simulator_runs_ribs_on_two_routes():
+    # execute_path runs one path from its input, and _walk makes every
+    # run_suite call, cold or warm, forking each mutant at its changed rib;
+    # a third function running ribs would be a second fork rule to keep
+    assert _runners(parse(os.path.join(SRC, "simulator.py"))) == {"execute_path", "_walk"}
+
+
+def test_the_run_rule_sees_each_form():
+    tree = ast.parse("def execute_path(p):\n    return _run(p)\n"
+                     "def _walk(r):\n    env = f(_bind(r))\n"
+                     "async def _warm(r):\n    await g(map(_run, r))\n"
+                     "class K:\n    def m(self):\n        return simulator._bind(1)\n"
+                     "def _other(r):\n    run(r)\n    _runs = 1\n")
+    assert _runners(tree) == {"execute_path", "_walk", "_warm", "m"}
